@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .classifier import class_bounds_check, descend_pearson
@@ -25,8 +23,16 @@ from .cubic_cases import (
     validate_case,
 )
 from .errors import QmapError
-from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, little_q_jacobi_pair, little_q_laguerre_pair
+from .families import (
+    FAMILY_JACOBI,
+    FAMILY_LAGUERRE,
+    jacobi_regularity_failures,
+    laguerre_regularity_failures,
+    little_q_jacobi_pair,
+    little_q_laguerre_pair,
+)
 from .functionals import PearsonPair, pearson_moments, pearson_residual
+from .mapping import verify_interleave
 from .measures import case13_measure, case1_measure, discrete_lift
 from .opseq import orthogonality_check, recurrence_from_moments
 from .scalars import QParam, embed_complex, format_scalar, parse_scalar
@@ -38,14 +44,6 @@ ASSERTION_ERROR = 1
 
 def _qparam(text: str, N: int) -> QParam:
     return QParam(parse_scalar(text), max_order=max(64, 3 * N + 16))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QMAP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -60,18 +58,22 @@ def _cmd_ops(args) -> int:
     q = _qparam(args.q, args.N)
     a = parse_scalar(args.a)
     if args.family == FAMILY_LAGUERRE:
-        pair = little_q_laguerre_pair(a, q)
+        failures = laguerre_regularity_failures(a, q, args.N)
         params = {"a": format_scalar(a)}
     elif args.family == FAMILY_JACOBI:
         if args.b is None:
             print("error: --b is required for the jacobi family", file=sys.stderr)
             return USAGE_ERROR
         b = parse_scalar(args.b)
-        pair = little_q_jacobi_pair(a, b, q)
+        failures = jacobi_regularity_failures(a, b, q, args.N)
         params = {"a": format_scalar(a), "b": format_scalar(b)}
     else:
         print(f"error: unknown family {args.family}", file=sys.stderr)
         return USAGE_ERROR
+    if failures:
+        print(f"error: {args.family} is not regular up to level {args.N}: {'; '.join(failures)}", file=sys.stderr)
+        return USAGE_ERROR
+    pair = little_q_laguerre_pair(a, q) if args.family == FAMILY_LAGUERRE else little_q_jacobi_pair(a, b, q)
     u = pearson_moments(pair, parse_scalar(args.u0), args.N, q)
     residual = pearson_residual(u, pair, q)
     rec, ops = recurrence_from_moments(u, args.N // 2)
@@ -107,8 +109,6 @@ def _cmd_map(args) -> int:
         print("error: fixture invalid: " + "; ".join(val.failures), file=sys.stderr)
         return USAGE_ERROR
     bundle = build_case(case, q, args.N)
-    from .mapping import verify_interleave
-
     il = verify_interleave(bundle.p_ops, bundle.mapping, bundle.q_ops_mapped, min(4, len(bundle.q_ops_mapped) - 2))
     report = {
         "command": "map",
@@ -189,12 +189,7 @@ def _run_table_entry(entry):
 def _cmd_tables(args) -> int:
     qs = args.q or ["1/2", "1/3"]
     entries = [(cid, qtext, args.N) for qtext in qs for cid in CASE_IDS]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_table_entry, entries))
-    else:
-        rows = [_run_table_entry(e) for e in entries]
+    rows = [_run_table_entry(e) for e in entries]
     rows.sort(key=lambda r: (r["case"], r["q"]))
     all_ok = all(r["ok"] for r in rows)
     report = {"command": "tables", "q_values": qs, "N": args.N, "all_ok": all_ok, "cases": rows}

@@ -32,7 +32,7 @@ from .families import (
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
 from .mapping import MappingData, build_mapping, lift_functional
 from .opseq import BlockView, OPSequence, Recurrence, recurrence_from_moments
-from .polyalg import Poly
+from .polyalg import Poly, compose_xk
 from .scalars import CycScalar, ONE, QParam
 from .stieltjes import ACDTriple, acd_from_pearson, acd_mapped
 
@@ -368,8 +368,6 @@ def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:
     Np = u.order // 2
     rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
     rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
-
-    from .polyalg import compose_xk
 
     for n in range(min(len(q_ops), len(p_ops) // 3)):
         if p_ops[3 * n] != compose_xk(q_ops[n], 3):

@@ -14,7 +14,7 @@ from typing import Optional
 from .errors import QmapError, RegularityError, TruncationError
 from .functionals import MomentFunctional, act
 from .polyalg import Poly
-from .scalars import CycScalar, ONE
+from .scalars import CycScalar, ONE, ZERO
 
 __all__ = [
     "Recurrence",
@@ -153,31 +153,48 @@ def ops_from_recurrence(rec: Recurrence, N: int) -> OPSequence:
 def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:
     """Recover b_0..b_{N-1}, a_1..a_{N-1} and p_0..p_N orthogonal for u.
 
-    Uses the inner-product quotients b_n = <u, x p_n^2>/<u, p_n^2> and
-    a_n = <u, p_n^2>/<u, p_{n-1}^2>; a vanishing norm names the level at
+    Uses the Chebyshev algorithm (Gautschi, "On generating orthogonal
+    polynomials", SIAM J. Sci. Stat. Comput. 3, 1982) on the mixed moments
+    sigma_{n,l} = <u, x^l p_n>, starting from sigma_{0,l} = u_l and
+    sigma_{-1,l} = 0:
+
+        sigma_{n,l} = sigma_{n-1,l+1} - b_{n-1} sigma_{n-1,l} - a_{n-1} sigma_{n-2,l},
+        a_n = sigma_{n,n} / sigma_{n-1,n-1},
+        b_n = sigma_{n,n+1} / sigma_{n,n} - sigma_{n-1,n} / sigma_{n-1,n-1}.
+
+    That is O(N^2) scalar operations with two rows of sigma alive at a time;
+    the polynomials are then generated by ops_from_recurrence.  Since
+    sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
     which u stops being regular.
     """
     if 2 * N > u.order:
         raise TruncationError(f"need effective order >= {2 * N}, have {u.order}")
-    x = Poly.x()
-    polys = [Poly.one()]
     b: list[CycScalar] = []
     a: list[CycScalar] = []
-    h_prev: Optional[CycScalar] = None
+    # row[j] = sigma_{n, n+j} for j = 0..2(N-n)-1; prev is the row of level n-1
+    row = list(u.moments[: 2 * N])
+    prev: list[CycScalar] = []
+    ratio_prev = ZERO
     for n in range(N):
-        pn = polys[-1]
-        pn2 = pn * pn
-        hn = act(u, pn2)
+        if n:
+            bn = b[-1]
+            if n == 1:
+                nxt = [s2 - bn * s1 for s1, s2 in zip(row[1:], row[2:])]
+            else:
+                an = a[-1]
+                nxt = [s2 - bn * s1 - an * t for s1, s2, t in zip(row[1:], row[2:], prev[2:])]
+            prev, row = row, nxt
+        hn = row[0]
         if not hn:
             raise RegularityError(f"not regular at level {n}: <u, p_{n}^2> = 0")
-        b.append(act(u, x * pn2) * hn.inv())
-        nxt = (x - Poly.constant(b[-1])) * pn
+        hn_inv = hn.inv()
+        ratio = row[1] * hn_inv
+        b.append(ratio - ratio_prev)
         if n:
-            a.append(hn * h_prev.inv())
-            nxt = nxt - a[-1] * polys[-2]
-        h_prev = hn
-        polys.append(nxt)
-    return Recurrence(b, a), OPSequence(polys)
+            a.append(hn * h_prev_inv)
+        h_prev_inv, ratio_prev = hn_inv, ratio
+    rec = Recurrence(b, a)
+    return rec, ops_from_recurrence(rec, N)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,42 @@
 
 from __future__ import annotations
 
-from qmap import ACDTriple, CycScalar, Poly
+from typing import Optional
+
+from qmap import ACDTriple, CycScalar, MomentFunctional, OPSequence, Poly, Recurrence, act
+from qmap.errors import RegularityError, TruncationError
 
 X = Poly.x()
+
+
+def recurrence_from_moments_oracle(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:
+    """Recover b_0..b_{N-1}, a_1..a_{N-1} and p_0..p_N orthogonal for u.
+
+    Uses the inner-product quotients b_n = <u, x p_n^2>/<u, p_n^2> and
+    a_n = <u, p_n^2>/<u, p_{n-1}^2>; a vanishing norm names the level at
+    which u stops being regular.
+    """
+    if 2 * N > u.order:
+        raise TruncationError(f"need effective order >= {2 * N}, have {u.order}")
+    x = Poly.x()
+    polys = [Poly.one()]
+    b: list[CycScalar] = []
+    a: list[CycScalar] = []
+    h_prev: Optional[CycScalar] = None
+    for n in range(N):
+        pn = polys[-1]
+        pn2 = pn * pn
+        hn = act(u, pn2)
+        if not hn:
+            raise RegularityError(f"not regular at level {n}: <u, p_{n}^2> = 0")
+        b.append(act(u, x * pn2) * hn.inv())
+        nxt = (x - Poly.constant(b[-1])) * pn
+        if n:
+            a.append(hn * h_prev.inv())
+            nxt = nxt - a[-1] * polys[-2]
+        h_prev = hn
+        polys.append(nxt)
+    return Recurrence(b, a), OPSequence(polys)
 
 
 def dense_det(matrix):

@@ -36,6 +36,24 @@ def test_ops_jacobi_requires_b(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        (["--family", "little-q-laguerre", "--a", "0"], "a = 0"),
+        (["--family", "little-q-laguerre", "--a", "8"], "a = q^-3"),
+        (["--family", "little-q-jacobi", "--a", "0", "--b", "1/3"], "ab = 0"),
+        (["--family", "little-q-jacobi", "--a", "1/3", "--b", "0"], "ab = 0"),
+    ],
+)
+def test_ops_singular_family_parameters(capsys, argv, failure):
+    assert main(["ops", *argv, "--q", "1/2", "--N", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert failure in captured.err
+
+
 def test_map_command(capsys):
     code, report = run_cli(capsys, "map", "--case", "1", "--q", "1/2", "--N", "30")
     assert code == 0
@@ -59,8 +77,7 @@ def test_descend_command(capsys):
     assert report["reconstruction"]["r0"] == "55/29"
 
 
-def test_tables_small(capsys, monkeypatch):
-    monkeypatch.setenv("QMAP_THREADS", "2")
+def test_tables_small(capsys):
     code, report = run_cli(capsys, "tables", "--q", "1/2", "--N", "30")
     assert code == 0
     assert report["all_ok"] is True

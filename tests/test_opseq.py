@@ -4,9 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmap import (
+    OMEGA,
+    ZERO,
     BlockView,
+    CycScalar,
     MomentFunctional,
     Poly,
     Recurrence,
@@ -17,10 +21,11 @@ from qmap import (
     pearson_moments,
     recurrence_from_moments,
 )
-from qmap.errors import RegularityError
+from qmap.errors import RegularityError, TruncationError
 from qmap.families import little_q_laguerre_pair
 
 from conftest import random_nonzero_scalar, random_scalar
+from helpers import recurrence_from_moments_oracle
 
 X = Poly.x()
 
@@ -55,6 +60,95 @@ def test_recurrence_from_moments_regularity_error():
     u = MomentFunctional([1] + [0] * 10)
     with pytest.raises(RegularityError, match="level 1"):
         recurrence_from_moments(u, 4)
+
+
+def test_truncation_error_message():
+    with pytest.raises(TruncationError) as exc:
+        recurrence_from_moments(MomentFunctional([1] * 7), 4)
+    assert str(exc.value) == "need effective order >= 8, have 6"
+
+
+# -- Chebyshev recovery against the inner-product oracle ----------------------
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+
+
+def _scalars(omega: bool):
+    return st.builds(CycScalar, small_fractions, small_fractions if omega else st.just(Fraction(0)))
+
+
+@st.composite
+def regular_recurrences(draw):
+    """A recurrence with b_0..b_N, a_1..a_N (all a_n != 0) and a nonzero u_0."""
+    scalars = _scalars(draw(st.booleans()))
+    N = draw(st.integers(1, 7))
+    b = draw(st.lists(scalars, min_size=N + 1, max_size=N + 1))
+    a = draw(st.lists(scalars.filter(bool), min_size=N, max_size=N))
+    return Recurrence(b, a), draw(scalars.filter(bool))
+
+
+def _jacobi_moments(rec, u0, order):
+    """mu_m = u_0 (J^m)_{00} for the tridiagonal matrix J of the recurrence.
+
+    The vector holds the coordinates of u_0 x^m in the basis p_0, p_1, ...;
+    multiplication by x maps c to c_{k-1} + b_k c_k + a_{k+1} c_{k+1}.  The
+    truncation to len(rec.b) rows is exact for m <= 2 len(rec.b) - 1.
+    """
+    size = len(rec.b)
+    vec = [u0] + [ZERO] * (size - 1)
+    out = []
+    for _ in range(order + 1):
+        out.append(vec[0])
+        vec = [
+            (vec[k - 1] if k else ZERO) + rec.b[k] * vec[k] + (rec.a_at(k + 1) * vec[k + 1] if k + 1 < size else ZERO)
+            for k in range(size)
+        ]
+    return out
+
+
+def _outcome(recover, u, N):
+    try:
+        return recover(u, N)
+    except RegularityError as exc:
+        return "RegularityError", str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(regular_recurrences())
+def test_chebyshev_recovers_generating_recurrence(data):
+    rec, u0 = data
+    N = len(rec.b) - 1
+    u = MomentFunctional(_jacobi_moments(rec, u0, 2 * N))
+    got = recurrence_from_moments(u, N)
+    assert got == recurrence_from_moments_oracle(u, N)
+    assert got[0] == Recurrence(rec.b[:N], rec.a[: N - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chebyshev_matches_oracle_on_raw_moments(data):
+    omega = data.draw(st.booleans())
+    entries = st.one_of(st.integers(-2, 2).map(Fraction), small_fractions)
+    scalars = st.builds(CycScalar, entries, entries if omega else st.just(Fraction(0)))
+    N = data.draw(st.integers(0, 6))
+    u = MomentFunctional(data.draw(st.lists(scalars, min_size=2 * N + 1, max_size=2 * N + 3)))
+    assert _outcome(recurrence_from_moments, u, N) == _outcome(recurrence_from_moments_oracle, u, N)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [(0, 1, 2), (1, -1, 2, Fraction(1, 3)), (0, OMEGA, 1, 2 - OMEGA, Fraction(-1, 2))],
+)
+def test_regularity_failure_at_deep_level(nodes):
+    # k distinct nodes with unit weights: regular through level k-1, not at k
+    k = len(nodes)
+    nodes = [CycScalar.coerce(z) for z in nodes]
+    u = MomentFunctional([sum((z ** m for z in nodes), ZERO) for m in range(2 * k + 5)])
+    message = f"not regular at level {k}: <u, p_{k}^2> = 0"
+    for recover in (recurrence_from_moments, recurrence_from_moments_oracle):
+        with pytest.raises(RegularityError) as exc:
+            recover(u, k + 2)
+        assert str(exc.value) == message
 
 
 def test_recurrence_round_trip(q_half):
