@@ -7,7 +7,7 @@ thirteen cubic cases together with their expected classes and canonical
 distributional pairs.
 """
 
-from .scalars import CycScalar, OMEGA, ONE, QParam, Rational, ZERO, embed_complex, format_scalar, parse_scalar, q_bracket, scalar
+from .scalars import CycScalar, OMEGA, ONE, QParam, ZERO, embed_complex, format_scalar, parse_scalar
 from .polyalg import Poly, compose, compose_xk, dilate_poly, divrem, hahn_poly, hahn_poly_qinv, poly_gcd, simple_set_decompose, theta0
 from .functionals import (
     MomentFunctional,

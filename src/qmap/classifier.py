@@ -40,15 +40,6 @@ class ClassReport:
     psi: Poly
     trace: tuple[Poly, ...]
 
-    def to_dict(self):
-        return {
-            "class": self.s,
-            "phi": self.phi.to_strings(),
-            "psi": self.psi.to_strings(),
-            "reduced": self.reduced.to_dict(),
-            "trace": [g.to_strings() for g in self.trace],
-        }
-
 
 @dataclass(frozen=True)
 class BoundsReport:

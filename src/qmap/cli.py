@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 
 from .classifier import class_bounds_check, descend_pearson
-from .cubic_cases import (
-    CASE_IDS,
-    build_case,
-    case_fixture,
-    expected_phi_psi,
-    inverse_reconstruct_case13,
-    validate_case,
-)
+from .cubic_cases import CASE_IDS, CaseBundle, build_case, case_fixture, inverse_reconstruct_case13, validate_case
 from .errors import QmapError
 from .families import (
     FAMILY_JACOBI,
@@ -96,24 +89,19 @@ def _cmd_ops(args) -> int:
     return 0 if report["pearson_residual_zero"] and orth.ok else ASSERTION_ERROR
 
 
-def _case_and_q(args):
+def _case_bundle(args) -> CaseBundle:
+    """Build the default fixture of ``--case`` at ``--q``; an invalid fixture raises CaseError."""
     q = _qparam(args.q, args.N)
-    case = case_fixture(args.case, q)
-    val = validate_case(case, q)
-    return case, q, val
+    return build_case(case_fixture(args.case, q), q, args.N)
 
 
 def _cmd_map(args) -> int:
-    case, q, val = _case_and_q(args)
-    if not val.ok:
-        print("error: fixture invalid: " + "; ".join(val.failures), file=sys.stderr)
-        return USAGE_ERROR
-    bundle = build_case(case, q, args.N)
+    bundle = _case_bundle(args)
     il = verify_interleave(bundle.p_ops, bundle.mapping, bundle.q_ops_mapped, min(4, len(bundle.q_ops_mapped) - 2))
     report = {
         "command": "map",
-        "case": case.id,
-        "q": format_scalar(q.q),
+        "case": bundle.case.id,
+        "q": format_scalar(bundle.q.q),
         "mapping": bundle.mapping.to_dict(),
         "conditions_ok": bundle.mapping.conditions.ok,
         "interleave_ok": il.ok,
@@ -124,12 +112,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    case, q, val = _case_and_q(args)
-    if not val.ok:
-        print("error: fixture invalid: " + "; ".join(val.failures), file=sys.stderr)
-        return USAGE_ERROR
-    bundle = build_case(case, q, args.N)
-    expected = expected_phi_psi(case, q)
+    bundle = _case_bundle(args)
+    case, expected = bundle.case, bundle.expected_pair
     ok = (
         bundle.report.s == case.expected_class
         and bundle.report.phi == expected.phi
@@ -138,7 +122,7 @@ def _cmd_classify(args) -> int:
     report = {
         "command": "classify",
         "case": case.id,
-        "q": format_scalar(q.q),
+        "q": format_scalar(bundle.q.q),
         "class": bundle.report.s,
         "expected_class": case.expected_class,
         "phi": bundle.report.phi.to_strings(),
@@ -150,9 +134,10 @@ def _cmd_classify(args) -> int:
     return 0 if ok else ASSERTION_ERROR
 
 
-def _run_table_entry(entry):
-    cid, qtext, N = entry
-    q = _qparam(qtext, N)
+_TABLE_CHECKS = ("class_ok", "phi_ok", "psi_ok", "stieltjes_residual_zero", "susvq_ok", "bounds_ok")
+
+
+def _run_table_entry(cid: int, qtext: str, q: QParam, N: int) -> dict:
     case = case_fixture(cid, q)
     val = validate_case(case, q)
     if not val.ok:
@@ -161,7 +146,7 @@ def _run_table_entry(entry):
         bundle = build_case(case, q, N)
     except QmapError as exc:
         return {"case": cid, "q": qtext, "ok": False, "error": str(exc)}
-    expected = expected_phi_psi(case, q)
+    expected = bundle.expected_pair
     Su = series_from_functional(bundle.u)
     residual = stieltjes_residual(bundle.acd, Su, q)
     susvq = verify_susvq(Su, series_from_functional(bundle.v), bundle.eta, 3, q)
@@ -179,17 +164,19 @@ def _run_table_entry(entry):
         "susvq_ok": susvq.ok,
         "bounds_ok": bounds.ok,
     }
-    row["ok"] = all(row[k] for k in ("class_ok", "phi_ok", "psi_ok", "stieltjes_residual_zero", "susvq_ok", "bounds_ok"))
-    if not row["ok"]:
-        diffs = [k for k in ("class_ok", "phi_ok", "psi_ok", "stieltjes_residual_zero", "susvq_ok", "bounds_ok") if not row[k]]
+    diffs = [k for k in _TABLE_CHECKS if not row[k]]
+    row["ok"] = not diffs
+    if diffs:
         row["error"] = "failed: " + ", ".join(diffs)
     return row
 
 
 def _cmd_tables(args) -> int:
     qs = args.q or ["1/2", "1/3"]
-    entries = [(cid, qtext, args.N) for qtext in qs for cid in CASE_IDS]
-    rows = [_run_table_entry(e) for e in entries]
+    rows = []
+    for qtext in qs:
+        q = _qparam(qtext, args.N)
+        rows += [_run_table_entry(cid, qtext, q, args.N) for cid in CASE_IDS]
     rows.sort(key=lambda r: (r["case"], r["q"]))
     all_ok = all(r["ok"] for r in rows)
     report = {"command": "tables", "q_values": qs, "N": args.N, "all_ok": all_ok, "cases": rows}
@@ -201,18 +188,17 @@ def _cmd_measure(args) -> int:
     if args.case not in (1, 13):
         print("error: measure comparisons are provided for cases 1 and 13", file=sys.stderr)
         return USAGE_ERROR
-    q = _qparam(args.q, args.N)
-    if q.q.om or not 0 < q.q.re < 1:
+    qs = parse_scalar(args.q)
+    if qs.om or not 0 < qs.re < 1:
         print("error: measure comparisons need rational q in (0,1)", file=sys.stderr)
         return USAGE_ERROR
-    qf = float(q.q.re)
-    case = case_fixture(args.case, q)
-    bundle = build_case(case, q, args.N)
+    bundle = _case_bundle(args)
+    qf = float(qs.re)
     if args.case == 1:
         measure = case1_measure(qf, args.L)
     else:
-        a = float(Fraction(case.params["a"].re))
-        c = float(Fraction(case.params["c"].re))
+        a = float(bundle.case.params["a"].re)
+        c = float(bundle.case.params["c"].re)
         measure = case13_measure(a, c, qf, args.L)
     n_max = min(10, bundle.u.order)
     numeric = discrete_lift(measure, bundle.eta, 1.0, n_max)
@@ -234,7 +220,7 @@ def _cmd_measure(args) -> int:
     report = {
         "command": "measure",
         "case": args.case,
-        "q": format_scalar(q.q),
+        "q": format_scalar(qs),
         "L": args.L,
         "tol": args.tol,
         "max_abs_err": worst,
@@ -246,11 +232,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_descend(args) -> int:
-    case, q, val = _case_and_q(args)
-    if not val.ok:
-        print("error: fixture invalid: " + "; ".join(val.failures), file=sys.stderr)
-        return USAGE_ERROR
-    bundle = build_case(case, q, args.N)
+    bundle = _case_bundle(args)
+    case, q = bundle.case, bundle.q
     basis = [bundle.p_ops[j] for j in range(3)]
     pair_u = PearsonPair(bundle.report.phi, bundle.report.psi)
     pair_v = descend_pearson(pair_u, bundle.report.s, basis, 3, q, bundle.u, bundle.v)
@@ -276,13 +259,40 @@ def _cmd_descend(args) -> int:
     return 0 if report["v_residual_zero"] else ASSERTION_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 2."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"error: {self.prog}: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qmap", description=__doc__)
+    parser = _Parser(prog="qmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_case=True):
         p.add_argument("--q", required=True, help="q value, e.g. 1/2")
-        p.add_argument("--N", type=int, default=48, help="target truncation order")
+        p.add_argument("--N", type=_positive_int, default=48, help="target truncation order")
         p.add_argument("--output", help="also write the JSON report to this path")
         if with_case:
             p.add_argument("--case", type=int, required=True, choices=CASE_IDS)
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ops.add_argument("--b", help="family parameter b (jacobi)")
     p_ops.add_argument("--u0", default="1", help="normalization u_0")
     p_ops.add_argument("--q", required=True)
-    p_ops.add_argument("--N", type=int, default=24)
+    p_ops.add_argument("--N", type=_positive_int, default=24)
     p_ops.add_argument("--output")
     p_ops.set_defaults(func=_cmd_ops)
 
@@ -307,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("tables", help="run all 13 cases at one or more q values")
     p_tab.add_argument("--q", action="append", help="repeatable; default 1/2 and 1/3")
-    p_tab.add_argument("--N", type=int, default=48)
+    p_tab.add_argument("--N", type=_positive_int, default=48)
     p_tab.add_argument("--output")
     p_tab.set_defaults(func=_cmd_tables)
 
     p_mea = sub.add_parser("measure", help="discrete-measure moment comparison for cases 1 and 13")
     common(p_mea)
-    p_mea.add_argument("--L", type=int, default=200, help="measure truncation")
-    p_mea.add_argument("--tol", type=float, default=1e-10)
+    p_mea.add_argument("--L", type=_positive_int, default=200, help="measure truncation")
+    p_mea.add_argument("--tol", type=_tolerance, default=1e-10)
     p_mea.set_defaults(func=_cmd_measure)
 
     p_des = sub.add_parser("descend", help="transport the canonical pair down to the mapped functional")
@@ -329,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, QmapError) as exc:
+    except (ValueError, QmapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

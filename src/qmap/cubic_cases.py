@@ -62,9 +62,6 @@ class CubicCase:
     params: dict
     expected_class: int
 
-    def param(self, name: str) -> CycScalar:
-        return self.params[name]
-
 
 @dataclass(frozen=True)
 class CaseValidation:

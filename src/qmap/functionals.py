@@ -49,11 +49,6 @@ class MomentFunctional:
             raise TruncationError(f"moment index {n} beyond effective order {self.order}")
         return self.moments[n]
 
-    def truncate(self, order: int) -> "MomentFunctional":
-        if order > self.order:
-            raise TruncationError(f"cannot extend order {self.order} to {order}")
-        return MomentFunctional(self.moments[: order + 1])
-
     def __eq__(self, other):
         if not isinstance(other, MomentFunctional):
             return NotImplemented
@@ -69,9 +64,6 @@ class MomentFunctional:
 
     def to_strings(self):
         return [format_scalar(m) for m in self.moments]
-
-    def to_dict(self):
-        return {"moments": self.to_strings(), "order": self.order}
 
 
 class PearsonPair:

@@ -31,7 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Pass/fail record for the four block conditions."""
+    """Pass/fail record for the four block conditions.
+
+    ``r_at_zero[n]`` is the constant r_n(0) of condition (iv) for n = 0..N
+    (r_0(0) = 0); it stops at the first failing block.
+    """
 
     ok: bool
     b_constant: bool
@@ -41,6 +45,7 @@ class ConditionReport:
     failures: tuple[str, ...] = ()
     theta: Optional[Poly] = None
     eta: Optional[Poly] = None
+    r_at_zero: tuple[CycScalar, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -129,18 +134,21 @@ def check_conditions(view: BlockView, m: int, N: int) -> ConditionReport:
     if not divisible:
         failures.append("condition (iii): Delta_0(m+2, m+k-1) is not theta_m times a degree k-1-m factor")
 
-    r_const = True
+    r_const = divisible
+    r_at_zero = [ZERO]
     if divisible:
         for n in range(1, N + 1):
-            if _r_shift_poly(view, m, n, eta).degree > 0:
+            rn = _r_shift_poly(view, m, n, eta)
+            if rn.degree > 0:
                 r_const = False
                 failures.append(f"condition (iv): r_{n}(x) depends on x")
                 break
-    else:
-        r_const = False
+            r_at_zero.append(rn.coeff(0))
 
     ok = b_const and delta_const and divisible and r_const
-    return ConditionReport(ok, b_const, delta_const, divisible, r_const, tuple(failures), theta, eta)
+    return ConditionReport(
+        ok, b_const, delta_const, divisible, r_const, tuple(failures), theta, eta, tuple(r_at_zero)
+    )
 
 
 def build_mapping(view: BlockView, m: int, r0, N: int) -> tuple[MappingData, OPSequence]:
@@ -161,10 +169,9 @@ def build_mapping(view: BlockView, m: int, r0, N: int) -> tuple[MappingData, OPS
     if pi_k.degree != k:
         raise MappingConditionError(f"pi_k came out with degree {pi_k.degree}, expected {k}")
 
-    r: list[CycScalar] = [r0]
+    r = [r0 + c for c in report.r_at_zero]
     s: list[CycScalar] = []
     for n in range(1, N + 1):
-        r.append(r0 + _r_shift_poly(view, m, n, eta).coeff(0))
         sn = view.a(n, m)
         for i in range(1, k):
             sn = sn * view.a(n - 1, m + i)

@@ -94,11 +94,6 @@ class BlockView:
     def a(self, n: int, j: int) -> CycScalar:
         return self.rec.a_at(n * self.k + j)
 
-    @property
-    def blocks(self) -> int:
-        """Number of complete blocks of b-coefficients available."""
-        return len(self.rec.b) // self.k
-
 
 class OPSequence:
     """Monic polynomials p_0..p_N with deg p_n = n."""

@@ -155,9 +155,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def scale(self, s) -> "Poly":
-        return self * _coeff(s)
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
             return self * _coeff(other).inv()

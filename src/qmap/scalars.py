@@ -19,22 +19,15 @@ import re as _regex
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "CycScalar",
     "QParam",
     "ZERO",
     "ONE",
     "OMEGA",
-    "scalar",
-    "q_bracket",
     "embed_complex",
     "format_scalar",
     "parse_scalar",
 ]
-
-# Exact rational scalars: arbitrary-precision, always reduced, positive
-# denominator.  fractions.Fraction provides exactly these invariants.
-Rational = Fraction
 
 _OMEGA_COMPLEX = complex(-0.5, math.sqrt(3.0) / 2.0)
 
@@ -87,10 +80,6 @@ class CycScalar:
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.om)
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.om
 
     def norm(self) -> Fraction:
         """Field norm re^2 - re*om + om^2; zero exactly for the zero element."""
@@ -177,12 +166,6 @@ class CycScalar:
             return NotImplemented
         return self.re == o.re and self.om == o.om
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     def __hash__(self):
         return hash((self.re, self.om))
 
@@ -198,11 +181,6 @@ class CycScalar:
 ZERO = CycScalar(0)
 ONE = CycScalar(1)
 OMEGA = CycScalar(0, 1)
-
-
-def scalar(x) -> CycScalar:
-    """Coerce an int, Fraction, string, or CycScalar to a CycScalar."""
-    return CycScalar.coerce(x)
 
 
 def format_scalar(s: CycScalar) -> str:
@@ -253,10 +231,11 @@ class QParam:
 
     Construction verifies ``q != 0`` and ``q**n != 1`` for ``1 <= n <=
     max_order`` and caches the powers and q-brackets used throughout the
-    package.  Instances are immutable in intent and safe to share.
+    package, and the parameters q**k built by :meth:`pow`.  Instances are
+    immutable in intent and safe to share.
     """
 
-    __slots__ = ("q", "max_order", "_powers", "_brackets")
+    __slots__ = ("q", "max_order", "_powers", "_brackets", "_pows")
 
     def __init__(self, q, max_order: int = 64):
         q = CycScalar.coerce(q)
@@ -278,6 +257,7 @@ class QParam:
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "_powers", tuple(powers))
         object.__setattr__(self, "_brackets", tuple(brackets))
+        object.__setattr__(self, "_pows", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("QParam is immutable")
@@ -307,15 +287,14 @@ class QParam:
         return QParam(self.q.inv(), self.max_order)
 
     def pow(self, k: int) -> "QParam":
-        """The parameter q**k, admissible up to max_order // k."""
+        """The parameter q**k, admissible up to max_order // k; built once per k."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        return QParam(self.q ** k, max(1, self.max_order // k))
+        qk = self._pows.get(k)
+        if qk is None:
+            qk = self._pows[k] = QParam(self.q ** k, max(1, self.max_order // k))
+        return qk
 
     def __repr__(self):
         return f"QParam({format_scalar(self.q)!r}, max_order={self.max_order})"
 
-
-def q_bracket(n: int, q: QParam) -> CycScalar:
-    """[n]_q; equals (q^n - 1)/(q - 1) and satisfies [0]_q = 0."""
-    return q.bracket(n)

@@ -128,9 +128,6 @@ class ACDTriple:
         s = CycScalar.coerce(s)
         return ACDTriple(self.A * s, self.C * s, self.D * s)
 
-    def to_dict(self):
-        return {"A": self.A.to_strings(), "C": self.C.to_strings(), "D": self.D.to_strings()}
-
 
 @dataclass(frozen=True)
 class SeriesReport:

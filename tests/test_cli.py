@@ -113,3 +113,47 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     on_disk = json.loads(path.read_text())
     assert on_disk == report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--q", "1/2", "--N", "0"],
+        ["tables", "--q", "1/2", "--N", "-3"],
+        ["ops", "--family", "little-q-laguerre", "--a", "1/4", "--q", "1/2", "--N", "0"],
+        ["map", "--case", "1", "--q", "1/2", "--N", "0"],
+        ["classify", "--case", "1", "--q", "1/2", "--N", "-3"],
+        ["measure", "--case", "1", "--q", "1/2", "--N", "0"],
+        ["descend", "--case", "13", "--q", "1/2", "--N", "0"],
+        ["measure", "--case", "1", "--q", "1/2", "--N", "12", "--L", "0"],
+        ["measure", "--case", "1", "--q", "1/2", "--N", "12", "--L", "-5"],
+        ["measure", "--case", "1", "--q", "1/2", "--N", "12", "--tol", "nan"],
+        ["classify", "--case", "1", "--q", "1/2", "--N", "12", "--output", "{tmp}/missing/x.json"],
+        ["map", "--case", "2", "--q", "1/5", "--N", "12"],
+        ["classify", "--case", "2", "--q", "1/5", "--N", "12"],
+        ["descend", "--case", "2", "--q", "1/5", "--N", "12"],
+    ],
+)
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects its own arguments by exiting
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_tables_reports_invalid_fixtures_per_row(capsys):
+    # at q = 1/5 fixtures 2 and 8 get a = 1/q and b = 1/5, so ab = q^0 = 1
+    code, report = run_cli(capsys, "tables", "--q", "1/5", "--N", "12")
+    assert code == 1
+    assert report["all_ok"] is False
+    failed = [row for row in report["cases"] if not row["ok"]]
+    assert failed == [
+        {"case": cid, "q": "1/5", "ok": False, "error": "regularity: ab = q^-0"} for cid in (2, 8)
+    ]
+    assert all(list(row) == ["case", "q", "ok", "error"] for row in failed)

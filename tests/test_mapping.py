@@ -19,6 +19,7 @@ from qmap import (
     sigma_star,
     verify_interleave,
 )
+from qmap import mapping as mapping_module
 from qmap.errors import MappingConditionError, QmapError
 
 from conftest import cached_case_bundle, random_scalar
@@ -89,6 +90,31 @@ def test_build_mapping_matches_moment_side(q_half):
     # s_1 = a_1^{(0)} a_0^{(1)} a_0^{(2)}
     view = BlockView(b.rec_p, 3)
     assert b.mapping.s[0] == view.a(1, 0) * view.a(0, 1) * view.a(0, 2)
+
+
+@pytest.mark.parametrize("case_id", [1, 13])
+def test_condition_report_keeps_r_at_zero(q_half, case_id):
+    b = cached_case_bundle(case_id, q_half)
+    view = BlockView(b.rec_p, 3)
+    N = len(b.mapping.r) - 1
+    rep = check_conditions(view, 0, N)
+    assert rep.ok
+    assert rep.r_at_zero == tuple(mapping_module._r_shift_poly(view, 0, n, rep.eta).coeff(0) for n in range(N + 1))
+    assert b.mapping.r == tuple(b.r0 + c for c in rep.r_at_zero)
+
+
+def test_build_mapping_computes_each_r_shift_once(q_half, monkeypatch):
+    b = cached_case_bundle(1, q_half)
+    calls = []
+    original = mapping_module._r_shift_poly
+
+    def counted(view, m, n, eta):
+        calls.append(n)
+        return original(view, m, n, eta)
+
+    monkeypatch.setattr(mapping_module, "_r_shift_poly", counted)
+    build_mapping(BlockView(b.rec_p, 3), 0, b.r0, 6)
+    assert calls == list(range(1, 7))
 
 
 def test_interleave_and_detector(q_half):

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qmap import (
     CycScalar,
+    ONE,
     Poly,
     compose,
     compose_xk,
@@ -21,6 +23,14 @@ from qmap import (
 from conftest import random_monic_poly, random_nonzero_scalar, random_poly
 
 X = Poly.x()
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+scalars_st = st.builds(CycScalar, small_fractions, st.one_of(st.just(Fraction(0)), small_fractions))
+
+
+def polys(max_deg: int):
+    """Polynomials over Q(w) of degree <= max_deg, the zero polynomial included."""
+    return st.lists(scalars_st, max_size=max_deg + 1).map(Poly)
 
 
 def test_constructor_trims_and_degrees():
@@ -38,16 +48,22 @@ def test_divrem_examples():
         divrem(X, Poly.zero())
 
 
-def test_divrem_property():
-    rng = random.Random(11)
-    for _ in range(200):
-        a = random_poly(rng, 8)
-        b = random_poly(rng, 4)
-        if b.is_zero:
-            continue
-        q, r = divrem(a, b)
-        assert q * b + r == a
-        assert r.degree < b.degree
+@settings(deadline=None)
+@given(polys(4), polys(4), polys(4))
+def test_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(8), polys(4).filter(lambda p: not p.is_zero))
+def test_divrem_property(a, b):
+    q, r = divrem(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
 
 
 def test_gcd_examples():
@@ -57,29 +73,27 @@ def test_gcd_examples():
     assert g == X - 1
 
 
-def test_gcd_divides_both_and_is_symmetric():
-    rng = random.Random(12)
-    for _ in range(120):
-        a = random_poly(rng, 5)
-        b = random_poly(rng, 5)
-        if a.is_zero and b.is_zero:
-            continue
-        g = poly_gcd(a, b)
-        assert g == poly_gcd(b, a)
-        for f in (a, b):
-            if not f.is_zero:
-                assert divrem(f, g)[1].is_zero
-
-
-def test_compose_power_substitution():
-    assert compose(X * X + 1, Poly.monomial(3)) == Poly.monomial(6) + 1
-    rng = random.Random(13)
-    for _ in range(60):
-        f = random_poly(rng, 5)
-        k = rng.randint(1, 4)
-        assert compose(f, Poly.monomial(k)) == compose_xk(f, k)
+@settings(max_examples=120, deadline=None)
+@given(polys(3), polys(3), polys(2))
+def test_gcd_divides_both_and_is_symmetric(a, b, common):
+    a, b = a * common, b * common
+    assume(not (a.is_zero and b.is_zero))
+    g = poly_gcd(a, b)
+    assert g.lc == ONE
+    assert g == poly_gcd(b, a)
+    for f in (a, b):
         if not f.is_zero:
-            assert compose_xk(f, k).degree == k * f.degree
+            assert divrem(f, g)[1].is_zero
+    assert divrem(g, common)[1].is_zero
+
+
+@settings(deadline=None)
+@given(polys(5), st.integers(1, 4))
+def test_compose_power_substitution(f, k):
+    assert compose(X * X + 1, Poly.monomial(3)) == Poly.monomial(6) + 1
+    assert compose(f, Poly.monomial(k)) == compose_xk(f, k)
+    if not f.is_zero:
+        assert compose_xk(f, k).degree == k * f.degree
 
 
 def test_hahn_poly_examples(q_half):

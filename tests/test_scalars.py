@@ -15,7 +15,6 @@ from qmap import (
     embed_complex,
     format_scalar,
     parse_scalar,
-    q_bracket,
 )
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -73,15 +72,15 @@ def test_embed_values():
 
 
 def test_q_bracket_values(q_half):
-    assert q_bracket(0, q_half) == ZERO
-    assert q_bracket(1, q_half) == ONE
-    assert q_bracket(3, q_half) == Fraction(7, 4)
+    assert q_half.bracket(0) == ZERO
+    assert q_half.bracket(1) == ONE
+    assert q_half.bracket(3) == Fraction(7, 4)
 
 
 def test_q_bracket_closed_form(q_half):
     qs = q_half.q
     for n in range(1, 21):
-        assert q_bracket(n, q_half) == (qs ** n - 1) / (qs - 1)
+        assert q_half.bracket(n) == (qs ** n - 1) / (qs - 1)
 
 
 def test_q_bracket_inverse_parameter(q_half):
@@ -105,6 +104,19 @@ def test_qparam_pow(q_half):
     q3 = q_half.pow(3)
     assert q3.q == Fraction(1, 8)
     assert q3.max_order == q_half.max_order // 3
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_qparam_pow_is_built_once(k):
+    q = QParam(CycScalar(Fraction(2, 3), Fraction(1, 5)), 40)
+    qk = q.pow(k)
+    assert q.pow(k) is qk
+    fresh = QParam(q.q ** k, max(1, q.max_order // k))
+    assert (qk.q, qk.max_order) == (fresh.q, fresh.max_order)
+    for n in range(-fresh.max_order, fresh.max_order + 1):
+        assert qk.power(n) == fresh.power(n)
+    for n in range(fresh.max_order + 2):
+        assert qk.bracket(n) == fresh.bracket(n)
 
 
 def test_format_parse_round_trip():
