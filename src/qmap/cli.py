@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .classifier import class_bounds_check, descend_pearson
-from .cubic_cases import CASE_IDS, CaseBundle, build_case, case_fixture, inverse_reconstruct_case13, validate_case
-from .errors import QmapError
+from .cubic_cases import CASE_IDS, CaseBundle, build_case, case_fixture, inverse_reconstruct_case13
+from .errors import CaseError, QmapError
 from .families import (
     FAMILY_JACOBI,
     FAMILY_LAGUERRE,
@@ -139,11 +140,11 @@ _TABLE_CHECKS = ("class_ok", "phi_ok", "psi_ok", "stieltjes_residual_zero", "sus
 
 def _run_table_entry(cid: int, qtext: str, q: QParam, N: int) -> dict:
     case = case_fixture(cid, q)
-    val = validate_case(case, q)
-    if not val.ok:
-        return {"case": cid, "q": qtext, "ok": False, "error": "; ".join(val.failures)}
     try:
         bundle = build_case(case, q, N)
+    except CaseError as exc:
+        # an invalid fixture reads as its bare validation failures
+        return {"case": cid, "q": qtext, "ok": False, "error": "; ".join(exc.failures) or str(exc)}
     except QmapError as exc:
         return {"case": cid, "q": qtext, "ok": False, "error": str(exc)}
     expected = bundle.expected_pair
@@ -260,7 +261,15 @@ def _cmd_descend(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line and exit code 2."""
+    """Reports a usage error as one ``error:`` line and exit code 2.
+
+    An argument starting with ``-`` and a digit is a value, not an option, so
+    a negative scalar parses the same as ``--q -1/2`` and ``--q=-1/2``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(USAGE_ERROR, f"error: {self.prog}: {message}\n")
@@ -292,7 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_case=True):
         p.add_argument("--q", required=True, help="q value, e.g. 1/2")
-        p.add_argument("--N", type=_positive_int, default=48, help="target truncation order")
+        p.add_argument(
+            "--N",
+            type=_positive_int,
+            default=48,
+            help="target order of u; the mapped functional is built to order max(N // 3, 4), so every N "
+            "below 15 runs as N = 12, and the map report first changes at N = 18",
+        )
         p.add_argument("--output", help="also write the JSON report to this path")
         if with_case:
             p.add_argument("--case", type=int, required=True, choices=CASE_IDS)

@@ -344,7 +344,7 @@ def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:
     """Run the full pipeline for a case; N is the target order for u."""
     val = validate_case(case, q)
     if not val.ok:
-        raise CaseError(f"case {case.id} stage validate: " + "; ".join(val.failures))
+        raise CaseError(f"case {case.id} stage validate: " + "; ".join(val.failures), val.failures)
 
     def stage(name, fn):
         try:

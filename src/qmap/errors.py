@@ -22,4 +22,12 @@ class SingularCaseError(QmapError):
 
 
 class CaseError(QmapError):
-    """A full-pipeline case build failed; message names the stage."""
+    """A full-pipeline case build failed; message names the stage.
+
+    ``failures`` holds the bare validation failures when the fixture itself
+    is invalid at the given q, and is empty for a failure in a later stage.
+    """
+
+    def __init__(self, message: str, failures: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.failures = failures

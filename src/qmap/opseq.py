@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
-from .functionals import MomentFunctional, act
+from .functionals import MomentFunctional
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, ZERO
 
@@ -200,19 +200,41 @@ class OrthogonalityReport:
     message: str = ""
 
 
+def _dot(coeffs, values) -> CycScalar:
+    """sum_i coeffs[i] values[i] over the shorter of the two, skipping zero terms."""
+    acc = ZERO
+    for c, v in zip(coeffs, values):
+        if c and v:
+            acc = acc + c * v
+    return acc
+
+
 def orthogonality_check(u: MomentFunctional, ops: OPSequence, n_max: Optional[int] = None) -> OrthogonalityReport:
     """Certify <u, p_n p_m> = 0 for n != m and != 0 on the diagonal.
 
-    Checks every pair with n, m <= n_max whose product degree stays inside
-    the effective order of u.
+    Checks every pair n <= m <= n_max whose product degree n + m stays
+    inside the effective order of u, in the order n, then m, and reports the
+    first pair that fails.  No product p_n p_m is formed: by bilinearity
+
+        <u, p_n p_m> = sum_{j <= n} c_{n,j} sigma_{m,j},
+        sigma_{m,j} = <u, x^j p_m> = sum_i c_{m,i} u_{i+j},
+
+    with c_{n,j} the coefficients of p_n.  A pair needs sigma_{m,j} only for
+    j <= n <= min(m, order - m), so the mixed moments cost sum_m (m+1)^2
+    scalar products up front and each pair one dot product of length n + 1:
+    O(N^3) scalar operations in all, against O(N^4) for the N^2/2 dense
+    products.
     """
     limit = len(ops) - 1 if n_max is None else min(n_max, len(ops) - 1)
+    moments = u.moments
+    sigma = [[_dot(ops[m].coeffs, moments[j:]) for j in range(min(m, u.order - m) + 1)] for m in range(limit + 1)]
     pairs = 0
     for n in range(limit + 1):
+        cn = ops[n].coeffs
         for m in range(n, limit + 1):
             if n + m > u.order:
                 continue
-            val = act(u, ops[n] * ops[m])
+            val = _dot(cn, sigma[m])
             pairs += 1
             if n == m and not val:
                 return OrthogonalityReport(False, pairs, (n, m), f"<u, p_{n}^2> = 0")

@@ -6,6 +6,7 @@ from typing import Optional
 
 from qmap import ACDTriple, CycScalar, MomentFunctional, OPSequence, Poly, Recurrence, act
 from qmap.errors import RegularityError, TruncationError
+from qmap.opseq import OrthogonalityReport
 
 X = Poly.x()
 
@@ -38,6 +39,27 @@ def recurrence_from_moments_oracle(u: MomentFunctional, N: int) -> tuple[Recurre
         h_prev = hn
         polys.append(nxt)
     return Recurrence(b, a), OPSequence(polys)
+
+
+def orthogonality_check_oracle(u: MomentFunctional, ops: OPSequence, n_max: Optional[int] = None) -> OrthogonalityReport:
+    """Certify <u, p_n p_m> = 0 for n != m and != 0 on the diagonal.
+
+    Checks every pair with n, m <= n_max whose product degree stays inside
+    the effective order of u.
+    """
+    limit = len(ops) - 1 if n_max is None else min(n_max, len(ops) - 1)
+    pairs = 0
+    for n in range(limit + 1):
+        for m in range(n, limit + 1):
+            if n + m > u.order:
+                continue
+            val = act(u, ops[n] * ops[m])
+            pairs += 1
+            if n == m and not val:
+                return OrthogonalityReport(False, pairs, (n, m), f"<u, p_{n}^2> = 0")
+            if n != m and val:
+                return OrthogonalityReport(False, pairs, (n, m), f"<u, p_{n} p_{m}> != 0")
+    return OrthogonalityReport(True, pairs)
 
 
 def dense_det(matrix):

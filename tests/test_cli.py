@@ -1,9 +1,11 @@
 """CLI behavior: reports, exit codes, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from qmap import cli, cubic_cases
 from qmap.cli import main
 
 
@@ -52,6 +54,22 @@ def test_ops_singular_family_parameters(capsys, argv, failure):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert failure in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["ops", "--family", "little-q-laguerre", "--q", "1/2", "--N", "8"], "--a", "-1/4"),
+        (["classify", "--case", "1", "--N", "12"], "--q", "-1/2"),
+    ],
+)
+def test_negative_scalar_is_a_value(capsys, argv, option, value):
+    assert main([*argv, f"{option}={value}"]) == 0
+    joined = capsys.readouterr().out
+    assert main([*argv, option, value]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == joined
 
 
 def test_map_command(capsys):
@@ -157,3 +175,19 @@ def test_tables_reports_invalid_fixtures_per_row(capsys):
         {"case": cid, "q": "1/5", "ok": False, "error": "regularity: ab = q^-0"} for cid in (2, 8)
     ]
     assert all(list(row) == ["case", "q", "ok", "error"] for row in failed)
+
+
+def test_tables_validates_each_fixture_once(capsys, monkeypatch):
+    calls = Counter()
+    validate = cubic_cases.validate_case
+
+    def counting(case, q, *args):
+        calls[case.id] += 1
+        return validate(case, q, *args)
+
+    monkeypatch.setattr(cubic_cases, "validate_case", counting)
+    # a CLI that imported validate_case by name would bypass the first patch
+    monkeypatch.setattr(cli, "validate_case", counting, raising=False)
+    code, _ = run_cli(capsys, "tables", "--q", "1/5", "--N", "12")
+    assert code == 1
+    assert calls == Counter(range(1, 14))

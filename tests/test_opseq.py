@@ -23,9 +23,10 @@ from qmap import (
 )
 from qmap.errors import RegularityError, TruncationError
 from qmap.families import little_q_laguerre_pair
+from qmap.opseq import OrthogonalityReport
 
 from conftest import random_nonzero_scalar, random_scalar
-from helpers import recurrence_from_moments_oracle
+from helpers import orthogonality_check_oracle, recurrence_from_moments_oracle
 
 X = Poly.x()
 
@@ -182,6 +183,68 @@ def test_orthogonality_detects_swapped_moments(q_half):
     rep = orthogonality_check(MomentFunctional(bad), ops, 10)
     assert not rep.ok
     assert rep.first_failure is not None
+
+
+# -- mixed-moment certificate against the dense-product oracle ----------------
+
+n_max_values = st.one_of(st.none(), st.integers(-1, 10))
+
+
+@settings(max_examples=50, deadline=None)
+@given(regular_recurrences(), n_max_values)
+def test_orthogonality_matches_oracle_on_recurrence_moments(data, n_max):
+    rec, u0 = data
+    N = len(rec.b) - 1
+    u = MomentFunctional(_jacobi_moments(rec, u0, 2 * N))
+    ops = ops_from_recurrence(rec, N)
+    report = orthogonality_check(u, ops, n_max)
+    assert report == orthogonality_check_oracle(u, ops, n_max)
+    assert report.ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(regular_recurrences(), n_max_values, st.data())
+def test_orthogonality_matches_oracle_on_perturbed_moments(data, n_max, draw):
+    # a short u leaves the pairs with n + m > order unchecked; perturbing
+    # u_k first breaks the pair n = max(0, k - limit), m = k - n, so a k in
+    # the upper half of u moves the failure off the row n = 0
+    rec, u0 = data
+    N = len(rec.b) - 1
+    order = draw.draw(st.integers(0, 2 * N))
+    moments = _jacobi_moments(rec, u0, order)
+    index = draw.draw(st.integers(order // 2, order))
+    moments[index] = moments[index] + draw.draw(_scalars(draw.draw(st.booleans())).filter(bool))
+    u = MomentFunctional(moments)
+    ops = ops_from_recurrence(rec, N)
+    assert orthogonality_check(u, ops, n_max) == orthogonality_check_oracle(u, ops, n_max)
+
+
+def _laguerre_24(q):
+    u = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), q), 1, 48, q)
+    return u, recurrence_from_moments(u, 24)[1]
+
+
+@pytest.mark.parametrize("index, failure, pairs", [(5, (0, 5), 6), (30, (6, 24), 154)])
+def test_orthogonality_first_failure_of_perturbed_laguerre(q_half, index, failure, pairs):
+    u, ops = _laguerre_24(q_half)
+    bad = list(u.moments)
+    bad[index] = bad[index] + 1
+    bad = MomentFunctional(bad)
+    report = orthogonality_check(bad, ops)
+    assert report == orthogonality_check_oracle(bad, ops)
+    assert (report.first_failure, report.pairs_checked) == (failure, pairs)
+    assert report.message == f"<u, p_{failure[0]} p_{failure[1]}> != 0"
+
+
+def test_orthogonality_forms_no_polynomial_product(q_half, monkeypatch):
+    u, ops = _laguerre_24(q_half)
+
+    def refuse(*args):
+        raise AssertionError("orthogonality_check formed a Poly product")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(Poly, "__rmul__", refuse)
+    assert orthogonality_check(u, ops) == OrthogonalityReport(True, 325)
 
 
 # -- block determinants -------------------------------------------------------
