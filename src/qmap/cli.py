@@ -17,14 +17,7 @@ import sys
 from .classifier import class_bounds_check, descend_pearson
 from .cubic_cases import CASE_IDS, CaseBundle, build_case, case_fixture, inverse_reconstruct_case13
 from .errors import CaseError, QmapError
-from .families import (
-    FAMILY_JACOBI,
-    FAMILY_LAGUERRE,
-    jacobi_regularity_failures,
-    laguerre_regularity_failures,
-    little_q_jacobi_pair,
-    little_q_laguerre_pair,
-)
+from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import PearsonPair, pearson_moments, pearson_residual
 from .mapping import verify_interleave
 from .measures import case13_measure, case1_measure, discrete_lift
@@ -51,23 +44,19 @@ def _emit(report: dict, output: str | None) -> None:
 def _cmd_ops(args) -> int:
     q = _qparam(args.q, args.N)
     a = parse_scalar(args.a)
-    if args.family == FAMILY_LAGUERRE:
-        failures = laguerre_regularity_failures(a, q, args.N)
-        params = {"a": format_scalar(a)}
-    elif args.family == FAMILY_JACOBI:
+    params = {"a": format_scalar(a)}
+    b = None
+    if args.family == FAMILY_JACOBI:
         if args.b is None:
             print("error: --b is required for the jacobi family", file=sys.stderr)
             return USAGE_ERROR
         b = parse_scalar(args.b)
-        failures = jacobi_regularity_failures(a, b, q, args.N)
-        params = {"a": format_scalar(a), "b": format_scalar(b)}
-    else:
-        print(f"error: unknown family {args.family}", file=sys.stderr)
-        return USAGE_ERROR
+        params["b"] = format_scalar(b)
+    failures = regularity_failures(args.family, a, b, q, args.N)
     if failures:
         print(f"error: {args.family} is not regular up to level {args.N}: {'; '.join(failures)}", file=sys.stderr)
         return USAGE_ERROR
-    pair = little_q_laguerre_pair(a, q) if args.family == FAMILY_LAGUERRE else little_q_jacobi_pair(a, b, q)
+    pair = family_pair(args.family, a, b, q)
     u = pearson_moments(pair, parse_scalar(args.u0), args.N, q)
     residual = pearson_residual(u, pair, q)
     rec, ops = recurrence_from_moments(u, args.N // 2)
@@ -147,11 +136,11 @@ def _run_table_entry(cid: int, qtext: str, q: QParam, N: int) -> dict:
         return {"case": cid, "q": qtext, "ok": False, "error": "; ".join(exc.failures) or str(exc)}
     except QmapError as exc:
         return {"case": cid, "q": qtext, "ok": False, "error": str(exc)}
-    expected = bundle.expected_pair
+    expected, k = bundle.expected_pair, bundle.mapping.k
     Su = series_from_functional(bundle.u)
     residual = stieltjes_residual(bundle.acd, Su, q)
-    susvq = verify_susvq(Su, series_from_functional(bundle.v), bundle.eta, 3, q)
-    bounds = class_bounds_check(bundle.report.s, 0, 3)
+    susvq = verify_susvq(Su, series_from_functional(bundle.v), bundle.eta, k, q)
+    bounds = class_bounds_check(bundle.report.s, 0, k)
     row = {
         "case": cid,
         "q": qtext,
@@ -165,7 +154,7 @@ def _run_table_entry(cid: int, qtext: str, q: QParam, N: int) -> dict:
         "susvq_ok": susvq.ok,
         "bounds_ok": bounds.ok,
     }
-    diffs = [k for k in _TABLE_CHECKS if not row[k]]
+    diffs = [name for name in _TABLE_CHECKS if not row[name]]
     row["ok"] = not diffs
     if diffs:
         row["error"] = "failed: " + ", ".join(diffs)
@@ -234,11 +223,11 @@ def _cmd_measure(args) -> int:
 
 def _cmd_descend(args) -> int:
     bundle = _case_bundle(args)
-    case, q = bundle.case, bundle.q
-    basis = [bundle.p_ops[j] for j in range(3)]
+    case, q, k = bundle.case, bundle.q, bundle.mapping.k
+    basis = [bundle.p_ops[j] for j in range(k)]
     pair_u = PearsonPair(bundle.report.phi, bundle.report.psi)
-    pair_v = descend_pearson(pair_u, bundle.report.s, basis, 3, q, bundle.u, bundle.v)
-    residual = pearson_residual(bundle.v, pair_v, q.pow(3))
+    pair_v = descend_pearson(pair_u, bundle.report.s, basis, k, q, bundle.u, bundle.v)
+    residual = pearson_residual(bundle.v, pair_v, q.pow(k))
     report = {
         "command": "descend",
         "case": case.id,
@@ -263,13 +252,14 @@ def _cmd_descend(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line and exit code 2.
 
-    An argument starting with ``-`` and a digit is a value, not an option, so
-    a negative scalar parses the same as ``--q -1/2`` and ``--q=-1/2``.
+    An argument that is ``-w`` or starts with ``-`` and a digit is a value,
+    not an option, so a negative scalar parses the same as ``--q -1/2`` and
+    ``--q=-1/2``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(?:\.?\d|w$)")
 
     def error(self, message):
         self.exit(USAGE_ERROR, f"error: {self.prog}: {message}\n")

@@ -6,29 +6,23 @@ expected class is 1 for cases 1-3 and 2 for cases 4-13.  For every case the
 canonical distributional pair (Phi, Psi) of the original functional is encoded
 as a parameter-dependent constructor, so one encoding serves every q sample.
 
-The builder runs the whole pipeline: family moments at q^3, the lift through
-eta_2 = x^2 + tau x + k_tau, recurrence recovery on both sides, the mapping
-construction with its condition checks, the lifted (A, C, D), and the class
-report.  ``inverse_reconstruct_case13`` solves the inverse problem for case 13
-from the annihilation system and checks the closed forms.
+``build_case`` is the one place that fixes the power k = 3: it validates a case
+and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
+``build_power_case``, which runs the pipeline for any k = deg eta + 1: moments
+at q^k, the lift, both recurrences, the check p_{kn} = q_n(x^k), the mapping
+and its conditions, the lifted (A, C, D) and the class report.
+``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 from .classifier import ClassReport, classify
 from .errors import CaseError, SingularCaseError
-from .families import (
-    FAMILY_JACOBI,
-    FAMILY_LAGUERRE,
-    jacobi_regularity_failures,
-    laguerre_regularity_failures,
-    little_q_jacobi_pair,
-    little_q_laguerre_pair,
-)
+from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
 from .mapping import MappingData, build_mapping, lift_functional
 from .opseq import BlockView, OPSequence, Recurrence, recurrence_from_moments
@@ -46,10 +40,12 @@ __all__ = [
     "expected_class",
     "validate_case",
     "build_case",
+    "build_power_case",
     "inverse_reconstruct_case13",
 ]
 
 CASE_IDS = tuple(range(1, 14))
+_K = 3  # the power of the catalog: p_{3n}(x) = q_n(x^3)
 
 _LAGUERRE_CASES = {1, 4, 5, 6}
 _BRACKET_A01_CASES = {6, 10, 11, 12}  # a_0^{(1)} = -tau^2 [3]_q / (1+q)^2
@@ -71,26 +67,24 @@ class CaseValidation:
 
 @dataclass(frozen=True)
 class CaseBundle:
-    """Everything a case build produces, for downstream checks and reports."""
+    """Everything a build at the power k = ``mapping.k`` produces; ``case`` and
+    ``expected_pair`` are set by ``build_case`` only."""
 
-    case: CubicCase
     q: QParam
-    pair_v: PearsonPair
     v: MomentFunctional
     eta: Poly
     ktau: CycScalar
     u: MomentFunctional
     rec_p: Recurrence
     p_ops: OPSequence
-    rec_q: Recurrence
     q_ops: OPSequence
     r0: CycScalar
     mapping: MappingData
     q_ops_mapped: OPSequence
-    vt: ACDTriple
     acd: ACDTriple
     report: ClassReport
-    expected_pair: PearsonPair = field(repr=False)
+    case: Optional[CubicCase] = None
+    expected_pair: Optional[PearsonPair] = field(default=None, repr=False)
 
 
 def _a01(case_id: int, tau: CycScalar, q: QParam, c: Optional[CycScalar]) -> CycScalar:
@@ -220,12 +214,9 @@ def _constraint_failures(case: CubicCase, q: QParam) -> list[str]:
 def validate_case(case: CubicCase, q: QParam, n_max: int = 16) -> CaseValidation:
     """Check the case constraints plus the mapped family's regularity at q^3."""
     failures = _constraint_failures(case, q)
-    q3 = q.pow(3)
-    a = case.params.get("a")
-    if case.family == FAMILY_LAGUERRE:
-        failures += [f"regularity: {t}" for t in laguerre_regularity_failures(a, q3, n_max)]
-    else:
-        failures += [f"regularity: {t}" for t in jacobi_regularity_failures(a, case.params.get("b"), q3, n_max)]
+    p = case.params
+    regular = regularity_failures(case.family, p["a"], p.get("b"), q.pow(_K), n_max)
+    failures += [f"regularity: {t}" for t in regular]
     return CaseValidation(not failures, tuple(failures))
 
 
@@ -334,57 +325,59 @@ def expected_phi_psi(case: CubicCase, q: QParam) -> PearsonPair:
     return PearsonPair(phi, psi)
 
 
-def family_pair(case: CubicCase, q3: QParam) -> PearsonPair:
-    if case.family == FAMILY_LAGUERRE:
-        return little_q_laguerre_pair(case.params["a"], q3)
-    return little_q_jacobi_pair(case.params["a"], case.params["b"], q3)
+def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, label: str = "power case") -> CaseBundle:
+    """Run the full pipeline at the power k = deg eta + 1; N is the target order for u.
 
-
-def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:
-    """Run the full pipeline for a case; N is the target order for u."""
-    val = validate_case(case, q)
-    if not val.ok:
-        raise CaseError(f"case {case.id} stage validate: " + "; ".join(val.failures), val.failures)
+    v has the pair ``pair_v`` at q^k and v_0 = 1; u is its lift, S_u(z) = eta(z) S_v(z^k)
+    with eta monic.
+    A failing stage raises a CaseError whose message starts with ``label``.
+    """
+    k = eta.degree + 1
+    if k < 2 or eta.coeff(k - 1) != ONE:
+        raise CaseError(f"{label} stage power: eta must be monic of degree k - 1 >= 1, got {eta}")
 
     def stage(name, fn):
         try:
             return fn()
         except Exception as exc:  # noqa: BLE001 - re-tag with the stage name
-            raise CaseError(f"case {case.id} stage {name}: {exc}") from exc
+            raise CaseError(f"{label} stage {name}: {exc}") from exc
 
-    q3 = q.pow(3)
-    tau = case.params["tau"]
-    a01 = _a01(case.id, tau, q, case.params.get("c"))
-    ktau = a01 + tau * tau
-    eta = Poly([ktau, tau, ONE])
-
-    pair_v = stage("family-pair", lambda: family_pair(case, q3))
-    Nv = max(N // 3, 4)
-    v = stage("moments-v", lambda: pearson_moments(pair_v, 1, Nv, q3))
-    u = stage("lift", lambda: lift_functional(v, eta, 3, 1))
+    qk = q.pow(k)
+    v = stage("moments-v", lambda: pearson_moments(pair_v, 1, max(N // k, 4), qk))
+    u = stage("lift", lambda: lift_functional(v, eta, k, 1))
     Np = u.order // 2
     rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
-    rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
+    _, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
 
-    for n in range(min(len(q_ops), len(p_ops) // 3)):
-        if p_ops[3 * n] != compose_xk(q_ops[n], 3):
-            raise CaseError(f"case {case.id} stage cubic-identity: p_(3n) != q_n(x^3) at n={n}")
+    for n in range(min(len(q_ops), len(p_ops) // k)):
+        if p_ops[k * n] != compose_xk(q_ops[n], k):
+            raise CaseError(f"{label} stage power-identity: p_(kn) != q_n(x^k) at k={k}, n={n}")
 
-    view = BlockView(rec_p, 3)
     r0 = v.moment(1) * v.moment(0).inv()
-    Ncond = max((Np - 3) // 3, 1)
-    mapping, q_mapped = stage("mapping", lambda: build_mapping(view, 0, r0, Ncond))
+    Ncond = max((Np - k) // k, 1)
+    mapping, q_mapped = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), 0, r0, Ncond))
     for n in range(min(len(q_mapped), len(q_ops))):
         if q_mapped[n] != q_ops[n]:
-            raise CaseError(f"case {case.id} stage mapping: mapped q_{n} disagrees with moment-side q_{n}")
+            raise CaseError(f"{label} stage mapping: mapped q_{n} disagrees with moment-side q_{n}")
 
-    vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, q3))
-    acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, 3, q, 1, 1))
+    vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
+    acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, k, q, 1, 1))
     report = stage("classify", lambda: classify(acd, q))
-    expected = expected_phi_psi(case, q)
-    return CaseBundle(
-        case, q, pair_v, v, eta, ktau, u, rec_p, p_ops, rec_q, q_ops, r0, mapping, q_mapped, vt, acd, report, expected
-    )
+    return CaseBundle(q, v, eta, eta.coeff(0), u, rec_p, p_ops, q_ops, r0, mapping, q_mapped, acd, report)
+
+
+def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:
+    """Run the full pipeline for a catalog case at k = 3; N is the target order for u."""
+    val = validate_case(case, q)
+    if not val.ok:
+        raise CaseError(f"case {case.id} stage validate: " + "; ".join(val.failures), val.failures)
+    p = case.params
+    tau = p["tau"]
+    eta = Poly([_a01(case.id, tau, q, p.get("c")) + tau * tau, tau, ONE])
+    # validation has ruled out a = 0 and ab = 0, the only parameters the pair rejects
+    pair_v = family_pair(case.family, p["a"], p.get("b"), q.pow(_K))
+    bundle = build_power_case(pair_v, eta, q, N, f"case {case.id}")
+    return replace(bundle, case=case, expected_pair=expected_phi_psi(case, q))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """The two q-classical families used as mapped sequences: canonical pairs,
 their known (A, C, D) triples, and regularity predicates.
 
-Both are stated at a generic parameter; the cubic pipeline instantiates them
-at q^3.
+Both are stated at a generic parameter; the power-case pipeline instantiates
+them at q^k.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ __all__ = [
     "little_q_jacobi_acd",
     "laguerre_regularity_failures",
     "jacobi_regularity_failures",
+    "family_pair",
+    "regularity_failures",
     "FAMILY_LAGUERRE",
     "FAMILY_JACOBI",
 ]
@@ -105,3 +107,17 @@ def jacobi_regularity_failures(a, b, q: QParam, n_max: int) -> list[str]:
         if b * q.power(n + 1) == ONE:
             out.append(f"b = q^-{n + 1}")
     return out
+
+
+def family_pair(family: str, a, b, q: QParam) -> PearsonPair:
+    """The canonical pair of FAMILY_LAGUERRE or FAMILY_JACOBI; b is read only for the latter."""
+    if family == FAMILY_LAGUERRE:
+        return little_q_laguerre_pair(a, q)
+    return little_q_jacobi_pair(a, b, q)
+
+
+def regularity_failures(family: str, a, b, q: QParam, n_max: int) -> list[str]:
+    """The regularity violations of FAMILY_LAGUERRE or FAMILY_JACOBI up to level n_max."""
+    if family == FAMILY_LAGUERRE:
+        return laguerre_regularity_failures(a, q, n_max)
+    return jacobi_regularity_failures(a, b, q, n_max)

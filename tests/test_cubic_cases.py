@@ -4,9 +4,26 @@ from fractions import Fraction
 
 import pytest
 
-from qmap import BlockView, CycScalar, OMEGA, compose_xk, orthogonality_check
-from qmap.cubic_cases import CASE_IDS, case_fixture, inverse_reconstruct_case13, validate_case
-from qmap.errors import CaseError, SingularCaseError
+from qmap import (
+    BlockView,
+    CycScalar,
+    OMEGA,
+    PearsonPair,
+    Poly,
+    QParam,
+    class_bounds_check,
+    compose_xk,
+    cubic_cases,
+    descend_pearson,
+    orthogonality_check,
+    pearson_residual,
+    series_from_functional,
+    stieltjes_residual,
+    verify_susvq,
+)
+from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_reconstruct_case13, validate_case
+from qmap.errors import CaseError, RegularityError, SingularCaseError
+from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
 
 from conftest import cached_case_bundle
 
@@ -121,6 +138,90 @@ def test_invalid_fixture_raises_case_error(q_half):
         from qmap.cubic_cases import build_case
 
         build_case(case, q_half, 24)
+
+
+def test_stage_error_names_the_case(q_half, monkeypatch):
+    def irregular(u, N):
+        raise RegularityError("not regular at level 0: <u, p_0^2> = 0")
+
+    monkeypatch.setattr(cubic_cases, "recurrence_from_moments", irregular)
+    with pytest.raises(CaseError) as info:
+        cubic_cases.build_case(case_fixture(1, q_half), q_half, 12)
+    assert str(info.value) == "case 1 stage recurrence-p: not regular at level 0: <u, p_0^2> = 0"
+
+
+def test_build_case_is_the_power_builder_at_k3(q_half):
+    b = cached_case_bundle(1, q_half)
+    p = b.case.params
+    bare = build_power_case(family_pair(b.case.family, p["a"], p.get("b"), q_half.pow(3)), b.eta, q_half, 48)
+    assert bare.mapping.k == b.mapping.k == 3
+    assert bare.case is None and bare.expected_pair is None
+    assert (bare.rec_p, bare.mapping.to_dict(), bare.report.phi, bare.report.psi) == (
+        b.rec_p,
+        b.mapping.to_dict(),
+        b.report.phi,
+        b.report.psi,
+    )
+
+
+# -- the k-generic builder away from k = 3 -------------------------------------
+
+Q_POWER = QParam(Fraction(1, 2), 196)
+FAMILIES = ((FAMILY_LAGUERRE, Fraction(1, 4), None), (FAMILY_JACOBI, Fraction(1, 4), Fraction(1, 5)))
+# (eta, class s of u); k = deg eta + 1
+POWER_ETAS = (
+    (Poly([1, 1]), 1),
+    (Poly.x(), 1),
+    (Poly([Fraction(2, 3), 1]), 2),
+    (Poly([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), 1]), 6),  # k = 4, s = 2k - 2
+)
+
+
+def _power_bundle(eta: Poly, family: str, a, b):
+    q = Q_POWER
+    return build_power_case(family_pair(family, a, b, q.pow(eta.degree + 1)), eta, q, 60)
+
+
+@pytest.mark.parametrize("family, a, b", FAMILIES)
+@pytest.mark.parametrize("eta, s", POWER_ETAS)
+def test_build_power_case_away_from_k3(eta, s, family, a, b):
+    q, k = Q_POWER, eta.degree + 1
+    bundle = _power_bundle(eta, family, a, b)
+    assert bundle.mapping.k == k
+    assert bundle.report.s == s
+    assert bundle.mapping.conditions.ok
+    assert bundle.mapping.pi_k == Poly.monomial(k)
+    for n in range(6):
+        assert bundle.p_ops[k * n] == compose_xk(bundle.q_ops[n], k)
+    Su = series_from_functional(bundle.u)
+    assert stieltjes_residual(bundle.acd, Su, q).is_zero
+    assert verify_susvq(Su, series_from_functional(bundle.v), eta, k, q).ok
+    assert class_bounds_check(s, 0, k).ok
+    pair_u = PearsonPair(bundle.report.phi, bundle.report.psi)
+    pair_v = descend_pearson(pair_u, s, [bundle.p_ops[j] for j in range(k)], k, q, bundle.u, bundle.v)
+    assert not any(pearson_residual(bundle.v, pair_v, q.pow(k)))
+    if s <= k - 1:
+        # the theorem's conclusion: v is q^k-classical, deg Phi <= 2 and deg Psi = 1
+        assert (pair_v.phi.degree, pair_v.psi.degree) == ((1, 1) if family == FAMILY_LAGUERRE else (2, 1))
+
+
+@pytest.mark.parametrize("family, a, b", FAMILIES)
+def test_build_power_case_irregular_lift(family, a, b):
+    eta = Poly([Fraction(2, 3), 1, 1, 1])
+    with pytest.raises(CaseError, match=r"^power case stage recurrence-p: not regular at level 1"):
+        _power_bundle(eta, family, a, b)
+
+
+@pytest.mark.parametrize("eta", [Poly.one(), Poly.zero(), Poly([2, 2])])
+def test_build_power_case_rejects_constant_or_non_monic_eta(eta, monkeypatch):
+    def no_moments(*args):
+        raise AssertionError("moments computed for a rejected eta")
+
+    monkeypatch.setattr(cubic_cases, "pearson_moments", no_moments)
+    pair = family_pair(FAMILY_LAGUERRE, Fraction(1, 4), None, Q_POWER)
+    with pytest.raises(CaseError) as info:
+        build_power_case(pair, eta, Q_POWER, 60, label="case k1")
+    assert str(info.value) == f"case k1 stage power: eta must be monic of degree k - 1 >= 1, got {eta}"
 
 
 # -- case 13 inverse reconstruction -------------------------------------------

@@ -23,7 +23,16 @@ from qmap import (
     u_poly,
 )
 from qmap.errors import RegularityError, TruncationError
-from qmap.families import little_q_jacobi_pair, little_q_laguerre_pair
+from qmap.families import (
+    FAMILY_JACOBI,
+    FAMILY_LAGUERRE,
+    family_pair,
+    jacobi_regularity_failures,
+    laguerre_regularity_failures,
+    little_q_jacobi_pair,
+    little_q_laguerre_pair,
+    regularity_failures,
+)
 
 from conftest import random_nonzero_scalar, random_poly, random_scalar
 
@@ -163,6 +172,16 @@ def test_little_q_laguerre_moments(q_half):
     for n in range(1, 21):
         acc = acc * (1 - a * q_half.power(n))
         assert u.moment(n) == acc
+
+
+def test_family_dispatch(q_half):
+    a, b = Fraction(1, 4), Fraction(1, 5)
+    assert family_pair(FAMILY_LAGUERRE, a, None, q_half) == little_q_laguerre_pair(a, q_half)
+    assert family_pair(FAMILY_JACOBI, a, b, q_half) == little_q_jacobi_pair(a, b, q_half)
+    assert regularity_failures(FAMILY_LAGUERRE, 8, None, q_half, 4) == laguerre_regularity_failures(8, q_half, 4)
+    assert regularity_failures(FAMILY_LAGUERRE, 8, None, q_half, 4) == ["a = q^-3"]
+    assert regularity_failures(FAMILY_JACOBI, a, 4, q_half, 4) == jacobi_regularity_failures(a, 4, q_half, 4)
+    assert regularity_failures(FAMILY_JACOBI, a, 4, q_half, 4) == ["ab = q^-0", "b = q^-2"]
 
 
 def test_little_q_laguerre_brute_force_oracle(q_half):
