@@ -60,8 +60,8 @@ def test_ops_singular_family_parameters(capsys, argv, failure):
     "argv, option, value",
     [
         (["ops", "--family", "little-q-laguerre", "--q", "1/2", "--N", "8"], "--a", "-1/4"),
-        (["ops", "--family", "little-q-laguerre", "--q", "1/2", "--N", "8"], "--a", "-w"),
         (["classify", "--case", "1", "--N", "12"], "--q", "-1/2"),
+        (["ops", "--family", "little-q-laguerre", "--q", "1/2", "--N", "8"], "--a", "-w"),
     ],
 )
 def test_negative_scalar_is_a_value(capsys, argv, option, value):
