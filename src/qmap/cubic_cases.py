@@ -73,14 +73,11 @@ class CaseBundle:
     q: QParam
     v: MomentFunctional
     eta: Poly
-    ktau: CycScalar
     u: MomentFunctional
     rec_p: Recurrence
     p_ops: OPSequence
     q_ops: OPSequence
-    r0: CycScalar
     mapping: MappingData
-    q_ops_mapped: OPSequence
     acd: ACDTriple
     report: ClassReport
     case: Optional[CubicCase] = None
@@ -347,7 +344,7 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     u = stage("lift", lambda: lift_functional(v, eta, k, 1))
     Np = u.order // 2
     rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
-    _, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
+    rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
 
     for n in range(min(len(q_ops), len(p_ops) // k)):
         if p_ops[k * n] != compose_xk(q_ops[n], k):
@@ -355,15 +352,17 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
 
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)
-    mapping, q_mapped = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), 0, r0, Ncond))
-    for n in range(min(len(q_mapped), len(q_ops))):
-        if q_mapped[n] != q_ops[n]:
+    mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), 0, r0, Ncond))
+    # monic sequences agree up to q_n iff their (b_j, a_j) agree for j < n; a_0 = s_0 = 1
+    pairs = zip(zip(mapping.r, (ONE,) + mapping.s), zip(rec_q.b, (ONE,) + rec_q.a))
+    for n, (mapped, moment_side) in enumerate(pairs, 1):
+        if mapped != moment_side:
             raise CaseError(f"{label} stage mapping: mapped q_{n} disagrees with moment-side q_{n}")
 
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
     acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, k, q, 1, 1))
     report = stage("classify", lambda: classify(acd, q))
-    return CaseBundle(q, v, eta, eta.coeff(0), u, rec_p, p_ops, q_ops, r0, mapping, q_mapped, acd, report)
+    return CaseBundle(q, v, eta, u, rec_p, p_ops, q_ops, mapping, acd, report)
 
 
 def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:

@@ -1,10 +1,10 @@
 """Construction and verification of the polynomial mapping p_{kn+m} = theta_m q_n(pi_k).
 
 Given the block view of a recurrence this module checks the four structural
-conditions on the blocks, builds (pi_k, theta_m, eta, r_n, s_n) and the mapped
-sequence q_n, verifies the interleaving identities for the in-between degrees,
-and lifts a functional v to the functional u whose Stieltjes series is
-eta(z) * S_v(z^k) (up to the u_0/v_0 normalization; the m = 0 situation).
+conditions on the blocks, builds (pi_k, theta_m, eta) and the mapped sequence
+q_n as its recurrence (r_n, s_n), verifies the interleaving identities for the
+in-between degrees, and lifts a functional v to the functional u whose Stieltjes
+series is eta(z) * S_v(z^k) (up to the u_0/v_0 normalization; the m = 0 case).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import MappingConditionError, QmapError
 from .functionals import MomentFunctional
-from .opseq import BlockView, OPSequence, Recurrence, delta_det, ops_from_recurrence
+from .opseq import BlockView, OPSequence, delta_det
 from .polyalg import Poly, compose, divrem
 from .scalars import CycScalar, ZERO
 
@@ -151,12 +151,13 @@ def check_conditions(view: BlockView, m: int, N: int) -> ConditionReport:
     )
 
 
-def build_mapping(view: BlockView, m: int, r0, N: int) -> tuple[MappingData, OPSequence]:
-    """Construct the mapping data and the mapped monic sequence q_0..q_{N+1}.
+def build_mapping(view: BlockView, m: int, r0, N: int) -> MappingData:
+    """Construct the mapping data, with the mapped sequence q_0..q_{N+1} as its recurrence.
 
     Requires the block conditions to hold up to N.  The mapped recurrence is
-    q_{n+1} = (x - r_n) q_n - s_n q_{n-1} with r_n = r_0 + r_n(0) and
-    s_n = a_n^{(m)} a_{n-1}^{(m+1)} ... a_{n-1}^{(m+k-1)}, and q_1(0) = -r_0.
+    q_{n+1} = (x - r_n) q_n - s_n q_{n-1} with r_n = r_0 + r_n(0) for n = 0..N
+    and s_n = a_n^{(m)} a_{n-1}^{(m+1)} ... a_{n-1}^{(m+k-1)} for n = 1..N, so
+    q_1(0) = -r_0.  ``ops_from_recurrence(Recurrence(r, s), N + 1)`` expands it.
     """
     r0 = CycScalar.coerce(r0)
     report = check_conditions(view, m, N)
@@ -177,9 +178,7 @@ def build_mapping(view: BlockView, m: int, r0, N: int) -> tuple[MappingData, OPS
             sn = sn * view.a(n - 1, m + i)
         s.append(sn)
 
-    q_ops = ops_from_recurrence(Recurrence(r, s), N + 1)
-    data = MappingData(k, m, r0, pi_k, theta, eta, tuple(r), tuple(s), report, view)
-    return data, q_ops
+    return MappingData(k, m, r0, pi_k, theta, eta, tuple(r), tuple(s), report, view)
 
 
 def verify_interleave(p_ops: OPSequence, mapping: MappingData, q_ops: OPSequence, N: int) -> InterleaveReport:

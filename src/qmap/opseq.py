@@ -128,21 +128,30 @@ class OPSequence:
         return f"OPSequence(p_0..p_{len(self.polys) - 1})"
 
 
+def _three_term(b, a, start: int, stop: int) -> list[Poly]:
+    """P_0 = 1, ..., P_{stop-start} with P_{s+1} = (x - b(t)) P_s - a(t) P_{s-1}, t = start + s.
+
+    The one three-term loop of the package, run on coefficient lists.  P_{-1} = 0,
+    so a(start) is never read; each step reads b(t) before a(t).
+    """
+    prev, cur, polys = [], [ONE], [Poly.one()]
+    for t in range(start, stop):
+        nxt = [ZERO, *cur]  # x P_s
+        for coeff, row in ((b(t), cur), (a(t) if t > start else ZERO, prev)):
+            if coeff:
+                for i, c in enumerate(row):
+                    if c:
+                        nxt[i] -= coeff * c
+        prev, cur = cur, nxt
+        polys.append(Poly(nxt))
+    return polys
+
+
 def ops_from_recurrence(rec: Recurrence, N: int) -> OPSequence:
     """p_0..p_N from the three-term recurrence, p_{-1} = 0, p_0 = 1."""
     if N > len(rec.b):
         raise QmapError(f"need b_0..b_{N - 1} for p_{N}, have {len(rec.b)}")
-    x = Poly.x()
-    polys = [Poly.one()]
-    prev = Poly.zero()
-    for n in range(N):
-        cur = polys[-1]
-        nxt = (x - Poly.constant(rec.b_at(n))) * cur
-        if n:
-            nxt = nxt - rec.a_at(n) * prev
-        prev = cur
-        polys.append(nxt)
-    return OPSequence(polys)
+    return OPSequence(_three_term(rec.b_at, rec.a_at, 0, N))
 
 
 def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:
@@ -254,12 +263,4 @@ def delta_det(view: BlockView, n: int, i: int, j: int) -> Poly:
         raise QmapError(f"delta_det indices out of range: n={n}, i={i}")
     if j < i - 2:
         return Poly.zero()
-    if j == i - 2:
-        return Poly.one()
-    x = Poly.x()
-    prev2 = Poly.one()
-    prev1 = x - Poly.constant(view.b(n, i - 1))
-    for t in range(i, j + 1):
-        cur = (x - Poly.constant(view.b(n, t))) * prev1 - view.a(n, t) * prev2
-        prev2, prev1 = prev1, cur
-    return prev1
+    return _three_term(lambda t: view.b(n, t), lambda t: view.a(n, t), i - 1, j + 1)[-1]

@@ -247,7 +247,7 @@ def verify_susvq(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, k: int, q: QPa
     [k]_{1/q} z^(k-1) eta(z/q) (H_{1/q^k} S_v)(z^k)
         = (v0/u0) (H_{1/q} S_u)(z) - (H_{1/q} eta)(z) S_v(z^k).
     """
-    u0 = -Su.principal[0]
+    u0 = -Su.principal[0] * eta.lc.inv()  # the lift gives u_0 = u0 lc(eta)
     v0 = -Sv.principal[0]
     qk = q.pow(k)
     lhs_mult = (q.bracket_inv(k) * Poly.monomial(k - 1)) * dilate_poly(eta, q.q.inv())

@@ -5,10 +5,27 @@ from __future__ import annotations
 from typing import Optional
 
 from qmap import ACDTriple, CycScalar, MomentFunctional, OPSequence, Poly, Recurrence, act
-from qmap.errors import RegularityError, TruncationError
+from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.opseq import OrthogonalityReport
 
 X = Poly.x()
+
+
+def ops_from_recurrence_oracle(rec: Recurrence, N: int) -> OPSequence:
+    """p_0..p_N from the three-term recurrence, p_{-1} = 0, p_0 = 1."""
+    if N > len(rec.b):
+        raise QmapError(f"need b_0..b_{N - 1} for p_{N}, have {len(rec.b)}")
+    x = Poly.x()
+    polys = [Poly.one()]
+    prev = Poly.zero()
+    for n in range(N):
+        cur = polys[-1]
+        nxt = (x - Poly.constant(rec.b_at(n))) * cur
+        if n:
+            nxt = nxt - rec.a_at(n) * prev
+        prev = cur
+        polys.append(nxt)
+    return OPSequence(polys)
 
 
 def recurrence_from_moments_oracle(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:

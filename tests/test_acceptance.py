@@ -170,7 +170,7 @@ def test_criterion_6_inverse_reconstruction(q_half):
     ok &= rec.b02 == cs + cs ** 3 * (1 - cs ** 3) * denom.inv()
     ok &= rec.b01 + rec.b02 == -taus
     # the four values against the independently recovered recurrence
-    ok &= (rec.r0, rec.b01, rec.b02, rec.a02) == (b.r0, view.b(0, 1), view.b(0, 2), view.a(0, 2))
+    ok &= (rec.r0, rec.b01, rec.b02, rec.a02) == (b.mapping.r0, view.b(0, 1), view.b(0, 2), view.a(0, 2))
 
     # descent: f0 = y (y - c^3) and the matching g0; v identified as the
     # jacobi family at (a, 1/(c^3 q^3))

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from qmap import cli, cubic_cases
+from qmap import classifier, cli, cubic_cases
 from qmap.cli import main
 
 
@@ -94,6 +94,41 @@ def test_descend_command(capsys):
     assert code == 0
     assert report["v_residual_zero"] is True
     assert report["reconstruction"]["r0"] == "55/29"
+
+
+def test_descend_computes_the_v_residual_once(capsys, monkeypatch):
+    calls = []
+    residual = cli.pearson_residual
+
+    def counting(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(classifier, "pearson_residual", counting)
+    monkeypatch.setattr(cli, "pearson_residual", counting)
+    assert main(["descend", "--case", "13", "--q", "1/2", "--N", "24"]) == 0
+    assert len(calls) == 1
+    expected = {
+        "command": "descend",
+        "case": 13,
+        "q": "1/2",
+        "class": 2,
+        "f0": ["0/1", "-1/27", "1/1"],
+        "g0": ["-440/189", "232/189"],
+        "v_residual_zero": True,
+        "reconstruction": {"r0": "55/29", "b01": "-25/87", "b02": "47/29", "a02": "-672/841"},
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+# --N below 15 builds v to order 4, which leaves q_0..q_2 for n <= 1; from N = 36 on n runs to 4
+@pytest.mark.parametrize("case", ["1", "13"])
+@pytest.mark.parametrize("N, checked", [("1", 6), ("12", 6), ("36", 15), ("48", 15)])
+def test_map_interleave_range(capsys, case, N, checked):
+    code, report = run_cli(capsys, "map", "--case", case, "--q", "1/2", "--N", N)
+    assert code == 0
+    assert report["conditions_ok"] is True and report["interleave_ok"] is True
+    assert report["interleave_checked"] == checked
 
 
 def test_tables_small(capsys):

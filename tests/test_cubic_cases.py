@@ -1,5 +1,6 @@
 """The thirteen-case catalog: fixtures, constraints, builds, reconstruction."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qmap import (
     PearsonPair,
     Poly,
     QParam,
+    Recurrence,
     class_bounds_check,
     compose_xk,
     cubic_cases,
@@ -26,6 +28,7 @@ from qmap.errors import CaseError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
 
 from conftest import cached_case_bundle
+from helpers import ops_from_recurrence_oracle
 
 
 def test_fixtures_validate_everywhere(q_half, q_third):
@@ -110,10 +113,10 @@ def test_ktau_zero_exactly_for_minus_tau_squared_cases(q_half):
     for cid in CASE_IDS:
         b = cached_case_bundle(cid, q_half)
         if cid in (1, 2, 3, 4, 5, 7, 8, 9):
-            assert not b.ktau
+            assert not b.eta.coeff(0)
             assert all(not b.u.moment(3 * n + 2) for n in range(b.v.order))
         else:
-            assert b.ktau
+            assert b.eta.coeff(0)
 
 
 def test_orthogonality_of_built_cases(q_half):
@@ -148,6 +151,24 @@ def test_stage_error_names_the_case(q_half, monkeypatch):
     with pytest.raises(CaseError) as info:
         cubic_cases.build_case(case_fixture(1, q_half), q_half, 12)
     assert str(info.value) == "case 1 stage recurrence-p: not regular at level 0: <u, p_0^2> = 0"
+
+
+# at N = 24 both sides hold r_0..r_3 and s_1..s_3, so q_0..q_4 are compared
+@pytest.mark.parametrize("field, index", [("r", 0), ("r", 3), ("s", 0), ("s", 2)])
+def test_mapped_recurrence_mismatch_names_the_first_differing_q(q_half, monkeypatch, field, index):
+    good = cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
+    assert (len(good.mapping.r), len(good.q_ops)) == (4, 5)
+    values = list(getattr(good.mapping, field))
+    values[index] = values[index] + 1
+    bad = replace(good.mapping, **{field: tuple(values)})
+    mapped = ops_from_recurrence_oracle(Recurrence(bad.r, bad.s), len(bad.r))
+    n = next(n for n, (ours, theirs) in enumerate(zip(mapped, good.q_ops)) if ours != theirs)
+    assert n == index + (1 if field == "r" else 2)
+
+    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: bad)
+    with pytest.raises(CaseError) as info:
+        cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
+    assert str(info.value) == f"case 1 stage mapping: mapped q_{n} disagrees with moment-side q_{n}"
 
 
 def test_build_case_is_the_power_builder_at_k3(q_half):
@@ -234,7 +255,7 @@ def test_inverse_reconstruction_values(q_half):
     # ground truth from the forward pipeline
     b = cached_case_bundle(13, q_half)
     view = BlockView(b.rec_p, 3)
-    assert rec.r0 == b.r0
+    assert rec.r0 == b.mapping.r0
     assert rec.b01 == view.b(0, 1)
     assert rec.b02 == view.b(0, 2)
     assert rec.a02 == view.a(0, 2)
@@ -245,7 +266,7 @@ def test_inverse_reconstruction_other_parameters(q_third):
     rec = inverse_reconstruct_case13(case.params["a"], case.params["c"], case.params["tau"], q_third)
     b = cached_case_bundle(13, q_third)
     view = BlockView(b.rec_p, 3)
-    assert (rec.r0, rec.b01, rec.b02, rec.a02) == (b.r0, view.b(0, 1), view.b(0, 2), view.a(0, 2))
+    assert (rec.r0, rec.b01, rec.b02, rec.a02) == (b.mapping.r0, view.b(0, 1), view.b(0, 2), view.a(0, 2))
 
 
 def test_inverse_reconstruction_singular_configuration(q_half):

@@ -16,6 +16,8 @@ from qmap import (
     compose_xk,
     left_mul,
     lift_functional,
+    ops_from_recurrence,
+    recurrence_from_moments,
     sigma_star,
     verify_interleave,
 )
@@ -35,14 +37,13 @@ def test_chebyshev_style_quadratic_map():
     rep = check_conditions(view, 0, 4)
     assert rep.ok
     assert rep.eta == X
-    md, q_ops = build_mapping(view, 0, Fraction(1, 4), 4)
+    md = build_mapping(view, 0, Fraction(1, 4), 4)
     assert md.pi_k == X * X
     assert md.r[0] == Fraction(1, 4)
     assert all(r == Fraction(1, 2) for r in md.r[1:])
     assert all(s == Fraction(1, 16) for s in md.s)
 
-    from qmap import ops_from_recurrence
-
+    q_ops = ops_from_recurrence(Recurrence(md.r, md.s), 5)
     p_ops = ops_from_recurrence(rec, N)
     for n in range(4):
         assert p_ops[2 * n] == compose_xk(q_ops[n], 2)
@@ -84,9 +85,11 @@ def test_condition_iv_detector(q_half):
 
 def test_build_mapping_matches_moment_side(q_half):
     b = cached_case_bundle(1, q_half)
-    for n in range(min(len(b.q_ops_mapped), len(b.q_ops))):
-        assert b.q_ops_mapped[n] == b.q_ops[n]
-    assert b.mapping.r[0] == b.r0
+    rec_q, _ = recurrence_from_moments(b.v, b.v.order // 2)
+    n = min(len(b.mapping.r), len(rec_q.b))
+    assert b.mapping.r[:n] == rec_q.b[:n]
+    assert b.mapping.s[: n - 1] == rec_q.a[: n - 1]
+    assert b.mapping.r[0] == b.mapping.r0 == b.v.moment(1) * b.v.moment(0).inv()
     # s_1 = a_1^{(0)} a_0^{(1)} a_0^{(2)}
     view = BlockView(b.rec_p, 3)
     assert b.mapping.s[0] == view.a(1, 0) * view.a(0, 1) * view.a(0, 2)
@@ -100,7 +103,7 @@ def test_condition_report_keeps_r_at_zero(q_half, case_id):
     rep = check_conditions(view, 0, N)
     assert rep.ok
     assert rep.r_at_zero == tuple(mapping_module._r_shift_poly(view, 0, n, rep.eta).coeff(0) for n in range(N + 1))
-    assert b.mapping.r == tuple(b.r0 + c for c in rep.r_at_zero)
+    assert b.mapping.r == tuple(b.mapping.r0 + c for c in rep.r_at_zero)
 
 
 def test_build_mapping_computes_each_r_shift_once(q_half, monkeypatch):
@@ -113,7 +116,7 @@ def test_build_mapping_computes_each_r_shift_once(q_half, monkeypatch):
         return original(view, m, n, eta)
 
     monkeypatch.setattr(mapping_module, "_r_shift_poly", counted)
-    build_mapping(BlockView(b.rec_p, 3), 0, b.r0, 6)
+    build_mapping(BlockView(b.rec_p, 3), 0, b.mapping.r0, 6)
     assert calls == list(range(1, 7))
 
 
@@ -157,7 +160,7 @@ def test_lift_functional_examples(q_half):
 
 def test_lift_sparsity_when_ktau_zero(q_half):
     b = cached_case_bundle(1, q_half)
-    assert not b.ktau
+    assert not b.eta.coeff(0)
     assert all(not b.u.moment(3 * n + 2) for n in range(b.v.order + 1))
 
 

@@ -21,12 +21,12 @@ from qmap import (
     pearson_moments,
     recurrence_from_moments,
 )
-from qmap.errors import RegularityError, TruncationError
+from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.families import little_q_laguerre_pair
 from qmap.opseq import OrthogonalityReport
 
 from conftest import random_nonzero_scalar, random_scalar
-from helpers import orthogonality_check_oracle, recurrence_from_moments_oracle
+from helpers import ops_from_recurrence_oracle, orthogonality_check_oracle, recurrence_from_moments_oracle
 
 X = Poly.x()
 
@@ -134,6 +134,62 @@ def test_chebyshev_matches_oracle_on_raw_moments(data):
     N = data.draw(st.integers(0, 6))
     u = MomentFunctional(data.draw(st.lists(scalars, min_size=2 * N + 1, max_size=2 * N + 3)))
     assert _outcome(recurrence_from_moments, u, N) == _outcome(recurrence_from_moments_oracle, u, N)
+
+
+# -- the coefficient-level generator against the Poly-arithmetic oracle --------
+
+
+@settings(max_examples=80, deadline=None)
+@given(regular_recurrences(), st.data())
+def test_ops_from_recurrence_matches_oracle(data, draw):
+    rec, _ = data
+    N = draw.draw(st.integers(0, len(rec.b)))
+    assert ops_from_recurrence(rec, N) == ops_from_recurrence_oracle(rec, N)
+
+
+@pytest.mark.parametrize(
+    "b, a, message",
+    [
+        ([1, 2], [1], "need b_0..b_2 for p_3, have 2"),
+        ([1, 2, 3], [1], "a_2 not available (have a_1..a_1)"),
+    ],
+)
+def test_ops_from_recurrence_too_short(b, a, message):
+    for generate in (ops_from_recurrence, ops_from_recurrence_oracle):
+        with pytest.raises(QmapError) as exc:
+            generate(Recurrence(b, a), 3)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "b, a, i, message",
+    [
+        ([1, 2, 3, 4, 5], [1, 1, 1, 1], 1, "b_5 not available (have b_0..b_4)"),
+        ([1, 2, 3, 4, 5, 6], [1, 1, 1], 1, "a_4 not available (have a_1..a_3)"),
+        # the seed Delta_1(2, 1) = x - b_4 reads no a_4
+        ([1, 2, 3, 4, 5, 6], [1, 1, 1], 2, "a_5 not available (have a_1..a_3)"),
+    ],
+)
+def test_delta_det_block_too_short(b, a, i, message):
+    # the messages of the step-by-step expansion: b_n^{(t)} before a_n^{(t)}, t = i-1..j
+    with pytest.raises(QmapError) as exc:
+        delta_det(BlockView(Recurrence(b, a), 3), 1, i, 2)
+    assert str(exc.value) == message
+
+
+def test_generation_forms_no_polynomial_arithmetic(q_half, monkeypatch):
+    u = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), q_half), 1, 48, q_half)
+    rec = recurrence_from_moments(u, 24)[0]
+    expected = ops_from_recurrence_oracle(rec, 24)
+    deltas = [_delta_bruteforce(BlockView(rec, 3), 1, i, i + 3) for i in (1, 2, 3)]
+
+    def refuse(*args):
+        raise AssertionError("the generator used Poly arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+        monkeypatch.setattr(Poly, name, refuse)
+    assert ops_from_recurrence(rec, 24) == expected
+    assert [delta_det(BlockView(rec, 3), 1, i, i + 3) for i in (1, 2, 3)] == deltas
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,17 @@ def test_verify_susvq_k2_smoke(q_half):
     assert rep.ok
 
 
+@pytest.mark.parametrize("eta", [Poly([2, 2]), Poly([Fraction(1, 3), 5])])
+def test_verify_susvq_non_monic_eta(q_half, eta):
+    # the lift scales u_0 by lc(eta); verify_susvq divides it back out
+    q2 = q_half.pow(2)
+    v = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), q2), 1, 16, q2)
+    u = lift_functional(v, eta, 2, 1)
+    assert u.moment(0) == eta.lc
+    rep = verify_susvq(series_from_functional(u), series_from_functional(v), eta, 2, q_half)
+    assert rep.ok
+
+
 def test_verify_susvq_detects_perturbation(q_half):
     b = cached_case_bundle(1, q_half)
     bad = list(b.u.moments)
