@@ -83,20 +83,20 @@ class InterleaveReport:
     first_failure: Optional[tuple[int, int]] = None
 
 
-def _r_shift_poly(view: BlockView, m: int, n: int, eta: Poly) -> Poly:
+def _r_shift_poly(view: BlockView, m: int, n: int, fixed: Poly) -> Poly:
     """The combination whose x-independence is the fourth block condition.
 
-    Defined for n >= 1; the n = 0 value is identically zero, which makes the
+    ``fixed`` is its n-independent part a_0^{(m+1)} Delta_0(m+3, m+k-1) +
+    a_0^{(m)} Delta_0(1, m-2) eta, computed once per block check.  Defined
+    for n >= 1; the n = 0 value is identically zero, which makes the
     recurrence coefficient of the mapped sequence start from the free r_0.
     """
     if n == 0:
         return Poly.zero()
     k = view.k
     t1 = view.a(n, m + 1) * delta_det(view, n, m + 3, m + k - 1)
-    t2 = view.a(0, m + 1) * delta_det(view, 0, m + 3, m + k - 1)
     t3 = view.a(n, m) * delta_det(view, n - 1, m + 2, m + k - 2)
-    t4 = view.a(0, m) * (delta_det(view, 0, 1, m - 2) * eta)
-    return t1 - t2 + t3 - t4
+    return t1 + t3 - fixed
 
 
 def check_conditions(view: BlockView, m: int, N: int) -> ConditionReport:
@@ -105,6 +105,14 @@ def check_conditions(view: BlockView, m: int, N: int) -> ConditionReport:
     (i) b_n^{(m)} constant in n; (ii) Delta_n(m+2, m+k-1; x) constant in n;
     (iii) that polynomial factors as theta_m * eta with theta_m = p_m;
     (iv) the r-combination is constant in x for every n.
+    """
+    return _check_conditions(view, m, N)[0]
+
+
+def _check_conditions(view: BlockView, m: int, N: int) -> tuple[ConditionReport, Optional[Poly]]:
+    """``check_conditions`` plus a_0^{(m+1)} Delta_0(m+3, m+k-1), which pi_k reuses.
+
+    The second item is None when condition (iii) fails.
     """
     k = view.k
     if not 0 <= m <= k - 1:
@@ -136,9 +144,12 @@ def check_conditions(view: BlockView, m: int, N: int) -> ConditionReport:
 
     r_const = divisible
     r_at_zero = [ZERO]
+    tail = None
     if divisible:
+        tail = view.a(0, m + 1) * delta_det(view, 0, m + 3, m + k - 1)
+        fixed = tail + view.a(0, m) * (delta_det(view, 0, 1, m - 2) * eta)
         for n in range(1, N + 1):
-            rn = _r_shift_poly(view, m, n, eta)
+            rn = _r_shift_poly(view, m, n, fixed)
             if rn.degree > 0:
                 r_const = False
                 failures.append(f"condition (iv): r_{n}(x) depends on x")
@@ -146,9 +157,10 @@ def check_conditions(view: BlockView, m: int, N: int) -> ConditionReport:
             r_at_zero.append(rn.coeff(0))
 
     ok = b_const and delta_const and divisible and r_const
-    return ConditionReport(
+    report = ConditionReport(
         ok, b_const, delta_const, divisible, r_const, tuple(failures), theta, eta, tuple(r_at_zero)
     )
+    return report, tail
 
 
 def build_mapping(view: BlockView, m: int, r0, N: int) -> MappingData:
@@ -160,13 +172,13 @@ def build_mapping(view: BlockView, m: int, r0, N: int) -> MappingData:
     q_1(0) = -r_0.  ``ops_from_recurrence(Recurrence(r, s), N + 1)`` expands it.
     """
     r0 = CycScalar.coerce(r0)
-    report = check_conditions(view, m, N)
+    report, tail = _check_conditions(view, m, N)
     if not report.ok:
         raise MappingConditionError("; ".join(report.failures) or "block conditions failed")
     theta, eta = report.theta, report.eta
     k = view.k
 
-    pi_k = delta_det(view, 0, 1, m) * eta - view.a(0, m + 1) * delta_det(view, 0, m + 3, m + k - 1) + Poly.constant(r0)
+    pi_k = delta_det(view, 0, 1, m) * eta - tail + Poly.constant(r0)
     if pi_k.degree != k:
         raise MappingConditionError(f"pi_k came out with degree {pi_k.degree}, expected {k}")
 

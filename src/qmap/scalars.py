@@ -32,6 +32,12 @@ __all__ = [
 _OMEGA_COMPLEX = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 
+# The one w-part zero: every CycScalar with om == 0 holds this object, so the
+# rational fast paths test ``om is _Q0``.  The identity test only picks the
+# path; the general Q(w) formulas give the same value for any zero w-part.
+_Q0 = Fraction(0)
+
+
 def _fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -51,7 +57,8 @@ class CycScalar:
 
     def __init__(self, re=0, om=0):
         object.__setattr__(self, "re", _fraction(re))
-        object.__setattr__(self, "om", _fraction(om))
+        om = _fraction(om)
+        object.__setattr__(self, "om", om if om else _Q0)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
@@ -70,7 +77,7 @@ class CycScalar:
 
     @staticmethod
     def _co(x):
-        if isinstance(x, CycScalar):
+        if type(x) is CycScalar or isinstance(x, CycScalar):
             return x
         if isinstance(x, (int, Fraction)):
             return CycScalar(x)
@@ -91,7 +98,9 @@ class CycScalar:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return CycScalar(self.re + o.re, self.om + o.om)
+        if self.om is _Q0 and o.om is _Q0:
+            return _make(self.re + o.re)
+        return _make(self.re + o.re, self.om + o.om)
 
     __radd__ = __add__
 
@@ -99,38 +108,44 @@ class CycScalar:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return CycScalar(self.re - o.re, self.om - o.om)
+        if self.om is _Q0 and o.om is _Q0:
+            return _make(self.re - o.re)
+        return _make(self.re - o.re, self.om - o.om)
 
     def __rsub__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return CycScalar(o.re - self.re, o.om - self.om)
+        if self.om is _Q0 and o.om is _Q0:
+            return _make(o.re - self.re)
+        return _make(o.re - self.re, o.om - self.om)
 
     def __neg__(self):
-        return CycScalar(-self.re, -self.om)
+        if self.om is _Q0:
+            return _make(-self.re)
+        return _make(-self.re, -self.om)
 
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
         a, b, c, d = self.re, self.om, o.re, o.om
-        if not b and not d:
-            return CycScalar(a * c)
+        if b is _Q0 and d is _Q0:
+            return _make(a * c)
         # (a + b*w)(c + d*w) with w^2 = -1 - w
         bd = b * d
-        return CycScalar(a * c - bd, a * d + b * c - bd)
+        return _make(a * c - bd, a * d + b * c - bd)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
+        if self.om is _Q0:
+            if not self.re:
+                raise ZeroDivisionError("division by zero in Q(w)")
+            return _make(1 / self.re)
         n = self.norm()
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(w)")
-        if not self.om:
-            return CycScalar(1 / self.re)
         # conjugate is (re - om) - om*w
-        return CycScalar((self.re - self.om) / n, -self.om / n)
+        return _make((self.re - self.om) / n, -self.om / n)
 
     def __truediv__(self, other):
         o = self._co(other)
@@ -167,6 +182,9 @@ class CycScalar:
         return self.re == o.re and self.om == o.om
 
     def __hash__(self):
+        # a rational value equals its re, so it must hash like it
+        if not self.om:
+            return hash(self.re)
         return hash((self.re, self.om))
 
     # -- rendering ----------------------------------------------------------
@@ -176,6 +194,23 @@ class CycScalar:
 
     def __repr__(self) -> str:
         return f"CycScalar({format_scalar(self)!r})"
+
+
+_new = object.__new__
+_set_re = CycScalar.re.__set__
+_set_om = CycScalar.om.__set__
+
+
+def _make(re: Fraction, om: Fraction = _Q0) -> CycScalar:
+    """Trusted constructor for results built from Fractions the class holds.
+
+    Skips the type checks of ``CycScalar(re, om)`` and keeps every zero
+    w-part as the shared ``_Q0``.
+    """
+    s = _new(CycScalar)
+    _set_re(s, re)
+    _set_om(s, om if om is _Q0 or om else _Q0)
+    return s
 
 
 ZERO = CycScalar(0)
@@ -264,10 +299,10 @@ class QParam:
 
     def power(self, n: int) -> CycScalar:
         """q**n for -max_order <= n <= max_order."""
+        if abs(n) > self.max_order:
+            raise ValueError(f"power {n} exceeds validated order {self.max_order}")
         if n < 0:
             return self._powers[-n].inv()
-        if n >= len(self._powers):
-            raise ValueError(f"power {n} exceeds validated order {self.max_order}")
         return self._powers[n]
 
     def bracket(self, n: int) -> CycScalar:

@@ -2,13 +2,88 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from qmap import ACDTriple, CycScalar, MomentFunctional, OPSequence, Poly, Recurrence, act
 from qmap.errors import QmapError, RegularityError, TruncationError
-from qmap.opseq import OrthogonalityReport
+from qmap.opseq import OrthogonalityReport, delta_det
 
 X = Poly.x()
+
+
+# -- Q(w) arithmetic as CycScalar did it before its rational fast path --------
+# Every result goes through the public, validating constructor; ``radd`` and
+# ``rmul`` are ``add`` and ``mul`` with the operands' roles unchanged.
+
+
+def _co_oracle(x):
+    if isinstance(x, CycScalar):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return CycScalar(x)
+    return None
+
+
+def add_oracle(self, other):
+    o = _co_oracle(other)
+    if o is None:
+        return NotImplemented
+    return CycScalar(self.re + o.re, self.om + o.om)
+
+
+def sub_oracle(self, other):
+    o = _co_oracle(other)
+    if o is None:
+        return NotImplemented
+    return CycScalar(self.re - o.re, self.om - o.om)
+
+
+def rsub_oracle(self, other):
+    o = _co_oracle(other)
+    if o is None:
+        return NotImplemented
+    return CycScalar(o.re - self.re, o.om - self.om)
+
+
+def neg_oracle(self):
+    return CycScalar(-self.re, -self.om)
+
+
+def mul_oracle(self, other):
+    o = _co_oracle(other)
+    if o is None:
+        return NotImplemented
+    a, b, c, d = self.re, self.om, o.re, o.om
+    if not b and not d:
+        return CycScalar(a * c)
+    # (a + b*w)(c + d*w) with w^2 = -1 - w
+    bd = b * d
+    return CycScalar(a * c - bd, a * d + b * c - bd)
+
+
+def inv_oracle(self):
+    n = self.norm()
+    if not n:
+        raise ZeroDivisionError("division by zero in Q(w)")
+    if not self.om:
+        return CycScalar(1 / self.re)
+    # conjugate is (re - om) - om*w
+    return CycScalar((self.re - self.om) / n, -self.om / n)
+
+
+def truediv_oracle(self, other):
+    o = _co_oracle(other)
+    if o is None:
+        return NotImplemented
+    return mul_oracle(self, inv_oracle(o))
+
+
+def rtruediv_oracle(self, other):
+    o = _co_oracle(other)
+    if o is None:
+        return NotImplemented
+    return mul_oracle(o, inv_oracle(self))
 
 
 def ops_from_recurrence_oracle(rec: Recurrence, N: int) -> OPSequence:
@@ -112,6 +187,24 @@ def delta_bruteforce(view, n, i, j):
             matrix[r][r + 1] = Poly.one()
             matrix[r + 1][r] = Poly.constant(view.a(n, rows[r + 1]))
     return dense_det(matrix)
+
+
+def r_shift_poly_oracle(view, m, n, eta):
+    """The condition-(iv) combination with all four terms formed for every n."""
+    if n == 0:
+        return Poly.zero()
+    k = view.k
+    t1 = view.a(n, m + 1) * delta_det(view, n, m + 3, m + k - 1)
+    t2 = view.a(0, m + 1) * delta_det(view, 0, m + 3, m + k - 1)
+    t3 = view.a(n, m) * delta_det(view, n - 1, m + 2, m + k - 2)
+    t4 = view.a(0, m) * (delta_det(view, 0, 1, m - 2) * eta)
+    return t1 - t2 + t3 - t4
+
+
+def pi_k_oracle(view, m, eta, r0):
+    """pi_k = Delta_0(1, m) eta - a_0^{(m+1)} Delta_0(m+3, m+k-1) + r_0, formed directly."""
+    k = view.k
+    return delta_det(view, 0, 1, m) * eta - view.a(0, m + 1) * delta_det(view, 0, m + 3, m + k - 1) + Poly.constant(r0)
 
 
 # -- the documented reduction chain of the laguerre-type class-1 case ---------

@@ -1,6 +1,7 @@
 """Mapping construction, block conditions, interleaving, and the moment lift."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from qmap import mapping as mapping_module
 from qmap.errors import MappingConditionError, QmapError
 
 from conftest import cached_case_bundle, random_scalar
+from helpers import pi_k_oracle, r_shift_poly_oracle
 
 X = Poly.x()
 
@@ -102,8 +104,31 @@ def test_condition_report_keeps_r_at_zero(q_half, case_id):
     N = len(b.mapping.r) - 1
     rep = check_conditions(view, 0, N)
     assert rep.ok
-    assert rep.r_at_zero == tuple(mapping_module._r_shift_poly(view, 0, n, rep.eta).coeff(0) for n in range(N + 1))
+    assert rep.r_at_zero == tuple(r_shift_poly_oracle(view, 0, n, rep.eta).coeff(0) for n in range(N + 1))
     assert b.mapping.r == tuple(b.mapping.r0 + c for c in rep.r_at_zero)
+
+
+@pytest.mark.parametrize("case_id", [1, 13])
+def test_build_mapping_computes_each_block0_determinant_once(q_half, case_id, monkeypatch):
+    b = cached_case_bundle(case_id, q_half)
+    view = BlockView(b.rec_p, 3)
+    N = len(b.mapping.r) - 1
+    calls = Counter()
+    original = mapping_module.delta_det
+
+    def counted(view, n, i, j):
+        calls[n, i, j] += 1
+        return original(view, n, i, j)
+
+    monkeypatch.setattr(mapping_module, "delta_det", counted)
+    mapping = build_mapping(view, 0, b.mapping.r0, N)
+    monkeypatch.undo()
+    block0 = {key: c for key, c in calls.items() if key[0] == 0}
+    assert block0 and set(block0.values()) == {1}
+
+    # the four-term r_n(0) formula is checked in test_condition_report_keeps_r_at_zero
+    assert mapping.conditions == check_conditions(view, 0, N)
+    assert mapping.pi_k == pi_k_oracle(view, 0, mapping.eta, b.mapping.r0)
 
 
 def test_build_mapping_computes_each_r_shift_once(q_half, monkeypatch):
