@@ -191,7 +191,7 @@ def _cmd_measure(args) -> int:
         c = float(bundle.case.params["c"].re)
         measure = case13_measure(a, c, qf, args.L)
     n_max = min(10, bundle.u.order)
-    numeric = discrete_lift(measure, bundle.eta, 1.0, n_max)
+    numeric = discrete_lift(measure, bundle.eta, n_max)
     rows = []
     worst = 0.0
     for n in range(n_max + 1):
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_case=True):
+    def common(p):
         p.add_argument("--q", required=True, help="q value, e.g. 1/2")
         p.add_argument(
             "--N",
@@ -298,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
             "below 15 runs as N = 12, and the map report first changes at N = 18",
         )
         p.add_argument("--output", help="also write the JSON report to this path")
-        if with_case:
-            p.add_argument("--case", type=int, required=True, choices=CASE_IDS)
+        p.add_argument("--case", type=int, required=True, choices=CASE_IDS)
 
     p_ops = sub.add_parser("ops", help="moments, recurrence and polynomials of a classical family")
     p_ops.add_argument("--family", required=True, choices=[FAMILY_LAGUERRE, FAMILY_JACOBI])

@@ -8,6 +8,8 @@ assert within the range actually determined by the inputs, never vacuously.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import RegularityError, TruncationError
 from .polyalg import Poly
 from .scalars import CycScalar, QParam, ZERO, format_scalar
@@ -26,19 +28,17 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class MomentFunctional:
     """Moments (u_0, ..., u_N); N is the effective order."""
 
-    __slots__ = ("moments",)
+    moments: tuple[CycScalar, ...]
 
     def __init__(self, moments):
         ms = tuple(m if isinstance(m, CycScalar) else CycScalar.coerce(m) for m in moments)
         if not ms:
             raise ValueError("a functional needs at least the moment u_0")
         object.__setattr__(self, "moments", ms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentFunctional is immutable")
 
     @property
     def order(self) -> int:
@@ -49,14 +49,6 @@ class MomentFunctional:
             raise TruncationError(f"moment index {n} beyond effective order {self.order}")
         return self.moments[n]
 
-    def __eq__(self, other):
-        if not isinstance(other, MomentFunctional):
-            return NotImplemented
-        return self.moments == other.moments
-
-    def __hash__(self):
-        return hash(self.moments)
-
     def __repr__(self):
         head = ", ".join(format_scalar(m) for m in self.moments[:4])
         tail = ", ..." if self.order >= 4 else ""
@@ -66,43 +58,37 @@ class MomentFunctional:
         return [format_scalar(m) for m in self.moments]
 
 
+@dataclass(frozen=True, slots=True)
 class PearsonPair:
     """The polynomial pair (Phi, Psi) of a distributional q-difference equation."""
 
-    __slots__ = ("phi", "psi")
+    phi: Poly
+    psi: Poly
 
-    def __init__(self, phi: Poly, psi: Poly):
-        if phi.is_zero:
+    def __post_init__(self):
+        if self.phi.is_zero:
             raise ValueError("Phi must be nonzero")
-        if psi.is_zero:
+        if self.psi.is_zero:
             raise ValueError("Psi must be nonzero")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PearsonPair is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, PearsonPair):
-            return NotImplemented
-        return self.phi == other.phi and self.psi == other.psi
-
-    def __hash__(self):
-        return hash((self.phi, self.psi))
 
     def __repr__(self):
         return f"PearsonPair(phi={self.phi!s}, psi={self.psi!s})"
+
+
+def _dot(coeffs, values) -> CycScalar:
+    """sum_i coeffs[i] values[i] over the shorter of the two, skipping zero terms."""
+    acc = ZERO
+    for c, v in zip(coeffs, values):
+        if c and v:
+            acc = acc + c * v
+    return acc
 
 
 def act(u: MomentFunctional, f: Poly) -> CycScalar:
     """<u, f> = sum_i f_i u_i; requires deg f within the effective order."""
     if f.degree > u.order:
         raise TruncationError(f"polynomial degree {f.degree} exceeds effective order {u.order}")
-    acc = ZERO
-    for i, c in enumerate(f.coeffs):
-        if c:
-            acc = acc + c * u.moments[i]
-    return acc
+    return _dot(f.coeffs, u.moments)
 
 
 def left_mul(phi: Poly, u: MomentFunctional) -> MomentFunctional:
@@ -112,14 +98,7 @@ def left_mul(phi: Poly, u: MomentFunctional) -> MomentFunctional:
     d = phi.degree
     if d > u.order:
         raise TruncationError(f"deg phi = {d} exceeds effective order {u.order}")
-    out = []
-    for n in range(u.order - d + 1):
-        acc = ZERO
-        for i, c in enumerate(phi.coeffs):
-            if c:
-                acc = acc + c * u.moments[n + i]
-        out.append(acc)
-    return MomentFunctional(out)
+    return MomentFunctional([_dot(phi.coeffs, u.moments[n : n + d + 1]) for n in range(u.order - d + 1)])
 
 
 def hahn_functional(u: MomentFunctional, q: QParam) -> MomentFunctional:
@@ -158,15 +137,7 @@ def u_poly(u: MomentFunctional, f: Poly) -> Poly:
         raise TruncationError(f"polynomial degree {f.degree} exceeds effective order {u.order}")
     if f.is_zero:
         return Poly.zero()
-    out = []
-    for j in range(f.degree + 1):
-        acc = ZERO
-        for i in range(j, f.degree + 1):
-            c = f.coeffs[i]
-            if c:
-                acc = acc + c * u.moments[i - j]
-        out.append(acc)
-    return Poly(out)
+    return Poly([_dot(f.coeffs[j:], u.moments) for j in range(f.degree + 1)])
 
 
 def _residual_row(phi: Poly, psi: Poly, q: QParam, n: int):

@@ -88,11 +88,9 @@ def _r_shift_poly(view: BlockView, m: int, n: int, fixed: Poly) -> Poly:
 
     ``fixed`` is its n-independent part a_0^{(m+1)} Delta_0(m+3, m+k-1) +
     a_0^{(m)} Delta_0(1, m-2) eta, computed once per block check.  Defined
-    for n >= 1; the n = 0 value is identically zero, which makes the
-    recurrence coefficient of the mapped sequence start from the free r_0.
+    for blocks n >= 1; at n = 0 the combination is zero, so the mapped
+    recurrence starts from the free r_0 (``check_conditions`` records r_0(0) = 0).
     """
-    if n == 0:
-        return Poly.zero()
     k = view.k
     t1 = view.a(n, m + 1) * delta_det(view, n, m + 3, m + k - 1)
     t3 = view.a(n, m) * delta_det(view, n - 1, m + 2, m + k - 2)

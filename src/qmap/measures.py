@@ -121,10 +121,10 @@ def case13_measure(a: float, c: float, q: float, L: int) -> DiscreteMeasure:
     return DiscreteMeasure(tuple(weights), tuple(nodes))
 
 
-def discrete_lift(measure: DiscreteMeasure, eta2: Poly, u0_over_v0: complex, n_max: int) -> list[complex]:
-    """Approximate moments of the rotated ("lifted") functional.
+def discrete_lift(measure: DiscreteMeasure, eta2: Poly, n_max: int) -> list[complex]:
+    """Approximate moments of the rotated ("lifted") functional, normalized to u0 = v0.
 
-    u_n ~ (u0/v0) sum_l (a_l / (3 mu_l^2)) sum_{p=0..2} w^p eta_2(w^p mu_l) (w^p mu_l)^n,
+    u_n ~ sum_l (a_l / (3 mu_l^2)) sum_{p=0..2} w^p eta_2(w^p mu_l) (w^p mu_l)^n,
     summed left to right for reproducibility.
     """
     if eta2.degree != 2:
@@ -147,7 +147,7 @@ def discrete_lift(measure: DiscreteMeasure, eta2: Poly, u0_over_v0: complex, n_m
                 out[n] += coeff * zn
                 zn *= node
             wp *= w
-    return [u0_over_v0 * m for m in out]
+    return out
 
 
 @dataclass(frozen=True)

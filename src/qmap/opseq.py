@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
-from .functionals import MomentFunctional
+from .functionals import MomentFunctional, _dot
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, ZERO
 
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class Recurrence:
     """Coefficients of p_{n+1} = (x - b_n) p_n - a_n p_{n-1}.
 
@@ -35,7 +36,8 @@ class Recurrence:
     convention.  All stored a_n must be nonzero (regularity).
     """
 
-    __slots__ = ("b", "a")
+    b: tuple[CycScalar, ...]
+    a: tuple[CycScalar, ...]
 
     def __init__(self, b, a):
         b = tuple(CycScalar.coerce(x) for x in b)
@@ -45,9 +47,6 @@ class Recurrence:
                 raise RegularityError(f"recurrence coefficient a_{i + 1} is zero")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Recurrence is immutable")
 
     def b_at(self, n: int) -> CycScalar:
         if not 0 <= n < len(self.b):
@@ -61,15 +60,11 @@ class Recurrence:
             raise QmapError(f"a_{n} not available (have a_1..a_{len(self.a)})")
         return self.a[n - 1]
 
-    def __eq__(self, other):
-        if not isinstance(other, Recurrence):
-            return NotImplemented
-        return self.b == other.b and self.a == other.a
-
     def __repr__(self):
         return f"Recurrence(len_b={len(self.b)}, len_a={len(self.a)})"
 
 
+@dataclass(frozen=True, slots=True)
 class BlockView:
     """Block indexing of a recurrence: b_n^{(j)} = b_{nk+j}, a_n^{(j)} = a_{nk+j}.
 
@@ -77,16 +72,12 @@ class BlockView:
     b_n^{(k+j)} and b_{n+1}^{(j)} address the same flat coefficient.
     """
 
-    __slots__ = ("rec", "k")
+    rec: Recurrence
+    k: int
 
-    def __init__(self, rec: Recurrence, k: int):
-        if k < 2:
+    def __post_init__(self):
+        if self.k < 2:
             raise ValueError("block size k must be >= 2")
-        object.__setattr__(self, "rec", rec)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockView is immutable")
 
     def b(self, n: int, j: int) -> CycScalar:
         return self.rec.b_at(n * self.k + j)
@@ -95,10 +86,11 @@ class BlockView:
         return self.rec.a_at(n * self.k + j)
 
 
+@dataclass(frozen=True, slots=True)
 class OPSequence:
     """Monic polynomials p_0..p_N with deg p_n = n."""
 
-    __slots__ = ("polys",)
+    polys: tuple[Poly, ...]
 
     def __init__(self, polys):
         polys = tuple(polys)
@@ -106,9 +98,6 @@ class OPSequence:
             if p.degree != n or p.lc != ONE:
                 raise ValueError(f"element {n} is not monic of degree {n}")
         object.__setattr__(self, "polys", polys)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OPSequence is immutable")
 
     def __getitem__(self, n: int) -> Poly:
         return self.polys[n]
@@ -118,11 +107,6 @@ class OPSequence:
 
     def __iter__(self):
         return iter(self.polys)
-
-    def __eq__(self, other):
-        if not isinstance(other, OPSequence):
-            return NotImplemented
-        return self.polys == other.polys
 
     def __repr__(self):
         return f"OPSequence(p_0..p_{len(self.polys) - 1})"
@@ -207,15 +191,6 @@ class OrthogonalityReport:
     pairs_checked: int
     first_failure: Optional[tuple[int, int]] = None
     message: str = ""
-
-
-def _dot(coeffs, values) -> CycScalar:
-    """sum_i coeffs[i] values[i] over the shorter of the two, skipping zero terms."""
-    acc = ZERO
-    for c, v in zip(coeffs, values):
-        if c and v:
-            acc = acc + c * v
-    return acc
 
 
 def orthogonality_check(u: MomentFunctional, ops: OPSequence, n_max: Optional[int] = None) -> OrthogonalityReport:

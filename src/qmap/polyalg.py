@@ -10,6 +10,7 @@ a finite simple set grouped by exponent residues mod k.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import CycScalar, ONE, QParam, ZERO, format_scalar
@@ -38,19 +39,17 @@ def _coeff(x) -> CycScalar:
     raise TypeError(f"bad polynomial coefficient {x!r}")
 
 
+@dataclass(frozen=True, slots=True)
 class Poly:
     """Immutable dense polynomial with CycScalar coefficients."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[CycScalar, ...]
 
     def __init__(self, coeffs=()):
         cs = [_coeff(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------------
 

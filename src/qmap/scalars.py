@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re as _regex
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
@@ -46,6 +47,7 @@ def _fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+@dataclass(frozen=True, slots=True)
 class CycScalar:
     """Element ``re + om*w`` of Q(w), with ``w**2 + w + 1 = 0``.
 
@@ -53,15 +55,17 @@ class CycScalar:
     and ``Fraction`` operands and coerces them.
     """
 
-    __slots__ = ("re", "om")
+    re: Fraction
+    om: Fraction
 
     def __init__(self, re=0, om=0):
         object.__setattr__(self, "re", _fraction(re))
         om = _fraction(om)
         object.__setattr__(self, "om", om if om else _Q0)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CycScalar is immutable")
+    def __reduce__(self):
+        # through the constructor, so a copy's zero w-part is the shared _Q0
+        return CycScalar, (self.re, self.om)
 
     # -- coercion ---------------------------------------------------------
 
@@ -244,16 +248,19 @@ def parse_scalar(text: str) -> CycScalar:
     m = _FULL_RE.match(text)
     if m is None:
         raise ValueError(f"cannot parse scalar {text!r}")
-    if m.group("re_only") is not None:
-        return CycScalar(Fraction(m.group("re_only")))
-    if m.group("om_only") is not None:
-        return CycScalar(0, Fraction(m.group("om_only")))
-    if m.group("w_sign") is not None and m.group("re") is None:
-        return CycScalar(0, -1 if m.group("w_sign") == "-" else 1)
-    om = Fraction(m.group("om"))
-    if m.group("sign") == "-":
-        om = -om
-    return CycScalar(Fraction(m.group("re")), om)
+    try:
+        if m.group("re_only") is not None:
+            return CycScalar(Fraction(m.group("re_only")))
+        if m.group("om_only") is not None:
+            return CycScalar(0, Fraction(m.group("om_only")))
+        if m.group("w_sign") is not None and m.group("re") is None:
+            return CycScalar(0, -1 if m.group("w_sign") == "-" else 1)
+        om = Fraction(m.group("om"))
+        if m.group("sign") == "-":
+            om = -om
+        return CycScalar(Fraction(m.group("re")), om)
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse scalar {text!r}: zero denominator") from None
 
 
 def embed_complex(s: CycScalar) -> complex:
@@ -261,16 +268,21 @@ def embed_complex(s: CycScalar) -> complex:
     return complex(s.re) + complex(s.om) * _OMEGA_COMPLEX
 
 
+@dataclass(frozen=True, slots=True)
 class QParam:
     """A q-difference parameter with admissibility checked to a finite order.
 
     Construction verifies ``q != 0`` and ``q**n != 1`` for ``1 <= n <=
     max_order`` and caches the powers and q-brackets used throughout the
-    package, and the parameters q**k built by :meth:`pow`.  Instances are
-    immutable in intent and safe to share.
+    package, and the parameters q**k built by :meth:`pow`.  Instances compare
+    and hash by (q, max_order) and are safe to share.
     """
 
-    __slots__ = ("q", "max_order", "_powers", "_brackets", "_pows")
+    q: CycScalar
+    max_order: int
+    _powers: tuple = field(init=False, compare=False, repr=False)
+    _brackets: tuple = field(init=False, compare=False, repr=False)
+    _pows: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, q, max_order: int = 64):
         q = CycScalar.coerce(q)
@@ -293,9 +305,6 @@ class QParam:
         object.__setattr__(self, "_powers", tuple(powers))
         object.__setattr__(self, "_brackets", tuple(brackets))
         object.__setattr__(self, "_pows", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QParam is immutable")
 
     def power(self, n: int) -> CycScalar:
         """q**n for -max_order <= n <= max_order."""

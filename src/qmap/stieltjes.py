@@ -32,18 +32,17 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class LaurentSeries:
     """poly_part(z) + sum_{n < depth} principal[n] z^(-n-1), exact to depth."""
 
-    __slots__ = ("poly_part", "principal")
+    poly_part: Poly
+    principal: tuple[CycScalar, ...]
 
     def __init__(self, poly_part: Poly, principal=()):
         principal = tuple(c if isinstance(c, CycScalar) else CycScalar.coerce(c) for c in principal)
         object.__setattr__(self, "poly_part", poly_part)
         object.__setattr__(self, "principal", principal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
 
     @property
     def depth(self) -> int:
@@ -102,11 +101,6 @@ class LaurentSeries:
             p = p * zi
             acc = acc + c * p
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self.poly_part == other.poly_part and self.principal == other.principal
 
     def __repr__(self):
         return f"LaurentSeries(poly={self.poly_part!s}, depth={self.depth})"

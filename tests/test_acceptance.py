@@ -228,14 +228,14 @@ def test_criterion_8_discrete_measures(q_half):
     m13 = case13_measure(1 / 7, 1 / 3, 0.5, 200)
     ok = True
     for b, m in ((b1, m1), (b13, m13)):
-        numeric = discrete_lift(m, b.eta, 1.0, 10)
+        numeric = discrete_lift(m, b.eta, 10)
         for n in range(11):
             ok &= abs(numeric[n] - embed_complex(b.u.moment(n))) <= 1e-10
-    n200 = discrete_lift(m1, b1.eta, 1.0, 10)
-    n400 = discrete_lift(case1_measure(0.5, 400), b1.eta, 1.0, 10)
+    n200 = discrete_lift(m1, b1.eta, 10)
+    n400 = discrete_lift(case1_measure(0.5, 400), b1.eta, 10)
     ok &= max(abs(x - y) for x, y in zip(n200, n400)) < 1e-13
-    n200j = discrete_lift(m13, b13.eta, 1.0, 10)
-    n400j = discrete_lift(case13_measure(1 / 7, 1 / 3, 0.5, 400), b13.eta, 1.0, 10)
+    n200j = discrete_lift(m13, b13.eta, 10)
+    n400j = discrete_lift(case13_measure(1 / 7, 1 / 3, 0.5, 400), b13.eta, 10)
     ok &= max(abs(x - y) for x, y in zip(n200j, n400j)) < 1e-13
     elapsed = time.perf_counter() - start
     ok &= elapsed < 2.0

@@ -186,6 +186,10 @@ def test_output_file(tmp_path, capsys):
         ["map", "--case", "2", "--q", "1/5", "--N", "12"],
         ["classify", "--case", "2", "--q", "1/5", "--N", "12"],
         ["descend", "--case", "2", "--q", "1/5", "--N", "12"],
+        ["classify", "--case", "1", "--q", "1/0"],
+        ["ops", "--family", "little-q-laguerre", "--a", "1/0", "--q", "1/2", "--N", "4"],
+        ["ops", "--family", "little-q-laguerre", "--a", "1/4", "--u0", "1/0", "--q", "1/2", "--N", "4"],
+        ["tables", "--q", "1/0", "--N", "12"],
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):

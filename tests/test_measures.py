@@ -42,7 +42,7 @@ def test_measure_weights_sum_to_one():
 def test_case1_moment_match(q_half):
     b = cached_case_bundle(1, q_half, N=36)
     measure = case1_measure(0.5, 200)
-    numeric = discrete_lift(measure, b.eta, 1.0, 10)
+    numeric = discrete_lift(measure, b.eta, 10)
     for n in range(11):
         exact = embed_complex(b.u.moment(n))
         assert abs(numeric[n] - exact) <= 1e-10
@@ -53,7 +53,7 @@ def test_case13_moment_match(q_half):
     a = float(Fraction(1, 7))
     c = float(Fraction(1, 3))
     measure = case13_measure(a, c, 0.5, 200)
-    numeric = discrete_lift(measure, b.eta, 1.0, 10)
+    numeric = discrete_lift(measure, b.eta, 10)
     for n in range(11):
         exact = embed_complex(b.u.moment(n))
         assert abs(numeric[n] - exact) <= 1e-10
@@ -61,14 +61,14 @@ def test_case13_moment_match(q_half):
 
 def test_doubling_truncation_is_stable(q_half):
     b = cached_case_bundle(1, q_half, N=36)
-    n200 = discrete_lift(case1_measure(0.5, 200), b.eta, 1.0, 10)
-    n400 = discrete_lift(case1_measure(0.5, 400), b.eta, 1.0, 10)
+    n200 = discrete_lift(case1_measure(0.5, 200), b.eta, 10)
+    n400 = discrete_lift(case1_measure(0.5, 400), b.eta, 10)
     assert max(abs(x - y) for x, y in zip(n200, n400)) < 1e-13
 
 
 def test_normalization_moment_zero(q_half):
     b = cached_case_bundle(1, q_half, N=36)
-    numeric = discrete_lift(case1_measure(0.5, 200), b.eta, 1.0, 0)
+    numeric = discrete_lift(case1_measure(0.5, 200), b.eta, 0)
     assert abs(numeric[0] - 1.0) < 1e-12
 
 

@@ -2,6 +2,7 @@
 
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,12 @@ def test_parse_convenience_forms():
     assert parse_scalar("1/2*w") == CycScalar(0, Fraction(1, 2))
     with pytest.raises(ValueError):
         parse_scalar("nonsense")
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/2+1/0*w", "1/0*w"])
+def test_parse_rejects_a_zero_denominator(text):
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse scalar '{text}': zero denominator")):
+        parse_scalar(text)
 
 
 # -- the kernel against the arithmetic it replaced -----------------------------
