@@ -114,7 +114,6 @@ def descend_pearson(
     basis,
     k: int,
     q: QParam,
-    u: MomentFunctional,
     v: MomentFunctional,
 ) -> PearsonPair:
     """Transport the pair of u to a pair (f_0, g_0) for the mapped functional v.

@@ -226,7 +226,7 @@ def _cmd_descend(args) -> int:
     case, q, k = bundle.case, bundle.q, bundle.mapping.k
     basis = [bundle.p_ops[j] for j in range(k)]
     pair_u = PearsonPair(bundle.report.phi, bundle.report.psi)
-    pair_v = descend_pearson(pair_u, bundle.report.s, basis, k, q, bundle.u, bundle.v)
+    pair_v = descend_pearson(pair_u, bundle.report.s, basis, k, q, bundle.v)
     report = {
         "command": "descend",
         "case": case.id,

@@ -352,7 +352,7 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
 
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)
-    mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), 0, r0, Ncond))
+    mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
     # monic sequences agree up to q_n iff their (b_j, a_j) agree for j < n; a_0 = s_0 = 1
     pairs = zip(zip(mapping.r, (ONE,) + mapping.s), zip(rec_q.b, (ONE,) + rec_q.a))
     for n, (mapped, moment_side) in enumerate(pairs, 1):
@@ -360,7 +360,7 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
             raise CaseError(f"{label} stage mapping: mapped q_{n} disagrees with moment-side q_{n}")
 
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
-    acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, k, q, 1, 1))
+    acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, k, q))
     report = stage("classify", lambda: classify(acd, q))
     return CaseBundle(q, v, eta, u, rec_p, p_ops, q_ops, mapping, acd, report)
 

@@ -1,10 +1,11 @@
-"""Construction and verification of the polynomial mapping p_{kn+m} = theta_m q_n(pi_k).
+"""Construction and verification of the polynomial mapping p_{kn}(x) = q_n(pi_k(x)).
 
-Given the block view of a recurrence this module checks the four structural
-conditions on the blocks, builds (pi_k, theta_m, eta) and the mapped sequence
-q_n as its recurrence (r_n, s_n), verifies the interleaving identities for the
-in-between degrees, and lifts a functional v to the functional u whose Stieltjes
-series is eta(z) * S_v(z^k) (up to the u_0/v_0 normalization; the m = 0 case).
+This is the block map p_{kn+m} = theta_m q_n(pi_k) at m = 0, where
+theta_0 = p_0 = 1.  Given the block view of a recurrence this module checks
+the block conditions, builds (pi_k, eta) and the mapped sequence q_n as its
+recurrence (r_n, s_n), verifies the interleaving identities for the
+in-between degrees, and lifts a functional v to the functional u whose
+Stieltjes series is eta(z) * S_v(z^k) (up to the u_0/v_0 normalization).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 from .errors import MappingConditionError, QmapError
 from .functionals import MomentFunctional
 from .opseq import BlockView, OPSequence, delta_det
-from .polyalg import Poly, compose, divrem
+from .polyalg import Poly, compose
 from .scalars import CycScalar, ZERO
 
 __all__ = [
@@ -31,8 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Pass/fail record for the four block conditions.
+    """Pass/fail record for the block conditions (i), (ii) and (iv).
 
+    Condition (iii), that Delta_0(m+2, m+k-1) is theta_m times a factor of
+    degree k-1-m, holds trivially at m = 0: theta_0 = 1 and Delta_0(2, k-1)
+    is monic of degree k-1, so ``eta`` is Delta_0(2, k-1) itself.
     ``r_at_zero[n]`` is the constant r_n(0) of condition (iv) for n = 0..N
     (r_0(0) = 0); it stops at the first failing block.
     """
@@ -40,11 +44,9 @@ class ConditionReport:
     ok: bool
     b_constant: bool
     delta_constant: bool
-    divisible: bool
     r_constant: bool
+    eta: Poly
     failures: tuple[str, ...] = ()
-    theta: Optional[Poly] = None
-    eta: Optional[Poly] = None
     r_at_zero: tuple[CycScalar, ...] = ()
 
 
@@ -53,10 +55,8 @@ class MappingData:
     """Everything the mapping produces, plus the view it came from."""
 
     k: int
-    m: int
     r0: CycScalar
     pi_k: Poly
-    theta_m: Poly
     eta: Poly
     r: tuple[CycScalar, ...]
     s: tuple[CycScalar, ...]
@@ -66,10 +66,10 @@ class MappingData:
     def to_dict(self):
         return {
             "k": self.k,
-            "m": self.m,
+            "m": 0,  # the map JSON and the bench digests keep m and theta_m (theta_0 = 1)
             "r0": str(self.r0),
             "pi_k": self.pi_k.to_strings(),
-            "theta_m": self.theta_m.to_strings(),
+            "theta_m": ["1/1"],
             "eta": self.eta.to_strings(),
             "r": [str(v) for v in self.r],
             "s": [str(v) for v in self.s],
@@ -83,131 +83,113 @@ class InterleaveReport:
     first_failure: Optional[tuple[int, int]] = None
 
 
-def _r_shift_poly(view: BlockView, m: int, n: int, fixed: Poly) -> Poly:
-    """The combination whose x-independence is the fourth block condition.
+def _r_shift_poly(view: BlockView, n: int, fixed: Poly) -> Poly:
+    """The combination whose x-independence is the block condition (iv).
 
-    ``fixed`` is its n-independent part a_0^{(m+1)} Delta_0(m+3, m+k-1) +
-    a_0^{(m)} Delta_0(1, m-2) eta, computed once per block check.  Defined
-    for blocks n >= 1; at n = 0 the combination is zero, so the mapped
-    recurrence starts from the free r_0 (``check_conditions`` records r_0(0) = 0).
+    ``fixed`` is its n-independent part a_0^{(1)} Delta_0(3, k-1), computed
+    once per block check.  Defined for blocks n >= 1; at n = 0 the combination
+    is zero, so the mapped recurrence starts from the free r_0
+    (``check_conditions`` records r_0(0) = 0).
     """
     k = view.k
-    t1 = view.a(n, m + 1) * delta_det(view, n, m + 3, m + k - 1)
-    t3 = view.a(n, m) * delta_det(view, n - 1, m + 2, m + k - 2)
+    t1 = view.a(n, 1) * delta_det(view, n, 3, k - 1)
+    t3 = view.a(n, 0) * delta_det(view, n - 1, 2, k - 2)
     return t1 + t3 - fixed
 
 
-def check_conditions(view: BlockView, m: int, N: int) -> ConditionReport:
-    """Verify the four structural conditions on blocks n = 0..N.
+def check_conditions(view: BlockView, N: int) -> ConditionReport:
+    """Verify the block conditions on blocks n = 0..N.
 
-    (i) b_n^{(m)} constant in n; (ii) Delta_n(m+2, m+k-1; x) constant in n;
-    (iii) that polynomial factors as theta_m * eta with theta_m = p_m;
-    (iv) the r-combination is constant in x for every n.
+    (i) b_n^{(0)} constant in n; (ii) eta = Delta_n(2, k-1; x) constant in n;
+    (iv) the r-combination is constant in x for every n.  Condition (iii)
+    holds trivially at m = 0 (see ``ConditionReport``).
     """
-    return _check_conditions(view, m, N)[0]
+    return _check_conditions(view, N)[0]
 
 
-def _check_conditions(view: BlockView, m: int, N: int) -> tuple[ConditionReport, Optional[Poly]]:
-    """``check_conditions`` plus a_0^{(m+1)} Delta_0(m+3, m+k-1), which pi_k reuses.
-
-    The second item is None when condition (iii) fails.
-    """
+def _check_conditions(view: BlockView, N: int) -> tuple[ConditionReport, Poly]:
+    """``check_conditions`` plus a_0^{(1)} Delta_0(3, k-1), which pi_k reuses."""
     k = view.k
-    if not 0 <= m <= k - 1:
-        raise ValueError(f"m must lie in [0, {k - 1}]")
     failures: list[str] = []
 
-    b0 = view.b(0, m)
+    b0 = view.b(0, 0)
     b_const = True
     for n in range(1, N + 1):
-        if view.b(n, m) != b0:
+        if view.b(n, 0) != b0:
             b_const = False
-            failures.append(f"condition (i): b_{n}^({m}) != b_0^({m})")
+            failures.append(f"condition (i): b_{n}^(0) != b_0^(0)")
             break
 
-    delta0 = delta_det(view, 0, m + 2, m + k - 1)
+    eta = delta_det(view, 0, 2, k - 1)
     delta_const = True
     for n in range(1, N + 1):
-        if delta_det(view, n, m + 2, m + k - 1) != delta0:
+        if delta_det(view, n, 2, k - 1) != eta:
             delta_const = False
             failures.append(f"condition (ii): Delta_{n}(m+2, m+k-1) varies with n")
             break
 
-    theta = delta_det(view, 0, 1, m - 1)  # equals p_m for the block recurrence
-    quot, rem = divrem(delta0, theta)
-    divisible = rem.is_zero and quot.degree == k - 1 - m
-    eta = quot if divisible else None
-    if not divisible:
-        failures.append("condition (iii): Delta_0(m+2, m+k-1) is not theta_m times a degree k-1-m factor")
-
-    r_const = divisible
+    r_const = True
     r_at_zero = [ZERO]
-    tail = None
-    if divisible:
-        tail = view.a(0, m + 1) * delta_det(view, 0, m + 3, m + k - 1)
-        fixed = tail + view.a(0, m) * (delta_det(view, 0, 1, m - 2) * eta)
-        for n in range(1, N + 1):
-            rn = _r_shift_poly(view, m, n, fixed)
-            if rn.degree > 0:
-                r_const = False
-                failures.append(f"condition (iv): r_{n}(x) depends on x")
-                break
-            r_at_zero.append(rn.coeff(0))
+    tail = view.a(0, 1) * delta_det(view, 0, 3, k - 1)
+    for n in range(1, N + 1):
+        rn = _r_shift_poly(view, n, tail)
+        if rn.degree > 0:
+            r_const = False
+            failures.append(f"condition (iv): r_{n}(x) depends on x")
+            break
+        r_at_zero.append(rn.coeff(0))
 
-    ok = b_const and delta_const and divisible and r_const
-    report = ConditionReport(
-        ok, b_const, delta_const, divisible, r_const, tuple(failures), theta, eta, tuple(r_at_zero)
-    )
-    return report, tail
+    ok = b_const and delta_const and r_const
+    return ConditionReport(ok, b_const, delta_const, r_const, eta, tuple(failures), tuple(r_at_zero)), tail
 
 
-def build_mapping(view: BlockView, m: int, r0, N: int) -> MappingData:
+def build_mapping(view: BlockView, r0, N: int) -> MappingData:
     """Construct the mapping data, with the mapped sequence q_0..q_{N+1} as its recurrence.
 
     Requires the block conditions to hold up to N.  The mapped recurrence is
     q_{n+1} = (x - r_n) q_n - s_n q_{n-1} with r_n = r_0 + r_n(0) for n = 0..N
-    and s_n = a_n^{(m)} a_{n-1}^{(m+1)} ... a_{n-1}^{(m+k-1)} for n = 1..N, so
+    and s_n = a_n^{(0)} a_{n-1}^{(1)} ... a_{n-1}^{(k-1)} for n = 1..N, so
     q_1(0) = -r_0.  ``ops_from_recurrence(Recurrence(r, s), N + 1)`` expands it.
     """
     r0 = CycScalar.coerce(r0)
-    report, tail = _check_conditions(view, m, N)
+    report, tail = _check_conditions(view, N)
     if not report.ok:
         raise MappingConditionError("; ".join(report.failures) or "block conditions failed")
-    theta, eta = report.theta, report.eta
+    eta = report.eta
     k = view.k
 
-    pi_k = delta_det(view, 0, 1, m) * eta - tail + Poly.constant(r0)
+    pi_k = delta_det(view, 0, 1, 0) * eta - tail + Poly.constant(r0)
     if pi_k.degree != k:
         raise MappingConditionError(f"pi_k came out with degree {pi_k.degree}, expected {k}")
 
     r = [r0 + c for c in report.r_at_zero]
     s: list[CycScalar] = []
     for n in range(1, N + 1):
-        sn = view.a(n, m)
+        sn = view.a(n, 0)
         for i in range(1, k):
-            sn = sn * view.a(n - 1, m + i)
+            sn = sn * view.a(n - 1, i)
         s.append(sn)
 
-    return MappingData(k, m, r0, pi_k, theta, eta, tuple(r), tuple(s), report, view)
+    return MappingData(k, r0, pi_k, eta, tuple(r), tuple(s), report, view)
 
 
 def verify_interleave(p_ops: OPSequence, mapping: MappingData, q_ops: OPSequence, N: int) -> InterleaveReport:
     """Check the in-between-degree identities of the mapping for n <= N.
 
     For each j = 0..k-1:
-        eta * p_{kn+m+j+1} = Delta_n(m+2, m+j) q_{n+1}(pi_k)
-            + (prod_{i=1}^{j+1} a_n^{(m+i)}) Delta_n(m+j+3, m+k-1) q_n(pi_k).
+        eta * p_{kn+j+1} = Delta_n(2, j) q_{n+1}(pi_k)
+            + (prod_{i=1}^{j+1} a_n^{(i)}) Delta_n(j+3, k-1) q_n(pi_k).
     """
-    view, k, m = mapping.view, mapping.k, mapping.m
+    view, k = mapping.view, mapping.k
     checked = 0
     for n in range(N + 1):
         qn = compose(q_ops[n], mapping.pi_k)
         qn1 = compose(q_ops[n + 1], mapping.pi_k)
         prod = CycScalar(1)
         for j in range(k):
-            prod = prod * view.a(n, m + j + 1)
-            lhs = mapping.eta * p_ops[k * n + m + j + 1]
-            rhs = delta_det(view, n, m + 2, m + j) * qn1 + prod * (delta_det(view, n, m + j + 3, m + k - 1) * qn)
+            prod = prod * view.a(n, j + 1)
+            lhs = mapping.eta * p_ops[k * n + j + 1]
+            rhs = delta_det(view, n, 2, j) * qn1 + prod * (delta_det(view, n, j + 3, k - 1) * qn)
             checked += 1
             if lhs != rhs:
                 return InterleaveReport(False, checked, (n, j))

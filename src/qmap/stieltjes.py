@@ -214,24 +214,27 @@ def acd_from_pearson(pair: PearsonPair, u: MomentFunctional, q: QParam) -> ACDTr
     return ACDTriple(A, C, D)
 
 
-def acd_mapped(vt: ACDTriple, eta: Poly, k: int, q: QParam, u0, v0) -> ACDTriple:
+def acd_mapped(vt: ACDTriple, eta: Poly, k: int, q: QParam) -> ACDTriple:
     """Lift the triple of v through the power substitution with cofactor eta.
 
-    A(z) = v0 eta(z) At(z^k),
-    C(z) = v0 ([k]_{1/q} z^(k-1) eta(z/q) Ct(z^k) + (H_{1/q} eta)(z) At(z^k)),
-    D(z) = u0 [k]_{1/q} z^(k-1) eta(z/q) eta(z) Dt(z^k).
+    A(z) = eta(z) At(z^k),
+    C(z) = [k]_{1/q} z^(k-1) eta(z/q) Ct(z^k) + (H_{1/q} eta)(z) At(z^k),
+    D(z) = [k]_{1/q} z^(k-1) eta(z/q) eta(z) Dt(z^k).
+
+    This is the triple of the unit lift u = lift_functional(v, eta, k, v_0),
+    with S_u(z) = eta(z) S_v(z^k).  The general lift carries a factor v_0 in
+    A and C and u_0 in D; at u_0 = v_0 that common factor cancels from
+    A (H S) = C S + D.
     """
-    u0 = CycScalar.coerce(u0)
-    v0 = CycScalar.coerce(v0)
     bk = q.bracket_inv(k)
     zk1 = Poly.monomial(k - 1)
     eta_qinv = dilate_poly(eta, q.q.inv())
     At = compose_xk(vt.A, k)
     Ct = compose_xk(vt.C, k)
     Dt = compose_xk(vt.D, k)
-    A = v0 * (eta * At)
-    C = v0 * (bk * (zk1 * eta_qinv * Ct) + hahn_poly_qinv(eta, q) * At)
-    D = u0 * bk * (zk1 * eta_qinv * eta * Dt)
+    A = eta * At
+    C = bk * (zk1 * eta_qinv * Ct) + hahn_poly_qinv(eta, q) * At
+    D = bk * (zk1 * eta_qinv * eta * Dt)
     return ACDTriple(A, C, D)
 
 

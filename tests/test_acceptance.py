@@ -175,7 +175,7 @@ def test_criterion_6_inverse_reconstruction(q_half):
     # descent: f0 = y (y - c^3) and the matching g0; v identified as the
     # jacobi family at (a, 1/(c^3 q^3))
     basis = [b.p_ops[j] for j in range(3)]
-    pair_v = descend_pearson(PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.u, b.v)
+    pair_v = descend_pearson(PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v)
     ok &= pair_v.phi == X * Poly([-(cs ** 3), 1])
     g0 = (qs ** -3 * as_.inv() * (qs ** 3 - 1).inv()) * Poly(
         [cs ** 3 * (1 - as_ * qs ** 3), as_ * qs ** 3 - cs ** 3]

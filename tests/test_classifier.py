@@ -185,7 +185,7 @@ def test_descend_case13(q_half):
     qs = q_half.q
     basis = [b.p_ops[j] for j in range(3)]
     pair_v = descend_pearson(
-        PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.u, b.v
+        PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v
     )
     assert pair_v.phi == X * Poly([-(c ** 3), 1])
     g0 = (qs ** -3 * a.inv() * (qs ** 3 - 1).inv()) * Poly([c ** 3 * (1 - a * qs ** 3), a * qs ** 3 - c ** 3])
@@ -202,7 +202,7 @@ def test_descend_case1_exercises_positive_shift(q_half):
     b = cached_case_bundle(1, q_half)
     basis = [b.p_ops[j] for j in range(3)]
     pair_v = descend_pearson(
-        PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.u, b.v
+        PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v
     )
     family = little_q_laguerre_pair(b.case.params["a"], q_half.pow(3))
     assert pair_v.phi == family.phi and pair_v.psi == family.psi
@@ -214,7 +214,7 @@ def test_descend_degree_display_all_cases(q_half):
         b = cached_case_bundle(cid, q_half)
         basis = [b.p_ops[j] for j in range(3)]
         pair_v = descend_pearson(
-            PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.u, b.v
+            PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v
         )
         assert max(pair_v.phi.degree - 2, pair_v.psi.degree - 1) == b.report.s // 3
         assert not any(pearson_residual(b.v, pair_v, q_half.pow(3)))
@@ -225,7 +225,7 @@ def test_ascend_cases(q_half):
         b = cached_case_bundle(cid, q_half)
         basis = [b.p_ops[j] for j in range(3)]
         pair_v = descend_pearson(
-            PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.u, b.v
+            PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v
         )
         pair_u = ascend_pearson(pair_v, b.eta, 3, q_half)
         res = pearson_residual(b.u, pair_u, q_half)

@@ -121,6 +121,34 @@ def test_descend_computes_the_v_residual_once(capsys, monkeypatch):
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
+def test_map_report_is_pinned(capsys):
+    # the whole mapping.to_dict(), including the constant m = 0 and theta_m = 1 keys
+    assert main(["map", "--case", "13", "--q", "1/2", "--N", "24"]) == 0
+    expected = {
+        "command": "map",
+        "case": 13,
+        "q": "1/2",
+        "mapping": {
+            "k": 3,
+            "m": 0,
+            "r0": "55/29",
+            "pi_k": ["0/1", "0/1", "0/1", "1/1"],
+            "theta_m": ["1/1"],
+            "eta": ["1/3", "-4/3", "1/1"],
+            "r": ["55/29", "-78968/103153", "7694336/815794393", "7068332032/3366851805913"],
+            "s": [
+                "-560560/354061",
+                "-55611892224/152580366166705",
+                "6541833751986176/2764866077488595061745",
+            ],
+        },
+        "conditions_ok": True,
+        "interleave_ok": True,
+        "interleave_checked": 12,
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 # --N below 15 builds v to order 4, which leaves q_0..q_2 for n <= 1; from N = 36 on n runs to 4
 @pytest.mark.parametrize("case", ["1", "13"])
 @pytest.mark.parametrize("N, checked", [("1", 6), ("12", 6), ("36", 15), ("48", 15)])

@@ -214,7 +214,7 @@ def test_build_power_case_away_from_k3(eta, s, family, a, b):
     assert verify_susvq(Su, series_from_functional(bundle.v), eta, k, q).ok
     assert class_bounds_check(s, 0, k).ok
     pair_u = PearsonPair(bundle.report.phi, bundle.report.psi)
-    pair_v = descend_pearson(pair_u, s, [bundle.p_ops[j] for j in range(k)], k, q, bundle.u, bundle.v)
+    pair_v = descend_pearson(pair_u, s, [bundle.p_ops[j] for j in range(k)], k, q, bundle.v)
     assert not any(pearson_residual(bundle.v, pair_v, q.pow(k)))
     if s <= k - 1:
         # the theorem's conclusion: v is q^k-classical, deg Phi <= 2 and deg Psi = 1

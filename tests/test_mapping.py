@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmap import (
     BlockView,
@@ -15,6 +16,7 @@ from qmap import (
     build_mapping,
     check_conditions,
     compose_xk,
+    delta_det,
     left_mul,
     lift_functional,
     ops_from_recurrence,
@@ -29,6 +31,7 @@ from conftest import cached_case_bundle, random_scalar
 from helpers import pi_k_oracle, r_shift_poly_oracle
 
 X = Poly.x()
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=5)
 
 
 def test_chebyshev_style_quadratic_map():
@@ -36,10 +39,10 @@ def test_chebyshev_style_quadratic_map():
     N = 12
     rec = Recurrence([0] * N, [Fraction(1, 4)] * (N - 1))
     view = BlockView(rec, 2)
-    rep = check_conditions(view, 0, 4)
+    rep = check_conditions(view, 4)
     assert rep.ok
     assert rep.eta == X
-    md = build_mapping(view, 0, Fraction(1, 4), 4)
+    md = build_mapping(view, Fraction(1, 4), 4)
     assert md.pi_k == X * X
     assert md.r[0] == Fraction(1, 4)
     assert all(r == Fraction(1, 2) for r in md.r[1:])
@@ -56,9 +59,8 @@ def test_chebyshev_style_quadratic_map():
 def test_case1_conditions_and_pi3(q_half):
     b = cached_case_bundle(1, q_half)
     view = BlockView(b.rec_p, 3)
-    rep = check_conditions(view, 0, 6)
+    rep = check_conditions(view, 6)
     assert rep.ok
-    assert rep.theta == Poly.one()
     assert rep.eta == b.eta
     assert b.mapping.pi_k == Poly.monomial(3)
     # eta_2 = x^2 + tau x + k_tau with k_tau = a_0^{(1)} + tau^2
@@ -71,7 +73,7 @@ def test_condition_detector_perturbed_b(q_half):
     bs = list(b.rec_p.b)
     bs[15] = bs[15] + 1  # b_5^{(0)}
     view = BlockView(Recurrence(bs, b.rec_p.a), 3)
-    rep = check_conditions(view, 0, 6)
+    rep = check_conditions(view, 6)
     assert not rep.ok
     assert not rep.b_constant
 
@@ -81,8 +83,38 @@ def test_condition_iv_detector(q_half):
     a = list(b.rec_p.a)
     a[9] = a[9] * 2  # a_10 = a_3^{(1)}
     view = BlockView(Recurrence(b.rec_p.b, a), 3)
-    rep = check_conditions(view, 0, 6)
+    rep = check_conditions(view, 6)
     assert not rep.ok
+
+
+def test_condition_ii_detector(q_half):
+    b = cached_case_bundle(1, q_half)
+    a = list(b.rec_p.a)
+    a[7] = a[7] + 1  # a_8 = a_2^{(2)} enters Delta_2(2, 2) and no other condition
+    view = BlockView(Recurrence(b.rec_p.b, a), 3)
+    rep = check_conditions(view, 6)
+    assert (rep.ok, rep.b_constant, rep.delta_constant, rep.r_constant) == (False, True, False, True)
+    assert rep.failures == ("condition (ii): Delta_2(m+2, m+k-1) varies with n",)
+    with pytest.raises(MappingConditionError, match=r"^condition \(ii\): Delta_2\(m\+2, m\+k-1\) varies with n$"):
+        build_mapping(view, b.mapping.r0, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_condition_iii_holds_at_m0(data):
+    # theta_0 = Delta_0(1, -1) = 1 divides Delta_n(2, k-1), which is monic of
+    # degree k-1 for any recurrence, so the general condition (iii) cannot fail
+    k = data.draw(st.integers(2, 4))
+    blocks = data.draw(st.integers(1, 4))
+    size = k * (blocks + 1)
+    scalars = st.builds(CycScalar, small_fractions, small_fractions)
+    b = data.draw(st.lists(scalars, min_size=size, max_size=size))
+    a = data.draw(st.lists(scalars.filter(bool), min_size=size - 1, max_size=size - 1))
+    view = BlockView(Recurrence(b, a), k)
+    assert delta_det(view, 0, 1, -1) == Poly.one()
+    for n in range(blocks + 1):
+        eta = delta_det(view, n, 2, k - 1)
+        assert eta.degree == k - 1 and eta.lc == 1
 
 
 def test_build_mapping_matches_moment_side(q_half):
@@ -102,7 +134,7 @@ def test_condition_report_keeps_r_at_zero(q_half, case_id):
     b = cached_case_bundle(case_id, q_half)
     view = BlockView(b.rec_p, 3)
     N = len(b.mapping.r) - 1
-    rep = check_conditions(view, 0, N)
+    rep = check_conditions(view, N)
     assert rep.ok
     assert rep.r_at_zero == tuple(r_shift_poly_oracle(view, 0, n, rep.eta).coeff(0) for n in range(N + 1))
     assert b.mapping.r == tuple(b.mapping.r0 + c for c in rep.r_at_zero)
@@ -121,13 +153,13 @@ def test_build_mapping_computes_each_block0_determinant_once(q_half, case_id, mo
         return original(view, n, i, j)
 
     monkeypatch.setattr(mapping_module, "delta_det", counted)
-    mapping = build_mapping(view, 0, b.mapping.r0, N)
+    mapping = build_mapping(view, b.mapping.r0, N)
     monkeypatch.undo()
     block0 = {key: c for key, c in calls.items() if key[0] == 0}
     assert block0 and set(block0.values()) == {1}
 
     # the four-term r_n(0) formula is checked in test_condition_report_keeps_r_at_zero
-    assert mapping.conditions == check_conditions(view, 0, N)
+    assert mapping.conditions == check_conditions(view, N)
     assert mapping.pi_k == pi_k_oracle(view, 0, mapping.eta, b.mapping.r0)
 
 
@@ -136,12 +168,12 @@ def test_build_mapping_computes_each_r_shift_once(q_half, monkeypatch):
     calls = []
     original = mapping_module._r_shift_poly
 
-    def counted(view, m, n, eta):
+    def counted(view, n, fixed):
         calls.append(n)
-        return original(view, m, n, eta)
+        return original(view, n, fixed)
 
     monkeypatch.setattr(mapping_module, "_r_shift_poly", counted)
-    build_mapping(BlockView(b.rec_p, 3), 0, b.mapping.r0, 6)
+    build_mapping(BlockView(b.rec_p, 3), b.mapping.r0, 6)
     assert calls == list(range(1, 7))
 
 
@@ -161,7 +193,7 @@ def test_interleave_and_detector(q_half):
 
 
 def test_interleave_top_slot_reduces_to_composition(q_half):
-    # j = k-1 collapses to p_{k(n+1)} = theta * q_{n+1}(pi_k)
+    # j = k-1 collapses to p_{k(n+1)} = q_{n+1}(pi_k), since theta_0 = 1
     b = cached_case_bundle(1, q_half)
     for n in range(6):
         assert b.p_ops[3 * (n + 1)] == compose_xk(b.q_ops[n + 1], 3)
@@ -214,4 +246,4 @@ def test_build_mapping_raises_on_bad_blocks():
     a = [CycScalar(Fraction(1, 2))] * 11
     view = BlockView(Recurrence(b, a), 3)
     with pytest.raises(MappingConditionError):
-        build_mapping(view, 0, 0, 3)
+        build_mapping(view, 0, 3)
