@@ -5,7 +5,7 @@ theta_0 = p_0 = 1.  Given the block view of a recurrence this module checks
 the block conditions, builds (pi_k, eta) and the mapped sequence q_n as its
 recurrence (r_n, s_n), verifies the interleaving identities for the
 in-between degrees, and lifts a functional v to the functional u whose
-Stieltjes series is eta(z) * S_v(z^k) (up to the u_0/v_0 normalization).
+Stieltjes series is eta(z) * S_v(z^k).
 """
 
 from __future__ import annotations
@@ -104,11 +104,6 @@ def check_conditions(view: BlockView, N: int) -> ConditionReport:
     (iv) the r-combination is constant in x for every n.  Condition (iii)
     holds trivially at m = 0 (see ``ConditionReport``).
     """
-    return _check_conditions(view, N)[0]
-
-
-def _check_conditions(view: BlockView, N: int) -> tuple[ConditionReport, Poly]:
-    """``check_conditions`` plus a_0^{(1)} Delta_0(3, k-1), which pi_k reuses."""
     k = view.k
     failures: list[str] = []
 
@@ -140,7 +135,7 @@ def _check_conditions(view: BlockView, N: int) -> tuple[ConditionReport, Poly]:
         r_at_zero.append(rn.coeff(0))
 
     ok = b_const and delta_const and r_const
-    return ConditionReport(ok, b_const, delta_const, r_const, eta, tuple(failures), tuple(r_at_zero)), tail
+    return ConditionReport(ok, b_const, delta_const, r_const, eta, tuple(failures), tuple(r_at_zero))
 
 
 def build_mapping(view: BlockView, r0, N: int) -> MappingData:
@@ -152,15 +147,14 @@ def build_mapping(view: BlockView, r0, N: int) -> MappingData:
     q_1(0) = -r_0.  ``ops_from_recurrence(Recurrence(r, s), N + 1)`` expands it.
     """
     r0 = CycScalar.coerce(r0)
-    report, tail = _check_conditions(view, N)
+    report = check_conditions(view, N)
     if not report.ok:
         raise MappingConditionError("; ".join(report.failures) or "block conditions failed")
-    eta = report.eta
     k = view.k
 
-    pi_k = delta_det(view, 0, 1, 0) * eta - tail + Poly.constant(r0)
-    if pi_k.degree != k:
-        raise MappingConditionError(f"pi_k came out with degree {pi_k.degree}, expected {k}")
+    # pi_k = (x - b_0^{(0)}) eta - a_0^{(1)} Delta_0(3, k-1) + r_0, and the first two
+    # terms are Delta_0(1, k-1) = p_k expanded along its first row
+    pi_k = delta_det(view, 0, 1, k - 1) + r0
 
     r = [r0 + c for c in report.r_at_zero]
     s: list[CycScalar] = []
@@ -170,7 +164,7 @@ def build_mapping(view: BlockView, r0, N: int) -> MappingData:
             sn = sn * view.a(n - 1, i)
         s.append(sn)
 
-    return MappingData(k, r0, pi_k, eta, tuple(r), tuple(s), report, view)
+    return MappingData(k, r0, pi_k, report.eta, tuple(r), tuple(s), report, view)
 
 
 def verify_interleave(p_ops: OPSequence, mapping: MappingData, q_ops: OPSequence, N: int) -> InterleaveReport:
@@ -196,21 +190,17 @@ def verify_interleave(p_ops: OPSequence, mapping: MappingData, q_ops: OPSequence
     return InterleaveReport(True, checked)
 
 
-def lift_functional(v: MomentFunctional, eta: Poly, k: int, u0) -> MomentFunctional:
-    """Moments of the functional u with S_u(z) = (u0/v0) eta(z) S_v(z^k).
+def lift_functional(v: MomentFunctional, eta: Poly, k: int) -> MomentFunctional:
+    """Moments of the unit lift u of v, whose Stieltjes series is S_u(z) = eta(z) S_v(z^k).
 
     Writing eta(z) = sum_i e_i z^i of degree k-1, matching powers of 1/z gives
-    u_{kn + (k-1-i)} = (u0/v0) e_i v_n for every tracked n and every i.
+    u_{kn + (k-1-i)} = e_i v_n for every tracked n and every i; so
+    u_0 = lc(eta) v_0.
     """
     if eta.degree != k - 1:
         raise QmapError(f"eta must have degree {k - 1}, got {eta.degree}")
-    v0 = v.moment(0)
-    if not v0:
-        raise QmapError("v_0 must be nonzero to lift")
-    scale = CycScalar.coerce(u0) * v0.inv()
     out = [ZERO] * (k * (v.order + 1))
     for n, vn in enumerate(v.moments):
-        base = scale * vn
         for i, e in enumerate(eta.coeffs):
-            out[k * n + (k - 1 - i)] = base * e
+            out[k * n + (k - 1 - i)] = vn * e
     return MomentFunctional(out)

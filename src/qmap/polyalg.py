@@ -209,12 +209,6 @@ class Poly:
         """Serialization: list of scalar strings, constant term first."""
         return [format_scalar(c) for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, items) -> "Poly":
-        from .scalars import parse_scalar
-
-        return cls([parse_scalar(s) for s in items])
-
 
 def _as_poly(x):
     if isinstance(x, Poly):

@@ -72,10 +72,6 @@ class LaurentSeries:
     def __neg__(self):
         return LaurentSeries(-self.poly_part, tuple(-c for c in self.principal))
 
-    def scale(self, s) -> "LaurentSeries":
-        s = CycScalar.coerce(s)
-        return LaurentSeries(self.poly_part * s, tuple(c * s for c in self.principal))
-
     @property
     def is_zero(self) -> bool:
         return self.poly_part.is_zero and not any(self.principal)
@@ -90,17 +86,6 @@ class LaurentSeries:
             if c:
                 return f"z^-{n + 1}"
         return None
-
-    def evaluate(self, z) -> CycScalar:
-        """Exact value of the truncation at a nonzero scalar point."""
-        z = CycScalar.coerce(z)
-        acc = self.poly_part(z)
-        zi = z.inv()
-        p = CycScalar(1)
-        for c in self.principal:
-            p = p * zi
-            acc = acc + c * p
-        return acc
 
     def __repr__(self):
         return f"LaurentSeries(poly={self.poly_part!s}, depth={self.depth})"
@@ -221,10 +206,8 @@ def acd_mapped(vt: ACDTriple, eta: Poly, k: int, q: QParam) -> ACDTriple:
     C(z) = [k]_{1/q} z^(k-1) eta(z/q) Ct(z^k) + (H_{1/q} eta)(z) At(z^k),
     D(z) = [k]_{1/q} z^(k-1) eta(z/q) eta(z) Dt(z^k).
 
-    This is the triple of the unit lift u = lift_functional(v, eta, k, v_0),
-    with S_u(z) = eta(z) S_v(z^k).  The general lift carries a factor v_0 in
-    A and C and u_0 in D; at u_0 = v_0 that common factor cancels from
-    A (H S) = C S + D.
+    This is the triple of the unit lift u = lift_functional(v, eta, k), with
+    S_u(z) = eta(z) S_v(z^k).
     """
     bk = q.bracket_inv(k)
     zk1 = Poly.monomial(k - 1)
@@ -239,17 +222,16 @@ def acd_mapped(vt: ACDTriple, eta: Poly, k: int, q: QParam) -> ACDTriple:
 
 
 def verify_susvq(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, k: int, q: QParam) -> SeriesReport:
-    """Certify the substitution identity between the two series:
+    """Certify the substitution identity between the series of v and of its unit lift u:
 
     [k]_{1/q} z^(k-1) eta(z/q) (H_{1/q^k} S_v)(z^k)
-        = (v0/u0) (H_{1/q} S_u)(z) - (H_{1/q} eta)(z) S_v(z^k).
+        = (H_{1/q} S_u)(z) - (H_{1/q} eta)(z) S_v(z^k),
+
+    which is H_{1/q} applied to S_u(z) = eta(z) S_v(z^k).
     """
-    u0 = -Su.principal[0] * eta.lc.inv()  # the lift gives u_0 = u0 lc(eta)
-    v0 = -Sv.principal[0]
     qk = q.pow(k)
     lhs_mult = (q.bracket_inv(k) * Poly.monomial(k - 1)) * dilate_poly(eta, q.q.inv())
     lhs = poly_mul_series(lhs_mult, substitute_zk(hahn_qinv_series(Sv, qk), k))
-    rhs = hahn_qinv_series(Su, q).scale(v0 * u0.inv())
-    rhs = rhs - poly_mul_series(hahn_poly_qinv(eta, q), substitute_zk(Sv, k))
+    rhs = hahn_qinv_series(Su, q) - poly_mul_series(hahn_poly_qinv(eta, q), substitute_zk(Sv, k))
     diff = lhs - rhs
     return SeriesReport(diff.is_zero, diff.depth, diff.first_nonzero())

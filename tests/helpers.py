@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from qmap import ACDTriple, CycScalar, MomentFunctional, OPSequence, Poly, Recurrence, act
+from qmap import ACDTriple, CycScalar, MomentFunctional, OPSequence, Poly, Recurrence, act, compose_xk
 from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.opseq import OrthogonalityReport, delta_det
+from qmap.scalars import parse_scalar
 
 X = Poly.x()
 
@@ -205,6 +206,39 @@ def pi_k_oracle(view, m, eta, r0):
     """pi_k = Delta_0(1, m) eta - a_0^{(m+1)} Delta_0(m+3, m+k-1) + r_0, formed directly."""
     k = view.k
     return delta_det(view, 0, 1, m) * eta - view.a(0, m + 1) * delta_det(view, 0, m + 3, m + k - 1) + Poly.constant(r0)
+
+
+def power_identity_oracle(bundle) -> Optional[int]:
+    """The dense check p_{kn} = q_n(x^k) over every n both sequences reach.
+
+    Returns the first failing n, or None.  ``build_power_case`` proves the
+    identity from the block conditions, (r, s) = rec_q and pi_k = x^k instead.
+    """
+    k = bundle.mapping.k
+    for n in range(min(len(bundle.q_ops), len(bundle.p_ops) // k)):
+        if bundle.p_ops[k * n] != compose_xk(bundle.q_ops[n], k):
+            return n
+    return None
+
+
+# -- conveniences that only the tests use --------------------------------------
+
+
+def poly_from_strings(items) -> Poly:
+    """The inverse of ``Poly.to_strings``."""
+    return Poly([parse_scalar(s) for s in items])
+
+
+def series_evaluate(S, z) -> CycScalar:
+    """Exact value of the truncated series S at a nonzero scalar point."""
+    z = CycScalar.coerce(z)
+    acc = S.poly_part(z)
+    zi = z.inv()
+    p = CycScalar(1)
+    for c in S.principal:
+        p = p * zi
+        acc = acc + c * p
+    return acc
 
 
 # -- the documented reduction chain of the laguerre-type class-1 case ---------

@@ -239,7 +239,7 @@ def test_ascend_k2_smoke(q_half):
     pair = little_q_laguerre_pair(Fraction(1, 4), q2)
     v = pearson_moments(pair, 1, 20, q2)
     eta = Poly([Fraction(-1, 3), 1])
-    u = lift_functional(v, eta, 2, 1)
+    u = lift_functional(v, eta, 2)
     pair_u = ascend_pearson(pair, eta, 2, q_half)
     res = pearson_residual(u, pair_u, q_half)
     assert not any(res)

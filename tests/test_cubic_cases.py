@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmap import (
     BlockView,
@@ -28,7 +29,7 @@ from qmap.errors import CaseError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
 
 from conftest import cached_case_bundle
-from helpers import ops_from_recurrence_oracle
+from helpers import ops_from_recurrence_oracle, power_identity_oracle
 
 
 def test_fixtures_validate_everywhere(q_half, q_third):
@@ -171,6 +172,15 @@ def test_mapped_recurrence_mismatch_names_the_first_differing_q(q_half, monkeypa
     assert str(info.value) == f"case 1 stage mapping: mapped q_{n} disagrees with moment-side q_{n}"
 
 
+def test_pi_k_mismatch_names_the_power_identity_stage(q_half, monkeypatch):
+    good = cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
+    bad = replace(good.mapping, pi_k=Poly.monomial(3) + Poly.x())
+    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: bad)
+    with pytest.raises(CaseError) as info:
+        cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
+    assert str(info.value) == "case 1 stage power-identity: pi_k != x^3"
+
+
 def test_build_case_is_the_power_builder_at_k3(q_half):
     b = cached_case_bundle(1, q_half)
     p = b.case.params
@@ -219,6 +229,23 @@ def test_build_power_case_away_from_k3(eta, s, family, a, b):
     if s <= k - 1:
         # the theorem's conclusion: v is q^k-classical, deg Phi <= 2 and deg Psi = 1
         assert (pair_v.phi.degree, pair_v.psi.degree) == ((1, 1) if family == FAMILY_LAGUERRE else (2, 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_power_identity_follows_from_the_mapping_checks(data):
+    # every build that passes must pass the dense p_{kn} = q_n(x^k) oracle
+    k = data.draw(st.integers(2, 4))
+    coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=k - 1, max_size=k - 1))
+    eta = Poly(coeffs + [1])
+    family, a, b = data.draw(st.sampled_from(FAMILIES))
+    N = data.draw(st.sampled_from((12, 24, 36)))
+    try:
+        bundle = build_power_case(family_pair(family, a, b, Q_POWER.pow(k)), eta, Q_POWER, N)
+    except CaseError:
+        return
+    assert bundle.mapping.pi_k == Poly.monomial(k)
+    assert power_identity_oracle(bundle) is None
 
 
 @pytest.mark.parametrize("family, a, b", FAMILIES)

@@ -206,7 +206,7 @@ def test_lift_functional_examples(q_half):
     rng = random.Random(41)
     v = MomentFunctional([random_scalar(rng) for _ in range(8)])
     v = MomentFunctional([CycScalar(1)] + list(v.moments[1:]))
-    u = lift_functional(v, eta, 3, 1)
+    u = lift_functional(v, eta, 3)
     assert u.order == 3 * v.order + 2
     assert u.moment(0) == CycScalar(1)
     for n in range(v.order + 1):
@@ -221,17 +221,14 @@ def test_lift_sparsity_when_ktau_zero(q_half):
     assert all(not b.u.moment(3 * n + 2) for n in range(b.v.order + 1))
 
 
-def test_lift_requires_degree_and_v0():
+def test_lift_requires_degree():
     v = MomentFunctional([1, 2, 3])
     with pytest.raises(QmapError):
-        lift_functional(v, Poly([1, 1]), 3, 1)  # degree 1 != 2
-    bad = MomentFunctional([0, 1])
-    with pytest.raises(QmapError):
-        lift_functional(bad, Poly([0, 1]), 2, 1)
+        lift_functional(v, Poly([1, 1]), 3)  # degree 1 != 2
 
 
 def test_sigma_star_dual_basis_identities(q_half):
-    # sigma*(p_j u) vanishes for j = 1..k-1 and returns (u0/v0) v at j = 0
+    # sigma*(p_j u) vanishes for j = 1..k-1 and returns v at j = 0 (u is the unit lift of v)
     b = cached_case_bundle(1, q_half)
     sv = sigma_star(b.u, 3)
     assert sv.moments[: b.v.order + 1] == b.v.moments

@@ -21,6 +21,7 @@ from qmap import (
 )
 
 from conftest import random_monic_poly, random_nonzero_scalar, random_poly
+from helpers import poly_from_strings
 
 X = Poly.x()
 
@@ -187,4 +188,4 @@ def test_poly_serialization_round_trip():
     rng = random.Random(19)
     for _ in range(50):
         f = random_poly(rng, 6)
-        assert Poly.from_strings(f.to_strings()) == f
+        assert poly_from_strings(f.to_strings()) == f

@@ -29,6 +29,7 @@ from qmap.families import (
 )
 
 from conftest import cached_case_bundle, random_poly, random_scalar
+from helpers import series_evaluate
 
 X = Poly.x()
 
@@ -76,11 +77,11 @@ def test_hahn_qinv_series_difference_quotient_oracle(q_half):
         S = _random_series(rng, 8, poly_deg=rng.randint(-1, 4))
         H = hahn_qinv_series(S, q_half)
         for z in (CycScalar(2), CycScalar(3), CycScalar(Fraction(5, 7)), CycScalar(-2), CycScalar(Fraction(-7, 3))):
-            lhs = (S.evaluate(qi * z) - S.evaluate(z)) / ((qi - 1) * z)
+            lhs = (series_evaluate(S, qi * z) - series_evaluate(S, z)) / ((qi - 1) * z)
             # the difference quotient of the truncation only agrees with the
             # truncated image where the image is tracked: compare through
             # evaluation of H itself, whose deepest term comes from S's last
-            assert H.evaluate(z) == lhs
+            assert series_evaluate(H, z) == lhs
 
 
 def test_poly_mul_series_shift():
@@ -126,13 +127,13 @@ def test_substitute_zk():
 
 
 def test_lift_matches_series_identity(q_half):
-    # series_from_functional(lift(v)) = (u0/v0) eta * S_v(z^k)
+    # the unit lift: series_from_functional(lift(v)) = eta * S_v(z^k)
     rng = random.Random(54)
     for k in (2, 3):
         v_moments = [CycScalar(1)] + [random_scalar(rng) for _ in range(6)]
         v = MomentFunctional(v_moments)
         eta = Poly([random_scalar(rng) for _ in range(k - 1)] + [1])
-        u = lift_functional(v, eta, k, 1)
+        u = lift_functional(v, eta, k)
         lhs = series_from_functional(u)
         rhs = poly_mul_series(eta, substitute_zk(series_from_functional(v), k))
         d = min(lhs.depth, rhs.depth)
@@ -200,17 +201,17 @@ def test_verify_susvq_k2_smoke(q_half):
     pair = little_q_laguerre_pair(Fraction(1, 4), q2)
     v = pearson_moments(pair, 1, 16, q2)
     eta = Poly([Fraction(-1, 3), 1])  # x - tau with tau = 1/3
-    u = lift_functional(v, eta, 2, 1)
+    u = lift_functional(v, eta, 2)
     rep = verify_susvq(series_from_functional(u), series_from_functional(v), eta, 2, q_half)
     assert rep.ok
 
 
 @pytest.mark.parametrize("eta", [Poly([2, 2]), Poly([Fraction(1, 3), 5])])
 def test_verify_susvq_non_monic_eta(q_half, eta):
-    # the lift scales u_0 by lc(eta); verify_susvq divides it back out
+    # the unit lift has u_0 = lc(eta) v_0, and the identity holds with no rescale
     q2 = q_half.pow(2)
     v = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), q2), 1, 16, q2)
-    u = lift_functional(v, eta, 2, 1)
+    u = lift_functional(v, eta, 2)
     assert u.moment(0) == eta.lc
     rep = verify_susvq(series_from_functional(u), series_from_functional(v), eta, 2, q_half)
     assert rep.ok
