@@ -12,12 +12,16 @@ and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
 at q^k, the lift, both recurrences, the mapping and its conditions, the
 comparison of the mapped recurrence with q's own, pi_k = x^k (which with the
 two before it proves p_{kn} = q_n(x^k)), the lifted (A, C, D) and the class
-report.
+report.  For k = 2 and 3, p's recurrence is ascended from q's and eta
+(``mapping.ascend_recurrence``) and proved on u by a two-polynomial
+certificate (``opseq.certify_recurrence``); for k >= 4, or when the ascent is
+not certified, it is the Chebyshev algorithm on u's moments.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -26,13 +30,14 @@ from .classifier import ClassReport, classify
 from .errors import CaseError, SingularCaseError
 from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
-from .mapping import MappingData, build_mapping, lift_functional
-from .opseq import BlockView, OPSequence, Recurrence, recurrence_from_moments
+from .mapping import MappingData, ascend_recurrence, build_mapping, lift_functional
+from .opseq import BlockView, OPSequence, Recurrence, certify_recurrence, recurrence_from_moments
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam
 from .stieltjes import ACDTriple, acd_from_pearson, acd_mapped
 
 __all__ = [
+    "CaseParams",
     "CubicCase",
     "CaseValidation",
     "CaseBundle",
@@ -53,12 +58,39 @@ _LAGUERRE_CASES = {1, 4, 5, 6}
 _BRACKET_A01_CASES = {6, 10, 11, 12}  # a_0^{(1)} = -tau^2 [3]_q / (1+q)^2
 
 
+class CaseParams(Mapping):
+    """A case's parameters by name: read-only, hashable, compared by value."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values=()):
+        self._values = dict(values)
+
+    def __getitem__(self, name):
+        return self._values[name]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __hash__(self):
+        return hash(frozenset(self._values.items()))
+
+    def __repr__(self):
+        return f"CaseParams({self._values!r})"
+
+
 @dataclass(frozen=True)
 class CubicCase:
     id: int
     family: str
-    params: dict
+    params: CaseParams
     expected_class: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", CaseParams(self.params))
 
 
 @dataclass(frozen=True)
@@ -324,6 +356,24 @@ def expected_phi_psi(case: CubicCase, q: QParam) -> PearsonPair:
     return PearsonPair(phi, psi)
 
 
+def _ascended_recurrences(u: MomentFunctional, v: MomentFunctional, eta: Poly, Np: int):
+    """(rec_p, p_ops) and (rec_q, q_ops), with p's recurrence ascended from q's and certified on u.
+
+    None when any step fails or the certificate rejects; the caller then runs
+    the Chebyshev on u and on v as stages, which report any error.
+    """
+    if eta.degree > 2:  # the ascent covers k = 2 and 3
+        return None
+    try:
+        rec_q, q_ops = recurrence_from_moments(v, v.order // 2)
+        block0, _ = recurrence_from_moments(u, eta.degree + 1)
+        candidate = ascend_recurrence(block0, rec_q, eta)
+        found = None if candidate is None else certify_recurrence(u, candidate, Np)
+    except Exception:  # noqa: BLE001 - the staged Chebyshev reruns the failing step
+        return None
+    return None if found is None else (found, (rec_q, q_ops))
+
+
 def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, label: str = "power case") -> CaseBundle:
     """Run the full pipeline at the power k = deg eta + 1; N is the target order for u.
 
@@ -345,8 +395,12 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     v = stage("moments-v", lambda: pearson_moments(pair_v, 1, max(N // k, 4), qk))
     u = stage("lift", lambda: lift_functional(v, eta, k))
     Np = u.order // 2
-    rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
-    rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
+    ascended = _ascended_recurrences(u, v, eta, Np)
+    if ascended is None:
+        rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
+        rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
+    else:
+        (rec_p, p_ops), (rec_q, q_ops) = ascended
 
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)

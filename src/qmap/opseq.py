@@ -9,6 +9,9 @@ Delta_n(i, j; x) that drive the polynomial-mapping machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
@@ -23,6 +26,7 @@ __all__ = [
     "OrthogonalityReport",
     "ops_from_recurrence",
     "recurrence_from_moments",
+    "certify_recurrence",
     "orthogonality_check",
     "delta_det",
 ]
@@ -112,16 +116,18 @@ class OPSequence:
         return f"OPSequence(p_0..p_{len(self.polys) - 1})"
 
 
-def _three_term(b, a, start: int, stop: int) -> list[Poly]:
-    """P_0 = 1, ..., P_{stop-start} with P_{s+1} = (x - b(t)) P_s - a(t) P_{s-1}, t = start + s.
+def _three_term(b, a, start: int, stop: int, seed=((), (ONE,))) -> list[Poly]:
+    """P_0, ..., P_{stop-start} with P_{s+1} = (x - b(t)) P_s - a(t) P_{s-1}, t = start + s.
 
-    The one three-term loop of the package, run on coefficient lists.  P_{-1} = 0,
-    so a(start) is never read; each step reads b(t) before a(t).
+    The one three-term loop of the package, run on coefficient lists.  ``seed``
+    holds the coefficients of (P_{-1}, P_0), by default (0, 1), in which case
+    a(start) is never read; each step reads b(t) before a(t).
     """
-    prev, cur, polys = [], [ONE], [Poly.one()]
+    prev, cur = list(seed[0]), list(seed[1])
+    polys = [Poly(cur)]
     for t in range(start, stop):
         nxt = [ZERO, *cur]  # x P_s
-        for coeff, row in ((b(t), cur), (a(t) if t > start else ZERO, prev)):
+        for coeff, row in ((b(t), cur), (a(t) if prev else ZERO, prev)):
             if coeff:
                 for i, c in enumerate(row):
                     if c:
@@ -136,6 +142,38 @@ def ops_from_recurrence(rec: Recurrence, N: int) -> OPSequence:
     if N > len(rec.b):
         raise QmapError(f"need b_0..b_{N - 1} for p_{N}, have {len(rec.b)}")
     return OPSequence(_three_term(rec.b_at, rec.a_at, 0, N))
+
+
+def _chebyshev(row: list, prev: list, start: int, N: int, b: list, a: list) -> None:
+    """Run the Chebyshev algorithm on levels start..N-1, appending each b_n and a_n to b and a.
+
+    ``row[j]`` is sigma_{start, start+j} for j < 2(N - start) and ``prev[j]`` is
+    sigma_{start-1, start-1+j} for j < max(2, 2(N - start)) (empty at start = 0);
+    b and a hold b_0..b_{start-1} and a_1..a_{start-1} on entry.
+    """
+    if start:
+        h_prev_inv = prev[0].inv()
+        ratio_prev = prev[1] * h_prev_inv
+    else:
+        ratio_prev = ZERO
+    for n in range(start, N):
+        if n > start:
+            bn = b[-1]
+            if n == 1:
+                nxt = [s2 - bn * s1 for s1, s2 in zip(row[1:], row[2:])]
+            else:
+                an = a[-1]
+                nxt = [s2 - bn * s1 - an * t for s1, s2, t in zip(row[1:], row[2:], prev[2:])]
+            prev, row = row, nxt
+        hn = row[0]
+        if not hn:
+            raise RegularityError(f"not regular at level {n}: <u, p_{n}^2> = 0")
+        hn_inv = hn.inv()
+        ratio = row[1] * hn_inv
+        b.append(ratio - ratio_prev)
+        if n:
+            a.append(hn * h_prev_inv)
+        h_prev_inv, ratio_prev = hn_inv, ratio
 
 
 def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:
@@ -154,35 +192,92 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     the polynomials are then generated by ops_from_recurrence.  Since
     sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
     which u stops being regular.
+
+    The case pipeline calls it for q's recurrence, for p's first block
+    (N = k, the seed of ``mapping.ascend_recurrence``) and, when the ascended
+    recurrence cannot be certified, for all of p's recurrence.
     """
     if 2 * N > u.order:
         raise TruncationError(f"need effective order >= {2 * N}, have {u.order}")
     b: list[CycScalar] = []
     a: list[CycScalar] = []
-    # row[j] = sigma_{n, n+j} for j = 0..2(N-n)-1; prev is the row of level n-1
-    row = list(u.moments[: 2 * N])
-    prev: list[CycScalar] = []
-    ratio_prev = ZERO
-    for n in range(N):
-        if n:
-            bn = b[-1]
-            if n == 1:
-                nxt = [s2 - bn * s1 for s1, s2 in zip(row[1:], row[2:])]
-            else:
-                an = a[-1]
-                nxt = [s2 - bn * s1 - an * t for s1, s2, t in zip(row[1:], row[2:], prev[2:])]
-            prev, row = row, nxt
-        hn = row[0]
-        if not hn:
-            raise RegularityError(f"not regular at level {n}: <u, p_{n}^2> = 0")
-        hn_inv = hn.inv()
-        ratio = row[1] * hn_inv
-        b.append(ratio - ratio_prev)
-        if n:
-            a.append(hn * h_prev_inv)
-        h_prev_inv, ratio_prev = hn_inv, ratio
+    _chebyshev(list(u.moments[: 2 * N]), [], 0, N, b, a)
     rec = Recurrence(b, a)
     return rec, ops_from_recurrence(rec, N)
+
+
+def _scaled(values) -> tuple:
+    """Each Q(w) component of ``values`` as (ints, d) with component_i = ints[i] / d.
+
+    d is the lcm of that component's denominators; a component that is zero
+    throughout is None.
+    """
+    parts = []
+    for comp in ([x.re for x in values], [x.om for x in values]):
+        if any(comp):
+            d = lcm(*(f.denominator for f in comp))
+            parts.append(([f.numerator * (d // f.denominator) for f in comp], d))
+        else:
+            parts.append(None)
+    return tuple(parts)
+
+
+def _sigma_row(p: Poly, moments: tuple, length: int) -> list[CycScalar]:
+    """sigma_l = <u, x^l p> = sum_i c_i u_{i+l} for l < length, from ``_scaled`` moments.
+
+    Each component product is one integer dot product over the lcm-scaled
+    coefficients, so no gcd is taken inside a sum; the four products
+    recombine with w^2 = -1 - w.
+    """
+    zero = [0] * length
+
+    def dots(c, v):
+        if c is None or v is None:
+            return zero
+        (ci, cd), (vi, vd) = c, v
+        den = cd * vd
+        return [Fraction(sum(map(mul, ci, vi[l:])), den) for l in range(length)]
+
+    (cre, com), (ure, uom) = _scaled(p.coeffs), moments
+    re_re, re_om, om_re, om_om = dots(cre, ure), dots(cre, uom), dots(com, ure), dots(com, uom)
+    return [CycScalar(x - z, y + t - z) for x, y, t, z in zip(re_re, re_om, om_re, om_om)]
+
+
+def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optional[tuple[Recurrence, OPSequence]]:
+    """Prove that a candidate is u's recurrence and complete it to N levels; None if it is not proved.
+
+    The first M = min(len(cand.b), N - 1) levels of ``cand`` generate p_0..p_M.
+    If <u, x^l p_M> = 0 for l < M, <u, x^l p_{M-1}> = 0 for l < M - 1,
+    <u, x^{M-1} p_{M-1}> != 0 and <u, x^M p_M> != 0, then they are u's monic
+    orthogonal polynomials and the candidate's levels are u's own: running the
+    recurrence downwards (every a_n != 0),
+
+        a_n <u, x^l p_{n-1}> = <u, x^{l+1} p_n> - b_n <u, x^l p_n> - <u, x^l p_{n+1}>,
+
+    makes each p_n with n < M orthogonal to x^l for l < n with
+    <u, x^n p_n> != 0.  The two rows sigma_{M,l} and sigma_{M-1,l} (2N - M and
+    max(M + 1, 2N - M - 1) entries, reading u_0..u_{2N-1}) hold every condition;
+    their tails then run the Chebyshev algorithm on levels M..N-1, and only
+    p_{M+1}..p_N are generated from there.  None when M < 1, when u lacks
+    u_{2N-1}, or when a condition fails.  At M = N - 1 the rows cost 2N + 1
+    integer dot products of length at most N, with no gcd inside a sum; the
+    full Chebyshev takes O(N^2) Q(w) operations on fractions as large as the
+    moments.
+    """
+    M = min(len(cand.b), N - 1)
+    if M < 1 or 2 * N - 1 > u.order:
+        return None
+    polys = _three_term(cand.b_at, cand.a_at, 0, M)
+    moments = _scaled(u.moments[: 2 * N])
+    row = _sigma_row(polys[M], moments, 2 * N - M)
+    prev = _sigma_row(polys[M - 1], moments, max(M + 1, 2 * N - M - 1))
+    if any(row[:M]) or any(prev[: M - 1]) or not prev[M - 1] or not row[M]:
+        return None
+    b, a = list(cand.b[:M]), list(cand.a[: M - 1])
+    _chebyshev(row[M:], prev[M - 1 :], M, N, b, a)
+    rec = Recurrence(b, a)
+    polys += _three_term(rec.b_at, rec.a_at, M, N, (polys[M - 1].coeffs, polys[M].coeffs))[1:]
+    return rec, OPSequence(polys)
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,6 @@ class ACDTriple:
         if self.A.is_zero:
             raise ValueError("A must be nonzero")
 
-    def scale(self, s) -> "ACDTriple":
-        s = CycScalar.coerce(s)
-        return ACDTriple(self.A * s, self.C * s, self.D * s)
-
 
 @dataclass(frozen=True)
 class SeriesReport:

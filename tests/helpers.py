@@ -241,6 +241,12 @@ def series_evaluate(S, z) -> CycScalar:
     return acc
 
 
+def scale_acd(t: ACDTriple, s) -> ACDTriple:
+    """(sA, sC, sD): the same Stieltjes equation, scaled by a nonzero scalar."""
+    s = CycScalar.coerce(s)
+    return ACDTriple(t.A * s, t.C * s, t.D * s)
+
+
 # -- the documented reduction chain of the laguerre-type class-1 case ---------
 # Stage 2 is the raw lifted triple divided by v0 z^2; stage 3 divides by z
 # at eta roots (0, -tau); stage 4 divides by z once more when a = 1/q;

@@ -1,5 +1,7 @@
 """The thirteen-case catalog: fixtures, constraints, builds, reconstruction."""
 
+import copy
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,22 +12,28 @@ from qmap import (
     BlockView,
     CycScalar,
     OMEGA,
+    ONE,
     PearsonPair,
     Poly,
     QParam,
     Recurrence,
+    ascend_recurrence,
+    certify_recurrence,
     class_bounds_check,
     compose_xk,
     cubic_cases,
     descend_pearson,
+    lift_functional,
     orthogonality_check,
+    pearson_moments,
     pearson_residual,
+    recurrence_from_moments,
     series_from_functional,
     stieltjes_residual,
     verify_susvq,
 )
 from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_reconstruct_case13, validate_case
-from qmap.errors import CaseError, RegularityError, SingularCaseError
+from qmap.errors import CaseError, QmapError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
 
 from conftest import cached_case_bundle
@@ -265,6 +273,129 @@ def test_build_power_case_rejects_constant_or_non_monic_eta(eta, monkeypatch):
     with pytest.raises(CaseError) as info:
         build_power_case(pair, eta, Q_POWER, 60, label="case k1")
     assert str(info.value) == f"case k1 stage power: eta must be monic of degree k - 1 >= 1, got {eta}"
+
+
+# -- p's recurrence: ascended, certified on u, or the Chebyshev on u -----------
+
+
+class _ChebyshevSpy:
+    """Wraps cubic_cases.recurrence_from_moments and records each functional's order and N."""
+
+    def __init__(self, monkeypatch, fail=None):
+        self.calls = []
+        self.fail = fail
+        monkeypatch.setattr(cubic_cases, "recurrence_from_moments", self)
+
+    def __call__(self, u, N):
+        self.calls.append((u.order, N))
+        if self.fail is not None and self.fail(u, N):
+            raise RegularityError("not regular at level 3: <u, p_3^2> = 0")
+        return recurrence_from_moments(u, N)
+
+    def fell_back(self, bundle) -> bool:
+        return (bundle.u.order, bundle.u.order // 2) in self.calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_power_case_recurrence_matches_the_chebyshev_on_u(data):
+    k = data.draw(st.integers(2, 4))
+    coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=k - 1, max_size=k - 1))
+    eta = Poly(coeffs + [1])
+    family, a, b = data.draw(st.sampled_from(FAMILIES))
+    N = data.draw(st.sampled_from((12, 24, 36)))
+    qk = Q_POWER.pow(k)
+    pair = family_pair(family, a, b, qk)
+    u = lift_functional(pearson_moments(pair, 1, max(N // k, 4), qk), eta, k)
+    try:
+        bundle = build_power_case(pair, eta, Q_POWER, N)
+    except CaseError as exc:
+        with pytest.raises(QmapError) as direct:
+            recurrence_from_moments(u, u.order // 2)
+        assert str(exc) == f"power case stage recurrence-p: {direct.value}"
+        return
+    assert bundle.u == u
+    assert (bundle.rec_p, bundle.p_ops) == recurrence_from_moments(u, u.order // 2)
+
+
+@pytest.mark.parametrize("field", ["b", "a"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_certificate_rejects_a_perturbed_ascent_and_the_chebyshev_decides(q_half, monkeypatch, field, where):
+    seen = {}
+
+    def perturbed(block0, rec_q, eta):
+        up = ascend_recurrence(block0, rec_q, eta)
+        b, a = list(up.b), list(up.a)
+        M = len(b)  # the candidate levels 0..M-1; a_1 is the first a
+        level = {"first": 0 if field == "b" else 1, "middle": M // 2, "last": M - 1}[where]
+        if field == "b":
+            b[level] = b[level] + 1
+        else:
+            a[level - 1] = a[level - 1] + (1 if a[level - 1] != -1 else 2)
+        seen["good"], seen["bad"] = up, Recurrence(b, a)
+        return seen["bad"]
+
+    monkeypatch.setattr(cubic_cases, "ascend_recurrence", perturbed)
+    spy = _ChebyshevSpy(monkeypatch)
+    bundle = cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
+    Np = bundle.u.order // 2
+    assert len(seen["bad"].b) == Np - 1
+    assert certify_recurrence(bundle.u, seen["bad"], Np) is None
+    assert certify_recurrence(bundle.u, seen["good"], Np) is not None
+    assert spy.fell_back(bundle)
+    assert (bundle.rec_p, bundle.p_ops) == recurrence_from_moments(bundle.u, Np)
+    assert bundle == cached_case_bundle(1, q_half, 24)
+
+
+# the Q(w) builds of the benchmark's branch workload (bench/workloads.py::BRANCH_BUILDS)
+BRANCH_BUILDS = ((1, -OMEGA), (1, ONE + OMEGA), (5, -OMEGA), (7, -OMEGA))
+
+
+def test_the_ascent_is_certified_on_every_catalog_and_branch_build(q_half, monkeypatch):
+    spy = _ChebyshevSpy(monkeypatch)
+    builds = [(case_fixture(cid, q_half), 48) for cid in CASE_IDS]
+    builds += [(case_fixture(cid, q_half, {"tau": tau}), 24) for cid, tau in BRANCH_BUILDS]
+    for case, N in builds:
+        spy.calls.clear()
+        bundle = cubic_cases.build_case(case, q_half, N)
+        assert not spy.fell_back(bundle), (case.id, case.params["tau"])
+        assert len(spy.calls) == 2  # q's recurrence and p's block 0
+
+
+def test_an_odd_order_v_leaves_two_levels_to_the_close(q_half, monkeypatch):
+    # N = 15: v has order 5, so q's recurrence ascends to 3 * 2 = 6 levels and Np = 8
+    spy = _ChebyshevSpy(monkeypatch)
+    bundle = cubic_cases.build_case(case_fixture(13, q_half), q_half, 15)
+    assert (bundle.v.order, bundle.u.order // 2) == (5, 8)
+    assert not spy.fell_back(bundle)
+    assert (bundle.rec_p, bundle.p_ops) == recurrence_from_moments(bundle.u, 8)
+
+
+def test_the_ascent_is_certified_at_k2(monkeypatch):
+    spy = _ChebyshevSpy(monkeypatch)
+    bundle = _power_bundle(Poly([1, 1]), *FAMILIES[1])
+    assert bundle.mapping.k == 2
+    assert not spy.fell_back(bundle)
+
+
+def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch):
+    # the ascent needs q's recurrence first; its failure must not change which stage is named
+    spy = _ChebyshevSpy(monkeypatch, fail=lambda u, N: u.order == 16)  # v at N = 48
+    with pytest.raises(CaseError) as info:
+        cubic_cases.build_case(case_fixture(1, q_half), q_half, 48)
+    assert str(info.value) == "case 1 stage recurrence-q: not regular at level 3: <u, p_3^2> = 0"
+    assert (50, 25) in spy.calls  # the Chebyshev on u ran first, as a stage
+
+
+def test_case_and_bundle_hash_and_their_params_are_read_only(q_half):
+    case = case_fixture(1, q_half)
+    with pytest.raises(TypeError):
+        case.params["a"] = CycScalar(3)
+    assert case.params == {"a": CycScalar(2), "tau": CycScalar(-1)}
+    assert hash(case) == hash(case_fixture(1, q_half))
+    bundle = cached_case_bundle(1, q_half)
+    assert hash(bundle) == hash(pickle.loads(pickle.dumps(bundle)))
+    assert copy.deepcopy(case) == case
 
 
 # -- case 13 inverse reconstruction -------------------------------------------

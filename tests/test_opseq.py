@@ -15,6 +15,7 @@ from qmap import (
     Poly,
     Recurrence,
     act,
+    certify_recurrence,
     delta_det,
     ops_from_recurrence,
     orthogonality_check,
@@ -134,6 +135,84 @@ def test_chebyshev_matches_oracle_on_raw_moments(data):
     N = data.draw(st.integers(0, 6))
     u = MomentFunctional(data.draw(st.lists(scalars, min_size=2 * N + 1, max_size=2 * N + 3)))
     assert _outcome(recurrence_from_moments, u, N) == _outcome(recurrence_from_moments_oracle, u, N)
+
+
+# -- the two-polynomial certificate --------------------------------------------
+
+
+def _truncated(rec: Recurrence, M: int) -> Recurrence:
+    return Recurrence(rec.b[:M], rec.a[: M - 1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(regular_recurrences(), st.data())
+def test_certificate_completes_a_true_candidate_like_the_chebyshev(data, draw):
+    # any M of u's own levels are proved, and the close runs the Chebyshev on the rest
+    rec, u0 = data
+    N = len(rec.b) - 1
+    if N < 2:
+        return
+    M = draw.draw(st.integers(1, N - 1))
+    moments = _jacobi_moments(rec, u0, 2 * N)
+    expected = recurrence_from_moments(MomentFunctional(moments), N)
+    assert certify_recurrence(MomentFunctional(moments[:-1]), _truncated(rec, M), N) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(regular_recurrences(), st.data())
+def test_certificate_rejects_a_changed_level(data, draw):
+    rec, u0 = data
+    N = len(rec.b) - 1
+    if N < 2:
+        return
+    M = draw.draw(st.integers(1, N - 1))
+    level = draw.draw(st.integers(0, M - 1))
+    u = MomentFunctional(_jacobi_moments(rec, u0, 2 * N))
+    b, a = list(rec.b[:M]), list(rec.a[: M - 1])
+    if level and draw.draw(st.booleans()):
+        a[level - 1] = a[level - 1] + (1 if a[level - 1] != -1 else 2)
+    else:
+        b[level] = b[level] + 1
+    assert certify_recurrence(u, Recurrence(b, a), N) is None
+
+
+def test_certificate_needs_every_moment_its_rows_read(q_half):
+    u = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), q_half), 1, 24, q_half)
+    rec, ops = recurrence_from_moments(u, 12)
+    cand = _truncated(rec, 11)
+    assert certify_recurrence(u, cand, 12) == (rec, ops)
+    assert certify_recurrence(MomentFunctional(u.moments[:24]), cand, 12) == (rec, ops)  # u_0..u_23
+    assert certify_recurrence(MomentFunctional(u.moments[:23]), cand, 12) is None  # no u_23
+    assert certify_recurrence(u, _truncated(rec, 1), 1) is None  # M = min(1, N - 1) = 0
+
+
+# One candidate per condition of the lemma that only that condition rejects (N = 3, M = 2).
+_EXACT_U = _jacobi_moments(Recurrence([1, 2, 3], [2, 3]), 1, 5)  # b_0, b_1 = 1, 2 and a_1 = 2
+CERTIFICATE_FAILURES = {
+    # p_2 = (x - 1)(x - 2) - 2 is u's own, but p_1 = x - 2 is not: <u, p_1> != 0
+    "p_(M-1) orthogonal": (_EXACT_U, Recurrence([2, 1], [2])),
+    # u = x^4-moment only: every zero condition holds and <u, x p_1> = u_2 = 0
+    "<u, x^(M-1) p_(M-1)> != 0": ([0, 0, 0, 0, 1, 0], Recurrence([0, 0], [1])),
+    # u = (1, 0, 1, 0, 1, 0) stops being regular at level 2: <u, x^2 p_2> = 0
+    "<u, x^M p_M> != 0": ([1, 0, 1, 0, 1, 0], Recurrence([0, 0], [1])),
+}
+
+
+@pytest.mark.parametrize("condition", list(CERTIFICATE_FAILURES))
+def test_certificate_rejects_each_failed_condition(condition):
+    moments, cand = CERTIFICATE_FAILURES[condition]
+    assert certify_recurrence(MomentFunctional(moments), cand, 3) is None
+
+
+def test_certificate_close_reports_the_chebyshev_regularity_error():
+    # (1, 0, 1, 0, 1, 0, ...): p_1 = x is proved, the close finds p_2 = x^2 - 1 with <u, p_2^2> = 0
+    u = MomentFunctional([1, 0, 1, 0, 1, 0, 0, 0, 0])
+    with pytest.raises(RegularityError) as direct:
+        recurrence_from_moments(u, 4)
+    cand = Recurrence([0], [])
+    with pytest.raises(RegularityError) as closed:
+        certify_recurrence(u, cand, 4)
+    assert str(closed.value) == str(direct.value) == "not regular at level 2: <u, p_2^2> = 0"
 
 
 # -- the coefficient-level generator against the Poly-arithmetic oracle --------
