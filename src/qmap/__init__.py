@@ -21,17 +21,8 @@ from .functionals import (
     sigma_star,
     u_poly,
 )
-from .opseq import (
-    BlockView,
-    OPSequence,
-    Recurrence,
-    certify_recurrence,
-    delta_det,
-    ops_from_recurrence,
-    orthogonality_check,
-    recurrence_from_moments,
-)
-from .mapping import MappingData, ascend_recurrence, build_mapping, check_conditions, lift_functional, verify_interleave
+from .opseq import BlockView, OPSequence, Recurrence, delta_det, ops_from_recurrence, orthogonality_check, recurrence_from_moments
+from .mapping import MappingData, build_mapping, check_conditions, lift_functional, verify_interleave
 from .stieltjes import (
     ACDTriple,
     LaurentSeries,

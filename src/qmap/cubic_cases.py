@@ -12,10 +12,10 @@ and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
 at q^k, the lift, both recurrences, the mapping and its conditions, the
 comparison of the mapped recurrence with q's own, pi_k = x^k (which with the
 two before it proves p_{kn} = q_n(x^k)), the lifted (A, C, D) and the class
-report.  For k = 2 and 3, p's recurrence is ascended from q's and eta
+report.  For k = 3, p's recurrence is ascended from q's and eta
 (``mapping.ascend_recurrence``) and proved on u by a two-polynomial
-certificate (``opseq.certify_recurrence``); for k >= 4, or when the ascent is
-not certified, it is the Chebyshev algorithm on u's moments.
+certificate (``opseq.certify_recurrence``); for any other k, or when the
+ascent is not certified, it is the Chebyshev algorithm on u's moments.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .classifier import ClassReport, classify
-from .errors import CaseError, SingularCaseError
+from .errors import CaseError, QmapError, SingularCaseError
 from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
 from .mapping import MappingData, ascend_recurrence, build_mapping, lift_functional
@@ -37,7 +37,6 @@ from .scalars import CycScalar, ONE, QParam
 from .stieltjes import ACDTriple, acd_from_pearson, acd_mapped
 
 __all__ = [
-    "CaseParams",
     "CubicCase",
     "CaseValidation",
     "CaseBundle",
@@ -359,17 +358,18 @@ def expected_phi_psi(case: CubicCase, q: QParam) -> PearsonPair:
 def _ascended_recurrences(u: MomentFunctional, v: MomentFunctional, eta: Poly, Np: int):
     """(rec_p, p_ops) and (rec_q, q_ops), with p's recurrence ascended from q's and certified on u.
 
-    None when any step fails or the certificate rejects; the caller then runs
-    the Chebyshev on u and on v as stages, which report any error.
+    None for k != 3, when any step raises a QmapError or when the certificate
+    rejects; the caller then runs the Chebyshev on u and on v as stages, which
+    report any error.
     """
-    if eta.degree > 2:  # the ascent covers k = 2 and 3
+    if eta.degree != 2:  # the ascent covers k = 3 only
         return None
     try:
         rec_q, q_ops = recurrence_from_moments(v, v.order // 2)
-        block0, _ = recurrence_from_moments(u, eta.degree + 1)
+        block0, _ = recurrence_from_moments(u, 3)
         candidate = ascend_recurrence(block0, rec_q, eta)
         found = None if candidate is None else certify_recurrence(u, candidate, Np)
-    except Exception:  # noqa: BLE001 - the staged Chebyshev reruns the failing step
+    except QmapError:  # the staged Chebyshev reruns the failing step
         return None
     return None if found is None else (found, (rec_q, q_ops))
 

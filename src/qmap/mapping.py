@@ -7,7 +7,7 @@ recurrence (r_n, s_n), verifies the interleaving identities for the
 in-between degrees, and lifts a functional v to the functional u whose
 Stieltjes series is eta(z) * S_v(z^k).  Run forwards, the same block
 conditions give p's recurrence from its first block, q's recurrence and eta
-(``ascend_recurrence``, k = 2 and 3).
+(``ascend_recurrence``, k = 3).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "build_mapping",
     "verify_interleave",
     "lift_functional",
-    "ascend_recurrence",
 ]
 
 
@@ -210,46 +209,36 @@ def lift_functional(v: MomentFunctional, eta: Poly, k: int) -> MomentFunctional:
 
 
 def ascend_recurrence(block0: Recurrence, rec_q: Recurrence, eta: Poly) -> Optional[Recurrence]:
-    """p's b_0..b_{k Nq - 1} and a_1..a_{k Nq - 1} from its block 0, q's (r_n, s_n) for n < Nq and eta.
+    """p's b_0..b_{3 Nq - 1} and a_1..a_{3 Nq - 1} at k = 3 from its block 0, q's (r_n, s_n) for n < Nq and eta.
 
-    k = deg eta + 1.  The block conditions of ``check_conditions`` are solved
-    for block n >= 1 from block n - 1 (Charris and Ismail, "Sieved orthogonal
-    polynomials VII", Trans. AMS 340, 1993), with s_n = a_n^{(0)} a_{n-1}^{(1)}..a_{n-1}^{(k-1)}
-    and the constant r_n - r_0 of condition (iv):
+    eta has degree 2.  The block conditions of ``check_conditions`` are
+    solved for block n >= 1 from block n - 1 (Charris and Ismail, "Sieved
+    orthogonal polynomials VII", Trans. AMS 340, 1993), with
+    s_n = a_n^{(0)} a_{n-1}^{(1)} a_{n-1}^{(2)} and the constant r_n - r_0 of
+    condition (iv):
 
-    - both k: b_n^{(0)} = b_0^{(0)} (condition (i)) and
-      a_n^{(0)} = s_n / (a_{n-1}^{(1)} .. a_{n-1}^{(k-1)});
-    - k = 2: b_n^{(1)} = -eta_0 (condition (ii)) and
-      a_n^{(1)} = r_n - r_0 + a_0^{(1)} - a_n^{(0)};
-    - k = 3: a_n^{(1)} = a_0^{(1)} - a_n^{(0)} (x-coefficient of (iv)),
+    - b_n^{(0)} = b_0^{(0)} (condition (i)) and
+      a_n^{(0)} = s_n / (a_{n-1}^{(1)} a_{n-1}^{(2)});
+    - a_n^{(1)} = a_0^{(1)} - a_n^{(0)} (x-coefficient of (iv)),
       b_n^{(2)} = (a_0^{(1)} b_0^{(2)} - a_n^{(0)} b_{n-1}^{(1)} - (r_n - r_0)) / a_n^{(1)},
       b_n^{(1)} = -eta_1 - b_n^{(2)} and a_n^{(2)} = b_n^{(1)} b_n^{(2)} - eta_0 (condition (ii)).
 
     The result is a candidate only: ``opseq.certify_recurrence`` proves it
-    on u.  None for k >= 4, where (ii) and (iv) are nonlinear inside a block,
-    and when some a_n vanishes.
+    on u.  None when some a_n^{(1)} or a_n^{(2)} vanishes.
     """
-    k = eta.degree + 1
-    if k not in (2, 3) or len(block0.b) < k:
-        return None
-    b, a = list(block0.b[:k]), list(block0.a[: k - 1])
+    b, a = list(block0.b[:3]), list(block0.a[:2])
     b00, a01 = b[0], a[0]
     r, s = rec_q.b, rec_q.a
     for n in range(1, len(r)):
-        rn = r[n] - r[0]
-        if k == 2:
-            an0 = s[n - 1] * a[-1].inv()
-            block_b, block_a = [b00, -eta.coeff(0)], [an0, rn + a01 - an0]
-        else:
-            an0 = s[n - 1] * (a[-2] * a[-1]).inv()
-            an1 = a01 - an0
-            if not an1:
-                return None
-            bn2 = (a01 * b[2] - an0 * b[-2] - rn) * an1.inv()
-            bn1 = -eta.coeff(1) - bn2
-            block_b, block_a = [b00, bn1, bn2], [an0, an1, bn1 * bn2 - eta.coeff(0)]
-        if not all(block_a):
+        an0 = s[n - 1] * (a[-2] * a[-1]).inv()
+        an1 = a01 - an0
+        if not an1:
             return None
-        b += block_b
-        a += block_a
+        bn2 = (a01 * b[2] - an0 * b[-2] - (r[n] - r[0])) * an1.inv()
+        bn1 = -eta.coeff(1) - bn2
+        an2 = bn1 * bn2 - eta.coeff(0)
+        if not an2:  # a_n^{(0)} != 0, as s_n is
+            return None
+        b += [b00, bn1, bn2]
+        a += [an0, an1, an2]
     return Recurrence(b, a)

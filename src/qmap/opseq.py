@@ -26,7 +26,6 @@ __all__ = [
     "OrthogonalityReport",
     "ops_from_recurrence",
     "recurrence_from_moments",
-    "certify_recurrence",
     "orthogonality_check",
     "delta_det",
 ]
@@ -194,7 +193,7 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     which u stops being regular.
 
     The case pipeline calls it for q's recurrence, for p's first block
-    (N = k, the seed of ``mapping.ascend_recurrence``) and, when the ascended
+    (N = 3, the seed of ``mapping.ascend_recurrence``) and, when the ascended
     recurrence cannot be certified, for all of p's recurrence.
     """
     if 2 * N > u.order:

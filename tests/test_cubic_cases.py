@@ -17,8 +17,6 @@ from qmap import (
     Poly,
     QParam,
     Recurrence,
-    ascend_recurrence,
-    certify_recurrence,
     class_bounds_check,
     compose_xk,
     cubic_cases,
@@ -35,6 +33,8 @@ from qmap import (
 from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_reconstruct_case13, validate_case
 from qmap.errors import CaseError, QmapError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
+from qmap.mapping import ascend_recurrence
+from qmap.opseq import certify_recurrence
 
 from conftest import cached_case_bundle
 from helpers import ops_from_recurrence_oracle, power_identity_oracle
@@ -371,11 +371,13 @@ def test_an_odd_order_v_leaves_two_levels_to_the_close(q_half, monkeypatch):
     assert (bundle.rec_p, bundle.p_ops) == recurrence_from_moments(bundle.u, 8)
 
 
-def test_the_ascent_is_certified_at_k2(monkeypatch):
+@pytest.mark.parametrize("eta", [POWER_ETAS[0][0], POWER_ETAS[3][0]])
+def test_k2_and_k4_keep_the_chebyshev_on_u(monkeypatch, eta):
+    # only k = 3 is ascended: no work is spent on q's recurrence or p's block 0 first
     spy = _ChebyshevSpy(monkeypatch)
-    bundle = _power_bundle(Poly([1, 1]), *FAMILIES[1])
-    assert bundle.mapping.k == 2
-    assert not spy.fell_back(bundle)
+    bundle = _power_bundle(eta, *FAMILIES[1])
+    assert bundle.mapping.k == eta.degree + 1
+    assert spy.calls == [(bundle.u.order, bundle.u.order // 2), (bundle.v.order, bundle.v.order // 2)]
 
 
 def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch):

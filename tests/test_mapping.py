@@ -13,7 +13,6 @@ from qmap import (
     MomentFunctional,
     Poly,
     Recurrence,
-    ascend_recurrence,
     build_mapping,
     check_conditions,
     compose_xk,
@@ -27,9 +26,7 @@ from qmap import (
 )
 from qmap import mapping as mapping_module
 from qmap.errors import MappingConditionError, QmapError
-from qmap.families import little_q_jacobi_pair, little_q_laguerre_pair
-from qmap.functionals import pearson_moments
-from qmap.scalars import QParam
+from qmap.mapping import ascend_recurrence
 
 from conftest import cached_case_bundle, random_scalar
 from helpers import pi_k_oracle, r_shift_poly_oracle
@@ -269,28 +266,11 @@ def test_ascent_matches_the_chebyshev_on_u_at_k3(q_half, case_id):
     assert (up.b, up.a) == (rec_p.b[:levels], rec_p.a[: levels - 1])
 
 
-@pytest.mark.parametrize("eta", [Poly([1, 1]), Poly([Fraction(-2, 3), 1])])
-@pytest.mark.parametrize("family", ["laguerre", "jacobi"])
-def test_ascent_matches_the_chebyshev_on_u_at_k2(eta, family):
-    q2 = QParam(Fraction(1, 2), 96).pow(2)
-    if family == "laguerre":
-        pair = little_q_laguerre_pair(Fraction(1, 4), q2)
-    else:
-        pair = little_q_jacobi_pair(Fraction(1, 4), Fraction(1, 5), q2)
-    v = pearson_moments(pair, 1, 12, q2)
-    u = lift_functional(v, eta, 2)
-    rec_p, _ = recurrence_from_moments(u, u.order // 2)
-    rec_q, _ = recurrence_from_moments(v, 6)
-    up = ascend_recurrence(_block0(rec_p, 2), rec_q, eta)
-    assert len(up.b) == 12 == len(rec_p.b)
-    assert (up.b, up.a) == (rec_p.b, rec_p.a)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_ascent_inverts_the_mapping(data):
     # whatever block 0 and (r_n, s_n) are, the ascended blocks map back to (r_n, s_n)
-    k = data.draw(st.sampled_from((2, 3)))
+    k = 3
     scalars = st.builds(CycScalar, small_fractions, small_fractions)
     nonzero = scalars.filter(bool)
     Nq = data.draw(st.integers(2, 5))
@@ -308,15 +288,16 @@ def test_ascent_inverts_the_mapping(data):
     assert mapping.s == rec_q.a
 
 
-def test_ascent_declines_k4_and_a_vanishing_coefficient():
+def test_ascent_declines_a_vanishing_coefficient():
     half = Fraction(1, 2)
-    assert ascend_recurrence(Recurrence([0, 0, 0, 0], [1, 1, 1]), Recurrence([0, 1], [1]), Poly([1, 0, 0, 1])) is None
-    # k = 3: s_1 = a_0^(1) a_0^(1) a_0^(2) makes a_1^(0) = a_0^(1), so a_1^(1) = 0
+    # s_1 = a_0^(1) a_0^(1) a_0^(2) makes a_1^(0) = a_0^(1), so a_1^(1) = 0
     block0 = Recurrence([0, 1, 2], [half, 3])
     eta = delta_det(BlockView(block0, 3), 0, 2, 2)
     assert ascend_recurrence(block0, Recurrence([0, 5], [half * half * 3]), eta) is None
     assert ascend_recurrence(block0, Recurrence([0, 5], [1]), eta) is not None
-    # k = 2: r_1 = r_0 - a_0^(1) + a_1^(0) makes a_1^(1) = 0
-    block0 = Recurrence([0, 1], [half])
-    assert ascend_recurrence(block0, Recurrence([0, -half + 4], [2]), Poly([-1, 1])) is None
-    assert ascend_recurrence(block0, Recurrence([0, 1], [2]), Poly([-1, 1])) is not None
+    # eta = (x - 3/2)^2 and b_1^(2) = 3/2, a root of eta, make a_1^(2) = 0
+    block0 = Recurrence([0, 1, 2], [half, -half * half])
+    eta = delta_det(BlockView(block0, 3), 0, 2, 2)
+    assert eta == Poly([Fraction(9, 4), -3, 1])
+    assert ascend_recurrence(block0, Recurrence([0, Fraction(-15, 4)], [1]), eta) is None
+    assert ascend_recurrence(block0, Recurrence([0, 1], [1]), eta) is not None

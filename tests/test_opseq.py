@@ -15,7 +15,6 @@ from qmap import (
     Poly,
     Recurrence,
     act,
-    certify_recurrence,
     delta_det,
     ops_from_recurrence,
     orthogonality_check,
@@ -24,7 +23,7 @@ from qmap import (
 )
 from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.families import little_q_laguerre_pair
-from qmap.opseq import OrthogonalityReport
+from qmap.opseq import OrthogonalityReport, certify_recurrence
 
 from conftest import random_nonzero_scalar, random_scalar
 from helpers import ops_from_recurrence_oracle, orthogonality_check_oracle, recurrence_from_moments_oracle
