@@ -4,11 +4,19 @@ A functional is represented by the finite moment vector it is known on; the
 length of the vector is the *effective order* and every operation computes
 the effective order of its result.  Residual checks therefore can only ever
 assert within the range actually determined by the inputs, never vacuously.
+
+Every row of correlations sum_i c_i v_{i+l} in the package -- phi u, u_poly,
+the mixed moments <u, x^l p_n> of ``opseq`` and the two halves of
+``stieltjes.poly_mul_series`` -- comes from the one kernel ``_correlate`` on
+lcm-scaled integer components; ``_dot`` is left for single dot products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import RegularityError, TruncationError
 from .polyalg import Poly
@@ -84,6 +92,44 @@ def _dot(coeffs, values) -> CycScalar:
     return acc
 
 
+def _scaled(values) -> tuple:
+    """Each Q(w) component of ``values`` as (ints, d) with component_i = ints[i] / d.
+
+    d is the lcm of that component's denominators; a component that is zero
+    throughout is None.
+    """
+    parts = []
+    for comp in ([x.re for x in values], [x.om for x in values]):
+        if any(comp):
+            d = lcm(*(f.denominator for f in comp))
+            parts.append(([f.numerator * (d // f.denominator) for f in comp], d))
+        else:
+            parts.append(None)
+    return tuple(parts)
+
+
+def _correlate(c: tuple, v: tuple, length: int) -> list[CycScalar]:
+    """[sum_i c_i v_{i+l} for l < length] from the ``_scaled`` forms of c and v.
+
+    Each component product is one integer dot product per row over the
+    lcm-scaled values, so no gcd is taken inside a sum; the four products
+    recombine with w^2 = -1 - w.  A purely rational c and v give results
+    with the shared zero w-part, so later arithmetic stays on the rational path.
+    """
+    zero = [0] * length
+
+    def dots(cp, vp):
+        if cp is None or vp is None:
+            return zero
+        (ci, cd), (vi, vd) = cp, vp
+        den, n = cd * vd, len(ci)
+        return [Fraction(sum(map(mul, ci, vi[l : l + n])), den) for l in range(length)]
+
+    (cre, com), (vre, vom) = c, v
+    re_re, re_om, om_re, om_om = dots(cre, vre), dots(cre, vom), dots(com, vre), dots(com, vom)
+    return [CycScalar(x - z, y + t - z) for x, y, t, z in zip(re_re, re_om, om_re, om_om)]
+
+
 def act(u: MomentFunctional, f: Poly) -> CycScalar:
     """<u, f> = sum_i f_i u_i; requires deg f within the effective order."""
     if f.degree > u.order:
@@ -98,7 +144,7 @@ def left_mul(phi: Poly, u: MomentFunctional) -> MomentFunctional:
     d = phi.degree
     if d > u.order:
         raise TruncationError(f"deg phi = {d} exceeds effective order {u.order}")
-    return MomentFunctional([_dot(phi.coeffs, u.moments[n : n + d + 1]) for n in range(u.order - d + 1)])
+    return MomentFunctional(_correlate(_scaled(phi.coeffs), _scaled(u.moments), u.order - d + 1))
 
 
 def hahn_functional(u: MomentFunctional, q: QParam) -> MomentFunctional:
@@ -137,7 +183,7 @@ def u_poly(u: MomentFunctional, f: Poly) -> Poly:
         raise TruncationError(f"polynomial degree {f.degree} exceeds effective order {u.order}")
     if f.is_zero:
         return Poly.zero()
-    return Poly([_dot(f.coeffs[j:], u.moments) for j in range(f.degree + 1)])
+    return Poly(_correlate(_scaled(u.moments[: f.degree + 1]), _scaled(f.coeffs), f.degree + 1))
 
 
 def _residual_row(phi: Poly, psi: Poly, q: QParam, n: int):

@@ -9,13 +9,10 @@ Delta_n(i, j; x) that drive the polynomial-mapping machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from operator import mul
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
-from .functionals import MomentFunctional, _dot
+from .functionals import MomentFunctional, _correlate, _dot, _scaled
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, ZERO
 
@@ -196,50 +193,13 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     (N = 3, the seed of ``mapping.ascend_recurrence``) and, when the ascended
     recurrence cannot be certified, for all of p's recurrence.
     """
-    if 2 * N > u.order:
-        raise TruncationError(f"need effective order >= {2 * N}, have {u.order}")
+    if 2 * N - 1 > u.order:
+        raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")
     b: list[CycScalar] = []
     a: list[CycScalar] = []
     _chebyshev(list(u.moments[: 2 * N]), [], 0, N, b, a)
     rec = Recurrence(b, a)
     return rec, ops_from_recurrence(rec, N)
-
-
-def _scaled(values) -> tuple:
-    """Each Q(w) component of ``values`` as (ints, d) with component_i = ints[i] / d.
-
-    d is the lcm of that component's denominators; a component that is zero
-    throughout is None.
-    """
-    parts = []
-    for comp in ([x.re for x in values], [x.om for x in values]):
-        if any(comp):
-            d = lcm(*(f.denominator for f in comp))
-            parts.append(([f.numerator * (d // f.denominator) for f in comp], d))
-        else:
-            parts.append(None)
-    return tuple(parts)
-
-
-def _sigma_row(p: Poly, moments: tuple, length: int) -> list[CycScalar]:
-    """sigma_l = <u, x^l p> = sum_i c_i u_{i+l} for l < length, from ``_scaled`` moments.
-
-    Each component product is one integer dot product over the lcm-scaled
-    coefficients, so no gcd is taken inside a sum; the four products
-    recombine with w^2 = -1 - w.
-    """
-    zero = [0] * length
-
-    def dots(c, v):
-        if c is None or v is None:
-            return zero
-        (ci, cd), (vi, vd) = c, v
-        den = cd * vd
-        return [Fraction(sum(map(mul, ci, vi[l:])), den) for l in range(length)]
-
-    (cre, com), (ure, uom) = _scaled(p.coeffs), moments
-    re_re, re_om, om_re, om_om = dots(cre, ure), dots(cre, uom), dots(com, ure), dots(com, uom)
-    return [CycScalar(x - z, y + t - z) for x, y, t, z in zip(re_re, re_om, om_re, om_om)]
 
 
 def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optional[tuple[Recurrence, OPSequence]]:
@@ -268,8 +228,8 @@ def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optiona
         return None
     polys = _three_term(cand.b_at, cand.a_at, 0, M)
     moments = _scaled(u.moments[: 2 * N])
-    row = _sigma_row(polys[M], moments, 2 * N - M)
-    prev = _sigma_row(polys[M - 1], moments, max(M + 1, 2 * N - M - 1))
+    row = _correlate(_scaled(polys[M].coeffs), moments, 2 * N - M)
+    prev = _correlate(_scaled(polys[M - 1].coeffs), moments, max(M + 1, 2 * N - M - 1))
     if any(row[:M]) or any(prev[: M - 1]) or not prev[M - 1] or not row[M]:
         return None
     b, a = list(cand.b[:M]), list(cand.a[: M - 1])
@@ -298,14 +258,15 @@ def orthogonality_check(u: MomentFunctional, ops: OPSequence, n_max: Optional[in
         sigma_{m,j} = <u, x^j p_m> = sum_i c_{m,i} u_{i+j},
 
     with c_{n,j} the coefficients of p_n.  A pair needs sigma_{m,j} only for
-    j <= n <= min(m, order - m), so the mixed moments cost sum_m (m+1)^2
-    scalar products up front and each pair one dot product of length n + 1:
-    O(N^3) scalar operations in all, against O(N^4) for the N^2/2 dense
-    products.
+    j <= n <= min(m, order - m), so row m of the table is min(m, order - m) + 1
+    integer dot products of length m + 1 from the correlation kernel, over the
+    lcm-scaled moments and coefficients with no gcd inside a sum, and each pair
+    is one Q(w) dot product of length n + 1: O(N^3) operations in all, against
+    O(N^4) scalar operations for the N^2/2 dense products.
     """
     limit = len(ops) - 1 if n_max is None else min(n_max, len(ops) - 1)
-    moments = u.moments
-    sigma = [[_dot(ops[m].coeffs, moments[j:]) for j in range(min(m, u.order - m) + 1)] for m in range(limit + 1)]
+    moments = _scaled(u.moments)
+    sigma = [_correlate(_scaled(ops[m].coeffs), moments, min(m, u.order - m) + 1) for m in range(limit + 1)]
     pairs = 0
     for n in range(limit + 1):
         cn = ops[n].coeffs

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .functionals import MomentFunctional, PearsonPair, u_poly
+from .functionals import MomentFunctional, PearsonPair, _correlate, _scaled, u_poly
 from .polyalg import Poly, compose_xk, dilate_poly, hahn_poly_qinv, theta0
 from .scalars import CycScalar, QParam, ZERO
 
@@ -131,31 +131,21 @@ def hahn_qinv_series(S: LaurentSeries, q: QParam) -> LaurentSeries:
 
 
 def poly_mul_series(A: Poly, S: LaurentSeries) -> LaurentSeries:
-    """A(z) * S(z); the surviving principal depth shrinks by deg A."""
+    """A(z) * S(z); the surviving principal depth shrinks by deg A.
+
+    With A = sum_j a_j z^j and principal coefficients s_n, both parts are
+    correlations: z^(-l-1) gets sum_j a_j s_{j+l} for l < depth - deg A, and
+    z^e gets sum_n s_n a_{n+1+e} for e < deg A on top of A * poly_part.
+    """
     if A.is_zero:
         return LaurentSeries.from_poly(Poly.zero(), S.depth)
     da = A.degree
-    out_depth = S.depth - da
-    if out_depth < 0:
+    if S.depth < da:
         raise ValueError(f"depth {S.depth} exhausted by multiplication with degree {da}")
-    poly_acc = list((A * S.poly_part).coeffs)
-    principal = [ZERO] * out_depth
-    for j, aj in enumerate(A.coeffs):
-        if not aj:
-            continue
-        for n, c in enumerate(S.principal):
-            if not c:
-                continue
-            e = j - n - 1
-            if e >= 0:
-                while len(poly_acc) <= e:
-                    poly_acc.append(ZERO)
-                poly_acc[e] = poly_acc[e] + aj * c
-            else:
-                idx = -e - 1
-                if idx < out_depth:
-                    principal[idx] = principal[idx] + aj * c
-    return LaurentSeries(Poly(poly_acc), principal)
+    s = _scaled(S.principal)
+    principal = _correlate(_scaled(A.coeffs), s, S.depth - da)
+    poly_part = Poly(_correlate(s, _scaled(A.coeffs[1:]), da)) + A * S.poly_part
+    return LaurentSeries(poly_part, principal)
 
 
 def substitute_zk(S: LaurentSeries, k: int) -> LaurentSeries:

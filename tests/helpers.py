@@ -5,8 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from qmap import ACDTriple, CycScalar, MomentFunctional, OPSequence, Poly, Recurrence, act, compose_xk
+from qmap import ZERO, ACDTriple, CycScalar, LaurentSeries, MomentFunctional, OPSequence, Poly, Recurrence, act, compose_xk
 from qmap.errors import QmapError, RegularityError, TruncationError
+from qmap.functionals import _dot
 from qmap.opseq import OrthogonalityReport, delta_det
 from qmap.scalars import parse_scalar
 
@@ -111,8 +112,8 @@ def recurrence_from_moments_oracle(u: MomentFunctional, N: int) -> tuple[Recurre
     a_n = <u, p_n^2>/<u, p_{n-1}^2>; a vanishing norm names the level at
     which u stops being regular.
     """
-    if 2 * N > u.order:
-        raise TruncationError(f"need effective order >= {2 * N}, have {u.order}")
+    if 2 * N - 1 > u.order:
+        raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")
     x = Poly.x()
     polys = [Poly.one()]
     b: list[CycScalar] = []
@@ -153,6 +154,61 @@ def orthogonality_check_oracle(u: MomentFunctional, ops: OPSequence, n_max: Opti
             if n != m and val:
                 return OrthogonalityReport(False, pairs, (n, m), f"<u, p_{n} p_{m}> != 0")
     return OrthogonalityReport(True, pairs)
+
+
+# -- correlation rows one Q(w) product at a time, as before the integer kernel --
+
+
+def left_mul_oracle(phi: Poly, u: MomentFunctional) -> MomentFunctional:
+    """(phi u)_n = <u, phi x^n>; effective order drops by deg phi."""
+    if phi.is_zero:
+        return MomentFunctional([ZERO] * (u.order + 1))
+    d = phi.degree
+    if d > u.order:
+        raise TruncationError(f"deg phi = {d} exceeds effective order {u.order}")
+    return MomentFunctional([_dot(phi.coeffs, u.moments[n : n + d + 1]) for n in range(u.order - d + 1)])
+
+
+def u_poly_oracle(u: MomentFunctional, f: Poly) -> Poly:
+    """Coefficient j is sum_{i >= j} f_i u_{i-j}."""
+    if f.degree > u.order:
+        raise TruncationError(f"polynomial degree {f.degree} exceeds effective order {u.order}")
+    if f.is_zero:
+        return Poly.zero()
+    return Poly([_dot(f.coeffs[j:], u.moments) for j in range(f.degree + 1)])
+
+
+def sigma_row_oracle(p: Poly, u: MomentFunctional, length: int) -> list:
+    """sigma_j = <u, x^j p> for j < length, one row of orthogonality_check's table."""
+    return [_dot(p.coeffs, u.moments[j:]) for j in range(length)]
+
+
+def poly_mul_series_oracle(A: Poly, S: LaurentSeries) -> LaurentSeries:
+    """A(z) * S(z) by the product of every pair of terms."""
+    if A.is_zero:
+        return LaurentSeries.from_poly(Poly.zero(), S.depth)
+    da = A.degree
+    out_depth = S.depth - da
+    if out_depth < 0:
+        raise ValueError(f"depth {S.depth} exhausted by multiplication with degree {da}")
+    poly_acc = list((A * S.poly_part).coeffs)
+    principal = [ZERO] * out_depth
+    for j, aj in enumerate(A.coeffs):
+        if not aj:
+            continue
+        for n, c in enumerate(S.principal):
+            if not c:
+                continue
+            e = j - n - 1
+            if e >= 0:
+                while len(poly_acc) <= e:
+                    poly_acc.append(ZERO)
+                poly_acc[e] = poly_acc[e] + aj * c
+            else:
+                idx = -e - 1
+                if idx < out_depth:
+                    principal[idx] = principal[idx] + aj * c
+    return LaurentSeries(Poly(poly_acc), principal)
 
 
 def dense_det(matrix):

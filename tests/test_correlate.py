@@ -1,0 +1,114 @@
+"""The correlation kernel against the per-entry Q(w) loops it replaced.
+
+``functionals._correlate`` computes every row sum_i c_i v_{i+l} of the
+package: phi u, u_poly, the mixed moments of ``opseq`` and both halves of
+``poly_mul_series``.  Each caller is compared here with its predecessor loop
+in ``helpers`` on rational and Q(w) inputs, including zero coefficients, rows
+of length <= 0, deg phi = order and the errors the callers raise.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
+
+from qmap import ZERO, CycScalar, LaurentSeries, MomentFunctional, Poly, left_mul, poly_mul_series, u_poly
+from qmap.errors import TruncationError
+from qmap.functionals import _correlate, _scaled
+from qmap.scalars import _Q0
+
+from helpers import left_mul_oracle, poly_mul_series_oracle, sigma_row_oracle, u_poly_oracle
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def _scalars(omega: bool):
+    """Q(w) scalars, or rationals when ``omega`` is false; zero is drawn often."""
+    om = small_fractions if omega else st.just(Fraction(0))
+    return st.one_of(st.just(ZERO), st.builds(CycScalar, small_fractions, om))
+
+
+def _vectors(omega: bool, min_size: int = 0, max_size: int = 10):
+    return st.lists(_scalars(omega), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def functional_and_poly(draw, extra_degree: int = 0):
+    """(u, f, omega) with deg f up to order + extra_degree; deg f = order is drawn often."""
+    omega = draw(st.booleans())
+    u = MomentFunctional(draw(_vectors(omega, 1, 12)))
+    deg = draw(st.one_of(st.just(u.order), st.integers(0, u.order + extra_degree)))
+    f = Poly(draw(_vectors(omega, deg + 1, deg + 1)))
+    return u, f, omega
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TruncationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rational_path_kept(values):
+    return all(x.om is _Q0 for x in values if not x.om)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans(), st.integers(-3, 14))
+def test_kernel_matches_the_dot_loop(data, omega, length):
+    c = data.draw(_vectors(omega))
+    v = data.draw(_vectors(data.draw(st.booleans()) and omega))
+    row = _correlate(_scaled(c), _scaled(v), length)
+    assert row == [sum((ci * vi for ci, vi in zip(c, v[l:])), ZERO) for l in range(length)]
+    assert _rational_path_kept(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(-3, 14))
+def test_kernel_keeps_the_rational_fast_path(data, length):
+    c, v = data.draw(_vectors(False)), data.draw(_vectors(False))
+    row = _correlate(_scaled(c), _scaled(v), length)
+    assert len(row) == max(length, 0)
+    assert all(x.om is _Q0 for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(functional_and_poly(extra_degree=2))
+def test_left_mul_matches_oracle(data):
+    u, phi, omega = data
+    out = _outcome(left_mul, phi, u)
+    assert out == _outcome(left_mul_oracle, phi, u)
+    if not omega and isinstance(out, MomentFunctional):
+        assert all(x.om is _Q0 for x in out.moments)
+
+
+@settings(max_examples=150, deadline=None)
+@given(functional_and_poly(extra_degree=2))
+def test_u_poly_matches_oracle(data):
+    u, f, omega = data
+    out = _outcome(u_poly, u, f)
+    assert out == _outcome(u_poly_oracle, u, f)
+    if not omega and isinstance(out, Poly):
+        assert all(x.om is _Q0 for x in out.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(functional_and_poly(), st.integers(-2, 4))
+def test_sigma_rows_match_oracle(data, extra):
+    # one row of orthogonality_check's table: sigma_j = <u, x^j p_m>, j <= min(m, order - m)
+    u, p, _ = data
+    assume(not p.is_zero)
+    m = p.degree
+    length = min(m, u.order - m) + 1 + extra
+    assert _correlate(_scaled(p.coeffs), _scaled(u.moments), length) == sigma_row_oracle(p, u, length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_poly_mul_series_matches_oracle(data, omega):
+    S = LaurentSeries(Poly(data.draw(_vectors(omega, 0, 4))), data.draw(_vectors(omega, 0, 9)))
+    # degrees past the depth keep the ValueError
+    A = Poly(data.draw(_vectors(data.draw(st.booleans()) and omega, 0, S.depth + 3)))
+    out = _outcome(poly_mul_series, A, S)
+    assert out == _outcome(poly_mul_series_oracle, A, S)
+    if not omega and isinstance(out, LaurentSeries):
+        assert all(x.om is _Q0 for x in out.principal + out.poly_part.coeffs)

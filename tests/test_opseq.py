@@ -66,7 +66,7 @@ def test_recurrence_from_moments_regularity_error():
 def test_truncation_error_message():
     with pytest.raises(TruncationError) as exc:
         recurrence_from_moments(MomentFunctional([1] * 7), 4)
-    assert str(exc.value) == "need effective order >= 8, have 6"
+    assert str(exc.value) == "need effective order >= 7, have 6"
 
 
 # -- Chebyshev recovery against the inner-product oracle ----------------------
@@ -112,6 +112,20 @@ def _outcome(recover, u, N):
         return recover(u, N)
     except RegularityError as exc:
         return "RegularityError", str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_recurrences(), st.integers(1, 4))
+def test_recovery_reads_only_u_up_to_2n_minus_1(data, extra):
+    # the Chebyshev algorithm and the oracle both stop at u_{2N-1}
+    rec, u0 = data
+    N = len(rec.b)
+    longer = _jacobi_moments(rec, u0, 2 * N - 1 + extra)
+    exact = MomentFunctional(longer[: 2 * N])
+    assert exact.order == 2 * N - 1
+    expected = _outcome(recurrence_from_moments, MomentFunctional(longer), N)
+    assert _outcome(recurrence_from_moments, exact, N) == expected
+    assert _outcome(recurrence_from_moments_oracle, exact, N) == expected
 
 
 @settings(max_examples=80, deadline=None)
