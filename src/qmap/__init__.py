@@ -22,7 +22,7 @@ from .functionals import (
     u_poly,
 )
 from .opseq import BlockView, OPSequence, Recurrence, delta_det, ops_from_recurrence, orthogonality_check, recurrence_from_moments
-from .mapping import MappingData, build_mapping, check_conditions, lift_functional, verify_interleave
+from .mapping import MappingData, build_mapping, check_conditions, lift_functional, lift_power, verify_interleave
 from .stieltjes import (
     ACDTriple,
     LaurentSeries,

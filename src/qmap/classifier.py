@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import QmapError
 from .functionals import MomentFunctional, PearsonPair, pearson_residual
+from .mapping import lift_power
 from .polyalg import Poly, compose_xk, dilate_poly, divrem, hahn_poly, hahn_poly_qinv, poly_gcd, simple_set_decompose
 from .scalars import QParam
 from .stieltjes import ACDTriple
@@ -52,22 +53,17 @@ class BoundsReport:
 def reduce_acd(t: ACDTriple) -> tuple[ACDTriple, tuple[Poly, ...]]:
     """Remove the common factor of (A, C, D) and normalize A monic.
 
-    Repeatedly divides the triple by the monic gcd of all three polynomials,
-    recording each removed factor, until the gcd is constant; the result has
-    no common zero in the algebraic closure.
+    Divides the triple once by the monic gcd g of all three polynomials, which
+    leaves them with a constant gcd, so no common zero in the algebraic
+    closure; the trace is (g,), or () when g is already constant.
     """
     A, C, D = t.A, t.C, t.D
-    trace: list[Poly] = []
-    while True:
-        g = poly_gcd(poly_gcd(A, C), D)
-        if g.is_zero or g.degree == 0:
-            break
-        A = divrem(A, g)[0]
-        C = divrem(C, g)[0]
-        D = divrem(D, g)[0]
-        trace.append(g)
+    g = poly_gcd(poly_gcd(A, C), D)
+    trace = (g,) if g.degree > 0 else ()
+    if trace:
+        A, C, D = (divrem(P, g)[0] for P in (A, C, D))
     lead = A.lc.inv()
-    return ACDTriple(A * lead, C * lead, D * lead), tuple(trace)
+    return ACDTriple(A * lead, C * lead, D * lead), trace
 
 
 def class_from_acd(t: ACDTriple) -> int:
@@ -108,22 +104,17 @@ def class_bounds_check(s: int, s_tilde: int, k: int) -> BoundsReport:
     return BoundsReport(down_ok and up_ok and classical_ok, down_ok, up_ok, classical_ok)
 
 
-def descend_pearson(
-    pair_u: PearsonPair,
-    s: int,
-    basis,
-    k: int,
-    q: QParam,
-    v: MomentFunctional,
-) -> PearsonPair:
+def descend_pearson(pair_u: PearsonPair, s: int, basis, q: QParam, v: MomentFunctional) -> PearsonPair:
     """Transport the pair of u to a pair (f_0, g_0) for the mapped functional v.
 
-    With l = 1 + s//k and p = l*k - 1 - s >= 0, decompose x^(k+p-1) Phi and
-    q^(-p) [k]_q^(-1) (x^p Psi + [p]_q x^(p-1) Phi) over the first k mapped
-    orthogonal polynomials; the residue-zero components satisfy
+    ``basis`` is the simple set of u's first k orthogonal polynomials p_0..p_{k-1},
+    so k = len(basis).  With l = 1 + s//k and p = l*k - 1 - s >= 0, decompose
+    x^(k+p-1) Phi and q^(-p) [k]_q^(-1) (x^p Psi + [p]_q x^(p-1) Phi) over the
+    basis; the residue-zero components satisfy
     H_{q^k}(f_0 v) = g_0 v, which is verified on the tracked moments before
     returning.
     """
+    k = len(basis)
     ell = 1 + s // k
     p = ell * k - 1 - s
     if p < 0:
@@ -132,7 +123,7 @@ def descend_pearson(
     bk_inv = q.bracket(k).inv()
 
     lhs = Poly.monomial(k + p - 1) * phi
-    f_comps = simple_set_decompose(lhs, basis, k)
+    f_comps = simple_set_decompose(lhs, basis)
 
     if p == 0:
         rhs = bk_inv * psi
@@ -140,7 +131,7 @@ def descend_pearson(
         rhs = (q.power(p).inv() * bk_inv) * (
             Poly.monomial(p) * psi + q.bracket(p) * (Poly.monomial(p - 1) * phi)
         )
-    g_comps = simple_set_decompose(rhs, basis, k)
+    g_comps = simple_set_decompose(rhs, basis)
 
     pair_v = PearsonPair(f_comps[0], g_comps[0])
     residual = pearson_residual(v, pair_v, q.pow(k))
@@ -149,15 +140,14 @@ def descend_pearson(
     return pair_v
 
 
-def ascend_pearson(pair_v: PearsonPair, eta: Poly, k: int, q: QParam) -> PearsonPair:
-    """Transport a pair of the mapped functional back to the original one.
+def ascend_pearson(pair_v: PearsonPair, eta: Poly, q: QParam) -> PearsonPair:
+    """Transport a pair of the mapped functional back to the original one, at k = deg eta + 1.
 
     Phi(x) = q^(1-k) eta(qx) Phi_v(x^k),
     Psi(x) = q^(1-k) ([k]_q x^(k-1) eta(x/q) Psi_v(x^k)
              + ((H_q eta)(x) + (H_{1/q} eta)(x)/q) Phi_v(x^k)).
     """
-    if eta.degree != k - 1:
-        raise QmapError(f"eta must have degree {k - 1}, got {eta.degree}")
+    k = lift_power(eta)
     scale = q.power(k - 1).inv()
     phi_k = compose_xk(pair_v.phi, k)
     psi_k = compose_xk(pair_v.psi, k)

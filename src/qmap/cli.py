@@ -139,7 +139,7 @@ def _run_table_entry(cid: int, qtext: str, q: QParam, N: int) -> dict:
     expected, k = bundle.expected_pair, bundle.mapping.k
     Su = series_from_functional(bundle.u)
     residual = stieltjes_residual(bundle.acd, Su, q)
-    susvq = verify_susvq(Su, series_from_functional(bundle.v), bundle.eta, k, q)
+    susvq = verify_susvq(Su, series_from_functional(bundle.v), bundle.eta, q)
     bounds = class_bounds_check(bundle.report.s, 0, k)
     row = {
         "case": cid,
@@ -226,7 +226,7 @@ def _cmd_descend(args) -> int:
     case, q, k = bundle.case, bundle.q, bundle.mapping.k
     basis = [bundle.p_ops[j] for j in range(k)]
     pair_u = PearsonPair(bundle.report.phi, bundle.report.psi)
-    pair_v = descend_pearson(pair_u, bundle.report.s, basis, k, q, bundle.v)
+    pair_v = descend_pearson(pair_u, bundle.report.s, basis, q, bundle.v)
     report = {
         "command": "descend",
         "case": case.id,

@@ -30,7 +30,7 @@ from .classifier import ClassReport, classify
 from .errors import CaseError, QmapError, SingularCaseError
 from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
-from .mapping import MappingData, ascend_recurrence, build_mapping, lift_functional
+from .mapping import MappingData, ascend_recurrence, build_mapping, lift_functional, lift_power
 from .opseq import BlockView, OPSequence, Recurrence, certify_recurrence, recurrence_from_moments
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam
@@ -52,6 +52,7 @@ __all__ = [
 
 CASE_IDS = tuple(range(1, 14))
 _K = 3  # the power of the catalog: p_{3n}(x) = q_n(x^3)
+_REGULARITY_LEVELS = 16  # validate_case checks the mapped family's regularity for n = 0..16
 
 _LAGUERRE_CASES = {1, 4, 5, 6}
 _BRACKET_A01_CASES = {6, 10, 11, 12}  # a_0^{(1)} = -tau^2 [3]_q / (1+q)^2
@@ -241,11 +242,11 @@ def _constraint_failures(case: CubicCase, q: QParam) -> list[str]:
     return out
 
 
-def validate_case(case: CubicCase, q: QParam, n_max: int = 16) -> CaseValidation:
+def validate_case(case: CubicCase, q: QParam) -> CaseValidation:
     """Check the case constraints plus the mapped family's regularity at q^3."""
     failures = _constraint_failures(case, q)
     p = case.params
-    regular = regularity_failures(case.family, p["a"], p.get("b"), q.pow(_K), n_max)
+    regular = regularity_failures(case.family, p["a"], p.get("b"), q.pow(_K), _REGULARITY_LEVELS)
     failures += [f"regularity: {t}" for t in regular]
     return CaseValidation(not failures, tuple(failures))
 
@@ -362,7 +363,7 @@ def _ascended_recurrences(u: MomentFunctional, v: MomentFunctional, eta: Poly, N
     rejects; the caller then runs the Chebyshev on u and on v as stages, which
     report any error.
     """
-    if eta.degree != 2:  # the ascent covers k = 3 only
+    if lift_power(eta) != 3:  # the ascent covers k = 3 only
         return None
     try:
         rec_q, q_ops = recurrence_from_moments(v, v.order // 2)
@@ -381,9 +382,9 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     with eta monic.
     A failing stage raises a CaseError whose message starts with ``label``.
     """
-    k = eta.degree + 1
-    if k < 2 or eta.coeff(k - 1) != ONE:
+    if eta.degree < 1 or eta.lc != ONE:
         raise CaseError(f"{label} stage power: eta must be monic of degree k - 1 >= 1, got {eta}")
+    k = lift_power(eta)
 
     def stage(name, fn):
         try:
@@ -393,7 +394,7 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
 
     qk = q.pow(k)
     v = stage("moments-v", lambda: pearson_moments(pair_v, 1, max(N // k, 4), qk))
-    u = stage("lift", lambda: lift_functional(v, eta, k))
+    u = stage("lift", lambda: lift_functional(v, eta))
     Np = u.order // 2
     ascended = _ascended_recurrences(u, v, eta, Np)
     if ascended is None:
@@ -416,7 +417,7 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
         raise CaseError(f"{label} stage power-identity: pi_k != x^{k}")
 
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
-    acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, k, q))
+    acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, q))
     report = stage("classify", lambda: classify(acd, q))
     return CaseBundle(q, v, eta, u, rec_p, p_ops, q_ops, mapping, acd, report)
 

@@ -29,6 +29,7 @@ __all__ = [
     "build_mapping",
     "verify_interleave",
     "lift_functional",
+    "lift_power",
 ]
 
 
@@ -56,7 +57,6 @@ class ConditionReport:
 class MappingData:
     """Everything the mapping produces, plus the view it came from."""
 
-    k: int
     r0: CycScalar
     pi_k: Poly
     eta: Poly
@@ -64,6 +64,10 @@ class MappingData:
     s: tuple[CycScalar, ...]
     conditions: ConditionReport
     view: BlockView = field(repr=False)
+
+    @property
+    def k(self) -> int:
+        return self.view.k
 
     def to_dict(self):
         return {
@@ -166,7 +170,7 @@ def build_mapping(view: BlockView, r0, N: int) -> MappingData:
             sn = sn * view.a(n - 1, i)
         s.append(sn)
 
-    return MappingData(k, r0, pi_k, report.eta, tuple(r), tuple(s), report, view)
+    return MappingData(r0, pi_k, report.eta, tuple(r), tuple(s), report, view)
 
 
 def verify_interleave(p_ops: OPSequence, mapping: MappingData, q_ops: OPSequence, N: int) -> InterleaveReport:
@@ -192,15 +196,21 @@ def verify_interleave(p_ops: OPSequence, mapping: MappingData, q_ops: OPSequence
     return InterleaveReport(True, checked)
 
 
-def lift_functional(v: MomentFunctional, eta: Poly, k: int) -> MomentFunctional:
+def lift_power(eta: Poly) -> int:
+    """The power k = deg eta + 1 fixed by the cofactor eta = Delta_0(2, k-1); a zero or constant eta fixes none."""
+    if eta.degree < 1:
+        raise QmapError(f"eta must have degree k - 1 >= 1, got degree {eta.degree}")
+    return eta.degree + 1
+
+
+def lift_functional(v: MomentFunctional, eta: Poly) -> MomentFunctional:
     """Moments of the unit lift u of v, whose Stieltjes series is S_u(z) = eta(z) S_v(z^k).
 
-    Writing eta(z) = sum_i e_i z^i of degree k-1, matching powers of 1/z gives
-    u_{kn + (k-1-i)} = e_i v_n for every tracked n and every i; so
+    With k = deg eta + 1 and eta(z) = sum_i e_i z^i, matching powers of 1/z
+    gives u_{kn + (k-1-i)} = e_i v_n for every tracked n and every i; so
     u_0 = lc(eta) v_0.
     """
-    if eta.degree != k - 1:
-        raise QmapError(f"eta must have degree {k - 1}, got {eta.degree}")
+    k = lift_power(eta)
     out = [ZERO] * (k * (v.order + 1))
     for n, vn in enumerate(v.moments):
         for i, e in enumerate(eta.coeffs):

@@ -66,11 +66,8 @@ class Poly:
         return cls((ZERO, ONE))
 
     @classmethod
-    def monomial(cls, n: int, c=1) -> "Poly":
-        c = _coeff(c)
-        if not c:
-            return cls.zero()
-        return cls((ZERO,) * n + (c,))
+    def monomial(cls, n: int) -> "Poly":
+        return cls((ZERO,) * n + (ONE,))
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -294,8 +291,8 @@ def dilate_poly(f: Poly, d) -> Poly:
     return Poly(out)
 
 
-def simple_set_decompose(f: Poly, basis, k: int) -> list[Poly]:
-    """Split f over a simple set of k polynomials, grouping powers mod k.
+def simple_set_decompose(f: Poly, basis) -> list[Poly]:
+    """Split f over a simple set of k = len(basis) polynomials, grouping powers mod k.
 
     Given basis polynomials p_0, ..., p_{k-1} with deg p_j = j, returns
     components c_0, ..., c_{k-1} with deg c_j <= deg(f)//k and
@@ -306,11 +303,10 @@ def simple_set_decompose(f: Poly, basis, k: int) -> list[Poly]:
     component coefficients, through the upper-triangular system
     f[k*n + j] = sum_{i >= j} p_i[j] * c_i[n], solved by back substitution.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
     basis = list(basis)
-    if len(basis) != k:
-        raise ValueError(f"simple set must have exactly {k} elements")
+    k = len(basis)
+    if k < 2:
+        raise ValueError("a simple set needs at least 2 elements")
     for j, p in enumerate(basis):
         if p.degree != j:
             raise ValueError(f"basis element {j} has degree {p.degree}, expected {j}: not a simple set")

@@ -326,10 +326,6 @@ class QParam:
             return ZERO
         return self.bracket(n) * self.power(n - 1).inv()
 
-    def inverse(self) -> "QParam":
-        """The parameter 1/q (same admissibility order)."""
-        return QParam(self.q.inv(), self.max_order)
-
     def pow(self, k: int) -> "QParam":
         """The parameter q**k, admissible up to max_order // k; built once per k."""
         if k < 1:

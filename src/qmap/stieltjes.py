@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .functionals import MomentFunctional, PearsonPair, _correlate, _scaled, u_poly
+from .mapping import lift_power
 from .polyalg import Poly, compose_xk, dilate_poly, hahn_poly_qinv, theta0
 from .scalars import CycScalar, QParam, ZERO
 
@@ -185,16 +186,17 @@ def acd_from_pearson(pair: PearsonPair, u: MomentFunctional, q: QParam) -> ACDTr
     return ACDTriple(A, C, D)
 
 
-def acd_mapped(vt: ACDTriple, eta: Poly, k: int, q: QParam) -> ACDTriple:
-    """Lift the triple of v through the power substitution with cofactor eta.
+def acd_mapped(vt: ACDTriple, eta: Poly, q: QParam) -> ACDTriple:
+    """Lift the triple of v through the power substitution with cofactor eta, at k = deg eta + 1.
 
     A(z) = eta(z) At(z^k),
     C(z) = [k]_{1/q} z^(k-1) eta(z/q) Ct(z^k) + (H_{1/q} eta)(z) At(z^k),
     D(z) = [k]_{1/q} z^(k-1) eta(z/q) eta(z) Dt(z^k).
 
-    This is the triple of the unit lift u = lift_functional(v, eta, k), with
+    This is the triple of the unit lift u = lift_functional(v, eta), with
     S_u(z) = eta(z) S_v(z^k).
     """
+    k = lift_power(eta)
     bk = q.bracket_inv(k)
     zk1 = Poly.monomial(k - 1)
     eta_qinv = dilate_poly(eta, q.q.inv())
@@ -207,14 +209,15 @@ def acd_mapped(vt: ACDTriple, eta: Poly, k: int, q: QParam) -> ACDTriple:
     return ACDTriple(A, C, D)
 
 
-def verify_susvq(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, k: int, q: QParam) -> SeriesReport:
-    """Certify the substitution identity between the series of v and of its unit lift u:
+def verify_susvq(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, q: QParam) -> SeriesReport:
+    """Certify the substitution identity between the series of v and of its unit lift u, at k = deg eta + 1:
 
     [k]_{1/q} z^(k-1) eta(z/q) (H_{1/q^k} S_v)(z^k)
         = (H_{1/q} S_u)(z) - (H_{1/q} eta)(z) S_v(z^k),
 
     which is H_{1/q} applied to S_u(z) = eta(z) S_v(z^k).
     """
+    k = lift_power(eta)
     qk = q.pow(k)
     lhs_mult = (q.bracket_inv(k) * Poly.monomial(k - 1)) * dilate_poly(eta, q.q.inv())
     lhs = poly_mul_series(lhs_mult, substitute_zk(hahn_qinv_series(Sv, qk), k))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from qmap import ZERO, ACDTriple, CycScalar, LaurentSeries, MomentFunctional, OPSequence, Poly, Recurrence, act, compose_xk
+from qmap import ZERO, ACDTriple, CycScalar, LaurentSeries, MomentFunctional, OPSequence, Poly, Recurrence, act, compose_xk, divrem, poly_gcd
 from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.functionals import _dot
 from qmap.opseq import OrthogonalityReport, delta_det
@@ -295,6 +295,22 @@ def series_evaluate(S, z) -> CycScalar:
         p = p * zi
         acc = acc + c * p
     return acc
+
+
+def reduce_acd_oracle(t: ACDTriple) -> tuple[ACDTriple, tuple[Poly, ...]]:
+    """``reduce_acd`` as a loop: divide by the monic gcd of (A, C, D) until it is constant."""
+    A, C, D = t.A, t.C, t.D
+    trace: list[Poly] = []
+    while True:
+        g = poly_gcd(poly_gcd(A, C), D)
+        if g.is_zero or g.degree == 0:
+            break
+        A = divrem(A, g)[0]
+        C = divrem(C, g)[0]
+        D = divrem(D, g)[0]
+        trace.append(g)
+    lead = A.lc.inv()
+    return ACDTriple(A * lead, C * lead, D * lead), tuple(trace)
 
 
 def scale_acd(t: ACDTriple, s) -> ACDTriple:

@@ -175,7 +175,7 @@ def test_criterion_6_inverse_reconstruction(q_half):
     # descent: f0 = y (y - c^3) and the matching g0; v identified as the
     # jacobi family at (a, 1/(c^3 q^3))
     basis = [b.p_ops[j] for j in range(3)]
-    pair_v = descend_pearson(PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v)
+    pair_v = descend_pearson(PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, q_half, b.v)
     ok &= pair_v.phi == X * Poly([-(cs ** 3), 1])
     g0 = (qs ** -3 * as_.inv() * (qs ** 3 - 1).inv()) * Poly(
         [cs ** 3 * (1 - as_ * qs ** 3), as_ * qs ** 3 - cs ** 3]
@@ -215,7 +215,7 @@ def test_criterion_7_stieltjes_identities(all_bundles):
         res = stieltjes_residual(b.acd, Su, q)
         ok &= res.is_zero and res.depth >= 12
         min_depth = res.depth if min_depth is None else min(min_depth, res.depth)
-        rep = verify_susvq(Su, series_from_functional(b.v), b.eta, 3, q)
+        rep = verify_susvq(Su, series_from_functional(b.v), b.eta, q)
         ok &= rep.ok and rep.depth >= 12
     _report("7 (stieltjes identities)", ok, f"residual + substitution identity, min depth {min_depth}")
 
@@ -294,7 +294,7 @@ def test_criterion_10_property_suites(q_half):
         k = rng.randint(2, 4)
         basis = [random_monic_poly(rng, j) for j in range(k)]
         f = random_poly(rng, 12)
-        comps = simple_set_decompose(f, basis, k)
+        comps = simple_set_decompose(f, basis)
         rebuilt = sum((basis[j] * compose_xk(comps[j], k) for j in range(k)), Poly.zero())
         if rebuilt != f:
             failures += 1

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmap import (
     ACDTriple,
+    CycScalar,
     PearsonPair,
     Poly,
     ascend_pearson,
@@ -24,7 +26,7 @@ from qmap import (
 from qmap.families import little_q_jacobi_pair, little_q_laguerre_pair
 
 from conftest import cached_case_bundle, random_nonzero_scalar, random_poly
-from helpers import scale_acd
+from helpers import reduce_acd_oracle, scale_acd
 
 X = Poly.x()
 
@@ -66,6 +68,34 @@ def test_reduce_recovers_constructed_factor():
     for g in trace:
         prod = prod * g
     assert prod == f
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _polys(omega: bool, max_degree: int):
+    om = small_fractions if omega else st.just(Fraction(0))
+    scalars = st.builds(CycScalar, small_fractions, om)
+    return st.lists(scalars, max_size=max_degree + 1).map(Poly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.booleans())
+def test_reduce_matches_the_loop_oracle(data, omega):
+    # a triple times a common factor of degree 0-3: one division leaves a constant gcd
+    A, C, D = (data.draw(_polys(omega, 3)) for _ in range(3))
+    factor = data.draw(_polys(omega, 3).filter(lambda f: not f.is_zero))
+    if A.is_zero:
+        A = Poly.one()
+    t = ACDTriple(A * factor, C * factor, D * factor)
+    red, trace = reduce_acd(t)
+    red_oracle, trace_oracle = reduce_acd_oracle(t)
+    assert red == red_oracle
+    assert len(trace) <= 1
+    prod = Poly.one()
+    for g in trace_oracle:
+        prod = prod * g
+    assert (trace[0] if trace else Poly.one()) == prod
 
 
 def test_scalar_invariance():
@@ -186,7 +216,7 @@ def test_descend_case13(q_half):
     qs = q_half.q
     basis = [b.p_ops[j] for j in range(3)]
     pair_v = descend_pearson(
-        PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v
+        PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, q_half, b.v
     )
     assert pair_v.phi == X * Poly([-(c ** 3), 1])
     g0 = (qs ** -3 * a.inv() * (qs ** 3 - 1).inv()) * Poly([c ** 3 * (1 - a * qs ** 3), a * qs ** 3 - c ** 3])
@@ -203,7 +233,7 @@ def test_descend_case1_exercises_positive_shift(q_half):
     b = cached_case_bundle(1, q_half)
     basis = [b.p_ops[j] for j in range(3)]
     pair_v = descend_pearson(
-        PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v
+        PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, q_half, b.v
     )
     family = little_q_laguerre_pair(b.case.params["a"], q_half.pow(3))
     assert pair_v.phi == family.phi and pair_v.psi == family.psi
@@ -215,7 +245,7 @@ def test_descend_degree_display_all_cases(q_half):
         b = cached_case_bundle(cid, q_half)
         basis = [b.p_ops[j] for j in range(3)]
         pair_v = descend_pearson(
-            PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v
+            PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, q_half, b.v
         )
         assert max(pair_v.phi.degree - 2, pair_v.psi.degree - 1) == b.report.s // 3
         assert not any(pearson_residual(b.v, pair_v, q_half.pow(3)))
@@ -226,9 +256,9 @@ def test_ascend_cases(q_half):
         b = cached_case_bundle(cid, q_half)
         basis = [b.p_ops[j] for j in range(3)]
         pair_v = descend_pearson(
-            PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, 3, q_half, b.v
+            PearsonPair(b.report.phi, b.report.psi), b.report.s, basis, q_half, b.v
         )
-        pair_u = ascend_pearson(pair_v, b.eta, 3, q_half)
+        pair_u = ascend_pearson(pair_v, b.eta, q_half)
         res = pearson_residual(b.u, pair_u, q_half)
         assert not any(res)
         # the ascended pair is generally non-minimal
@@ -240,7 +270,7 @@ def test_ascend_k2_smoke(q_half):
     pair = little_q_laguerre_pair(Fraction(1, 4), q2)
     v = pearson_moments(pair, 1, 20, q2)
     eta = Poly([Fraction(-1, 3), 1])
-    u = lift_functional(v, eta, 2)
-    pair_u = ascend_pearson(pair, eta, 2, q_half)
+    u = lift_functional(v, eta)
+    pair_u = ascend_pearson(pair, eta, q_half)
     res = pearson_residual(u, pair_u, q_half)
     assert not any(res)

@@ -229,10 +229,10 @@ def test_build_power_case_away_from_k3(eta, s, family, a, b):
         assert bundle.p_ops[k * n] == compose_xk(bundle.q_ops[n], k)
     Su = series_from_functional(bundle.u)
     assert stieltjes_residual(bundle.acd, Su, q).is_zero
-    assert verify_susvq(Su, series_from_functional(bundle.v), eta, k, q).ok
+    assert verify_susvq(Su, series_from_functional(bundle.v), eta, q).ok
     assert class_bounds_check(s, 0, k).ok
     pair_u = PearsonPair(bundle.report.phi, bundle.report.psi)
-    pair_v = descend_pearson(pair_u, s, [bundle.p_ops[j] for j in range(k)], k, q, bundle.v)
+    pair_v = descend_pearson(pair_u, s, [bundle.p_ops[j] for j in range(k)], q, bundle.v)
     assert not any(pearson_residual(bundle.v, pair_v, q.pow(k)))
     if s <= k - 1:
         # the theorem's conclusion: v is q^k-classical, deg Phi <= 2 and deg Psi = 1
@@ -306,7 +306,7 @@ def test_power_case_recurrence_matches_the_chebyshev_on_u(data):
     N = data.draw(st.sampled_from((12, 24, 36)))
     qk = Q_POWER.pow(k)
     pair = family_pair(family, a, b, qk)
-    u = lift_functional(pearson_moments(pair, 1, max(N // k, 4), qk), eta, k)
+    u = lift_functional(pearson_moments(pair, 1, max(N // k, 4), qk), eta)
     try:
         bundle = build_power_case(pair, eta, Q_POWER, N)
     except CaseError as exc:

@@ -207,7 +207,7 @@ def test_lift_functional_examples(q_half):
     rng = random.Random(41)
     v = MomentFunctional([random_scalar(rng) for _ in range(8)])
     v = MomentFunctional([CycScalar(1)] + list(v.moments[1:]))
-    u = lift_functional(v, eta, 3)
+    u = lift_functional(v, eta)
     assert u.order == 3 * v.order + 2
     assert u.moment(0) == CycScalar(1)
     for n in range(v.order + 1):
@@ -223,9 +223,11 @@ def test_lift_sparsity_when_ktau_zero(q_half):
 
 
 def test_lift_requires_degree():
+    # k = deg eta + 1 >= 2, so a zero or constant eta names no lift
     v = MomentFunctional([1, 2, 3])
-    with pytest.raises(QmapError):
-        lift_functional(v, Poly([1, 1]), 3)  # degree 1 != 2
+    for eta in (Poly.zero(), Poly.one()):
+        with pytest.raises(QmapError, match="eta must have degree k - 1 >= 1"):
+            lift_functional(v, eta)
 
 
 def test_sigma_star_dual_basis_identities(q_half):

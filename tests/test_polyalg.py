@@ -154,12 +154,12 @@ def test_dilate_inverse_round_trip():
 
 def test_simple_set_examples():
     basis = [Poly.one(), X, X * X]
-    comps = simple_set_decompose(Poly.monomial(4), basis, 3)
+    comps = simple_set_decompose(Poly.monomial(4), basis)
     assert comps[0].is_zero and comps[1] == X and comps[2].is_zero
 
     tau = CycScalar(Fraction(1, 3))
     basis2 = [Poly.one(), X - tau, X * X + 1]
-    comps2 = simple_set_decompose(Poly.monomial(3), basis2, 3)
+    comps2 = simple_set_decompose(Poly.monomial(3), basis2)
     rebuilt = sum((basis2[j] * compose_xk(comps2[j], 3) for j in range(3)), Poly.zero())
     assert rebuilt == Poly.monomial(3)
 
@@ -170,7 +170,7 @@ def test_simple_set_round_trip_property():
         k = rng.randint(2, 4)
         basis = [random_monic_poly(rng, j) for j in range(k)]
         f = random_poly(rng, 12)
-        comps = simple_set_decompose(f, basis, k)
+        comps = simple_set_decompose(f, basis)
         bound = f.degree // k if not f.is_zero else 0
         assert all(c.is_zero or c.degree <= bound for c in comps)
         rebuilt = sum((basis[j] * compose_xk(comps[j], k) for j in range(k)), Poly.zero())
@@ -179,9 +179,9 @@ def test_simple_set_round_trip_property():
 
 def test_simple_set_rejects_bad_basis():
     with pytest.raises(ValueError):
-        simple_set_decompose(X, [Poly.one(), Poly.one(), X * X], 3)
+        simple_set_decompose(X, [Poly.one(), Poly.one(), X * X])
     with pytest.raises(ValueError):
-        simple_set_decompose(X, [Poly.one(), X], 3)
+        simple_set_decompose(X, [Poly.one()])  # k = len(basis) must be >= 2
 
 
 def test_poly_serialization_round_trip():

@@ -98,7 +98,7 @@ def test_q_bracket_closed_form(q_half):
 
 
 def test_q_bracket_inverse_parameter(q_half):
-    q_inv = q_half.inverse()
+    q_inv = QParam(q_half.q.inv(), q_half.max_order)
     for n in range(12):
         assert q_half.bracket_inv(n) == q_inv.bracket(n)
 

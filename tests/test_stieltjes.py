@@ -133,7 +133,7 @@ def test_lift_matches_series_identity(q_half):
         v_moments = [CycScalar(1)] + [random_scalar(rng) for _ in range(6)]
         v = MomentFunctional(v_moments)
         eta = Poly([random_scalar(rng) for _ in range(k - 1)] + [1])
-        u = lift_functional(v, eta, k)
+        u = lift_functional(v, eta)
         lhs = series_from_functional(u)
         rhs = poly_mul_series(eta, substitute_zk(series_from_functional(v), k))
         d = min(lhs.depth, rhs.depth)
@@ -191,7 +191,7 @@ def test_acd_mapped_residual_and_bracket_identity(q_half):
 def test_verify_susvq_cases(q_half):
     for cid in (1, 13):
         b = cached_case_bundle(cid, q_half)
-        rep = verify_susvq(series_from_functional(b.u), series_from_functional(b.v), b.eta, 3, q_half)
+        rep = verify_susvq(series_from_functional(b.u), series_from_functional(b.v), b.eta, q_half)
         assert rep.ok and rep.depth >= 12
 
 
@@ -201,8 +201,8 @@ def test_verify_susvq_k2_smoke(q_half):
     pair = little_q_laguerre_pair(Fraction(1, 4), q2)
     v = pearson_moments(pair, 1, 16, q2)
     eta = Poly([Fraction(-1, 3), 1])  # x - tau with tau = 1/3
-    u = lift_functional(v, eta, 2)
-    rep = verify_susvq(series_from_functional(u), series_from_functional(v), eta, 2, q_half)
+    u = lift_functional(v, eta)
+    rep = verify_susvq(series_from_functional(u), series_from_functional(v), eta, q_half)
     assert rep.ok
 
 
@@ -211,9 +211,9 @@ def test_verify_susvq_non_monic_eta(q_half, eta):
     # the unit lift has u_0 = lc(eta) v_0, and the identity holds with no rescale
     q2 = q_half.pow(2)
     v = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), q2), 1, 16, q2)
-    u = lift_functional(v, eta, 2)
+    u = lift_functional(v, eta)
     assert u.moment(0) == eta.lc
-    rep = verify_susvq(series_from_functional(u), series_from_functional(v), eta, 2, q_half)
+    rep = verify_susvq(series_from_functional(u), series_from_functional(v), eta, q_half)
     assert rep.ok
 
 
@@ -222,6 +222,6 @@ def test_verify_susvq_detects_perturbation(q_half):
     bad = list(b.u.moments)
     bad[5] = bad[5] + 1
     rep = verify_susvq(
-        series_from_functional(MomentFunctional(bad)), series_from_functional(b.v), b.eta, 3, q_half
+        series_from_functional(MomentFunctional(bad)), series_from_functional(b.v), b.eta, q_half
     )
     assert not rep.ok
