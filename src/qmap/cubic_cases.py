@@ -52,7 +52,7 @@ __all__ = [
 
 CASE_IDS = tuple(range(1, 14))
 _K = 3  # the power of the catalog: p_{3n}(x) = q_n(x^3)
-_REGULARITY_LEVELS = 16  # validate_case checks the mapped family's regularity for n = 0..16
+_REGULARITY_LEVELS = 16  # validate_case checks the mapped family's regularity for n = 0..16 at least
 
 _LAGUERRE_CASES = {1, 4, 5, 6}
 _BRACKET_A01_CASES = {6, 10, 11, 12}  # a_0^{(1)} = -tau^2 [3]_q / (1+q)^2
@@ -242,11 +242,18 @@ def _constraint_failures(case: CubicCase, q: QParam) -> list[str]:
     return out
 
 
-def validate_case(case: CubicCase, q: QParam) -> CaseValidation:
-    """Check the case constraints plus the mapped family's regularity at q^3."""
+def validate_case(case: CubicCase, q: QParam, N: int = 48) -> CaseValidation:
+    """Check the case constraints plus the mapped family's regularity at q^3.
+
+    Regularity is checked for n = 0..max(16, V // 2 - 1), with V = max(N // 3, 4)
+    the order of v that ``build_power_case`` generates for this N: q's
+    recurrence then runs on levels 0..V // 2 - 1, and a family level n names
+    the norm of level n + 1.
+    """
     failures = _constraint_failures(case, q)
     p = case.params
-    regular = regularity_failures(case.family, p["a"], p.get("b"), q.pow(_K), _REGULARITY_LEVELS)
+    levels = max(_REGULARITY_LEVELS, max(N // _K, 4) // 2 - 1)
+    regular = regularity_failures(case.family, p["a"], p.get("b"), q.pow(_K), levels)
     failures += [f"regularity: {t}" for t in regular]
     return CaseValidation(not failures, tuple(failures))
 
@@ -424,7 +431,7 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
 
 def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:
     """Run the full pipeline for a catalog case at k = 3; N is the target order for u."""
-    val = validate_case(case, q)
+    val = validate_case(case, q, N)
     if not val.ok:
         raise CaseError(f"case {case.id} stage validate: " + "; ".join(val.failures), val.failures)
     p = case.params

@@ -4,11 +4,17 @@ Generation from a three-term recurrence, recovery of the recurrence from
 moments, orthogonality certification, the block view b_n^{(j)} = b_{nk+j}
 with its wraparound convention, and the tridiagonal determinants
 Delta_n(i, j; x) that drive the polynomial-mapping machinery.
+
+Every polynomial the three-term recurrence generates is held as a canonical
+integer form (R, O, D), coefficient i being (R[i] + O[i] w)/D, and stepped by
+one integer kernel (``_step``); a Poly is built from a form only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
@@ -86,58 +92,163 @@ class BlockView:
         return self.rec.a_at(n * self.k + j)
 
 
+def _parts(x: CycScalar) -> tuple[int, int, int]:
+    """x as (r, o, d) with x = (r + o w)/d and d the lcm of its two denominators."""
+    re, om = x.re, x.om
+    if not om:
+        return re.numerator, 0, re.denominator
+    d = lcm(re.denominator, om.denominator)
+    return re.numerator * (d // re.denominator), om.numerator * (d // om.denominator), d
+
+
+def _form(p: Poly) -> tuple:
+    """The canonical form (R, O, D) of p: coefficient i is (R[i] + O[i] w)/D.
+
+    D > 0 is the lcm of every denominator, hence minimal; O is None when every
+    w-part is zero.
+    """
+    cs = p.coeffs
+    D = lcm(*(f.denominator for c in cs for f in (c.re, c.om)))
+    R = tuple(c.re.numerator * (D // c.re.denominator) for c in cs)
+    O = tuple(c.om.numerator * (D // c.om.denominator) for c in cs)
+    return R, (O if any(O) else None), D
+
+
+def _poly(form) -> Poly:
+    """The Poly of a canonical form."""
+    R, O, D = form
+    if O is None:
+        return Poly([Fraction(r, D) for r in R])
+    return Poly([CycScalar(Fraction(r, D), Fraction(o, D)) for r, o in zip(R, O)])
+
+
+def _form_scaled(form) -> tuple:
+    """A canonical form as the ``functionals._scaled`` components ``_correlate`` reads."""
+    R, O, D = form
+    return (R, D), (None if O is None else (O, D))
+
+
+_ONE_FORM = ((1,), None, 1)
+
+
+def _step(cur, prev, b: CycScalar, a: Optional[CycScalar]) -> tuple:
+    """The form of (x - b) P - a P_prev from the forms of P and P_prev (None for P_prev = 0).
+
+    With L = lcm(D·den(b), D_prev·den(a)) every coefficient of L times the
+    result is an integer; one running gcd of L and those numerators, stopped as
+    soon as it reaches 1, makes the form canonical.  The leading numerator is
+    L itself, since P is monic.
+    """
+    R, O, D = cur
+    br, bo, bd = _parts(b)
+    L = D * bd
+    if prev is None:
+        ar = ao = 0
+        Rp, Op = (), None
+    else:
+        ar, ao, ad = _parts(a)
+        Rp, Op, Dp = prev
+        L = lcm(L, Dp * ad)
+        sa = L // (Dp * ad)
+        ar, ao = sa * ar, sa * ao
+    s = L // D
+    br, bo = (s // bd) * br, (s // bd) * bo
+    zeros = (0,) * (len(R) + 1 - len(Rp))
+    xR, R, Rp = (0, *R), (*R, 0), (*Rp, *zeros)  # x P, P and P_prev, aligned on n + 2 coefficients
+    if O is None and Op is None and not bo and not ao:
+        re = [s * h - br * r - ar * t for h, r, t in zip(xR, R, Rp)]
+        om = None
+    else:
+        xO, O = ((0, *O), (*O, 0)) if O is not None else ((0,) * len(R), (0,) * len(R))
+        Op = (*Op, *zeros) if Op is not None else (0,) * len(R)
+        # (B_r + B_o w)(R + O w) = (B_r R - B_o O) + (B_r O + B_o (R - O)) w, from w^2 = -1 - w
+        re = [s * h - br * r + bo * o - ar * t + ao * v for h, r, o, t, v in zip(xR, R, O, Rp, Op)]
+        om = [s * h - br * o - bo * (r - o) - ar * v - ao * (t - v) for h, r, o, t, v in zip(xO, R, O, Rp, Op)]
+        if not any(om):
+            om = None
+    g = L
+    for x in re if om is None else (*re, *om):
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                break
+    if g != 1:
+        re = [x // g for x in re]
+        om = None if om is None else [x // g for x in om]
+        L //= g
+    return tuple(re), (None if om is None else tuple(om)), L
+
+
+def _forms(b, a, start: int, stop: int, seed=(None, _ONE_FORM)) -> list:
+    """Forms of P_0, ..., P_{stop-start} with P_{s+1} = (x - b(t)) P_s - a(t) P_{s-1}, t = start + s.
+
+    The one three-term loop of the package, run on canonical integer forms.
+    ``seed`` holds the forms of (P_{-1}, P_0), by default (zero, 1), in which
+    case a(start) is never read; each step reads b(t) before a(t).
+    """
+    prev, cur = seed
+    out = [cur]
+    for t in range(start, stop):
+        bt = b(t)
+        prev, cur = cur, _step(cur, prev, bt, None if prev is None else a(t))
+        out.append(cur)
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class OPSequence:
-    """Monic polynomials p_0..p_N with deg p_n = n."""
+    """Monic polynomials p_0..p_N with deg p_n = n, held as canonical integer forms.
 
-    polys: tuple[Poly, ...]
+    ``forms[n]`` is (R, O, D): coefficient i of p_n is (R[i] + O[i] w)/D with
+    integers R[i], O[i] and the least D > 0; O is None when p_n is rational.
+    The generators (``ops_from_recurrence``, ``recurrence_from_moments``,
+    ``certify_recurrence``) produce the forms directly, and the correlation
+    kernel reads them as they are; the Poly p_n, whose Fraction coefficients
+    cost a gcd each, is built only when ``seq[n]`` or iteration reads it, and
+    anew on every read.  ``OPSequence(polys)`` checks that each element is
+    monic of its index's degree.  Equality, hashing, copy and pickle all work
+    on the forms, which are canonical, so a sequence compares equal however
+    it was made.
+    """
+
+    forms: tuple
 
     def __init__(self, polys):
-        polys = tuple(polys)
+        forms = []
         for n, p in enumerate(polys):
             if p.degree != n or p.lc != ONE:
                 raise ValueError(f"element {n} is not monic of degree {n}")
-        object.__setattr__(self, "polys", polys)
+            forms.append(_form(p))
+        object.__setattr__(self, "forms", tuple(forms))
+
+    @classmethod
+    def _of_forms(cls, forms) -> "OPSequence":
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "forms", tuple(forms))
+        return seq
 
     def __getitem__(self, n: int) -> Poly:
-        return self.polys[n]
+        return _poly(self.forms[n])
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.forms)
 
     def __iter__(self):
-        return iter(self.polys)
+        return map(_poly, self.forms)
 
     def __repr__(self):
-        return f"OPSequence(p_0..p_{len(self.polys) - 1})"
-
-
-def _three_term(b, a, start: int, stop: int, seed=((), (ONE,))) -> list[Poly]:
-    """P_0, ..., P_{stop-start} with P_{s+1} = (x - b(t)) P_s - a(t) P_{s-1}, t = start + s.
-
-    The one three-term loop of the package, run on coefficient lists.  ``seed``
-    holds the coefficients of (P_{-1}, P_0), by default (0, 1), in which case
-    a(start) is never read; each step reads b(t) before a(t).
-    """
-    prev, cur = list(seed[0]), list(seed[1])
-    polys = [Poly(cur)]
-    for t in range(start, stop):
-        nxt = [ZERO, *cur]  # x P_s
-        for coeff, row in ((b(t), cur), (a(t) if prev else ZERO, prev)):
-            if coeff:
-                for i, c in enumerate(row):
-                    if c:
-                        nxt[i] -= coeff * c
-        prev, cur = cur, nxt
-        polys.append(Poly(nxt))
-    return polys
+        return f"OPSequence(p_0..p_{len(self.forms) - 1})"
 
 
 def ops_from_recurrence(rec: Recurrence, N: int) -> OPSequence:
-    """p_0..p_N from the three-term recurrence, p_{-1} = 0, p_0 = 1."""
+    """p_0..p_N from the three-term recurrence, p_{-1} = 0, p_0 = 1, as integer forms.
+
+    Each level costs O(n) integer operations and one content gcd; no Poly is
+    built until the sequence is read.
+    """
     if N > len(rec.b):
         raise QmapError(f"need b_0..b_{N - 1} for p_{N}, have {len(rec.b)}")
-    return OPSequence(_three_term(rec.b_at, rec.a_at, 0, N))
+    return OPSequence._of_forms(_forms(rec.b_at, rec.a_at, 0, N))
 
 
 def _chebyshev(row: list, prev: list, start: int, N: int, b: list, a: list) -> None:
@@ -185,7 +296,9 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
         b_n = sigma_{n,n+1} / sigma_{n,n} - sigma_{n-1,n} / sigma_{n-1,n-1}.
 
     That is O(N^2) scalar operations with two rows of sigma alive at a time;
-    the polynomials are then generated by ops_from_recurrence.  Since
+    the polynomials are then generated by ops_from_recurrence as integer
+    forms, one content gcd per level, and each Poly p_n is built only when
+    the returned sequence is read.  Since
     sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
     which u stops being regular.
 
@@ -216,27 +329,30 @@ def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optiona
     makes each p_n with n < M orthogonal to x^l for l < n with
     <u, x^n p_n> != 0.  The two rows sigma_{M,l} and sigma_{M-1,l} (2N - M and
     max(M + 1, 2N - M - 1) entries, reading u_0..u_{2N-1}) hold every condition;
-    their tails then run the Chebyshev algorithm on levels M..N-1, and only
-    p_{M+1}..p_N are generated from there.  None when M < 1, when u lacks
-    u_{2N-1}, or when a condition fails.  At M = N - 1 the rows cost 2N + 1
-    integer dot products of length at most N, with no gcd inside a sum; the
-    full Chebyshev takes O(N^2) Q(w) operations on fractions as large as the
-    moments.
+    their tails then run the Chebyshev algorithm on levels M..N-1, and the
+    integer kernel continues from the forms of p_{M-1} and p_M to generate
+    p_{M+1}..p_N.  None when M < 1, when u lacks u_{2N-1}, or when a condition
+    fails.  The forms of p_{M-1} and p_M are the kernel's own, so the
+    correlation kernel reads them with no rescaling, and the returned sequence
+    holds every level as a form: no Poly is built.  At M = N - 1 the rows cost
+    2N + 1 integer dot products of length at most N, with no gcd inside a sum;
+    the full Chebyshev takes O(N^2) Q(w) operations on fractions as large as
+    the moments.
     """
     M = min(len(cand.b), N - 1)
     if M < 1 or 2 * N - 1 > u.order:
         return None
-    polys = _three_term(cand.b_at, cand.a_at, 0, M)
+    forms = _forms(cand.b_at, cand.a_at, 0, M)
     moments = _scaled(u.moments[: 2 * N])
-    row = _correlate(_scaled(polys[M].coeffs), moments, 2 * N - M)
-    prev = _correlate(_scaled(polys[M - 1].coeffs), moments, max(M + 1, 2 * N - M - 1))
+    row = _correlate(_form_scaled(forms[M]), moments, 2 * N - M)
+    prev = _correlate(_form_scaled(forms[M - 1]), moments, max(M + 1, 2 * N - M - 1))
     if any(row[:M]) or any(prev[: M - 1]) or not prev[M - 1] or not row[M]:
         return None
     b, a = list(cand.b[:M]), list(cand.a[: M - 1])
     _chebyshev(row[M:], prev[M - 1 :], M, N, b, a)
     rec = Recurrence(b, a)
-    polys += _three_term(rec.b_at, rec.a_at, M, N, (polys[M - 1].coeffs, polys[M].coeffs))[1:]
-    return rec, OPSequence(polys)
+    forms += _forms(rec.b_at, rec.a_at, M, N, (forms[M - 1], forms[M]))[1:]
+    return rec, OPSequence._of_forms(forms)
 
 
 @dataclass(frozen=True)
@@ -260,13 +376,15 @@ def orthogonality_check(u: MomentFunctional, ops: OPSequence, n_max: Optional[in
     with c_{n,j} the coefficients of p_n.  A pair needs sigma_{m,j} only for
     j <= n <= min(m, order - m), so row m of the table is min(m, order - m) + 1
     integer dot products of length m + 1 from the correlation kernel, over the
-    lcm-scaled moments and coefficients with no gcd inside a sum, and each pair
-    is one Q(w) dot product of length n + 1: O(N^3) operations in all, against
-    O(N^4) scalar operations for the N^2/2 dense products.
+    lcm-scaled moments and the integer form of p_m as the sequence holds it,
+    with no gcd inside a sum.  Each pair is one Q(w) dot product of length
+    n + 1 with the coefficients of p_n, whose Poly is built once per n:
+    O(N^3) operations in all, against O(N^4) scalar operations for the N^2/2
+    dense products.
     """
     limit = len(ops) - 1 if n_max is None else min(n_max, len(ops) - 1)
     moments = _scaled(u.moments)
-    sigma = [_correlate(_scaled(ops[m].coeffs), moments, min(m, u.order - m) + 1) for m in range(limit + 1)]
+    sigma = [_correlate(_form_scaled(ops.forms[m]), moments, min(m, u.order - m) + 1) for m in range(limit + 1)]
     pairs = 0
     for n in range(limit + 1):
         cn = ops[n].coeffs
@@ -287,10 +405,11 @@ def delta_det(view: BlockView, n: int, i: int, j: int) -> Poly:
 
     Base cases: 0 if j < i-2, 1 if j = i-2, x - b_n^{(i-1)} if j = i-1; for
     j >= i it satisfies the second-order recurrence in j
-    Delta_n(i,j) = (x - b_n^{(j)}) Delta_n(i,j-1) - a_n^{(j)} Delta_n(i,j-2).
+    Delta_n(i,j) = (x - b_n^{(j)}) Delta_n(i,j-1) - a_n^{(j)} Delta_n(i,j-2),
+    which the integer kernel runs; only the last determinant becomes a Poly.
     """
     if n < 0 or i < 1:
         raise QmapError(f"delta_det indices out of range: n={n}, i={i}")
     if j < i - 2:
         return Poly.zero()
-    return _three_term(lambda t: view.b(n, t), lambda t: view.a(n, t), i - 1, j + 1)[-1]
+    return _poly(_forms(lambda t: view.b(n, t), lambda t: view.a(n, t), i - 1, j + 1)[-1])

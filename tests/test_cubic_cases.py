@@ -34,6 +34,7 @@ from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_r
 from qmap.errors import CaseError, QmapError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
 from qmap.mapping import ascend_recurrence
+from qmap import opseq
 from qmap.opseq import certify_recurrence
 
 from conftest import cached_case_bundle
@@ -150,6 +151,19 @@ def test_invalid_fixture_raises_case_error(q_half):
         from qmap.cubic_cases import build_case
 
         build_case(case, q_half, 24)
+
+
+def test_validation_reaches_the_levels_that_n_reads(q_half):
+    # at N = 144 q's recurrence runs on levels 0..23, so a = (q^3)^-20 cannot build
+    q = QParam(Fraction(1, 2), 448)
+    case = case_fixture(5, q, {"a": 2 ** 60})
+    assert validate_case(case, q).ok  # N = 48 reads no level that a = q^-20 breaks
+    assert validate_case(case, q, 144).failures == ("regularity: a = q^-20",)
+    with pytest.raises(CaseError) as info:
+        cubic_cases.build_case(case, q, 144)
+    assert str(info.value) == "case 5 stage validate: regularity: a = q^-20"
+    # a = q^-25 first breaks level 25, which N = 144 does not reach
+    assert validate_case(case_fixture(5, q, {"a": 2 ** 75}), q, 144).ok
 
 
 def test_stage_error_names_the_case(q_half, monkeypatch):
@@ -387,6 +401,26 @@ def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch
         cubic_cases.build_case(case_fixture(1, q_half), q_half, 48)
     assert str(info.value) == "case 1 stage recurrence-q: not regular at level 3: <u, p_3^2> = 0"
     assert (50, 25) in spy.calls  # the Chebyshev on u ran first, as a stage
+
+
+def test_a_build_reads_no_polynomial_of_its_sequences(q_half, monkeypatch):
+    # p_ops and q_ops stay integer forms through the build; a Poly is built when read
+    built = []
+    poly_of = opseq._poly
+
+    def spy(form):
+        built.append(form)
+        return poly_of(form)
+
+    monkeypatch.setattr(opseq, "_poly", spy)
+    bundle = cubic_cases.build_case(case_fixture(13, q_half), q_half, 48)
+    held = {id(f) for seq in (bundle.p_ops, bundle.q_ops) for f in seq.forms}
+    # delta_det builds the mapping's determinants, of degree at most k; reading
+    # the sequences, or building them eagerly, would build p_n of every degree
+    assert built and all(len(f[0]) <= bundle.mapping.k + 1 for f in built)
+    assert not any(id(f) in held for f in built)
+    expected = ops_from_recurrence_oracle(bundle.rec_p, len(bundle.p_ops) - 1)
+    assert [bundle.p_ops[j] for j in range(len(bundle.p_ops))] == list(expected)
 
 
 def test_case_and_bundle_hash_and_their_params_are_read_only(q_half):

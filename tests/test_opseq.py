@@ -12,6 +12,7 @@ from qmap import (
     BlockView,
     CycScalar,
     MomentFunctional,
+    OPSequence,
     Poly,
     Recurrence,
     act,
@@ -23,6 +24,7 @@ from qmap import (
 )
 from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.families import little_q_laguerre_pair
+from qmap import opseq
 from qmap.opseq import OrthogonalityReport, certify_recurrence
 
 from conftest import random_nonzero_scalar, random_scalar
@@ -237,6 +239,81 @@ def test_ops_from_recurrence_matches_oracle(data, draw):
     rec, _ = data
     N = draw.draw(st.integers(0, len(rec.b)))
     assert ops_from_recurrence(rec, N) == ops_from_recurrence_oracle(rec, N)
+
+
+# -- the integer kernel: canonical forms against the Poly-arithmetic oracle ------
+
+
+def _kernel_scalars():
+    """Q(w) values of every shape the kernel branches on: zero, rational, w-only and mixed."""
+    return st.one_of(
+        st.just(ZERO),
+        st.builds(CycScalar, small_fractions),
+        st.builds(lambda om: CycScalar(0, om), small_fractions),
+        st.builds(CycScalar, small_fractions, small_fractions),
+    )
+
+
+@st.composite
+def kernel_recurrences(draw):
+    """b_0..b_{N-1} and a_1..a_{N-1}, either all rational or of mixed shapes."""
+    scalars = _kernel_scalars() if draw(st.booleans()) else st.builds(CycScalar, small_fractions)
+    N = draw(st.integers(1, 8))
+    b = draw(st.lists(scalars, min_size=N, max_size=N))
+    a = draw(st.lists(scalars.filter(bool), min_size=N - 1, max_size=N - 1))
+    return Recurrence(b, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_recurrences(), st.data())
+def test_integer_kernel_matches_oracle(rec, draw):
+    N = draw.draw(st.integers(0, len(rec.b)))
+    got = ops_from_recurrence(rec, N)
+    expected = ops_from_recurrence_oracle(rec, N)  # OPSequence(polys): the forms of the oracle's polys
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert list(got) == list(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_recurrences(), st.data())
+def test_seeded_kernel_continues_like_the_oracle(rec, draw):
+    # the certificate's close: seeded with p_{M-1}, p_M, stepping t = M..N-1
+    N = len(rec.b)
+    M = draw.draw(st.integers(1, max(1, N - 1)))
+    if M >= N:
+        return
+    expected = ops_from_recurrence_oracle(rec, N)
+    head = opseq._forms(rec.b_at, rec.a_at, 0, M)
+    tail = opseq._forms(rec.b_at, rec.a_at, M, N, (head[M - 1], head[M]))
+    assert tail[0] is head[M]
+    assert [opseq._poly(f) for f in tail] == [expected[n] for n in range(M, N + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_recurrences(), st.integers(2, 4), st.data())
+def test_delta_det_matches_bruteforce(rec, k, draw):
+    N = len(rec.b)
+    n = draw.draw(st.integers(0, (N - 1) // k))
+    i = draw.draw(st.integers(1, N - n * k))
+    j = draw.draw(st.integers(i - 3, N - 1 - n * k))
+    view = BlockView(rec, k)
+    assert delta_det(view, n, i, j) == _delta_bruteforce(view, n, i, j)
+
+
+def test_a_sequence_of_polynomials_equals_the_generated_one():
+    rec = Recurrence([OMEGA, 0, Fraction(1, 2)], [Fraction(-2, 3) * OMEGA, 3])
+    polys = [Poly.one(), X - OMEGA, X * X - OMEGA * X + Fraction(2, 3) * OMEGA]
+    generated = ops_from_recurrence(rec, 2)
+    assert OPSequence(polys) == generated
+    assert hash(OPSequence(polys)) == hash(generated)
+    assert OPSequence(polys[:2]) != generated
+
+
+@pytest.mark.parametrize("polys", [[Poly.one(), 2 * X], [Poly.one(), X * X], [X]])
+def test_a_sequence_of_polynomials_must_be_monic_by_degree(polys):
+    with pytest.raises(ValueError, match="is not monic of degree"):
+        OPSequence(polys)
 
 
 @pytest.mark.parametrize(

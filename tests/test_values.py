@@ -10,12 +10,13 @@ import pytest
 from qmap import scalars
 from qmap.cubic_cases import build_case, case_fixture
 from qmap.functionals import MomentFunctional, PearsonPair
-from qmap.opseq import BlockView, OPSequence, Recurrence
+from qmap.opseq import BlockView, OPSequence, Recurrence, ops_from_recurrence
 from qmap.polyalg import Poly
 from qmap.scalars import CycScalar, OMEGA, QParam
 from qmap.stieltjes import LaurentSeries
 
 _REC = Recurrence([1, Fraction(-2, 3), OMEGA], [Fraction(1, 2), 5])
+_GENERATED = ops_from_recurrence(_REC, 3)  # integer forms from the kernel, no Poly behind them
 
 VALUES = [
     CycScalar(Fraction(1, 2), Fraction(-1, 3)),
@@ -27,7 +28,12 @@ VALUES = [
     MomentFunctional([1, Fraction(1, 2), OMEGA]),
     PearsonPair(Poly([1]), Poly([0, 1])),
     LaurentSeries(Poly([1, 2]), [OMEGA, 3]),
+    _GENERATED,
 ]
+
+
+def _value_id(value):
+    return "OPSequence-generated" if value is _GENERATED else type(value).__name__
 
 ROUND_TRIPS = {
     "copy": copy.copy,
@@ -37,7 +43,7 @@ ROUND_TRIPS = {
 
 
 @pytest.mark.parametrize("trip", list(ROUND_TRIPS))
-@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", VALUES, ids=_value_id)
 def test_round_trip_is_an_equal_value(value, trip):
     again = ROUND_TRIPS[trip](value)
     assert type(again) is type(value)
@@ -45,7 +51,7 @@ def test_round_trip_is_an_equal_value(value, trip):
     assert hash(again) == hash(value)
 
 
-@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", VALUES, ids=_value_id)
 def test_fields_cannot_be_assigned(value):
     for f in fields(value):
         with pytest.raises(AttributeError):
