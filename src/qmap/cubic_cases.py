@@ -16,6 +16,9 @@ report.  For k = 3, p's recurrence is ascended from q's and eta
 (``mapping.ascend_recurrence``) and proved on u by a two-polynomial
 certificate (``opseq.certify_recurrence``); for any other k, or when the
 ascent is not certified, it is the Chebyshev algorithm on u's moments.
+``build_case`` also hands over q's recurrence in the family's closed form
+(``families.family_recurrence``); once the certificate and the comparison
+prove it, no Chebyshev runs on v, and otherwise the build runs as without it.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
@@ -28,10 +31,10 @@ from typing import Optional
 
 from .classifier import ClassReport, classify
 from .errors import CaseError, QmapError, SingularCaseError
-from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
+from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, family_recurrence, regularity_failures
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
 from .mapping import MappingData, ascend_recurrence, build_mapping, lift_functional, lift_power
-from .opseq import BlockView, OPSequence, Recurrence, certify_recurrence, recurrence_from_moments
+from .opseq import BlockView, OPSequence, Recurrence, certify_recurrence, ops_from_recurrence, recurrence_from_moments
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam
 from .stieltjes import ACDTriple, acd_from_pearson, acd_mapped
@@ -363,30 +366,75 @@ def expected_phi_psi(case: CubicCase, q: QParam) -> PearsonPair:
     return PearsonPair(phi, psi)
 
 
-def _ascended_recurrences(u: MomentFunctional, v: MomentFunctional, eta: Poly, Np: int):
-    """(rec_p, p_ops) and (rec_q, q_ops), with p's recurrence ascended from q's and certified on u.
+def _ascended(u: MomentFunctional, eta: Poly, rec_q: Recurrence, Np: int) -> Optional[tuple[Recurrence, OPSequence]]:
+    """p's recurrence and p_0..p_Np at k = 3, ascended from its block 0, rec_q and eta and certified on u.
 
-    None for k != 3, when any step raises a QmapError or when the certificate
-    rejects; the caller then runs the Chebyshev on u and on v as stages, which
-    report any error.
+    None when a step raises a QmapError or when the certificate rejects; the
+    caller then falls back to the Chebyshev stages, which report any error.
     """
-    if lift_power(eta) != 3:  # the ascent covers k = 3 only
-        return None
     try:
-        rec_q, q_ops = recurrence_from_moments(v, v.order // 2)
         block0, _ = recurrence_from_moments(u, 3)
         candidate = ascend_recurrence(block0, rec_q, eta)
-        found = None if candidate is None else certify_recurrence(u, candidate, Np)
+        return None if candidate is None else certify_recurrence(u, candidate, Np)
     except QmapError:  # the staged Chebyshev reruns the failing step
         return None
-    return None if found is None else (found, (rec_q, q_ops))
 
 
-def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, label: str = "power case") -> CaseBundle:
+def _mapping_failure(mapping: MappingData, rec_q: Recurrence) -> Optional[str]:
+    """The stage and message of the first check that the mapping fails against q's recurrence; None if it passes."""
+    # monic sequences agree up to q_n iff their (b_j, a_j) agree for j < n; a_0 = s_0 = 1
+    pairs = zip(zip(mapping.r, (ONE,) + mapping.s), zip(rec_q.b, (ONE,) + rec_q.a))
+    for n, (mapped, moment_side) in enumerate(pairs, 1):
+        if mapped != moment_side:
+            return f"mapping: mapped q_{n} disagrees with moment-side q_{n}"
+    # the block conditions, (r, s) = rec_q and pi_k = x^k together give
+    # p_{kn} = q_n(x^k) for every q_n compared above (Charris-Ismail; see README)
+    if mapping.pi_k != Poly.monomial(mapping.k):
+        return f"power-identity: pi_k != x^{mapping.k}"
+    return None
+
+
+def _proved_candidate(u: MomentFunctional, eta: Poly, rec_q: Recurrence, r0: CycScalar, Np: int, Ncond: int):
+    """(rec_p, p_ops) and the mapping when the candidate ``rec_q`` is proved to be v's recurrence; else None.
+
+    The certificate proves the ascended rec_p on u.  The mapping's (r, s)
+    then equal every level of rec_q and pi_k = x^k, so p_{kn} = q_n(x^k) for
+    each q_n of rec_q; as v = sigma_k u, <v, q_n q_m> = <u, p_{kn} p_{km}>,
+    and the q_n are v's monic orthogonal polynomials.  On any failure it
+    returns None and raises nothing; the staged path then reruns the failing
+    step and names it.
+    """
+    found = _ascended(u, eta, rec_q, Np)
+    if found is None:
+        return None
+    try:
+        mapping = build_mapping(BlockView(found[0], 3), r0, Ncond)
+    except Exception:  # noqa: BLE001 - the staged path reruns build_mapping and names its error
+        return None
+    if len(mapping.r) < len(rec_q.b) or _mapping_failure(mapping, rec_q) is not None:
+        return None
+    return found, mapping
+
+
+def build_power_case(
+    pair_v: PearsonPair,
+    eta: Poly,
+    q: QParam,
+    N: int = 48,
+    label: str = "power case",
+    rec_q: Optional[Recurrence] = None,
+) -> CaseBundle:
     """Run the full pipeline at the power k = deg eta + 1; N is the target order for u.
 
     v has the pair ``pair_v`` at q^k and v_0 = 1; u is its lift, S_u(z) = eta(z) S_v(z^k)
     with eta monic.
+    ``rec_q`` is an optional candidate for v's recurrence with exactly
+    max(N // k, 4) // 2 levels, such as the mapped family's closed form
+    (``families.family_recurrence``).  At k = 3 it stands in for the
+    Chebyshev on v and is accepted only once the certificate on u, the
+    comparison (r, s) = rec_q over every one of its levels and pi_k = x^k
+    have proved it (``_proved_candidate``); otherwise the build runs as with
+    no candidate.
     A failing stage raises a CaseError whose message starts with ``label``.
     """
     if eta.degree < 1 or eta.lc != ONE:
@@ -403,25 +451,32 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     v = stage("moments-v", lambda: pearson_moments(pair_v, 1, max(N // k, 4), qk))
     u = stage("lift", lambda: lift_functional(v, eta))
     Np = u.order // 2
-    ascended = _ascended_recurrences(u, v, eta, Np)
-    if ascended is None:
-        rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
-        rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
-    else:
-        (rec_p, p_ops), (rec_q, q_ops) = ascended
-
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)
-    mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
-    # monic sequences agree up to q_n iff their (b_j, a_j) agree for j < n; a_0 = s_0 = 1
-    pairs = zip(zip(mapping.r, (ONE,) + mapping.s), zip(rec_q.b, (ONE,) + rec_q.a))
-    for n, (mapped, moment_side) in enumerate(pairs, 1):
-        if mapped != moment_side:
-            raise CaseError(f"{label} stage mapping: mapped q_{n} disagrees with moment-side q_{n}")
-    # the block conditions, (r, s) = rec_q and pi_k = x^k together give
-    # p_{kn} = q_n(x^k) for every q_n compared above (Charris-Ismail; see README)
-    if mapping.pi_k != Poly.monomial(k):
-        raise CaseError(f"{label} stage power-identity: pi_k != x^{k}")
+    # the ascent covers k = 3 only; elsewhere both recurrences are Chebyshev stages
+    proved = None
+    if rec_q is not None and k == 3 and len(rec_q.b) == v.order // 2:
+        proved = _proved_candidate(u, eta, rec_q, r0, Np, Ncond)
+    if proved is not None:
+        (rec_p, p_ops), mapping = proved
+        q_ops = ops_from_recurrence(rec_q, len(rec_q.b))
+    else:
+        ascended = None
+        if k == 3:
+            try:
+                rec_q, q_ops = recurrence_from_moments(v, v.order // 2)
+                ascended = _ascended(u, eta, rec_q, Np)
+            except QmapError:  # the recurrence-q stage reruns it and names the error
+                pass
+        if ascended is None:
+            rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
+            rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
+        else:
+            rec_p, p_ops = ascended
+        mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
+        failure = _mapping_failure(mapping, rec_q)
+        if failure is not None:
+            raise CaseError(f"{label} stage {failure}")
 
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
     acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, q))
@@ -438,8 +493,13 @@ def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:
     tau = p["tau"]
     eta = Poly([_a01(case.id, tau, q, p.get("c")) + tau * tau, tau, ONE])
     # validation has ruled out a = 0 and ab = 0, the only parameters the pair rejects
-    pair_v = family_pair(case.family, p["a"], p.get("b"), q.pow(_K))
-    bundle = build_power_case(pair_v, eta, q, N, f"case {case.id}")
+    qk = q.pow(_K)
+    pair_v = family_pair(case.family, p["a"], p.get("b"), qk)
+    try:  # build_power_case proves the closed form before it stands in for v's Chebyshev
+        rec_q = family_recurrence(case.family, p["a"], p.get("b"), qk, max(N // _K, 4) // 2)
+    except QmapError:
+        rec_q = None
+    bundle = build_power_case(pair_v, eta, q, N, f"case {case.id}", rec_q)
     return replace(bundle, case=case, expected_pair=expected_phi_psi(case, q))
 
 

@@ -302,9 +302,11 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
     which u stops being regular.
 
-    The case pipeline calls it for q's recurrence, for p's first block
-    (N = 3, the seed of ``mapping.ascend_recurrence``) and, when the ascended
-    recurrence cannot be certified, for all of p's recurrence.
+    The case pipeline calls it for p's first block (N = 3, the seed of
+    ``mapping.ascend_recurrence``); for q's recurrence when no closed-form
+    candidate is given or proved; and, when the ascended recurrence cannot be
+    certified, for all of p's recurrence.  ``qmap ops`` calls it when the
+    family's closed form is not proved on u.
     """
     if 2 * N - 1 > u.order:
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")
@@ -378,16 +380,18 @@ def orthogonality_check(u: MomentFunctional, ops: OPSequence, n_max: Optional[in
     integer dot products of length m + 1 from the correlation kernel, over the
     lcm-scaled moments and the integer form of p_m as the sequence holds it,
     with no gcd inside a sum.  Each pair is one Q(w) dot product of length
-    n + 1 with the coefficients of p_n, whose Poly is built once per n:
-    O(N^3) operations in all, against O(N^4) scalar operations for the N^2/2
-    dense products.
+    n + 1 with the integer numerators R + O w of p_n's form: that is D_n
+    <u, p_n p_m>, which vanishes with it, so no Poly is built.  O(N^3)
+    operations in all, against O(N^4) scalar operations for the N^2/2 dense
+    products.
     """
     limit = len(ops) - 1 if n_max is None else min(n_max, len(ops) - 1)
     moments = _scaled(u.moments)
     sigma = [_correlate(_form_scaled(ops.forms[m]), moments, min(m, u.order - m) + 1) for m in range(limit + 1)]
     pairs = 0
     for n in range(limit + 1):
-        cn = ops[n].coeffs
+        R, O, _ = ops.forms[n]
+        cn = [CycScalar(r) for r in R] if O is None else [CycScalar(r, o) for r, o in zip(R, O)]
         for m in range(n, limit + 1):
             if n + m > u.order:
                 continue

@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
-from qmap import classifier, cli, cubic_cases
+from qmap import Recurrence, classifier, cli, cubic_cases, opseq
 from qmap.cli import main
+from qmap.errors import QmapError
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +32,53 @@ def test_ops_laguerre(capsys):
     assert report["pearson_residual_zero"] is True
     assert report["orthogonality_ok"] is True
     assert report["moments"][1] == "7/8"
+
+
+OPS_ARGV = [
+    ["ops", "--family", "little-q-laguerre", "--a", "1/4", "--q", "1/2", "--N", "24"],
+    ["ops", "--family", "little-q-jacobi", "--a", "1/4", "--b", "-1/2*w", "--q", "1/3", "--N", "13", "--u0", "3"],
+]
+
+
+def _wrong_first_b(rec):
+    return Recurrence((rec.b[0] + 1,) + rec.b[1:], rec.a)
+
+
+def _singular(rec):
+    raise QmapError("zero denominator")
+
+
+@pytest.mark.parametrize("argv", OPS_ARGV)
+def test_ops_proves_the_closed_form_and_the_chebyshev_decides_otherwise(capsys, monkeypatch, argv):
+    chebyshev = cli.recurrence_from_moments
+    calls = []
+
+    def spy(u, N):
+        calls.append(N)
+        return chebyshev(u, N)
+
+    monkeypatch.setattr(cli, "recurrence_from_moments", spy)
+    expected = run_cli(capsys, *argv)
+    assert calls == [] and expected[0] == 0
+    closed_form = cli.family_recurrence
+    for wrong in (_wrong_first_b, _singular):
+        monkeypatch.setattr(cli, "family_recurrence", lambda *args: wrong(closed_form(*args)))
+        assert run_cli(capsys, *argv) == expected
+        assert calls.pop() == int(argv[argv.index("--N") + 1]) // 2
+
+
+def test_ops_builds_each_polynomial_once(capsys, monkeypatch):
+    built = []
+    poly_of = opseq._poly
+
+    def spy(form):
+        built.append(form)
+        return poly_of(form)
+
+    monkeypatch.setattr(opseq, "_poly", spy)
+    code, report = run_cli(capsys, "ops", "--family", "little-q-laguerre", "--a", "1/4", "--q", "1/2", "--N", "48")
+    assert code == 0 and report["orthogonality_ok"] is True
+    assert len(built) == len(report["polynomials"]) == 25
 
 
 def test_ops_jacobi_requires_b(capsys):

@@ -31,7 +31,7 @@ from qmap import (
     verify_susvq,
 )
 from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_reconstruct_case13, validate_case
-from qmap.errors import CaseError, QmapError, RegularityError, SingularCaseError
+from qmap.errors import CaseError, MappingConditionError, QmapError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
 from qmap.mapping import ascend_recurrence
 from qmap import opseq
@@ -365,15 +365,94 @@ def test_certificate_rejects_a_perturbed_ascent_and_the_chebyshev_decides(q_half
 BRANCH_BUILDS = ((1, -OMEGA), (1, ONE + OMEGA), (5, -OMEGA), (7, -OMEGA))
 
 
-def test_the_ascent_is_certified_on_every_catalog_and_branch_build(q_half, monkeypatch):
+def test_the_ascent_is_certified_on_every_catalog_and_branch_build(q_half, q_third, monkeypatch):
     spy = _ChebyshevSpy(monkeypatch)
-    builds = [(case_fixture(cid, q_half), 48) for cid in CASE_IDS]
-    builds += [(case_fixture(cid, q_half, {"tau": tau}), 24) for cid, tau in BRANCH_BUILDS]
-    for case, N in builds:
+    builds = [(case_fixture(cid, q), q, 48) for q in (q_half, q_third) for cid in CASE_IDS]
+    builds += [(case_fixture(cid, q_half, {"tau": tau}), q_half, 24) for cid, tau in BRANCH_BUILDS]
+    for case, q, N in builds:
         spy.calls.clear()
-        bundle = cubic_cases.build_case(case, q_half, N)
-        assert not spy.fell_back(bundle), (case.id, case.params["tau"])
-        assert len(spy.calls) == 2  # q's recurrence and p's block 0
+        bundle = cubic_cases.build_case(case, q, N)
+        # p's block 0 only: q's recurrence is the family's closed form, proved by the build
+        assert spy.calls == [(bundle.u.order, 3)], (case.id, case.params["tau"])
+
+
+def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
+    b, a = list(rec.b), list(rec.a)
+    if field == "b":
+        b[level] = b[level] + 1
+    else:
+        a[level - 1] = a[level - 1] + (1 if a[level - 1] != -1 else 2)
+    return Recurrence(b, a)
+
+
+@pytest.mark.parametrize("cid", [1, 13])
+@pytest.mark.parametrize("field, level", [("b", 0), ("b", 7), ("a", 1), ("a", 4), ("a", 7)])
+def test_a_wrong_candidate_builds_by_the_fallback(q_half, monkeypatch, cid, field, level):
+    real = cubic_cases.family_recurrence
+    monkeypatch.setattr(cubic_cases, "family_recurrence", lambda *args: _wrong(real(*args), field, level))
+    spy = _ChebyshevSpy(monkeypatch)
+    bundle = cubic_cases.build_case(case_fixture(cid, q_half), q_half, 48)
+    assert (bundle.v.order, bundle.v.order // 2) in spy.calls  # the Chebyshev on v decided
+    assert bundle == cached_case_bundle(cid, q_half)
+
+
+def test_a_zero_denominator_candidate_builds_by_the_fallback(q_half, monkeypatch):
+    # case 7 is little q^3-Jacobi; at ab = Q^-(2j+1) the closed form divides by zero
+    real = cubic_cases.family_recurrence
+
+    def singular(family, a, b, Q, n):
+        return real(family, a, Q.q ** -(2 * n - 1) * CycScalar.coerce(a).inv(), Q, n)
+
+    monkeypatch.setattr(cubic_cases, "family_recurrence", singular)
+    spy = _ChebyshevSpy(monkeypatch)
+    bundle = cubic_cases.build_case(case_fixture(7, q_half), q_half, 48)
+    with pytest.raises(QmapError, match=r"^little-q-jacobi recurrence: 1 - ab Q\^15 = 0$"):
+        singular(FAMILY_JACOBI, Fraction(1, 4), None, q_half.pow(3), 8)
+    assert (bundle.v.order, bundle.v.order // 2) in spy.calls
+    assert bundle == cached_case_bundle(7, q_half)
+
+
+def _shifted_r(mapping):
+    return replace(mapping, r=(mapping.r[0] + 1,) + mapping.r[1:])
+
+
+def _bent_pi_k(mapping):
+    return replace(mapping, pi_k=mapping.pi_k + Poly.x())
+
+
+def _conditions_fail(mapping):
+    raise MappingConditionError("condition (i): b_1^(0) != b_0^(0)")
+
+
+@pytest.mark.parametrize("spoil", [None, _shifted_r, _bent_pi_k, _conditions_fail])
+def test_the_candidate_path_builds_the_mapping_once_and_falls_back_quietly(q_half, monkeypatch, spoil):
+    # a failed comparison, pi_k != x^3 or a build_mapping error on the candidate
+    # path is no stage error: the staged path runs the Chebyshev on v and decides
+    real = cubic_cases.build_mapping
+    built = []
+
+    def first_spoiled(*args):
+        built.append(args)
+        mapping = real(*args)
+        return spoil(mapping) if spoil is not None and len(built) == 1 else mapping
+
+    monkeypatch.setattr(cubic_cases, "build_mapping", first_spoiled)
+    spy = _ChebyshevSpy(monkeypatch)
+    bundle = cubic_cases.build_case(case_fixture(13, q_half), q_half, 48)
+    assert len(built) == (1 if spoil is None else 2)
+    assert ((bundle.v.order, bundle.v.order // 2) in spy.calls) == (spoil is not None)
+    assert bundle == cached_case_bundle(13, q_half)
+
+
+def test_the_comparison_covers_every_candidate_level(q_half):
+    # build_power_case's orders at k = 3: v to V = max(N // 3, 4), u to 3 (V + 1) - 1 and
+    # Np = u.order // 2; the mapping compares Ncond + 1 levels, the candidate has V // 2
+    for N in range(1, 300):
+        V = max(N // 3, 4)
+        Np = (3 * (V + 1) - 1) // 2
+        assert max((Np - 3) // 3, 1) + 1 >= V // 2, N
+    bundle = cached_case_bundle(1, q_half)
+    assert len(bundle.mapping.r) == len(bundle.q_ops) - 1 == bundle.v.order // 2
 
 
 def test_an_odd_order_v_leaves_two_levels_to_the_close(q_half, monkeypatch):
@@ -395,10 +474,14 @@ def test_k2_and_k4_keep_the_chebyshev_on_u(monkeypatch, eta):
 
 
 def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch):
-    # the ascent needs q's recurrence first; its failure must not change which stage is named
+    # with no candidate the ascent needs q's recurrence first; its failure must
+    # not change which stage is named
     spy = _ChebyshevSpy(monkeypatch, fail=lambda u, N: u.order == 16)  # v at N = 48
+    case = case_fixture(1, q_half)
+    eta = cached_case_bundle(1, q_half).eta
+    pair = family_pair(case.family, case.params["a"], None, q_half.pow(3))
     with pytest.raises(CaseError) as info:
-        cubic_cases.build_case(case_fixture(1, q_half), q_half, 48)
+        build_power_case(pair, eta, q_half, 48, "case 1")
     assert str(info.value) == "case 1 stage recurrence-q: not regular at level 3: <u, p_3^2> = 0"
     assert (50, 25) in spy.calls  # the Chebyshev on u ran first, as a stage
 

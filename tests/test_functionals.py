@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qmap import (
     CycScalar,
     MomentFunctional,
     PearsonPair,
     Poly,
+    QParam,
     act,
     compose_xk,
     dilate_functional,
@@ -19,14 +21,16 @@ from qmap import (
     left_mul,
     pearson_moments,
     pearson_residual,
+    recurrence_from_moments,
     sigma_star,
     u_poly,
 )
-from qmap.errors import RegularityError, TruncationError
+from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.families import (
     FAMILY_JACOBI,
     FAMILY_LAGUERRE,
     family_pair,
+    family_recurrence,
     jacobi_regularity_failures,
     laguerre_regularity_failures,
     little_q_jacobi_pair,
@@ -182,6 +186,34 @@ def test_family_dispatch(q_half):
     assert regularity_failures(FAMILY_LAGUERRE, 8, None, q_half, 4) == ["a = q^-3"]
     assert regularity_failures(FAMILY_JACOBI, a, 4, q_half, 4) == jacobi_regularity_failures(a, 4, q_half, 4)
     assert regularity_failures(FAMILY_JACOBI, a, 4, q_half, 4) == ["ab = q^-0", "b = q^-2"]
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_family_recurrence_is_the_chebyshev_on_the_family_moments(data):
+    omega = data.draw(st.booleans())
+    scalars = st.builds(CycScalar, _small, _small if omega else st.just(Fraction(0))).filter(bool)
+    try:
+        Q = QParam(data.draw(scalars), 16)
+    except ValueError:  # a root of unity of order <= 16
+        assume(False)
+    family = data.draw(st.sampled_from((FAMILY_LAGUERRE, FAMILY_JACOBI)))
+    a, b = data.draw(scalars), data.draw(scalars)
+    n = data.draw(st.integers(1, 6))
+    assume(not regularity_failures(family, a, b, Q, 2 * n + 1))
+    v = pearson_moments(family_pair(family, a, b, Q), data.draw(scalars), 2 * n, Q)
+    assert family_recurrence(family, a, b, Q, n) == recurrence_from_moments(v, n)[0]
+
+
+def test_family_recurrence_rejects_a_zero_denominator(q_half):
+    Q = q_half.pow(3)
+    ab = Q.q ** -5  # 1 - ab Q^5 = 0, first read by A_2 and C_2
+    assert len(family_recurrence(FAMILY_JACOBI, 2, ab / 2, Q, 2).b) == 2
+    with pytest.raises(QmapError, match=r"^little-q-jacobi recurrence: 1 - ab Q\^5 = 0$"):
+        family_recurrence(FAMILY_JACOBI, 2, ab / 2, Q, 3)
 
 
 def test_little_q_laguerre_brute_force_oracle(q_half):
