@@ -7,18 +7,17 @@ canonical distributional pair (Phi, Psi) of the original functional is encoded
 as a parameter-dependent constructor, so one encoding serves every q sample.
 
 ``build_case`` is the one place that fixes the power k = 3: it validates a case
-and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
+and hands eta_2 = x^2 + tau x + k_tau, the family pair at q^3 and the family's
+closed-form recurrence (``families.family_recurrence``) to
 ``build_power_case``, which runs the pipeline for any k = deg eta + 1: moments
 at q^k, the lift, both recurrences, the mapping and its conditions, the
 comparison of the mapped recurrence with q's own, pi_k = x^k (which with the
 two before it proves p_{kn} = q_n(x^k)), the lifted (A, C, D) and the class
-report.  For k = 3, p's recurrence is ascended from q's and eta
-(``mapping.ascend_recurrence``) and proved on u by a two-polynomial
-certificate (``opseq.certify_recurrence``); for any other k, or when the
-ascent is not certified, it is the Chebyshev algorithm on u's moments.
-``build_case`` also hands over q's recurrence in the family's closed form
-(``families.family_recurrence``); once the certificate and the comparison
-prove it, no Chebyshev runs on v, and otherwise the build runs as without it.
+report.  At k = 3 the proved route ascends p's recurrence from a candidate for
+q's (the closed form, else the Chebyshev on v) and eta, and the certificate
+on u (``opseq.certify_recurrence``), the comparison and pi_k = x^k prove both;
+for any other k, or when that proof fails, the staged route runs the
+Chebyshev algorithm on u's and v's moments and names the failing stage.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
@@ -251,12 +250,13 @@ def validate_case(case: CubicCase, q: QParam, N: int = 48) -> CaseValidation:
     Regularity is checked for n = 0..max(16, V // 2 - 1), with V = max(N // 3, 4)
     the order of v that ``build_power_case`` generates for this N: q's
     recurrence then runs on levels 0..V // 2 - 1, and a family level n names
-    the norm of level n + 1.
+    the norm of level n + 1.  The moments of v to order V are checked as well.
     """
     failures = _constraint_failures(case, q)
     p = case.params
-    levels = max(_REGULARITY_LEVELS, max(N // _K, 4) // 2 - 1)
-    regular = regularity_failures(case.family, p["a"], p.get("b"), q.pow(_K), levels)
+    V = max(N // _K, 4)
+    levels = max(_REGULARITY_LEVELS, V // 2 - 1)
+    regular = regularity_failures(case.family, p["a"], p.get("b"), q.pow(_K), levels, V)
     failures += [f"regularity: {t}" for t in regular]
     return CaseValidation(not failures, tuple(failures))
 
@@ -366,20 +366,6 @@ def expected_phi_psi(case: CubicCase, q: QParam) -> PearsonPair:
     return PearsonPair(phi, psi)
 
 
-def _ascended(u: MomentFunctional, eta: Poly, rec_q: Recurrence, Np: int) -> Optional[tuple[Recurrence, OPSequence]]:
-    """p's recurrence and p_0..p_Np at k = 3, ascended from its block 0, rec_q and eta and certified on u.
-
-    None when a step raises a QmapError or when the certificate rejects; the
-    caller then falls back to the Chebyshev stages, which report any error.
-    """
-    try:
-        block0, _ = recurrence_from_moments(u, 3)
-        candidate = ascend_recurrence(block0, rec_q, eta)
-        return None if candidate is None else certify_recurrence(u, candidate, Np)
-    except QmapError:  # the staged Chebyshev reruns the failing step
-        return None
-
-
 def _mapping_failure(mapping: MappingData, rec_q: Recurrence) -> Optional[str]:
     """The stage and message of the first check that the mapping fails against q's recurrence; None if it passes."""
     # monic sequences agree up to q_n iff their (b_j, a_j) agree for j < n; a_0 = s_0 = 1
@@ -394,26 +380,35 @@ def _mapping_failure(mapping: MappingData, rec_q: Recurrence) -> Optional[str]:
     return None
 
 
-def _proved_candidate(u: MomentFunctional, eta: Poly, rec_q: Recurrence, r0: CycScalar, Np: int, Ncond: int):
-    """(rec_p, p_ops) and the mapping when the candidate ``rec_q`` is proved to be v's recurrence; else None.
+def _proved(
+    v: MomentFunctional, u: MomentFunctional, eta: Poly, rec_q: Optional[Recurrence], r0: CycScalar, Np: int, Ncond: int
+):
+    """v's recurrence, (rec_p, p_ops) and the mapping at k = 3 once a candidate for v's recurrence is proved; else None.
 
-    The certificate proves the ascended rec_p on u.  The mapping's (r, s)
-    then equal every level of rec_q and pi_k = x^k, so p_{kn} = q_n(x^k) for
-    each q_n of rec_q; as v = sigma_k u, <v, q_n q_m> = <u, p_{kn} p_{km}>,
-    and the q_n are v's monic orthogonal polynomials.  On any failure it
-    returns None and raises nothing; the staged path then reruns the failing
-    step and names it.
+    The candidate is ``rec_q`` or, when that is None, the Chebyshev on v.  The
+    certificate proves p's recurrence, ascended from it, on u; the mapping's
+    (r, s) then equal every level of the candidate and pi_k = x^k, so
+    p_{kn} = q_n(x^k) for each q_n of the candidate, and as v = sigma_k u,
+    <v, q_n q_m> = <u, p_{kn} p_{km}>: the q_n are v's monic orthogonal
+    polynomials.  Its steps raise only QmapErrors; on one, or on a failed
+    check, it returns None, and the staged route reruns the step and names it.
     """
-    found = _ascended(u, eta, rec_q, Np)
-    if found is None:
-        return None
     try:
+        if rec_q is None:
+            rec_q, _ = recurrence_from_moments(v, v.order // 2)
+        if len(rec_q.b) != v.order // 2:
+            return None
+        block0, _ = recurrence_from_moments(u, 3)
+        ascended = ascend_recurrence(block0, rec_q, eta)
+        found = None if ascended is None else certify_recurrence(u, ascended, Np)
+        if found is None:
+            return None
         mapping = build_mapping(BlockView(found[0], 3), r0, Ncond)
-    except Exception:  # noqa: BLE001 - the staged path reruns build_mapping and names its error
+    except QmapError:
         return None
     if len(mapping.r) < len(rec_q.b) or _mapping_failure(mapping, rec_q) is not None:
         return None
-    return found, mapping
+    return rec_q, found, mapping
 
 
 def build_power_case(
@@ -430,12 +425,12 @@ def build_power_case(
     with eta monic.
     ``rec_q`` is an optional candidate for v's recurrence with exactly
     max(N // k, 4) // 2 levels, such as the mapped family's closed form
-    (``families.family_recurrence``).  At k = 3 it stands in for the
-    Chebyshev on v and is accepted only once the certificate on u, the
-    comparison (r, s) = rec_q over every one of its levels and pi_k = x^k
-    have proved it (``_proved_candidate``); otherwise the build runs as with
-    no candidate.
-    A failing stage raises a CaseError whose message starts with ``label``.
+    (``families.family_recurrence``); with none, the candidate is the
+    Chebyshev on v.  At k = 3 ``_proved`` ascends p's recurrence from it and
+    proves both; for any other k, or when that proof fails, the staged route
+    runs the Chebyshev on u and on v and checks the mapping.
+    A failing stage raises a CaseError whose message starts with ``label``;
+    only the staged route raises one.
     """
     if eta.degree < 1 or eta.lc != ONE:
         raise CaseError(f"{label} stage power: eta must be monic of degree k - 1 >= 1, got {eta}")
@@ -453,26 +448,14 @@ def build_power_case(
     Np = u.order // 2
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)
-    # the ascent covers k = 3 only; elsewhere both recurrences are Chebyshev stages
-    proved = None
-    if rec_q is not None and k == 3 and len(rec_q.b) == v.order // 2:
-        proved = _proved_candidate(u, eta, rec_q, r0, Np, Ncond)
+    # the ascent covers k = 3 only; elsewhere, and when it is not proved, the stages decide
+    proved = _proved(v, u, eta, rec_q, r0, Np, Ncond) if k == 3 else None
     if proved is not None:
-        (rec_p, p_ops), mapping = proved
+        rec_q, (rec_p, p_ops), mapping = proved
         q_ops = ops_from_recurrence(rec_q, len(rec_q.b))
     else:
-        ascended = None
-        if k == 3:
-            try:
-                rec_q, q_ops = recurrence_from_moments(v, v.order // 2)
-                ascended = _ascended(u, eta, rec_q, Np)
-            except QmapError:  # the recurrence-q stage reruns it and names the error
-                pass
-        if ascended is None:
-            rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
-            rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
-        else:
-            rec_p, p_ops = ascended
+        rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
+        rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
         mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
         failure = _mapping_failure(mapping, rec_q)
         if failure is not None:

@@ -95,22 +95,27 @@ def laguerre_regularity_failures(a, q: QParam, n_max: int) -> list[str]:
     return out
 
 
-def jacobi_regularity_failures(a, b, q: QParam, n_max: int) -> list[str]:
-    """Violations of ab != 0, ab != q^(-n), and a, b != q^(-n-1) for n = 0..n_max."""
+def jacobi_regularity_failures(a, b, q: QParam, n_max: int, order: int | None = None) -> list[str]:
+    """Violations of ab != 0, ab != q^(-n), and a, b != q^(-n-1) for n = 0..n_max.
+
+    The moments to ``order`` (default n_max) also need ab != q^(-n) for n up to
+    order + 1, as the Pearson row that solves for u_n divides by 1 - ab q^(n+1).
+    """
     a = CycScalar.coerce(a)
     b = CycScalar.coerce(b)
     out = []
     if not (a * b):
         out.append("ab = 0")
         return out
-    for n in range(n_max + 1):
+    top = max(n_max, (n_max if order is None else order) + 1)
+    for n in range(top + 1):
         if n + 1 > q.max_order:
             break
         if a * b * q.power(n) == ONE:
             out.append(f"ab = q^-{n}")
-        if a * q.power(n + 1) == ONE:
+        if n <= n_max and a * q.power(n + 1) == ONE:
             out.append(f"a = q^-{n + 1}")
-        if b * q.power(n + 1) == ONE:
+        if n <= n_max and b * q.power(n + 1) == ONE:
             out.append(f"b = q^-{n + 1}")
     return out
 
@@ -155,8 +160,8 @@ def family_recurrence(family: str, a, b, Q: QParam, n: int) -> Recurrence:
     return Recurrence([x + y for x, y in zip(A, C)], [A[j - 1] * C[j] for j in range(1, n)])
 
 
-def regularity_failures(family: str, a, b, q: QParam, n_max: int) -> list[str]:
-    """The regularity violations of FAMILY_LAGUERRE or FAMILY_JACOBI up to level n_max."""
+def regularity_failures(family: str, a, b, q: QParam, n_max: int, order: int | None = None) -> list[str]:
+    """The regularity violations of FAMILY_LAGUERRE or FAMILY_JACOBI up to level n_max, with moments to ``order``."""
     if family == FAMILY_LAGUERRE:
         return laguerre_regularity_failures(a, q, n_max)
-    return jacobi_regularity_failures(a, b, q, n_max)
+    return jacobi_regularity_failures(a, b, q, n_max, order)

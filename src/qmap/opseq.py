@@ -302,11 +302,11 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
     which u stops being regular.
 
-    The case pipeline calls it for p's first block (N = 3, the seed of
-    ``mapping.ascend_recurrence``); for q's recurrence when no closed-form
-    candidate is given or proved; and, when the ascended recurrence cannot be
-    certified, for all of p's recurrence.  ``qmap ops`` calls it when the
-    family's closed form is not proved on u.
+    The case pipeline's proved route (k = 3) calls it for p's first block
+    (N = 3, the seed of ``mapping.ascend_recurrence``) and, when no
+    closed-form candidate is given, for q's candidate; its staged route calls
+    it for all of p's recurrence and then for q's.  ``qmap ops`` calls it when
+    the family's closed form is not proved on u.
     """
     if 2 * N - 1 > u.order:
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")

@@ -104,6 +104,15 @@ def test_ops_singular_family_parameters(capsys, argv, failure):
     assert failure in captured.err
 
 
+def test_ops_regularity_reaches_the_moments(capsys):
+    # ab = 2^27 / 4 = q^-25: the moments to order 24 need ab != q^-25, which level 24 alone does not check
+    argv = ["ops", "--family", "little-q-jacobi", "--a", "1/4", "--b", "134217728", "--q", "1/2", "--N", "24"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: little-q-jacobi is not regular up to level 24: ab = q^-25\n"
+
+
 @pytest.mark.parametrize(
     "argv, option, value",
     [

@@ -34,7 +34,7 @@ from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_r
 from qmap.errors import CaseError, MappingConditionError, QmapError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
 from qmap.mapping import ascend_recurrence
-from qmap import opseq
+from qmap import cli, opseq
 from qmap.opseq import certify_recurrence
 
 from conftest import cached_case_bundle
@@ -166,6 +166,18 @@ def test_validation_reaches_the_levels_that_n_reads(q_half):
     assert validate_case(case_fixture(5, q, {"a": 2 ** 75}), q, 144).ok
 
 
+def test_validation_reaches_the_moments_of_v(monkeypatch):
+    # pearson_moments to order V = 48 divides by 1 - ab Q^(m+1) for m <= 48, so ab = Q^-25 cannot build
+    q = QParam(Fraction(1, 2), 448)
+    case = case_fixture(7, q, {"b": 4 * q.pow(3).q ** -25})
+    with pytest.raises(CaseError) as info:
+        cubic_cases.build_case(case, q, 144)
+    assert str(info.value) == "case 7 stage validate: regularity: ab = q^-25"
+    monkeypatch.setattr(cli, "case_fixture", lambda cid, q: case)
+    row = cli._run_table_entry(7, "1/2", q, 144)
+    assert row == {"case": 7, "q": "1/2", "ok": False, "error": "regularity: ab = q^-25"}
+
+
 def test_stage_error_names_the_case(q_half, monkeypatch):
     def irregular(u, N):
         raise RegularityError("not regular at level 0: <u, p_0^2> = 0")
@@ -203,10 +215,13 @@ def test_pi_k_mismatch_names_the_power_identity_stage(q_half, monkeypatch):
     assert str(info.value) == "case 1 stage power-identity: pi_k != x^3"
 
 
-def test_build_case_is_the_power_builder_at_k3(q_half):
+def test_build_case_is_the_power_builder_at_k3(q_half, monkeypatch):
     b = cached_case_bundle(1, q_half)
     p = b.case.params
+    spy = _ChebyshevSpy(monkeypatch)
     bare = build_power_case(family_pair(b.case.family, p["a"], p.get("b"), q_half.pow(3)), b.eta, q_half, 48)
+    # with no candidate, the Chebyshev on v gives one, and p's block 0 seeds its ascent
+    assert spy.calls == [(b.v.order, b.v.order // 2), (b.u.order, 3)]
     assert bare.mapping.k == b.mapping.k == 3
     assert bare.case is None and bare.expected_pair is None
     assert replace(bare, case=b.case, expected_pair=b.expected_pair) == b
@@ -442,6 +457,26 @@ def test_the_candidate_path_builds_the_mapping_once_and_falls_back_quietly(q_hal
     assert len(built) == (1 if spoil is None else 2)
     assert ((bundle.v.order, bundle.v.order // 2) in spy.calls) == (spoil is not None)
     assert bundle == cached_case_bundle(13, q_half)
+
+
+@pytest.mark.parametrize("cid", [1, 13])
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_shifted_r, "stage mapping: mapped q_1 disagrees with moment-side q_1"),
+        (_bent_pi_k, "stage power-identity: pi_k != x^3"),
+        (_conditions_fail, "stage mapping: condition (i): b_1^(0) != b_0^(0)"),
+    ],
+)
+def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch, cid, spoil, message):
+    # the Chebyshev on v is the candidate; its proof fails quietly, and the staged route names the stage
+    real = cubic_cases.build_mapping
+    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: spoil(real(*args)))
+    case = case_fixture(cid, q_half)
+    pair = family_pair(case.family, case.params["a"], case.params.get("b"), q_half.pow(3))
+    with pytest.raises(CaseError) as info:
+        build_power_case(pair, cached_case_bundle(cid, q_half).eta, q_half, 48, f"case {cid}")
+    assert str(info.value) == f"case {cid} {message}"
 
 
 def test_the_comparison_covers_every_candidate_level(q_half):

@@ -188,6 +188,20 @@ def test_family_dispatch(q_half):
     assert regularity_failures(FAMILY_JACOBI, a, 4, q_half, 4) == ["ab = q^-0", "b = q^-2"]
 
 
+def test_jacobi_regularity_covers_the_moments_it_is_asked_for(q_half):
+    # the Pearson row that solves for u_m divides by 1 - ab q^(m+1): ab = q^-m breaks order 10 iff 2 <= m <= 11
+    a = Fraction(1, 4)
+    for m in range(2, 14):
+        b = 4 * Fraction(2) ** m
+        try:
+            pearson_moments(little_q_jacobi_pair(a, b, q_half), 1, 10, q_half)
+            generated = True
+        except RegularityError:
+            generated = False
+        assert (f"ab = q^-{m}" in jacobi_regularity_failures(a, b, q_half, 4, 10)) == (not generated), m
+    assert jacobi_regularity_failures(a, 4 * 2 ** 11, q_half, 4) == []  # the moments to order n_max = 4 exist
+
+
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
