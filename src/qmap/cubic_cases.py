@@ -13,11 +13,11 @@ closed-form recurrence (``families.family_recurrence``) to
 at q^k, the lift, both recurrences, the mapping and its conditions, the
 comparison of the mapped recurrence with q's own, pi_k = x^k (which with the
 two before it proves p_{kn} = q_n(x^k)), the lifted (A, C, D) and the class
-report.  At k = 3 the proved route ascends p's recurrence from a candidate for
-q's (the closed form, else the Chebyshev on v) and eta, and the certificate
-on u (``opseq.certify_recurrence``), the comparison and pi_k = x^k prove both;
-for any other k, or when that proof fails, the staged route runs the
-Chebyshev algorithm on u's and v's moments and names the failing stage.
+report.  Each recurrence falls back on its own: p's is ascended at k = 3 from
+a candidate for q's and eta and proved on u (``opseq.certify_recurrence``),
+else it is the Chebyshev on u; q's candidate is proved by the comparison and
+pi_k = x^k, else it is the Chebyshev on v.  A fallback that fails names its
+stage.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
@@ -380,37 +380,6 @@ def _mapping_failure(mapping: MappingData, rec_q: Recurrence) -> Optional[str]:
     return None
 
 
-def _proved(
-    v: MomentFunctional, u: MomentFunctional, eta: Poly, rec_q: Optional[Recurrence], r0: CycScalar, Np: int, Ncond: int
-):
-    """v's recurrence, (rec_p, p_ops) and the mapping at k = 3 once a candidate for v's recurrence is proved; else None.
-
-    The candidate is ``rec_q`` or, when that is None, the Chebyshev on v.  The
-    certificate proves p's recurrence, ascended from it, on u; the mapping's
-    (r, s) then equal every level of the candidate and pi_k = x^k, so
-    p_{kn} = q_n(x^k) for each q_n of the candidate, and as v = sigma_k u,
-    <v, q_n q_m> = <u, p_{kn} p_{km}>: the q_n are v's monic orthogonal
-    polynomials.  Its steps raise only QmapErrors; on one, or on a failed
-    check, it returns None, and the staged route reruns the step and names it.
-    """
-    try:
-        if rec_q is None:
-            rec_q, _ = recurrence_from_moments(v, v.order // 2)
-        if len(rec_q.b) != v.order // 2:
-            return None
-        block0, _ = recurrence_from_moments(u, 3)
-        ascended = ascend_recurrence(block0, rec_q, eta)
-        found = None if ascended is None else certify_recurrence(u, ascended, Np)
-        if found is None:
-            return None
-        mapping = build_mapping(BlockView(found[0], 3), r0, Ncond)
-    except QmapError:
-        return None
-    if len(mapping.r) < len(rec_q.b) or _mapping_failure(mapping, rec_q) is not None:
-        return None
-    return rec_q, found, mapping
-
-
 def build_power_case(
     pair_v: PearsonPair,
     eta: Poly,
@@ -425,12 +394,15 @@ def build_power_case(
     with eta monic.
     ``rec_q`` is an optional candidate for v's recurrence with exactly
     max(N // k, 4) // 2 levels, such as the mapped family's closed form
-    (``families.family_recurrence``); with none, the candidate is the
-    Chebyshev on v.  At k = 3 ``_proved`` ascends p's recurrence from it and
-    proves both; for any other k, or when that proof fails, the staged route
-    runs the Chebyshev on u and on v and checks the mapping.
+    (``families.family_recurrence``).  Each recurrence falls back on its own.
+    p's, at k = 3, is ascended from the candidate (with none, from the
+    Chebyshev on v) and kept when the certificate proves it on u; else it is
+    the Chebyshev on u.  q's candidate stands when the mapping built from
+    rec_p equals it on every level and pi_k = x^k, which proves it v's own as
+    rec_p is u's, however it was made (see README); else the Chebyshev on v
+    decides.
     A failing stage raises a CaseError whose message starts with ``label``;
-    only the staged route raises one.
+    a candidate that fails raises none.
     """
     if eta.degree < 1 or eta.lc != ONE:
         raise CaseError(f"{label} stage power: eta must be monic of degree k - 1 >= 1, got {eta}")
@@ -448,18 +420,34 @@ def build_power_case(
     Np = u.order // 2
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)
-    # the ascent covers k = 3 only; elsewhere, and when it is not proved, the stages decide
-    proved = _proved(v, u, eta, rec_q, r0, Np, Ncond) if k == 3 else None
-    if proved is not None:
-        rec_q, (rec_p, p_ops), mapping = proved
-        q_ops = ops_from_recurrence(rec_q, len(rec_q.b))
-    else:
-        rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
-        rec_q, q_ops = stage("recurrence-q", lambda: recurrence_from_moments(v, v.order // 2))
+    Nq = v.order // 2
+    if rec_q is not None and len(rec_q.b) != Nq:
+        rec_q = None  # a candidate names every level of v's recurrence
+    found = None
+    if k == 3:  # p's candidate: ascended from q's candidate, else from the Chebyshev on v
+        try:
+            if rec_q is None:
+                rec_q, _ = recurrence_from_moments(v, Nq)
+            block0, _ = recurrence_from_moments(u, 3)
+            ascended = ascend_recurrence(block0, rec_q, eta)
+            found = None if ascended is None else certify_recurrence(u, ascended, Np)
+        except QmapError:
+            pass
+    rec_p, p_ops = found if found is not None else stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
+    # rec_p is u's own, so the comparison and pi_k = x^k prove a candidate that passes them
+    mapping = None
+    if rec_q is not None:
+        try:
+            mapping = build_mapping(BlockView(rec_p, k), r0, Ncond)
+        except QmapError:
+            pass
+    if mapping is None or len(mapping.r) < Nq or _mapping_failure(mapping, rec_q) is not None:
+        rec_q, _ = stage("recurrence-q", lambda: recurrence_from_moments(v, Nq))
         mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
         failure = _mapping_failure(mapping, rec_q)
         if failure is not None:
             raise CaseError(f"{label} stage {failure}")
+    q_ops = ops_from_recurrence(rec_q, Nq)
 
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
     acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, q))

@@ -82,13 +82,14 @@ def little_q_jacobi_acd(a, b, q: QParam, u0=1) -> ACDTriple:
 
 
 def laguerre_regularity_failures(a, q: QParam, n_max: int) -> list[str]:
-    """Violations of a != 0 and a != q^(-n-1) for n = 0..n_max."""
+    """Violations of a != 0 and a != q^(-n-1) for n = 0..n_max; levels past q's validated order are one failure."""
     a = CycScalar.coerce(a)
     out = []
     if not a:
         out.append("a = 0")
     for n in range(n_max + 1):
         if n + 1 > q.max_order:
+            out.append(f"n = {n}..{n_max} not checked: q^{n + 1} is past the validated order {q.max_order}")
             break
         if a * q.power(n + 1) == ONE:
             out.append(f"a = q^-{n + 1}")
@@ -100,6 +101,7 @@ def jacobi_regularity_failures(a, b, q: QParam, n_max: int, order: int | None = 
 
     The moments to ``order`` (default n_max) also need ab != q^(-n) for n up to
     order + 1, as the Pearson row that solves for u_n divides by 1 - ab q^(n+1).
+    The levels past q's validated order are reported as one failure.
     """
     a = CycScalar.coerce(a)
     b = CycScalar.coerce(b)
@@ -110,6 +112,7 @@ def jacobi_regularity_failures(a, b, q: QParam, n_max: int, order: int | None = 
     top = max(n_max, (n_max if order is None else order) + 1)
     for n in range(top + 1):
         if n + 1 > q.max_order:
+            out.append(f"n = {n}..{top} not checked: q^{n + 1} is past the validated order {q.max_order}")
             break
         if a * b * q.power(n) == ONE:
             out.append(f"ab = q^-{n}")

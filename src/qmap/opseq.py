@@ -302,11 +302,11 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
     which u stops being regular.
 
-    The case pipeline's proved route (k = 3) calls it for p's first block
-    (N = 3, the seed of ``mapping.ascend_recurrence``) and, when no
-    closed-form candidate is given, for q's candidate; its staged route calls
-    it for all of p's recurrence and then for q's.  ``qmap ops`` calls it when
-    the family's closed form is not proved on u.
+    ``cubic_cases.build_power_case`` calls it for p's first block at k = 3
+    (N = 3, the seed of ``mapping.ascend_recurrence``), for q's candidate
+    when it is given none, and for either recurrence whose candidate is not
+    proved.  ``qmap ops`` calls it when the family's closed form is not
+    proved on u.
     """
     if 2 * N - 1 > u.order:
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")

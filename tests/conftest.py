@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,22 @@ def random_poly(rng: random.Random, max_deg: int, span: int = 6, omega: bool = T
 
 def random_monic_poly(rng: random.Random, deg: int, span: int = 6, omega: bool = True) -> Poly:
     return Poly([random_scalar(rng, span, 6, omega) for _ in range(deg)] + [1])
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's own workload module, bench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolves the module's annotations through sys.modules
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from qmap import (
     BlockView,
     CycScalar,
     OMEGA,
-    ONE,
     PearsonPair,
     Poly,
     QParam,
@@ -32,7 +31,7 @@ from qmap import (
 )
 from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_reconstruct_case13, validate_case
 from qmap.errors import CaseError, MappingConditionError, QmapError, RegularityError, SingularCaseError
-from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
+from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, family_recurrence
 from qmap.mapping import ascend_recurrence
 from qmap import cli, opseq
 from qmap.opseq import certify_recurrence
@@ -176,6 +175,17 @@ def test_validation_reaches_the_moments_of_v(monkeypatch):
     monkeypatch.setattr(cli, "case_fixture", lambda cid, q: case)
     row = cli._run_table_entry(7, "1/2", q, 144)
     assert row == {"case": 7, "q": "1/2", "ok": False, "error": "regularity: ab = q^-25"}
+
+
+@pytest.mark.parametrize("cid, top", [(1, 23), (7, 49)])
+def test_validation_reports_the_levels_past_the_validated_order(cid, top):
+    # Q = q^3 is validated to order 64 // 3 = 21, but N = 144 reads levels to 23 and Jacobi moments to 49
+    q = QParam(Fraction(1, 2), 64)
+    message = f"regularity: n = 21..{top} not checked: q^22 is past the validated order 21"
+    assert validate_case(case_fixture(cid, q), q, 144).failures == (message,)
+    with pytest.raises(CaseError) as info:
+        cubic_cases.build_case(case_fixture(cid, q), q, 144)
+    assert str(info.value) == f"case {cid} stage validate: {message}"
 
 
 def test_stage_error_names_the_case(q_half, monkeypatch):
@@ -376,19 +386,15 @@ def test_certificate_rejects_a_perturbed_ascent_and_the_chebyshev_decides(q_half
     assert bundle == cached_case_bundle(1, q_half, 24)
 
 
-# the Q(w) builds of the benchmark's branch workload (bench/workloads.py::BRANCH_BUILDS)
-BRANCH_BUILDS = ((1, -OMEGA), (1, ONE + OMEGA), (5, -OMEGA), (7, -OMEGA))
-
-
-def test_the_ascent_is_certified_on_every_catalog_and_branch_build(q_half, q_third, monkeypatch):
+def test_the_ascent_is_certified_on_every_catalog_and_branch_build(workloads, monkeypatch):
+    # the benchmark's own builds: 26 catalog cases, 2 deep and 4 Q(w) branch builds
     spy = _ChebyshevSpy(monkeypatch)
-    builds = [(case_fixture(cid, q), q, 48) for q in (q_half, q_third) for cid in CASE_IDS]
-    builds += [(case_fixture(cid, q_half, {"tau": tau}), q_half, 24) for cid, tau in BRANCH_BUILDS]
-    for case, q, N in builds:
+    for workload, builds in (("catalog", 26), ("deep", 2), ("branch", 4)):
         spy.calls.clear()
-        bundle = cubic_cases.build_case(case, q, N)
+        for call in workloads.build(workload, 0):
+            call.run()
         # p's block 0 only: q's recurrence is the family's closed form, proved by the build
-        assert spy.calls == [(bundle.u.order, 3)], (case.id, case.params["tau"])
+        assert [N for _, N in spy.calls] == [3] * builds, workload
 
 
 def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
@@ -442,7 +448,7 @@ def _conditions_fail(mapping):
 @pytest.mark.parametrize("spoil", [None, _shifted_r, _bent_pi_k, _conditions_fail])
 def test_the_candidate_path_builds_the_mapping_once_and_falls_back_quietly(q_half, monkeypatch, spoil):
     # a failed comparison, pi_k != x^3 or a build_mapping error on the candidate
-    # path is no stage error: the staged path runs the Chebyshev on v and decides
+    # is no stage error: the Chebyshev on v decides, and the certified rec_p stands
     real = cubic_cases.build_mapping
     built = []
 
@@ -456,6 +462,7 @@ def test_the_candidate_path_builds_the_mapping_once_and_falls_back_quietly(q_hal
     bundle = cubic_cases.build_case(case_fixture(13, q_half), q_half, 48)
     assert len(built) == (1 if spoil is None else 2)
     assert ((bundle.v.order, bundle.v.order // 2) in spy.calls) == (spoil is not None)
+    assert not spy.fell_back(bundle)
     assert bundle == cached_case_bundle(13, q_half)
 
 
@@ -469,7 +476,7 @@ def test_the_candidate_path_builds_the_mapping_once_and_falls_back_quietly(q_hal
     ],
 )
 def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch, cid, spoil, message):
-    # the Chebyshev on v is the candidate; its proof fails quietly, and the staged route names the stage
+    # the Chebyshev on v is the candidate; its proof fails quietly, and the rerun names the stage
     real = cubic_cases.build_mapping
     monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: spoil(real(*args)))
     case = case_fixture(cid, q_half)
@@ -506,6 +513,22 @@ def test_k2_and_k4_keep_the_chebyshev_on_u(monkeypatch, eta):
     bundle = _power_bundle(eta, *FAMILIES[1])
     assert bundle.mapping.k == eta.degree + 1
     assert spy.calls == [(bundle.u.order, bundle.u.order // 2), (bundle.v.order, bundle.v.order // 2)]
+
+
+@pytest.mark.parametrize("family, a, b", FAMILIES)
+@pytest.mark.parametrize("eta", [POWER_ETAS[0][0], POWER_ETAS[3][0]])
+def test_k2_and_k4_prove_a_candidate_for_q_by_the_comparison(monkeypatch, eta, family, a, b):
+    # rec_p is the Chebyshev on u, and the comparison proves the closed form at Q = q^k
+    k = eta.degree + 1
+    pair = family_pair(family, a, b, Q_POWER.pow(k))
+    bare = _power_bundle(eta, family, a, b)
+    closed = family_recurrence(family, a, b, Q_POWER.pow(k), bare.v.order // 2)
+    spy = _ChebyshevSpy(monkeypatch)
+    assert build_power_case(pair, eta, Q_POWER, 60, rec_q=closed) == bare
+    assert spy.calls == [(bare.u.order, bare.u.order // 2)]  # no call on v
+    spy.calls.clear()
+    assert build_power_case(pair, eta, Q_POWER, 60, rec_q=_wrong(closed, "b", 2)) == bare
+    assert spy.calls == [(bare.u.order, bare.u.order // 2), (bare.v.order, bare.v.order // 2)]
 
 
 def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch):
