@@ -8,7 +8,9 @@ assert within the range actually determined by the inputs, never vacuously.
 Every row of correlations sum_i c_i v_{i+l} in the package -- phi u, u_poly,
 the mixed moments <u, x^l p_n> of ``opseq`` and the two halves of
 ``stieltjes.poly_mul_series`` -- comes from the one kernel ``_correlate`` on
-lcm-scaled integer components; ``_dot`` is left for single dot products.
+canonical integer forms (R, O, D), value i being (R[i] + O[i] w)/D with one D
+for both components; ``_scaled`` makes them, and ``opseq`` stores p_n in them.
+``_dot`` is left for single dot products.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from operator import mul
 
 from .errors import RegularityError, TruncationError
 from .polyalg import Poly
-from .scalars import CycScalar, QParam, ZERO, format_scalar
+from .scalars import CycScalar, QParam, ZERO, _make, format_scalar
 
 __all__ = [
     "MomentFunctional",
@@ -93,41 +95,44 @@ def _dot(coeffs, values) -> CycScalar:
 
 
 def _scaled(values) -> tuple:
-    """Each Q(w) component of ``values`` as (ints, d) with component_i = ints[i] / d.
+    """The canonical integer form (R, O, D) of ``values``: value i is (R[i] + O[i] w)/D.
 
-    d is the lcm of that component's denominators; a component that is zero
-    throughout is None.
+    D > 0 is the lcm of every denominator of both components, hence the least
+    common one; O is None when every w-part is zero.  R and O are lists, since
+    ``_correlate`` reads a form once; with tuples the tracemalloc peak of one
+    ``catalog`` bench pass read 421 KB against 399 KB (CPython 3.11).
+    ``opseq.OPSequence``, which compares and hashes its forms, makes tuples.
     """
-    parts = []
-    for comp in ([x.re for x in values], [x.om for x in values]):
-        if any(comp):
-            d = lcm(*(f.denominator for f in comp))
-            parts.append(([f.numerator * (d // f.denominator) for f in comp], d))
-        else:
-            parts.append(None)
-    return tuple(parts)
+    re, om = [x.re for x in values], [x.om for x in values]
+    if not any(om):
+        om = None
+    D = lcm(*(f.denominator for f in (re if om is None else re + om)))
+    R = [f.numerator * (D // f.denominator) for f in re]
+    return R, (None if om is None else [f.numerator * (D // f.denominator) for f in om]), D
 
 
 def _correlate(c: tuple, v: tuple, length: int) -> list[CycScalar]:
-    """[sum_i c_i v_{i+l} for l < length] from the ``_scaled`` forms of c and v.
+    """[sum_i c_i v_{i+l} for l < length] from the canonical forms (R, O, D) of c and v.
 
-    Each component product is one integer dot product per row over the
-    lcm-scaled values, so no gcd is taken inside a sum; the four products
-    recombine with w^2 = -1 - w.  A purely rational c and v give results
-    with the shared zero w-part, so later arithmetic stays on the rational path.
+    Each entry is integer dot products of the numerators over D_c D_v, so no
+    gcd is taken inside a sum.  Rational c and v take one dot and one Fraction
+    per entry, with the shared zero w-part, so later arithmetic stays on the
+    rational path; otherwise the component dots recombine as integers with
+    w^2 = -1 - w before the entry's two Fractions are made.
     """
-    zero = [0] * length
+    (Rc, Oc, Dc), (Rv, Ov, Dv) = c, v
+    den, n, zero = Dc * Dv, len(Rc), [0] * length
 
-    def dots(cp, vp):
-        if cp is None or vp is None:
+    def dots(ci, vi):
+        if ci is None or vi is None:
             return zero
-        (ci, cd), (vi, vd) = cp, vp
-        den, n = cd * vd, len(ci)
-        return [Fraction(sum(map(mul, ci, vi[l : l + n])), den) for l in range(length)]
+        return [sum(map(mul, ci, vi[l : l + n])) for l in range(length)]
 
-    (cre, com), (vre, vom) = c, v
-    re_re, re_om, om_re, om_om = dots(cre, vre), dots(cre, vom), dots(com, vre), dots(com, vom)
-    return [CycScalar(x - z, y + t - z) for x, y, t, z in zip(re_re, re_om, om_re, om_om)]
+    re_re = dots(Rc, Rv)
+    if Oc is None and Ov is None:
+        return [_make(Fraction(x, den)) for x in re_re]
+    re_om, om_re, om_om = dots(Rc, Ov), dots(Oc, Rv), dots(Oc, Ov)
+    return [_make(Fraction(x - z, den), Fraction(y + t - z, den)) for x, y, t, z in zip(re_re, re_om, om_re, om_om)]
 
 
 def act(u: MomentFunctional, f: Poly) -> CycScalar:

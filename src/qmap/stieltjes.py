@@ -61,14 +61,14 @@ class LaurentSeries:
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        d = min(self.depth, other.depth)
-        pp = tuple(self.principal[i] + other.principal[i] for i in range(d))
+        pp = tuple(x + y for x, y in zip(self.principal, other.principal))
         return LaurentSeries(self.poly_part + other.poly_part, pp)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self + (-other)
+        pp = tuple(x - y for x, y in zip(self.principal, other.principal))
+        return LaurentSeries(self.poly_part - other.poly_part, pp)
 
     def __neg__(self):
         return LaurentSeries(-self.poly_part, tuple(-c for c in self.principal))

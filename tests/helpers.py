@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from hypothesis import strategies as st
+
 from qmap import ZERO, ACDTriple, CycScalar, LaurentSeries, MomentFunctional, OPSequence, Poly, Recurrence, act, compose_xk, divrem, poly_gcd
 from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.functionals import _dot
@@ -278,6 +280,16 @@ def power_identity_oracle(bundle) -> Optional[int]:
 
 
 # -- conveniences that only the tests use --------------------------------------
+
+
+def kernel_scalars(fractions):
+    """Q(w) values of every shape the integer kernels branch on: zero, rational, w-only and mixed."""
+    return st.one_of(
+        st.just(ZERO),
+        st.builds(CycScalar, fractions),
+        st.builds(lambda om: CycScalar(0, om), fractions),
+        st.builds(CycScalar, fractions, fractions),
+    )
 
 
 def poly_from_strings(items) -> Poly:

@@ -3,11 +3,11 @@
 ``functionals._correlate`` computes every row sum_i c_i v_{i+l} of the
 package: phi u, u_poly, the mixed moments of ``opseq`` and both halves of
 ``poly_mul_series``.  Each caller is compared here with its predecessor loop
-in ``helpers`` on rational and Q(w) inputs, including zero coefficients, rows
-of length <= 0, deg phi = order and the errors the callers raise.
+in ``helpers`` on rational and Q(w) inputs whose two sides take their shapes
+independently (so a rational side meets a Q(w) side), including zero
+coefficients, rows of length <= 0, deg phi = order and the errors the callers
+raise.
 """
-
-from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -16,15 +16,16 @@ from qmap.errors import TruncationError
 from qmap.functionals import _correlate, _scaled
 from qmap.scalars import _Q0
 
-from helpers import left_mul_oracle, poly_mul_series_oracle, sigma_row_oracle, u_poly_oracle
+from helpers import kernel_scalars, left_mul_oracle, poly_mul_series_oracle, sigma_row_oracle, u_poly_oracle
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 def _scalars(omega: bool):
-    """Q(w) scalars, or rationals when ``omega`` is false; zero is drawn often."""
-    om = small_fractions if omega else st.just(Fraction(0))
-    return st.one_of(st.just(ZERO), st.builds(CycScalar, small_fractions, om))
+    """Zero, rational, w-only and mixed values, or zero and rationals when ``omega`` is false."""
+    if omega:
+        return kernel_scalars(small_fractions)
+    return st.one_of(st.just(ZERO), st.builds(CycScalar, small_fractions))
 
 
 def _vectors(omega: bool, min_size: int = 0, max_size: int = 10):
@@ -33,12 +34,15 @@ def _vectors(omega: bool, min_size: int = 0, max_size: int = 10):
 
 @st.composite
 def functional_and_poly(draw, extra_degree: int = 0):
-    """(u, f, omega) with deg f up to order + extra_degree; deg f = order is drawn often."""
-    omega = draw(st.booleans())
-    u = MomentFunctional(draw(_vectors(omega, 1, 12)))
+    """(u, f, omega) with deg f up to order + extra_degree; deg f = order is drawn often.
+
+    u and f draw their shapes independently; omega is false when both are rational.
+    """
+    omega_u, omega_f = draw(st.booleans()), draw(st.booleans())
+    u = MomentFunctional(draw(_vectors(omega_u, 1, 12)))
     deg = draw(st.one_of(st.just(u.order), st.integers(0, u.order + extra_degree)))
-    f = Poly(draw(_vectors(omega, deg + 1, deg + 1)))
-    return u, f, omega
+    f = Poly(draw(_vectors(omega_f, deg + 1, deg + 1)))
+    return u, f, omega_u or omega_f
 
 
 def _outcome(fn, *args):
@@ -53,13 +57,15 @@ def _rational_path_kept(values):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.booleans(), st.integers(-3, 14))
-def test_kernel_matches_the_dot_loop(data, omega, length):
-    c = data.draw(_vectors(omega))
-    v = data.draw(_vectors(data.draw(st.booleans()) and omega))
+@given(st.data(), st.booleans(), st.booleans(), st.integers(-3, 14))
+def test_kernel_matches_the_dot_loop(data, omega_c, omega_v, length):
+    c = data.draw(_vectors(omega_c))
+    v = data.draw(_vectors(omega_v))
     row = _correlate(_scaled(c), _scaled(v), length)
     assert row == [sum((ci * vi for ci, vi in zip(c, v[l:])), ZERO) for l in range(length)]
     assert _rational_path_kept(row)
+    if not (omega_c or omega_v):
+        assert all(x.om is _Q0 for x in row)
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,12 +109,12 @@ def test_sigma_rows_match_oracle(data, extra):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.booleans())
-def test_poly_mul_series_matches_oracle(data, omega):
-    S = LaurentSeries(Poly(data.draw(_vectors(omega, 0, 4))), data.draw(_vectors(omega, 0, 9)))
+@given(st.data(), st.booleans(), st.booleans())
+def test_poly_mul_series_matches_oracle(data, omega_s, omega_a):
+    S = LaurentSeries(Poly(data.draw(_vectors(omega_s, 0, 4))), data.draw(_vectors(omega_s, 0, 9)))
     # degrees past the depth keep the ValueError
-    A = Poly(data.draw(_vectors(data.draw(st.booleans()) and omega, 0, S.depth + 3)))
+    A = Poly(data.draw(_vectors(omega_a, 0, S.depth + 3)))
     out = _outcome(poly_mul_series, A, S)
     assert out == _outcome(poly_mul_series_oracle, A, S)
-    if not omega and isinstance(out, LaurentSeries):
+    if not (omega_s or omega_a) and isinstance(out, LaurentSeries):
         assert all(x.om is _Q0 for x in out.principal + out.poly_part.coeffs)

@@ -28,7 +28,7 @@ from qmap import opseq
 from qmap.opseq import OrthogonalityReport, certify_recurrence
 
 from conftest import random_nonzero_scalar, random_scalar
-from helpers import ops_from_recurrence_oracle, orthogonality_check_oracle, recurrence_from_moments_oracle
+from helpers import kernel_scalars, ops_from_recurrence_oracle, orthogonality_check_oracle, recurrence_from_moments_oracle
 
 X = Poly.x()
 
@@ -244,20 +244,10 @@ def test_ops_from_recurrence_matches_oracle(data, draw):
 # -- the integer kernel: canonical forms against the Poly-arithmetic oracle ------
 
 
-def _kernel_scalars():
-    """Q(w) values of every shape the kernel branches on: zero, rational, w-only and mixed."""
-    return st.one_of(
-        st.just(ZERO),
-        st.builds(CycScalar, small_fractions),
-        st.builds(lambda om: CycScalar(0, om), small_fractions),
-        st.builds(CycScalar, small_fractions, small_fractions),
-    )
-
-
 @st.composite
 def kernel_recurrences(draw):
     """b_0..b_{N-1} and a_1..a_{N-1}, either all rational or of mixed shapes."""
-    scalars = _kernel_scalars() if draw(st.booleans()) else st.builds(CycScalar, small_fractions)
+    scalars = kernel_scalars(small_fractions) if draw(st.booleans()) else st.builds(CycScalar, small_fractions)
     N = draw(st.integers(1, 8))
     b = draw(st.lists(scalars, min_size=N, max_size=N))
     a = draw(st.lists(scalars.filter(bool), min_size=N - 1, max_size=N - 1))

@@ -55,6 +55,19 @@ def test_series_linearity():
     w = MomentFunctional([random_scalar(rng) for _ in range(6)])
     both = MomentFunctional([a + b for a, b in zip(u.moments, w.moments)])
     assert series_from_functional(both) == series_from_functional(u) + series_from_functional(w)
+    # a difference is known to the shallower depth, either way round
+    short = MomentFunctional(w.moments[:4])
+    diff = MomentFunctional([a - b for a, b in zip(u.moments, short.moments)])
+    assert series_from_functional(u) - series_from_functional(short) == series_from_functional(diff)
+    assert series_from_functional(short) - series_from_functional(u) == -series_from_functional(diff)
+    # with polynomial parts, term by term equals adding the negation
+    for depths in ((7, 3), (2, 6), (5, 5), (0, 4)):
+        S, T = (_random_series(rng, d, poly_deg=rng.randint(0, 4)) for d in depths)
+        D = S - T
+        assert D == S + (-T)
+        assert D.depth == min(depths)
+        assert D.poly_part == S.poly_part - T.poly_part
+        assert D.principal == tuple(x - y for x, y in zip(S.principal, T.principal))
 
 
 def test_hahn_qinv_series_basic(q_half):
