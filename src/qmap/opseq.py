@@ -97,7 +97,7 @@ def _parts(x: CycScalar) -> tuple[int, int, int]:
     """x as (r, o, d) with x = (r + o w)/d and d the lcm of its two denominators.
 
     Not ``functionals._scaled((x,))``: its lists, made twice a step, raised the
-    tracemalloc peak of a ``catalog`` bench pass from 399 to 482 KB (CPython 3.11).
+    tracemalloc peak of a ``catalog`` bench pass from 373 to 456 KB (CPython 3.11).
     """
     re, om = x.re, x.om
     if not om:
@@ -139,14 +139,17 @@ def _step(cur, prev, b: CycScalar, a: Optional[CycScalar]) -> tuple:
         ar, ao = sa * ar, sa * ao
     s = L // D
     br, bo = (s // bd) * br, (s // bd) * bo
-    zeros = (0,) * (len(R) + 1 - len(Rp))
-    xR, R, Rp = (0, *R), (*R, 0), (*Rp, *zeros)  # x P, P and P_prev, aligned on n + 2 coefficients
+    # The aligned copies are lists: small tuples freed here wait in CPython's
+    # tuple free lists until a full collection, which raised the bench's
+    # peak_rss_mb with the number of passes a run completes.
+    zeros = [0] * (len(R) + 1 - len(Rp))
+    xR, R, Rp = [0, *R], [*R, 0], [*Rp, *zeros]  # x P, P and P_prev, aligned on n + 2 coefficients
     if O is None and Op is None and not bo and not ao:
         re = [s * h - br * r - ar * t for h, r, t in zip(xR, R, Rp)]
         om = None
     else:
-        xO, O = ((0, *O), (*O, 0)) if O is not None else ((0,) * len(R), (0,) * len(R))
-        Op = (*Op, *zeros) if Op is not None else (0,) * len(R)
+        xO, O = ([0, *O], [*O, 0]) if O is not None else ([0] * len(R), [0] * len(R))
+        Op = [*Op, *zeros] if Op is not None else [0] * len(R)
         # (B_r + B_o w)(R + O w) = (B_r R - B_o O) + (B_r O + B_o (R - O)) w, from w^2 = -1 - w
         re = [s * h - br * r + bo * o - ar * t + ao * v for h, r, o, t, v in zip(xR, R, O, Rp, Op)]
         om = [s * h - br * o - bo * (r - o) - ar * v - ao * (t - v) for h, r, o, t, v in zip(xO, R, O, Rp, Op)]
