@@ -9,15 +9,12 @@ as a parameter-dependent constructor, so one encoding serves every q sample.
 ``build_case`` is the one place that fixes the power k = 3: it validates a case
 and hands eta_2 = x^2 + tau x + k_tau, the family pair at q^3 and the family's
 closed-form recurrence (``families.family_recurrence``) to
-``build_power_case``, which runs the pipeline for any k = deg eta + 1: moments
-at q^k, the lift, both recurrences, the mapping and its conditions, the
-comparison of the mapped recurrence with q's own, pi_k = x^k (which with the
-two before it proves p_{kn} = q_n(x^k)), the lifted (A, C, D) and the class
-report.  Each recurrence falls back on its own: p's is ascended at k = 3 from
-a candidate for q's and eta and proved on u (``opseq.certify_recurrence``),
-else it is the Chebyshev on u; q's candidate is proved by the comparison and
-pi_k = x^k, else it is the Chebyshev on v.  A fallback that fails names its
-stage.
+``build_power_case``, which runs the pipeline for any k = deg eta + 1 in one
+pass: moments at q^k, the lift, p's recurrence (at k = 3 ascended from q's and
+proved on u, else the Chebyshev on u), one mapping built from it, which proves
+q's candidate or else checks the Chebyshev on v against it, pi_k = x^k (which
+with the comparison proves p_{kn} = q_n(x^k)), the lifted (A, C, D) and the
+class report.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
@@ -26,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .classifier import ClassReport, classify
@@ -244,17 +242,22 @@ def _constraint_failures(case: CubicCase, q: QParam) -> list[str]:
     return out
 
 
+def _v_order(N: int, k: int = _K) -> int:
+    """The order of v that ``build_power_case`` generates for the target order N of u."""
+    return max(N // k, 4)
+
+
 def validate_case(case: CubicCase, q: QParam, N: int = 48) -> CaseValidation:
     """Check the case constraints plus the mapped family's regularity at q^3.
 
-    Regularity is checked for n = 0..max(16, V // 2 - 1), with V = max(N // 3, 4)
-    the order of v that ``build_power_case`` generates for this N: q's
-    recurrence then runs on levels 0..V // 2 - 1, and a family level n names
-    the norm of level n + 1.  The moments of v to order V are checked as well.
+    Regularity is checked for n = 0..max(16, V // 2 - 1), with V = _v_order(N):
+    q's recurrence then runs on levels 0..V // 2 - 1, and a family level n
+    names the norm of level n + 1.  The moments of v to order V are checked as
+    well.
     """
     failures = _constraint_failures(case, q)
     p = case.params
-    V = max(N // _K, 4)
+    V = _v_order(N)
     levels = max(_REGULARITY_LEVELS, V // 2 - 1)
     regular = regularity_failures(case.family, p["a"], p.get("b"), q.pow(_K), levels, V)
     failures += [f"regularity: {t}" for t in regular]
@@ -393,16 +396,11 @@ def build_power_case(
     v has the pair ``pair_v`` at q^k and v_0 = 1; u is its lift, S_u(z) = eta(z) S_v(z^k)
     with eta monic.
     ``rec_q`` is an optional candidate for v's recurrence with exactly
-    max(N // k, 4) // 2 levels, such as the mapped family's closed form
-    (``families.family_recurrence``).  Each recurrence falls back on its own.
-    p's, at k = 3, is ascended from the candidate (with none, from the
-    Chebyshev on v) and kept when the certificate proves it on u; else it is
-    the Chebyshev on u.  q's candidate stands when the mapping built from
-    rec_p equals it on every level and pi_k = x^k, which proves it v's own as
-    rec_p is u's, however it was made (see README); else the Chebyshev on v
-    decides.
-    A failing stage raises a CaseError whose message starts with ``label``;
-    a candidate that fails raises none.
+    _v_order(N, k) // 2 levels, such as the mapped family's closed form
+    (``families.family_recurrence``); it never changes the outcome.  It seeds
+    the ascent of p's recurrence at k = 3, and it stands when the one mapping
+    built from rec_p proves it (see README); else the Chebyshev on v does both.
+    A failing stage raises a CaseError whose message starts with ``label``.
     """
     if eta.degree < 1 or eta.lc != ONE:
         raise CaseError(f"{label} stage power: eta must be monic of degree k - 1 >= 1, got {eta}")
@@ -415,7 +413,7 @@ def build_power_case(
             raise CaseError(f"{label} stage {name}: {exc}") from exc
 
     qk = q.pow(k)
-    v = stage("moments-v", lambda: pearson_moments(pair_v, 1, max(N // k, 4), qk))
+    v = stage("moments-v", lambda: pearson_moments(pair_v, 1, _v_order(N, k), qk))
     u = stage("lift", lambda: lift_functional(v, eta))
     Np = u.order // 2
     r0 = v.moment(1) * v.moment(0).inv()
@@ -423,30 +421,28 @@ def build_power_case(
     Nq = v.order // 2
     if rec_q is not None and len(rec_q.b) != Nq:
         rec_q = None  # a candidate names every level of v's recurrence
+    chebyshev_v = cache(lambda: recurrence_from_moments(v, Nq)[0])  # an error is not cached
     found = None
     if k == 3:  # p's candidate: ascended from q's candidate, else from the Chebyshev on v
         try:
-            if rec_q is None:
-                rec_q, _ = recurrence_from_moments(v, Nq)
-            block0, _ = recurrence_from_moments(u, 3)
-            ascended = ascend_recurrence(block0, rec_q, eta)
-            found = None if ascended is None else certify_recurrence(u, ascended, Np)
+            seed = rec_q or chebyshev_v()
+            ascended = ascend_recurrence(recurrence_from_moments(u, 3)[0], seed, eta)
+            found = ascended and certify_recurrence(u, ascended, Np)
         except QmapError:
             pass
-    rec_p, p_ops = found if found is not None else stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
+    rec_p, p_ops = found or stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
+    try:  # its inputs do not depend on q's recurrence; an error waits until that is settled
+        mapping, error = build_mapping(BlockView(rec_p, k), r0, Ncond), None
+    except Exception as exc:  # noqa: BLE001 - tagged below
+        mapping, error = None, exc
     # rec_p is u's own, so the comparison and pi_k = x^k prove a candidate that passes them
-    mapping = None
-    if rec_q is not None:
-        try:
-            mapping = build_mapping(BlockView(rec_p, k), r0, Ncond)
-        except QmapError:
-            pass
-    if mapping is None or len(mapping.r) < Nq or _mapping_failure(mapping, rec_q) is not None:
-        rec_q, _ = stage("recurrence-q", lambda: recurrence_from_moments(v, Nq))
-        mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
-        failure = _mapping_failure(mapping, rec_q)
-        if failure is not None:
-            raise CaseError(f"{label} stage {failure}")
+    if error or rec_q is None or len(mapping.r) < Nq or _mapping_failure(mapping, rec_q):
+        rec_q = stage("recurrence-q", chebyshev_v)
+    if error:
+        raise CaseError(f"{label} stage mapping: {error}") from error
+    failure = _mapping_failure(mapping, rec_q)
+    if failure:
+        raise CaseError(f"{label} stage {failure}")
     q_ops = ops_from_recurrence(rec_q, Nq)
 
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
@@ -467,7 +463,7 @@ def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:
     qk = q.pow(_K)
     pair_v = family_pair(case.family, p["a"], p.get("b"), qk)
     try:  # build_power_case proves the closed form before it stands in for v's Chebyshev
-        rec_q = family_recurrence(case.family, p["a"], p.get("b"), qk, max(N // _K, 4) // 2)
+        rec_q = family_recurrence(case.family, p["a"], p.get("b"), qk, _v_order(N) // 2)
     except QmapError:
         rec_q = None
     bundle = build_power_case(pair_v, eta, q, N, f"case {case.id}", rec_q)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .scalars import CycScalar, ONE, QParam, ZERO, format_scalar
 
@@ -118,13 +119,13 @@ class Poly:
         o = _as_poly(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Poly([x - y for x, y in zip_longest(self.coeffs, o.coeffs, fillvalue=ZERO)])
 
     def __rsub__(self, other):
         o = _as_poly(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __neg__(self):
         return Poly(tuple(-c for c in self.coeffs))

@@ -250,6 +250,14 @@ POWER_ETAS = (
 )
 
 
+def _draw_power_input(data, Ns):
+    """k = 2..4, eta monic of degree k - 1, a family of FAMILIES and N from Ns."""
+    k = data.draw(st.integers(2, 4))
+    coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=k - 1, max_size=k - 1))
+    family, a, b = data.draw(st.sampled_from(FAMILIES))
+    return k, Poly(coeffs + [1]), family, a, b, data.draw(st.sampled_from(Ns))
+
+
 def _power_bundle(eta: Poly, family: str, a, b):
     q = Q_POWER
     return build_power_case(family_pair(family, a, b, q.pow(eta.degree + 1)), eta, q, 60)
@@ -282,11 +290,7 @@ def test_build_power_case_away_from_k3(eta, s, family, a, b):
 @given(st.data())
 def test_power_identity_follows_from_the_mapping_checks(data):
     # every build that passes must pass the dense p_{kn} = q_n(x^k) oracle
-    k = data.draw(st.integers(2, 4))
-    coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=k - 1, max_size=k - 1))
-    eta = Poly(coeffs + [1])
-    family, a, b = data.draw(st.sampled_from(FAMILIES))
-    N = data.draw(st.sampled_from((12, 24, 36)))
+    k, eta, family, a, b, N = _draw_power_input(data, (12, 24, 36))
     try:
         bundle = build_power_case(family_pair(family, a, b, Q_POWER.pow(k)), eta, Q_POWER, N)
     except CaseError:
@@ -338,14 +342,10 @@ class _ChebyshevSpy:
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_power_case_recurrence_matches_the_chebyshev_on_u(data):
-    k = data.draw(st.integers(2, 4))
-    coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=k - 1, max_size=k - 1))
-    eta = Poly(coeffs + [1])
-    family, a, b = data.draw(st.sampled_from(FAMILIES))
-    N = data.draw(st.sampled_from((12, 24, 36)))
+    k, eta, family, a, b, N = _draw_power_input(data, (12, 24, 36))
     qk = Q_POWER.pow(k)
     pair = family_pair(family, a, b, qk)
-    u = lift_functional(pearson_moments(pair, 1, max(N // k, 4), qk), eta)
+    u = lift_functional(pearson_moments(pair, 1, cubic_cases._v_order(N, k), qk), eta)
     try:
         bundle = build_power_case(pair, eta, Q_POWER, N)
     except CaseError as exc:
@@ -355,6 +355,22 @@ def test_power_case_recurrence_matches_the_chebyshev_on_u(data):
         return
     assert bundle.u == u
     assert (bundle.rec_p, bundle.p_ops) == recurrence_from_moments(u, u.order // 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_a_candidate_never_changes_the_outcome(data):
+    # the closed form seeds the ascent and is proved by the mapping, or the Chebyshev on v decides
+    k, eta, family, a, b, N = _draw_power_input(data, (12, 24))
+    Q = Q_POWER.pow(k)
+    closed = family_recurrence(family, a, b, Q, cubic_cases._v_order(N, k) // 2)
+    outcomes = []
+    for rec_q in (closed, None):
+        try:
+            outcomes.append(build_power_case(family_pair(family, a, b, Q), eta, Q_POWER, N, rec_q=rec_q))
+        except CaseError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("field", ["b", "a"])
@@ -389,12 +405,16 @@ def test_certificate_rejects_a_perturbed_ascent_and_the_chebyshev_decides(q_half
 def test_the_ascent_is_certified_on_every_catalog_and_branch_build(workloads, monkeypatch):
     # the benchmark's own builds: 26 catalog cases, 2 deep and 4 Q(w) branch builds
     spy = _ChebyshevSpy(monkeypatch)
+    real, built = cubic_cases.build_mapping, []
+    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: built.append(args) or real(*args))
     for workload, builds in (("catalog", 26), ("deep", 2), ("branch", 4)):
         spy.calls.clear()
+        built.clear()
         for call in workloads.build(workload, 0):
             call.run()
         # p's block 0 only: q's recurrence is the family's closed form, proved by the build
         assert [N for _, N in spy.calls] == [3] * builds, workload
+        assert len(built) == builds, workload  # one mapping per build
 
 
 def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
@@ -445,27 +465,7 @@ def _conditions_fail(mapping):
     raise MappingConditionError("condition (i): b_1^(0) != b_0^(0)")
 
 
-@pytest.mark.parametrize("spoil", [None, _shifted_r, _bent_pi_k, _conditions_fail])
-def test_the_candidate_path_builds_the_mapping_once_and_falls_back_quietly(q_half, monkeypatch, spoil):
-    # a failed comparison, pi_k != x^3 or a build_mapping error on the candidate
-    # is no stage error: the Chebyshev on v decides, and the certified rec_p stands
-    real = cubic_cases.build_mapping
-    built = []
-
-    def first_spoiled(*args):
-        built.append(args)
-        mapping = real(*args)
-        return spoil(mapping) if spoil is not None and len(built) == 1 else mapping
-
-    monkeypatch.setattr(cubic_cases, "build_mapping", first_spoiled)
-    spy = _ChebyshevSpy(monkeypatch)
-    bundle = cubic_cases.build_case(case_fixture(13, q_half), q_half, 48)
-    assert len(built) == (1 if spoil is None else 2)
-    assert ((bundle.v.order, bundle.v.order // 2) in spy.calls) == (spoil is not None)
-    assert not spy.fell_back(bundle)
-    assert bundle == cached_case_bundle(13, q_half)
-
-
+@pytest.mark.parametrize("candidate", [False, True])
 @pytest.mark.parametrize("cid", [1, 13])
 @pytest.mark.parametrize(
     "spoil, message",
@@ -475,24 +475,30 @@ def test_the_candidate_path_builds_the_mapping_once_and_falls_back_quietly(q_hal
         (_conditions_fail, "stage mapping: condition (i): b_1^(0) != b_0^(0)"),
     ],
 )
-def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch, cid, spoil, message):
-    # the Chebyshev on v is the candidate; its proof fails quietly, and the rerun names the stage
-    real = cubic_cases.build_mapping
-    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: spoil(real(*args)))
+def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch, candidate, cid, spoil, message):
+    # with the closed form as q's candidate or with none, the one mapping fails the
+    # same way; the Chebyshev on v settles q's recurrence once, then the stage is named
+    real, built = cubic_cases.build_mapping, []
+    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: built.append(args) or spoil(real(*args)))
+    spy = _ChebyshevSpy(monkeypatch)
     case = case_fixture(cid, q_half)
-    pair = family_pair(case.family, case.params["a"], case.params.get("b"), q_half.pow(3))
+    args = (case.family, case.params["a"], case.params.get("b"), q_half.pow(3))
+    rec_q = family_recurrence(*args, 8) if candidate else None
     with pytest.raises(CaseError) as info:
-        build_power_case(pair, cached_case_bundle(cid, q_half).eta, q_half, 48, f"case {cid}")
+        build_power_case(family_pair(*args), cached_case_bundle(cid, q_half).eta, q_half, 48, f"case {cid}", rec_q)
     assert str(info.value) == f"case {cid} {message}"
+    assert len(built) == 1
+    assert spy.calls.count((16, 8)) == 1  # v's Chebyshev: the fallback, and with no candidate the ascent's seed
 
 
 def test_the_comparison_covers_every_candidate_level(q_half):
-    # build_power_case's orders at k = 3: v to V = max(N // 3, 4), u to 3 (V + 1) - 1 and
+    # build_power_case's orders: v to V = _v_order(N, k), u to k (V + 1) - 1 and
     # Np = u.order // 2; the mapping compares Ncond + 1 levels, the candidate has V // 2
-    for N in range(1, 300):
-        V = max(N // 3, 4)
-        Np = (3 * (V + 1) - 1) // 2
-        assert max((Np - 3) // 3, 1) + 1 >= V // 2, N
+    for k in range(2, 9):
+        for N in range(1, 300):
+            V = cubic_cases._v_order(N, k)
+            Np = (k * (V + 1) - 1) // 2
+            assert max((Np - k) // k, 1) + 1 >= V // 2, (k, N)
     bundle = cached_case_bundle(1, q_half)
     assert len(bundle.mapping.r) == len(bundle.q_ops) - 1 == bundle.v.order // 2
 

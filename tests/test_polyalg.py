@@ -57,6 +57,9 @@ def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert a - b == a + (-b)
+    assert (a - b) + b == a
+    assert 1 - a == -(a - 1)
 
 
 @settings(max_examples=200, deadline=None)
