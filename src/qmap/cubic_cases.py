@@ -427,7 +427,7 @@ def build_power_case(
         try:
             seed = rec_q or chebyshev_v()
             ascended = ascend_recurrence(recurrence_from_moments(u, 3)[0], seed, eta)
-            found = ascended and certify_recurrence(u, ascended, Np)
+            found = ascended and certify_recurrence(u, ascended, Np, (v, eta))
         except QmapError:
             pass
     rec_p, p_ops = found or stage("recurrence-p", lambda: recurrence_from_moments(u, Np))

@@ -5,12 +5,16 @@ length of the vector is the *effective order* and every operation computes
 the effective order of its result.  Residual checks therefore can only ever
 assert within the range actually determined by the inputs, never vacuously.
 
-Every row of correlations sum_i c_i v_{i+l} in the package -- phi u, u_poly,
-the mixed moments <u, x^l p_n> of ``opseq`` and the two halves of
-``stieltjes.poly_mul_series`` -- comes from the one kernel ``_correlate`` on
-canonical integer forms (R, O, D), value i being (R[i] + O[i] w)/D with one D
-for both components; ``_scaled`` makes them, and ``opseq`` stores p_n in them.
-``_dot`` is left for single dot products.
+Rows of correlations sum_i c_i v_{i+l} are read from canonical integer forms
+(R, O, D), value i being (R[i] + O[i] w)/D with one D for both components;
+``_scaled`` makes them, and ``opseq`` stores p_n in them.  Two kernels compute
+the rows.  ``_correlate`` reads the moments themselves: phi u, u_poly, the
+mixed-moment table of ``orthogonality_check``, the certificate of a functional
+that is not a lift (``qmap ops``) and the two halves of
+``stieltjes.poly_mul_series``.  ``_correlate_lift`` gives the same row for the
+unit lift u of v from v's moments and eta's coefficients, without forming u's;
+a build's certificate (``cubic_cases.build_power_case``) reads it.  ``_dot``
+is left for single dot products.
 """
 
 from __future__ import annotations
@@ -133,6 +137,55 @@ def _correlate(c: tuple, v: tuple, length: int) -> list[CycScalar]:
         return [_make(Fraction(x, den)) for x in re_re]
     re_om, om_re, om_om = dots(Rc, Ov), dots(Oc, Rv), dots(Oc, Ov)
     return [_make(Fraction(x - z, den), Fraction(y + t - z, den)) for x, y, t, z in zip(re_re, re_om, om_re, om_om)]
+
+
+def _correlate_lift(c: tuple, v: tuple, eta: tuple, length: int) -> list[CycScalar]:
+    """``_correlate(c, _scaled(u.moments), length)`` for u = lift_functional(v, eta), read from v and eta.
+
+    c, v and eta are canonical forms; k = len(eta's R).  Since
+    u_{ks + r} = e_{k-1-r} v_s, writing i = kt + rho and rho + l = ks + r
+    splits entry l as sum_{rho < k} e_{k-1-r} S_rho[s] with the tables
+    S_rho[s] = sum_t c_{kt+rho} v_{t+s}: k tables of about length/k integer
+    dots of length about len(c)/k, where ``_correlate`` takes length dots of
+    length len(c) over u's moments (Charris and Ismail's blocks; see README).
+    The component dots run only for nonzero component pairs, the e_j
+    recombine as integers with w^2 = -1 - w, and each entry makes one Fraction
+    over D_c D_v D_eta, two when some side has a w-part.
+    """
+    (Rc, Oc, Dc), (Rv, Ov, Dv), (Re, Oe, De) = c, v, eta
+    k, den = len(Re), Dc * Dv * De
+
+    def tables(ci, vi):
+        if ci is None or vi is None:
+            return None
+        subs = [ci[rho::k] for rho in range(k)]
+        return [
+            [sum(map(mul, sub, vi[s : s + len(sub)])) for s in range((rho + length - 1) // k + 1)]
+            for rho, sub in enumerate(subs)
+        ]
+
+    A, B = tables(Rc, Rv), None
+    if Oc is not None or Ov is not None:  # S_rho = A + B w, as in _correlate
+        zero = [[0] * len(xs) for xs in A]
+        ro, orr, oo = (tables(ci, vi) or zero for ci, vi in ((Rc, Ov), (Oc, Rv), (Oc, Ov)))
+        B = [[y + t - z for y, t, z in zip(*rows)] for rows in zip(ro, orr, oo)]
+        A = [[x - z for x, z in zip(xs, zs)] for xs, zs in zip(A, oo)]
+    rational = B is None and Oe is None
+    out = []
+    for l in range(length):
+        x = y = 0
+        for rho in range(k):
+            s, r = divmod(rho + l, k)
+            a, er = A[rho][s], Re[k - 1 - r]
+            if rational:
+                x += er * a
+                continue
+            b, eo = (0 if B is None else B[rho][s]), (0 if Oe is None else Oe[k - 1 - r])
+            # (er + eo w)(a + b w) = (er a - eo b) + (er b + eo (a - b)) w
+            x += er * a - eo * b
+            y += er * b + eo * (a - b)
+        out.append(_make(Fraction(x, den)) if rational else _make(Fraction(x, den), Fraction(y, den)))
+    return out
 
 
 def act(u: MomentFunctional, f: Poly) -> CycScalar:

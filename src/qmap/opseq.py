@@ -7,8 +7,9 @@ Delta_n(i, j; x) that drive the polynomial-mapping machinery.
 
 Every polynomial the three-term recurrence generates is held as the canonical
 integer form (R, O, D) of ``functionals._scaled``, coefficient i being
-(R[i] + O[i] w)/D, and stepped by one integer kernel (``_step``); ``_correlate``
-reads the forms as they are, and a Poly is built only when it is read.
+(R[i] + O[i] w)/D, and stepped by one integer kernel (``_step``); the row
+kernels ``_correlate`` and ``_correlate_lift`` read the forms as they are, and
+a Poly is built only when it is read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
-from .functionals import MomentFunctional, _correlate, _dot, _scaled
+from .functionals import MomentFunctional, _correlate, _correlate_lift, _dot, _scaled
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, ZERO
 
@@ -192,8 +193,8 @@ class OPSequence:
     held as tuples: coefficient i of p_n is (R[i] + O[i] w)/D with integers
     R[i], O[i] and the least D > 0; O is None when p_n is rational.  The
     generators (``ops_from_recurrence``, ``recurrence_from_moments``,
-    ``certify_recurrence``) produce the forms directly, and ``_correlate``
-    reads them as they are; the Poly p_n, whose Fraction coefficients cost a
+    ``certify_recurrence``) produce the forms directly, and the row kernels
+    read them as they are; the Poly p_n, whose Fraction coefficients cost a
     gcd each, is built only when ``seq[n]`` or iteration reads it, and anew on
     every read.  ``OPSequence(polys)`` checks that each element is monic of
     its index's degree and takes its form from ``_scaled``.  Equality,
@@ -309,7 +310,9 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     return rec, ops_from_recurrence(rec, N)
 
 
-def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optional[tuple[Recurrence, OPSequence]]:
+def certify_recurrence(
+    u: MomentFunctional, cand: Recurrence, N: int, lift: Optional[tuple[MomentFunctional, Poly]] = None
+) -> Optional[tuple[Recurrence, OPSequence]]:
     """Prove that a candidate is u's recurrence and complete it to N levels; None if it is not proved.
 
     The first M = min(len(cand.b), N - 1) levels of ``cand`` generate p_0..p_M.
@@ -326,21 +329,31 @@ def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optiona
     their tails then run the Chebyshev algorithm on levels M..N-1, and the
     integer kernel continues from the forms of p_{M-1} and p_M to generate
     p_{M+1}..p_N.  None when M < 1, when u lacks u_{2N-1}, or when a condition
-    fails.  The forms of p_{M-1} and p_M and the ``_scaled`` form of the
-    moments are the one canonical form (R, O, D), so ``_correlate`` reads them
-    with no rescaling, and the returned sequence holds every level as a form:
-    no Poly is built.  At M = N - 1 the rows cost 2N + 1 integer dot products
-    of length at most N per nonzero component pair, with no gcd inside a sum;
-    the full Chebyshev takes O(N^2) Q(w) operations on fractions as large as
-    the moments.
+    fails.  The forms of p_{M-1} and p_M and the ``_scaled`` forms of the
+    moments are the one canonical form (R, O, D), read with no rescaling, and
+    the returned sequence holds every level as a form: no Poly is built.
+
+    Without ``lift`` the rows are ``_correlate`` over u's moments: at
+    M = N - 1, 2N + 1 integer dot products of length at most N per nonzero
+    component pair, with no gcd inside a sum.  ``lift`` = (v, eta) says that
+    u = lift_functional(v, eta), as in ``cubic_cases.build_power_case``; the
+    rows are then ``_correlate_lift`` over v's moments and eta's
+    coefficients, the same values from about k times fewer big-integer
+    multiplies at k = deg eta + 1.  The full Chebyshev takes O(N^2) Q(w)
+    operations on fractions as large as the moments.
     """
     M = min(len(cand.b), N - 1)
     if M < 1 or 2 * N - 1 > u.order:
         return None
     forms = _forms(cand.b_at, cand.a_at, 0, M)
-    moments = _scaled(u.moments[: 2 * N])
-    row = _correlate(forms[M], moments, 2 * N - M)
-    prev = _correlate(forms[M - 1], moments, max(M + 1, 2 * N - M - 1))
+    if lift is None:
+        kernel, read = _correlate, (_scaled(u.moments[: 2 * N]),)
+    else:  # u_0..u_{2N-1} come from v_0..v_{(2N-1)//k}
+        v, eta = lift
+        v_form = _scaled(v.moments[: (2 * N - 1) // len(eta.coeffs) + 1])
+        kernel, read = _correlate_lift, (v_form, _scaled(eta.coeffs))
+    row = kernel(forms[M], *read, 2 * N - M)
+    prev = kernel(forms[M - 1], *read, max(M + 1, 2 * N - M - 1))
     if any(row[:M]) or any(prev[: M - 1]) or not prev[M - 1] or not row[M]:
         return None
     b, a = list(cand.b[:M]), list(cand.a[: M - 1])

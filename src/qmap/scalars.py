@@ -274,14 +274,15 @@ class QParam:
 
     Construction verifies ``q != 0`` and ``q**n != 1`` for ``1 <= n <=
     max_order`` and caches the powers and q-brackets used throughout the
-    package, and the parameters q**k built by :meth:`pow`.  Instances compare
-    and hash by (q, max_order) and are safe to share.
+    package, the products q [n]_q and the parameters q**k built by :meth:`pow`.
+    Instances compare and hash by (q, max_order) and are safe to share.
     """
 
     q: CycScalar
     max_order: int
     _powers: tuple = field(init=False, compare=False, repr=False)
     _brackets: tuple = field(init=False, compare=False, repr=False)
+    _q_brackets: tuple | None = field(init=False, compare=False, repr=False)
     _pows: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, q, max_order: int = 64):
@@ -304,6 +305,7 @@ class QParam:
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "_powers", tuple(powers))
         object.__setattr__(self, "_brackets", tuple(brackets))
+        object.__setattr__(self, "_q_brackets", None)
         object.__setattr__(self, "_pows", {})
 
     def power(self, n: int) -> CycScalar:
@@ -319,6 +321,14 @@ class QParam:
         if not 0 <= n < len(self._brackets):
             raise ValueError(f"bracket index {n} out of validated range")
         return self._brackets[n]
+
+    def q_bracket(self, n: int) -> CycScalar:
+        """q [n]_q, the weight of H_{1/q} on z^(-n); formed for every n on first use, not at construction."""
+        if self._q_brackets is None:
+            object.__setattr__(self, "_q_brackets", tuple(self.q * b for b in self._brackets))
+        if not 0 <= n < len(self._q_brackets):
+            raise ValueError(f"bracket index {n} out of validated range")
+        return self._q_brackets[n]
 
     def bracket_inv(self, n: int) -> CycScalar:
         """[n] at parameter 1/q, via [n]_{1/q} = q^(1-n) [n]_q."""

@@ -127,7 +127,7 @@ def hahn_qinv_series(S: LaurentSeries, q: QParam) -> LaurentSeries:
     pp = hahn_poly_qinv(S.poly_part, q)
     out = [ZERO] * (S.depth + 1)
     for n, c in enumerate(S.principal):
-        out[n + 1] = -(q.q * q.bracket(n + 1) * c)
+        out[n + 1] = -(q.q_bracket(n + 1) * c)
     return LaurentSeries(pp, out)
 
 

@@ -33,7 +33,7 @@ from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_r
 from qmap.errors import CaseError, MappingConditionError, QmapError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, family_recurrence
 from qmap.mapping import ascend_recurrence
-from qmap import cli, opseq
+from qmap import cli, functionals, opseq, stieltjes
 from qmap.opseq import certify_recurrence
 
 from conftest import cached_case_bundle
@@ -395,11 +395,30 @@ def test_certificate_rejects_a_perturbed_ascent_and_the_chebyshev_decides(q_half
     bundle = cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
     Np = bundle.u.order // 2
     assert len(seen["bad"].b) == Np - 1
-    assert certify_recurrence(bundle.u, seen["bad"], Np) is None
-    assert certify_recurrence(bundle.u, seen["good"], Np) is not None
+    lift = (bundle.v, bundle.eta)  # the build's own certificate reads these
+    assert certify_recurrence(bundle.u, seen["bad"], Np) is certify_recurrence(bundle.u, seen["bad"], Np, lift) is None
+    good = certify_recurrence(bundle.u, seen["good"], Np)
+    assert good is not None and certify_recurrence(bundle.u, seen["good"], Np, lift) == good
     assert spy.fell_back(bundle)
     assert (bundle.rec_p, bundle.p_ops) == recurrence_from_moments(bundle.u, Np)
     assert bundle == cached_case_bundle(1, q_half, 24)
+
+
+@pytest.mark.parametrize("case_id, overrides", [(13, ()), (1, (("tau", -OMEGA),))])
+def test_a_build_certifies_both_rows_through_the_lift_kernel(q_half, monkeypatch, case_id, overrides):
+    # a rational catalog build and a Q(w) branch build read v and eta, never u's moments
+    lifted, direct, scaled = [], [], []
+    real_lift, real_correlate = opseq._correlate_lift, opseq._correlate
+    monkeypatch.setattr(opseq, "_correlate_lift", lambda *args: lifted.append(args) or real_lift(*args))
+    monkeypatch.setattr(opseq, "_correlate", lambda *args: direct.append(args) or real_correlate(*args))
+    for module in (functionals, opseq, stieltjes):
+        real = module._scaled
+        monkeypatch.setattr(module, "_scaled", lambda values, real=real: scaled.append(tuple(values)) or real(values))
+    bundle = cubic_cases.build_case(case_fixture(case_id, q_half, dict(overrides)), q_half, 24)
+    Np = bundle.u.order // 2
+    assert len(lifted) == 2 and not direct
+    assert not any(len(x) > 3 and x == bundle.u.moments[: len(x)] for x in scaled)
+    assert (bundle.rec_p, bundle.p_ops) == recurrence_from_moments(bundle.u, Np)
 
 
 def test_the_ascent_is_certified_on_every_catalog_and_branch_build(workloads, monkeypatch):

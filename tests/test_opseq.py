@@ -17,6 +17,7 @@ from qmap import (
     Recurrence,
     act,
     delta_det,
+    lift_functional,
     ops_from_recurrence,
     orthogonality_check,
     pearson_moments,
@@ -199,6 +200,29 @@ def test_certificate_needs_every_moment_its_rows_read(q_half):
     assert certify_recurrence(MomentFunctional(u.moments[:24]), cand, 12) == (rec, ops)  # u_0..u_23
     assert certify_recurrence(MomentFunctional(u.moments[:23]), cand, 12) is None  # no u_23
     assert certify_recurrence(u, _truncated(rec, 1), 1) is None  # M = min(1, N - 1) = 0
+
+
+LIFT_ETAS = [Poly([Fraction(1, 3), 1]), Poly([-1, Fraction(1, 2), 1]), Poly([OMEGA, 0, 1]), Poly([2, 0, -1, 1])]
+
+
+@pytest.mark.parametrize("eta", LIFT_ETAS)
+def test_certificate_of_a_lift_reads_v_and_eta_to_the_same_verdicts(q_half, eta):
+    k = eta.degree + 1
+    qk = q_half.pow(k)
+    v = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), qk), 1, 9, qk)
+    u = lift_functional(v, eta)
+    N = (u.order + 1) // 2
+    rec, ops = recurrence_from_moments(u, N)
+    lift = (v, eta)
+    for M in (1, N // 2, N - 1):
+        assert certify_recurrence(u, _truncated(rec, M), N, lift) == (rec, ops)
+    cand = _truncated(rec, N - 1)
+    short = MomentFunctional(u.moments[: 2 * N - 1])  # no u_{2N-1}
+    assert certify_recurrence(short, cand, N) is certify_recurrence(short, cand, N, lift) is None
+    b = list(cand.b)
+    b[N // 2] = b[N // 2] + 1
+    wrong = Recurrence(b, cand.a)
+    assert certify_recurrence(u, wrong, N) is certify_recurrence(u, wrong, N, lift) is None
 
 
 # One candidate per condition of the lemma that only that condition rejects (N = 3, M = 2).
