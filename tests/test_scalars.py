@@ -103,6 +103,7 @@ Q_HALF_40 = QParam(Fraction(1, 2), 40)
 @pytest.mark.parametrize("q", [Q_HALF_40, Q_HALF_40.pow(3), QParam(OMEGA / 2, 24).pow(3)])
 def test_q_times_bracket_is_formed_once_per_parameter(q):
     n_max = q.max_order + 1
+    assert q.q_bracket(5) == q.q * q.bracket(5)  # the table grows as far as it is read
     assert [q.q_bracket(n) for n in range(n_max + 1)] == [q.q * q.bracket(n) for n in range(n_max + 1)]
     assert q.q_bracket(n_max) is q.q_bracket(n_max)
     with pytest.raises(ValueError, match=f"bracket index {n_max + 1} out of validated range"):
