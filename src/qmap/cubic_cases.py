@@ -7,10 +7,10 @@ canonical distributional pair (Phi, Psi) of the original functional is encoded
 as a parameter-dependent constructor, so one encoding serves every q sample.
 
 ``build_case`` is the one place that fixes the power k = 3: it validates a case
-and hands eta_2 = x^2 + tau x + k_tau, the family pair at q^3 and the family's
-closed-form recurrence (``families.family_recurrence``) to
+and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
 ``build_power_case``, which runs the pipeline for any k = deg eta + 1 in one
-pass: moments at q^k, the lift, p's recurrence (at k = 3 ascended from q's and
+pass: moments at q^k, the lift, q's candidate recurrence from its pair alone
+(``opseq.pair_recurrence``), p's recurrence (at k = 3 ascended from q's and
 proved on u, else the Chebyshev on u), one mapping built from it, which proves
 q's candidate or else checks the Chebyshev on v against it, pi_k = x^k (which
 with the comparison proves p_{kn} = q_n(x^k)), the lifted (A, C, D) and the
@@ -28,10 +28,10 @@ from typing import Optional
 
 from .classifier import ClassReport, classify
 from .errors import CaseError, QmapError, SingularCaseError
-from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, family_recurrence, regularity_failures
+from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
 from .mapping import MappingData, ascend_recurrence, build_mapping, lift_functional, lift_power
-from .opseq import BlockView, OPSequence, Recurrence, certify_recurrence, ops_from_recurrence, recurrence_from_moments
+from .opseq import BlockView, OPSequence, Recurrence, certify_recurrence, ops_from_recurrence, pair_recurrence, recurrence_from_moments
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam
 from .stieltjes import ACDTriple, acd_from_pearson, acd_mapped
@@ -383,23 +383,15 @@ def _mapping_failure(mapping: MappingData, rec_q: Recurrence) -> Optional[str]:
     return None
 
 
-def build_power_case(
-    pair_v: PearsonPair,
-    eta: Poly,
-    q: QParam,
-    N: int = 48,
-    label: str = "power case",
-    rec_q: Optional[Recurrence] = None,
-) -> CaseBundle:
+def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, label: str = "power case") -> CaseBundle:
     """Run the full pipeline at the power k = deg eta + 1; N is the target order for u.
 
     v has the pair ``pair_v`` at q^k and v_0 = 1; u is its lift, S_u(z) = eta(z) S_v(z^k)
     with eta monic.
-    ``rec_q`` is an optional candidate for v's recurrence with exactly
-    _v_order(N, k) // 2 levels, such as the mapped family's closed form
-    (``families.family_recurrence``); it never changes the outcome.  It seeds
-    the ascent of p's recurrence at k = 3, and it stands when the one mapping
-    built from rec_p proves it (see README); else the Chebyshev on v does both.
+    q's candidate recurrence is ``pair_recurrence(pair_v, q^k, v.order // 2)``,
+    none when that raises; it never changes the outcome.  It seeds the ascent
+    of p's recurrence at k = 3, and it stands when the one mapping built from
+    rec_p proves it (see README); else the Chebyshev on v does both.
     A failing stage raises a CaseError whose message starts with ``label``.
     """
     if eta.degree < 1 or eta.lc != ONE:
@@ -419,8 +411,10 @@ def build_power_case(
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)
     Nq = v.order // 2
-    if rec_q is not None and len(rec_q.b) != Nq:
-        rec_q = None  # a candidate names every level of v's recurrence
+    try:  # q^k is validated to v's order, past the Nq - 1 the candidate reads
+        rec_q = pair_recurrence(pair_v, qk, Nq)
+    except QmapError:
+        rec_q = None
     chebyshev_v = cache(lambda: recurrence_from_moments(v, Nq)[0])  # an error is not cached
     found = None
     if k == 3:  # p's candidate: ascended from q's candidate, else from the Chebyshev on v
@@ -460,13 +454,8 @@ def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:
     tau = p["tau"]
     eta = Poly([_a01(case.id, tau, q, p.get("c")) + tau * tau, tau, ONE])
     # validation has ruled out a = 0 and ab = 0, the only parameters the pair rejects
-    qk = q.pow(_K)
-    pair_v = family_pair(case.family, p["a"], p.get("b"), qk)
-    try:  # build_power_case proves the closed form before it stands in for v's Chebyshev
-        rec_q = family_recurrence(case.family, p["a"], p.get("b"), qk, _v_order(N) // 2)
-    except QmapError:
-        rec_q = None
-    bundle = build_power_case(pair_v, eta, q, N, f"case {case.id}", rec_q)
+    pair_v = family_pair(case.family, p["a"], p.get("b"), q.pow(_K))
+    bundle = build_power_case(pair_v, eta, q, N, f"case {case.id}")
     return replace(bundle, case=case, expected_pair=expected_phi_psi(case, q))
 
 

@@ -1,18 +1,14 @@
 """The two q-classical families used as mapped sequences: canonical pairs,
-their known (A, C, D) triples, monic recurrences and regularity predicates.
+their known (A, C, D) triples and regularity predicates.
 
 Both are stated at a generic parameter; the power-case pipeline instantiates
-them at q^k.  The recurrences are the closed forms of Koekoek, Lesky and
-Swarttouw, *Hypergeometric Orthogonal Polynomials and Their q-Analogues*
-(Springer 2010), section 14.20 (little q-Laguerre) and section 14.12 (little
-q-Jacobi), in the normalisation of the pairs here.
+them at q^k.  A family's recurrence is not stated here: ``opseq.pair_recurrence``
+reads it from the canonical pair.
 """
 
 from __future__ import annotations
 
-from .errors import QmapError
 from .functionals import PearsonPair
-from .opseq import Recurrence
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam
 from .stieltjes import ACDTriple
@@ -25,7 +21,6 @@ __all__ = [
     "laguerre_regularity_failures",
     "jacobi_regularity_failures",
     "family_pair",
-    "family_recurrence",
     "regularity_failures",
     "FAMILY_LAGUERRE",
     "FAMILY_JACOBI",
@@ -128,39 +123,6 @@ def family_pair(family: str, a, b, q: QParam) -> PearsonPair:
     if family == FAMILY_LAGUERRE:
         return little_q_laguerre_pair(a, q)
     return little_q_jacobi_pair(a, b, q)
-
-
-def family_recurrence(family: str, a, b, Q: QParam, n: int) -> Recurrence:
-    """The monic b_0..b_{n-1}, a_1..a_{n-1} of FAMILY_LAGUERRE or FAMILY_JACOBI at parameter Q.
-
-    Little Q-Laguerre: b_j = Q^j (1 + a) - a Q^{2j} (1 + Q) and
-    a_j = a Q^{2j-1} (1 - Q^j)(1 - a Q^j).  Little Q-Jacobi: b_j = A_j + C_j
-    and a_j = A_{j-1} C_j with
-    A_j = Q^j (1 - a Q^{j+1})(1 - ab Q^{j+1}) / ((1 - ab Q^{2j+1})(1 - ab Q^{2j+2})) and
-    C_j = a Q^j (1 - Q^j)(1 - b Q^j) / ((1 - ab Q^{2j})(1 - ab Q^{2j+1})).
-    A zero denominator raises a QmapError, and so does a zero a_j (a
-    RegularityError from ``Recurrence``).  Powers of Q are formed here, so n
-    is not bounded by Q's validated order.
-    """
-    a = CycScalar.coerce(a)
-    Qs = Q.q
-    pw = [ONE]
-    for _ in range(2 * n):
-        pw.append(pw[-1] * Qs)
-    if family == FAMILY_LAGUERRE:
-        bs = [pw[j] * (1 + a) - a * pw[2 * j] * (1 + Qs) for j in range(n)]
-        return Recurrence(bs, [a * pw[2 * j - 1] * (1 - pw[j]) * (1 - a * pw[j]) for j in range(1, n)])
-    b = CycScalar.coerce(b)
-    ab = a * b
-    den = []  # den[m] = 1 - ab Q^m for m <= 2n
-    for m, p in enumerate(pw):
-        d = 1 - ab * p
-        if not d:
-            raise QmapError(f"{family} recurrence: 1 - ab Q^{m} = 0")
-        den.append(d)
-    A = [pw[j] * (1 - a * pw[j + 1]) * (1 - ab * pw[j + 1]) * (den[2 * j + 1] * den[2 * j + 2]).inv() for j in range(n)]
-    C = [a * pw[j] * (1 - pw[j]) * (1 - b * pw[j]) * (den[2 * j] * den[2 * j + 1]).inv() for j in range(n)]
-    return Recurrence([x + y for x, y in zip(A, C)], [A[j - 1] * C[j] for j in range(1, n)])
 
 
 def regularity_failures(family: str, a, b, q: QParam, n_max: int, order: int | None = None) -> list[str]:

@@ -20,9 +20,9 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
-from .functionals import MomentFunctional, _correlate, _correlate_lift, _dot, _scaled
+from .functionals import MomentFunctional, PearsonPair, _correlate, _correlate_lift, _dot, _scaled
 from .polyalg import Poly
-from .scalars import CycScalar, ONE, ZERO
+from .scalars import CycScalar, ONE, QParam, ZERO
 
 __all__ = [
     "Recurrence",
@@ -30,6 +30,7 @@ __all__ = [
     "OPSequence",
     "OrthogonalityReport",
     "ops_from_recurrence",
+    "pair_recurrence",
     "recurrence_from_moments",
     "orthogonality_check",
     "delta_det",
@@ -244,6 +245,48 @@ def ops_from_recurrence(rec: Recurrence, N: int) -> OPSequence:
     return OPSequence._of_forms(_forms(rec.b_at, rec.a_at, 0, N))
 
 
+def pair_recurrence(pair: PearsonPair, q: QParam, n: int) -> Recurrence:
+    """The monic b_0..b_{n-1}, a_1..a_{n-1} of a q-classical functional, from its pair alone.
+
+    When <u, Phi H_q f + Psi f> = 0 for every f, with deg Phi <= 2 and
+    deg Psi = 1, u's monic orthogonal polynomials are eigenfunctions of
+    L = Phi H_q H_{1/q} + Psi H_{1/q} (Medem, Alvarez-Nodarse and Marcellan,
+    J. Comput. Appl. Math. 135, 2001).  With t_m = [m]_{1/q} [m-1]_q,
+    L x^m = lambda_m x^m + mu_m x^{m-1} + nu_m x^{m-2}, where
+    lambda_m = phi_2 t_m + psi_1 [m]_{1/q}, mu_m = phi_1 t_m + psi_0 [m]_{1/q}
+    and nu_m = phi_0 t_m.  Writing p_m = x^m + c_m x^{m-1} + d_m x^{m-2},
+
+        c_m = mu_m / (lambda_m - lambda_{m-1}),
+        d_m = (nu_m + c_m mu_{m-1}) / (lambda_m - lambda_{m-2}),
+
+    and b_m = c_m - c_{m+1}, a_m = d_m - d_{m+1} - b_m c_m.  Only
+    lambda_0..lambda_n are read, so q must be validated to order n - 1.  A
+    one-line QmapError names wrong degrees, a zero gap lambda_m - lambda_j
+    (the moments to order 2n - 1 then do not exist either) or a zero a_m (a
+    RegularityError from ``Recurrence``).
+    """
+    phi, psi = pair.phi, pair.psi
+    if phi.degree > 2 or psi.degree != 1:
+        raise QmapError(f"pair recurrence: need deg Phi <= 2 and deg Psi = 1, have {phi.degree} and {psi.degree}")
+    lam, mu, c, d = [], [], [], []
+
+    def over_gap(x, m, j):
+        gap = lam[m] - lam[m - j]
+        if not gap:
+            raise QmapError(f"pair recurrence: lambda_{m} = lambda_{m - j}")
+        return x * gap.inv()
+
+    for m in range(n + 1):
+        inv = q.bracket_inv(m)
+        t = inv * q.bracket(m - 1) if m else ZERO
+        lam.append(phi.coeff(2) * t + psi.coeff(1) * inv)
+        mu.append(phi.coeff(1) * t + psi.coeff(0) * inv)
+        c.append(over_gap(mu[m], m, 1) if m else ZERO)
+        d.append(over_gap(phi.coeff(0) * t + c[m] * mu[m - 1], m, 2) if m > 1 else ZERO)
+    b = [c[m] - c[m + 1] for m in range(n)]
+    return Recurrence(b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)])
+
+
 def _chebyshev(row: list, prev: list, start: int, N: int, b: list, a: list) -> None:
     """Run the Chebyshev algorithm on levels start..N-1, appending each b_n and a_n to b and a.
 
@@ -297,9 +340,9 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
 
     ``cubic_cases.build_power_case`` calls it for p's first block at k = 3
     (N = 3, the seed of ``mapping.ascend_recurrence``), for q's candidate
-    when it is given none, and for either recurrence whose candidate is not
-    proved.  ``qmap ops`` calls it when the family's closed form is not
-    proved on u.
+    when ``pair_recurrence`` gives none, and for either recurrence whose
+    candidate is not proved.  ``qmap ops`` calls it when the pair's
+    recurrence is not proved on u.
     """
     if 2 * N - 1 > u.order:
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")

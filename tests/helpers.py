@@ -7,8 +7,9 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from qmap import ZERO, ACDTriple, CycScalar, LaurentSeries, MomentFunctional, OPSequence, Poly, Recurrence, act, compose_xk, divrem, poly_gcd
+from qmap import ONE, ZERO, ACDTriple, CycScalar, LaurentSeries, MomentFunctional, OPSequence, Poly, Recurrence, act, compose_xk, divrem, poly_gcd
 from qmap.errors import QmapError, RegularityError, TruncationError
+from qmap.families import FAMILY_LAGUERRE
 from qmap.functionals import _dot
 from qmap.opseq import OrthogonalityReport, delta_det
 from qmap.scalars import parse_scalar
@@ -270,13 +271,50 @@ def power_identity_oracle(bundle) -> Optional[int]:
     """The dense check p_{kn} = q_n(x^k) over every n both sequences reach.
 
     Returns the first failing n, or None.  ``build_power_case`` proves the
-    identity from the block conditions, (r, s) = rec_q and pi_k = x^k instead.
+    identity from the block conditions, the mapped recurrence (r, s) equal to
+    q's and pi_k = x^k instead.
     """
     k = bundle.mapping.k
     for n in range(min(len(bundle.q_ops), len(bundle.p_ops) // k)):
         if bundle.p_ops[k * n] != compose_xk(bundle.q_ops[n], k):
             return n
     return None
+
+
+def family_recurrence(family: str, a, b, Q, n: int) -> Recurrence:
+    """The monic b_0..b_{n-1}, a_1..a_{n-1} of FAMILY_LAGUERRE or FAMILY_JACOBI at parameter Q.
+
+    The closed forms of Koekoek, Lesky and Swarttouw, *Hypergeometric
+    Orthogonal Polynomials and Their q-Analogues* (Springer 2010), section
+    14.20 (little q-Laguerre) and section 14.12 (little q-Jacobi), in the
+    normalisation of the pairs of ``qmap.families``: the oracle of
+    ``opseq.pair_recurrence``.  Little Q-Laguerre: b_j = Q^j (1 + a) -
+    a Q^{2j} (1 + Q) and a_j = a Q^{2j-1} (1 - Q^j)(1 - a Q^j).  Little
+    Q-Jacobi: b_j = A_j + C_j and a_j = A_{j-1} C_j with
+    A_j = Q^j (1 - a Q^{j+1})(1 - ab Q^{j+1}) / ((1 - ab Q^{2j+1})(1 - ab Q^{2j+2})) and
+    C_j = a Q^j (1 - Q^j)(1 - b Q^j) / ((1 - ab Q^{2j})(1 - ab Q^{2j+1})).
+    A zero denominator raises a QmapError, and so does a zero a_j (a
+    RegularityError from ``Recurrence``).
+    """
+    a = CycScalar.coerce(a)
+    Qs = Q.q
+    pw = [ONE]
+    for _ in range(2 * n):
+        pw.append(pw[-1] * Qs)
+    if family == FAMILY_LAGUERRE:
+        bs = [pw[j] * (1 + a) - a * pw[2 * j] * (1 + Qs) for j in range(n)]
+        return Recurrence(bs, [a * pw[2 * j - 1] * (1 - pw[j]) * (1 - a * pw[j]) for j in range(1, n)])
+    b = CycScalar.coerce(b)
+    ab = a * b
+    den = []  # den[m] = 1 - ab Q^m for m <= 2n
+    for m, p in enumerate(pw):
+        d = 1 - ab * p
+        if not d:
+            raise QmapError(f"{family} recurrence: 1 - ab Q^{m} = 0")
+        den.append(d)
+    A = [pw[j] * (1 - a * pw[j + 1]) * (1 - ab * pw[j + 1]) * (den[2 * j + 1] * den[2 * j + 2]).inv() for j in range(n)]
+    C = [a * pw[j] * (1 - pw[j]) * (1 - b * pw[j]) * (den[2 * j] * den[2 * j + 1]).inv() for j in range(n)]
+    return Recurrence([x + y for x, y in zip(A, C)], [A[j - 1] * C[j] for j in range(1, n)])
 
 
 # -- conveniences that only the tests use --------------------------------------

@@ -49,7 +49,7 @@ def _singular(rec):
 
 
 @pytest.mark.parametrize("argv", OPS_ARGV)
-def test_ops_proves_the_closed_form_and_the_chebyshev_decides_otherwise(capsys, monkeypatch, argv):
+def test_ops_proves_the_pair_recurrence_and_the_chebyshev_decides_otherwise(capsys, monkeypatch, argv):
     chebyshev = cli.recurrence_from_moments
     calls = []
 
@@ -60,9 +60,9 @@ def test_ops_proves_the_closed_form_and_the_chebyshev_decides_otherwise(capsys, 
     monkeypatch.setattr(cli, "recurrence_from_moments", spy)
     expected = run_cli(capsys, *argv)
     assert calls == [] and expected[0] == 0
-    closed_form = cli.family_recurrence
+    candidate = cli.pair_recurrence
     for wrong in (_wrong_first_b, _singular):
-        monkeypatch.setattr(cli, "family_recurrence", lambda *args: wrong(closed_form(*args)))
+        monkeypatch.setattr(cli, "pair_recurrence", lambda *args: wrong(candidate(*args)))
         assert run_cli(capsys, *argv) == expected
         assert calls.pop() == int(argv[argv.index("--N") + 1]) // 2
 

@@ -31,13 +31,13 @@ from qmap import (
 )
 from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_reconstruct_case13, validate_case
 from qmap.errors import CaseError, MappingConditionError, QmapError, RegularityError, SingularCaseError
-from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, family_recurrence
+from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
 from qmap.mapping import ascend_recurrence
 from qmap import cli, functionals, opseq, stieltjes
 from qmap.opseq import certify_recurrence
 
 from conftest import cached_case_bundle
-from helpers import ops_from_recurrence_oracle, power_identity_oracle
+from helpers import family_recurrence, ops_from_recurrence_oracle, power_identity_oracle
 
 
 def test_fixtures_validate_everywhere(q_half, q_third):
@@ -228,13 +228,19 @@ def test_pi_k_mismatch_names_the_power_identity_stage(q_half, monkeypatch):
 def test_build_case_is_the_power_builder_at_k3(q_half, monkeypatch):
     b = cached_case_bundle(1, q_half)
     p = b.case.params
+    pair = family_pair(b.case.family, p["a"], p.get("b"), q_half.pow(3))
     spy = _ChebyshevSpy(monkeypatch)
-    bare = build_power_case(family_pair(b.case.family, p["a"], p.get("b"), q_half.pow(3)), b.eta, q_half, 48)
-    # with no candidate, the Chebyshev on v gives one, and p's block 0 seeds its ascent
-    assert spy.calls == [(b.v.order, b.v.order // 2), (b.u.order, 3)]
+    bare = build_power_case(pair, b.eta, q_half, 48)
+    # the pair's recurrence seeds the ascent from p's block 0 and is proved by the mapping
+    assert spy.calls == [(b.u.order, 3)]
     assert bare.mapping.k == b.mapping.k == 3
     assert bare.case is None and bare.expected_pair is None
     assert replace(bare, case=b.case, expected_pair=b.expected_pair) == b
+    spy.calls.clear()
+    monkeypatch.setattr(cubic_cases, "pair_recurrence", _no_candidate)
+    # with no candidate, the Chebyshev on v gives one, and p's block 0 seeds its ascent
+    assert build_power_case(pair, b.eta, q_half, 48) == bare
+    assert spy.calls == [(b.v.order, b.v.order // 2), (b.u.order, 3)]
 
 
 # -- the k-generic builder away from k = 3 -------------------------------------
@@ -360,16 +366,25 @@ def test_power_case_recurrence_matches_the_chebyshev_on_u(data):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_a_candidate_never_changes_the_outcome(data):
-    # the closed form seeds the ascent and is proved by the mapping, or the Chebyshev on v decides
+    # the pair's recurrence seeds the ascent and is proved by the mapping, or the Chebyshev on v decides
     k, eta, family, a, b, N = _draw_power_input(data, (12, 24))
     Q = Q_POWER.pow(k)
-    closed = family_recurrence(family, a, b, Q, cubic_cases._v_order(N, k) // 2)
+    if data.draw(st.booleans()):
+        pair = family_pair(family, a, b, Q)
+    else:  # a classical pair of no named family: deg Phi <= 2, deg Psi = 1
+        small = st.fractions(-3, 3, max_denominator=4)
+        deg = data.draw(st.integers(0, 2))
+        phi = Poly(data.draw(st.lists(small, min_size=deg, max_size=deg)) + [data.draw(small.filter(bool))])
+        pair = PearsonPair(phi, Poly([data.draw(small), data.draw(small.filter(bool))]))
     outcomes = []
-    for rec_q in (closed, None):
-        try:
-            outcomes.append(build_power_case(family_pair(family, a, b, Q), eta, Q_POWER, N, rec_q=rec_q))
-        except CaseError as exc:
-            outcomes.append(str(exc))
+    for candidate in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not candidate:
+                patch.setattr(cubic_cases, "pair_recurrence", _no_candidate)
+            try:
+                outcomes.append(build_power_case(pair, eta, Q_POWER, N))
+            except CaseError as exc:
+                outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
 
 
@@ -431,9 +446,13 @@ def test_the_ascent_is_certified_on_every_catalog_and_branch_build(workloads, mo
         built.clear()
         for call in workloads.build(workload, 0):
             call.run()
-        # p's block 0 only: q's recurrence is the family's closed form, proved by the build
+        # p's block 0 only: q's recurrence is the one its pair fixes, proved by the build
         assert [N for _, N in spy.calls] == [3] * builds, workload
         assert len(built) == builds, workload  # one mapping per build
+
+
+def _no_candidate(*args):
+    raise QmapError("no candidate")
 
 
 def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
@@ -448,8 +467,8 @@ def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
 @pytest.mark.parametrize("cid", [1, 13])
 @pytest.mark.parametrize("field, level", [("b", 0), ("b", 7), ("a", 1), ("a", 4), ("a", 7)])
 def test_a_wrong_candidate_builds_by_the_fallback(q_half, monkeypatch, cid, field, level):
-    real = cubic_cases.family_recurrence
-    monkeypatch.setattr(cubic_cases, "family_recurrence", lambda *args: _wrong(real(*args), field, level))
+    real = cubic_cases.pair_recurrence
+    monkeypatch.setattr(cubic_cases, "pair_recurrence", lambda *args: _wrong(real(*args), field, level))
     spy = _ChebyshevSpy(monkeypatch)
     bundle = cubic_cases.build_case(case_fixture(cid, q_half), q_half, 48)
     assert (bundle.v.order, bundle.v.order // 2) in spy.calls  # the Chebyshev on v decided
@@ -457,17 +476,18 @@ def test_a_wrong_candidate_builds_by_the_fallback(q_half, monkeypatch, cid, fiel
 
 
 def test_a_zero_denominator_candidate_builds_by_the_fallback(q_half, monkeypatch):
-    # case 7 is little q^3-Jacobi; at ab = Q^-(2j+1) the closed form divides by zero
-    real = cubic_cases.family_recurrence
+    # case 7 is little q^3-Jacobi; at ab = Q^-(2n-1) the gap lambda_n - lambda_{n-2} is zero
+    real = cubic_cases.pair_recurrence
+    a = case_fixture(7, q_half).params["a"]
 
-    def singular(family, a, b, Q, n):
-        return real(family, a, Q.q ** -(2 * n - 1) * CycScalar.coerce(a).inv(), Q, n)
+    def singular(pair, Q, n):
+        return real(family_pair(FAMILY_JACOBI, a, Q.q ** -(2 * n - 1) * a.inv(), Q), Q, n)
 
-    monkeypatch.setattr(cubic_cases, "family_recurrence", singular)
+    monkeypatch.setattr(cubic_cases, "pair_recurrence", singular)
     spy = _ChebyshevSpy(monkeypatch)
     bundle = cubic_cases.build_case(case_fixture(7, q_half), q_half, 48)
-    with pytest.raises(QmapError, match=r"^little-q-jacobi recurrence: 1 - ab Q\^15 = 0$"):
-        singular(FAMILY_JACOBI, Fraction(1, 4), None, q_half.pow(3), 8)
+    with pytest.raises(QmapError, match=r"^pair recurrence: lambda_8 = lambda_6$"):
+        singular(None, q_half.pow(3), 8)
     assert (bundle.v.order, bundle.v.order // 2) in spy.calls
     assert bundle == cached_case_bundle(7, q_half)
 
@@ -495,16 +515,17 @@ def _conditions_fail(mapping):
     ],
 )
 def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch, candidate, cid, spoil, message):
-    # with the closed form as q's candidate or with none, the one mapping fails the
-    # same way; the Chebyshev on v settles q's recurrence once, then the stage is named
+    # with the pair's recurrence as q's candidate or with none, the one mapping fails
+    # the same way; the Chebyshev on v settles q's recurrence once, then the stage is named
     real, built = cubic_cases.build_mapping, []
     monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: built.append(args) or spoil(real(*args)))
+    if not candidate:
+        monkeypatch.setattr(cubic_cases, "pair_recurrence", _no_candidate)
     spy = _ChebyshevSpy(monkeypatch)
     case = case_fixture(cid, q_half)
-    args = (case.family, case.params["a"], case.params.get("b"), q_half.pow(3))
-    rec_q = family_recurrence(*args, 8) if candidate else None
+    pair = family_pair(case.family, case.params["a"], case.params.get("b"), q_half.pow(3))
     with pytest.raises(CaseError) as info:
-        build_power_case(family_pair(*args), cached_case_bundle(cid, q_half).eta, q_half, 48, f"case {cid}", rec_q)
+        build_power_case(pair, cached_case_bundle(cid, q_half).eta, q_half, 48, f"case {cid}")
     assert str(info.value) == f"case {cid} {message}"
     assert len(built) == 1
     assert spy.calls.count((16, 8)) == 1  # v's Chebyshev: the fallback, and with no candidate the ascent's seed
@@ -533,32 +554,37 @@ def test_an_odd_order_v_leaves_two_levels_to_the_close(q_half, monkeypatch):
 
 @pytest.mark.parametrize("eta", [POWER_ETAS[0][0], POWER_ETAS[3][0]])
 def test_k2_and_k4_keep_the_chebyshev_on_u(monkeypatch, eta):
-    # only k = 3 is ascended: no work is spent on q's recurrence or p's block 0 first
+    # only k = 3 is ascended: no work is spent on p's block 0, and the pair's recurrence stands for q's
     spy = _ChebyshevSpy(monkeypatch)
     bundle = _power_bundle(eta, *FAMILIES[1])
     assert bundle.mapping.k == eta.degree + 1
-    assert spy.calls == [(bundle.u.order, bundle.u.order // 2), (bundle.v.order, bundle.v.order // 2)]
+    assert spy.calls == [(bundle.u.order, bundle.u.order // 2)]
 
 
 @pytest.mark.parametrize("family, a, b", FAMILIES)
 @pytest.mark.parametrize("eta", [POWER_ETAS[0][0], POWER_ETAS[3][0]])
 def test_k2_and_k4_prove_a_candidate_for_q_by_the_comparison(monkeypatch, eta, family, a, b):
-    # rec_p is the Chebyshev on u, and the comparison proves the closed form at Q = q^k
+    # rec_p is the Chebyshev on u, and the comparison proves the pair's recurrence at Q = q^k
     k = eta.degree + 1
-    pair = family_pair(family, a, b, Q_POWER.pow(k))
-    bare = _power_bundle(eta, family, a, b)
-    closed = family_recurrence(family, a, b, Q_POWER.pow(k), bare.v.order // 2)
+    Q = Q_POWER.pow(k)
+    pair = family_pair(family, a, b, Q)
     spy = _ChebyshevSpy(monkeypatch)
-    assert build_power_case(pair, eta, Q_POWER, 60, rec_q=closed) == bare
+    bare = _power_bundle(eta, family, a, b)
     assert spy.calls == [(bare.u.order, bare.u.order // 2)]  # no call on v
-    spy.calls.clear()
-    assert build_power_case(pair, eta, Q_POWER, 60, rec_q=_wrong(closed, "b", 2)) == bare
-    assert spy.calls == [(bare.u.order, bare.u.order // 2), (bare.v.order, bare.v.order // 2)]
+    Nq = bare.v.order // 2
+    assert cubic_cases.pair_recurrence(pair, Q, Nq) == family_recurrence(family, a, b, Q, Nq)
+    real = cubic_cases.pair_recurrence
+    for spoil in (_no_candidate, lambda *args: _wrong(real(*args), "b", 2)):
+        spy.calls.clear()
+        monkeypatch.setattr(cubic_cases, "pair_recurrence", spoil)
+        assert build_power_case(pair, eta, Q_POWER, 60) == bare
+        assert spy.calls == [(bare.u.order, bare.u.order // 2), (bare.v.order, bare.v.order // 2)]
 
 
 def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch):
     # with no candidate the ascent needs q's recurrence first; its failure must
     # not change which stage is named
+    monkeypatch.setattr(cubic_cases, "pair_recurrence", _no_candidate)
     spy = _ChebyshevSpy(monkeypatch, fail=lambda u, N: u.order == 16)  # v at N = 48
     case = case_fixture(1, q_half)
     eta = cached_case_bundle(1, q_half).eta

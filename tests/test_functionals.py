@@ -30,15 +30,16 @@ from qmap.families import (
     FAMILY_JACOBI,
     FAMILY_LAGUERRE,
     family_pair,
-    family_recurrence,
     jacobi_regularity_failures,
     laguerre_regularity_failures,
     little_q_jacobi_pair,
     little_q_laguerre_pair,
     regularity_failures,
 )
+from qmap.opseq import pair_recurrence
 
 from conftest import random_nonzero_scalar, random_poly, random_scalar
+from helpers import family_recurrence
 
 X = Poly.x()
 
@@ -207,27 +208,45 @@ _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_family_recurrence_is_the_chebyshev_on_the_family_moments(data):
+def test_pair_recurrence_is_the_chebyshev_on_the_pair_moments(data):
+    # a family's pair or a random classical one: deg Phi <= 2 with phi_0 free, deg Psi = 1
     omega = data.draw(st.booleans())
-    scalars = st.builds(CycScalar, _small, _small if omega else st.just(Fraction(0))).filter(bool)
+    coeffs = st.builds(CycScalar, _small, _small if omega else st.just(Fraction(0)))
+    scalars = coeffs.filter(bool)
     try:
         Q = QParam(data.draw(scalars), 16)
     except ValueError:  # a root of unity of order <= 16
         assume(False)
-    family = data.draw(st.sampled_from((FAMILY_LAGUERRE, FAMILY_JACOBI)))
-    a, b = data.draw(scalars), data.draw(scalars)
     n = data.draw(st.integers(1, 6))
-    assume(not regularity_failures(family, a, b, Q, 2 * n + 1))
-    v = pearson_moments(family_pair(family, a, b, Q), data.draw(scalars), 2 * n, Q)
-    assert family_recurrence(family, a, b, Q, n) == recurrence_from_moments(v, n)[0]
+    family = data.draw(st.sampled_from((FAMILY_LAGUERRE, FAMILY_JACOBI, None)))
+    if family is None:
+        deg = data.draw(st.integers(0, 2))
+        phi = Poly(data.draw(st.lists(coeffs, min_size=deg, max_size=deg)) + [data.draw(scalars)])
+        pair = PearsonPair(phi, Poly([data.draw(coeffs), data.draw(scalars)]))
+    else:
+        a, b = data.draw(scalars), data.draw(scalars)
+        assume(not regularity_failures(family, a, b, Q, 2 * n + 1))
+        pair = family_pair(family, a, b, Q)
+        assert pair_recurrence(pair, Q, n) == family_recurrence(family, a, b, Q, n)
+    try:
+        expected = recurrence_from_moments(pearson_moments(pair, data.draw(scalars), 2 * n - 1, Q), n)[0]
+    except QmapError:
+        with pytest.raises(QmapError):
+            pair_recurrence(pair, Q, n)
+        return
+    assert pair_recurrence(pair, Q, n) == expected
 
 
-def test_family_recurrence_rejects_a_zero_denominator(q_half):
+def test_pair_recurrence_rejects_a_zero_gap_and_the_wrong_degrees(q_half):
     Q = q_half.pow(3)
-    ab = Q.q ** -5  # 1 - ab Q^5 = 0, first read by A_2 and C_2
-    assert len(family_recurrence(FAMILY_JACOBI, 2, ab / 2, Q, 2).b) == 2
-    with pytest.raises(QmapError, match=r"^little-q-jacobi recurrence: 1 - ab Q\^5 = 0$"):
-        family_recurrence(FAMILY_JACOBI, 2, ab / 2, Q, 3)
+    pair = family_pair(FAMILY_JACOBI, 2, Q.q ** -5 / 2, Q)  # ab = Q^-5: the closed form divides by 1 - ab Q^5
+    assert pair_recurrence(pair, Q, 2) == family_recurrence(FAMILY_JACOBI, 2, Q.q ** -5 / 2, Q, 2)
+    with pytest.raises(QmapError, match=r"^pair recurrence: lambda_3 = lambda_1$"):
+        pair_recurrence(pair, Q, 3)
+    with pytest.raises(QmapError, match=r"^pair recurrence: need deg Phi <= 2 and deg Psi = 1, have 3 and 1$"):
+        pair_recurrence(PearsonPair(Poly.monomial(3), X), Q, 2)
+    with pytest.raises(QmapError, match=r"^pair recurrence: need deg Phi <= 2 and deg Psi = 1, have 1 and 0$"):
+        pair_recurrence(PearsonPair(X, Poly.one()), Q, 2)
 
 
 def test_little_q_laguerre_brute_force_oracle(q_half):
