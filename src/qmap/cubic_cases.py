@@ -9,10 +9,10 @@ as a parameter-dependent constructor, so one encoding serves every q sample.
 ``build_case`` is the one place that fixes the power k = 3: it validates a case
 and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
 ``build_power_case``, which runs the pipeline for any k = deg eta + 1 in one
-pass: moments at q^k, the lift, q's candidate recurrence from its pair alone
-(``opseq.pair_recurrence``), p's recurrence (at k = 3 ascended from q's and
-proved on u, else the Chebyshev on u), one mapping built from it, which proves
-q's candidate or else checks the Chebyshev on v against it, pi_k = x^k (which
+pass: moments at q^k, the lift, q's recurrence from its pair alone
+(``opseq.pair_recurrence``, else the Chebyshev on v), p's recurrence (at k = 3
+ascended from q's and eta alone and proved on u, else the Chebyshev on u), one
+mapping built from p's, which proves q's by comparison, pi_k = x^k (which
 with the comparison proves p_{kn} = q_n(x^k)), the lifted (A, C, D) and the
 class report.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
@@ -243,7 +243,12 @@ def _constraint_failures(case: CubicCase, q: QParam) -> list[str]:
 
 
 def _v_order(N: int, k: int = _K) -> int:
-    """The order of v that ``build_power_case`` generates for the target order N of u."""
+    """The order V of v that ``build_power_case`` generates for the target order N of u.
+
+    Its mapping compares Ncond + 1 levels of q, Ncond = max((Np - k) // k, 1) with
+    Np = (k (V + 1) - 1) // 2, so for every k >= 2 it covers all V // 2 levels of q's recurrence:
+    Ncond + 1 >= (Np - k) // k + 1 = Np // k >= V // 2, as Np >= (kV + k - 2) / 2 >= kV / 2.
+    """
     return max(N // k, 4)
 
 
@@ -388,10 +393,10 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
 
     v has the pair ``pair_v`` at q^k and v_0 = 1; u is its lift, S_u(z) = eta(z) S_v(z^k)
     with eta monic.
-    q's candidate recurrence is ``pair_recurrence(pair_v, q^k, v.order // 2)``,
-    none when that raises; it never changes the outcome.  It seeds the ascent
-    of p's recurrence at k = 3, and it stands when the one mapping built from
-    rec_p proves it (see README); else the Chebyshev on v does both.
+    q's recurrence is ``pair_recurrence(pair_v, q^k, v.order // 2)``, or the
+    Chebyshev on v when that raises.  At k = 3 it and eta give p's by the
+    ascent, proved on u; else p's is the Chebyshev on u.  The one mapping
+    built from rec_p must give back q's (see README), else stage ``mapping`` fails.
     A failing stage raises a CaseError whose message starts with ``label``.
     """
     if eta.degree < 1 or eta.lc != ONE:
@@ -412,28 +417,21 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     Ncond = max((Np - k) // k, 1)
     Nq = v.order // 2
     try:  # q^k is validated to v's order, past the Nq - 1 the candidate reads
-        rec_q = pair_recurrence(pair_v, qk, Nq)
+        candidate = pair_recurrence(pair_v, qk, Nq)
     except QmapError:
-        rec_q = None
+        candidate = None
     chebyshev_v = cache(lambda: recurrence_from_moments(v, Nq)[0])  # an error is not cached
     found = None
     if k == 3:  # p's candidate: ascended from q's candidate, else from the Chebyshev on v
         try:
-            seed = rec_q or chebyshev_v()
-            ascended = ascend_recurrence(recurrence_from_moments(u, 3)[0], seed, eta)
+            ascended = ascend_recurrence(candidate or chebyshev_v(), eta)
             found = ascended and certify_recurrence(u, ascended, Np, (v, eta))
         except QmapError:
             pass
     rec_p, p_ops = found or stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
-    try:  # its inputs do not depend on q's recurrence; an error waits until that is settled
-        mapping, error = build_mapping(BlockView(rec_p, k), r0, Ncond), None
-    except Exception as exc:  # noqa: BLE001 - tagged below
-        mapping, error = None, exc
-    # rec_p is u's own, so the comparison and pi_k = x^k prove a candidate that passes them
-    if error or rec_q is None or len(mapping.r) < Nq or _mapping_failure(mapping, rec_q):
-        rec_q = stage("recurrence-q", chebyshev_v)
-    if error:
-        raise CaseError(f"{label} stage mapping: {error}") from error
+    rec_q = candidate or stage("recurrence-q", chebyshev_v)
+    mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
+    # rec_p is u's own, so the comparison and pi_k = x^k prove rec_q (see README)
     failure = _mapping_failure(mapping, rec_q)
     if failure:
         raise CaseError(f"{label} stage {failure}")

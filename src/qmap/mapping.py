@@ -6,8 +6,8 @@ the block conditions, builds (pi_k, eta) and the mapped sequence q_n as its
 recurrence (r_n, s_n), verifies the interleaving identities for the
 in-between degrees, and lifts a functional v to the functional u whose
 Stieltjes series is eta(z) * S_v(z^k).  Run forwards, the same block
-conditions give p's recurrence from its first block, q's recurrence and eta
-(``ascend_recurrence``, k = 3).
+conditions and pi_3 = x^3 give p's whole recurrence from q's recurrence and
+eta (``ascend_recurrence``, k = 3).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import MappingConditionError, QmapError
 from .functionals import MomentFunctional
 from .opseq import BlockView, OPSequence, Recurrence, delta_det
 from .polyalg import Poly, compose
-from .scalars import CycScalar, ZERO
+from .scalars import CycScalar, ONE, ZERO
 
 __all__ = [
     "ConditionReport",
@@ -218,37 +218,36 @@ def lift_functional(v: MomentFunctional, eta: Poly) -> MomentFunctional:
     return MomentFunctional(out)
 
 
-def ascend_recurrence(block0: Recurrence, rec_q: Recurrence, eta: Poly) -> Optional[Recurrence]:
-    """p's b_0..b_{3 Nq - 1} and a_1..a_{3 Nq - 1} at k = 3 from its block 0, q's (r_n, s_n) for n < Nq and eta.
+def ascend_recurrence(rec_q: Recurrence, eta: Poly) -> Optional[Recurrence]:
+    """p's b_0..b_{3 Nq - 1} and a_1..a_{3 Nq - 1} at k = 3 from q's (r_n, s_n) for n < Nq and eta.
 
-    eta has degree 2.  The block conditions of ``check_conditions`` are
-    solved for block n >= 1 from block n - 1 (Charris and Ismail, "Sieved
+    eta is monic of degree 2.  The block conditions of ``check_conditions``
+    are solved for block n from block n - 1 (Charris and Ismail, "Sieved
     orthogonal polynomials VII", Trans. AMS 340, 1993), with
     s_n = a_n^{(0)} a_{n-1}^{(1)} a_{n-1}^{(2)} and the constant r_n - r_0 of
-    condition (iv):
+    condition (iv); block 0 is fixed by p_3 = (x - b_0^{(0)}) eta
+    - a_0^{(1)} (x - b_0^{(2)}) = x^3 - r_0.  With a_0^{(0)} = 0, for every n:
 
-    - b_n^{(0)} = b_0^{(0)} (condition (i)) and
-      a_n^{(0)} = s_n / (a_{n-1}^{(1)} a_{n-1}^{(2)});
-    - a_n^{(1)} = a_0^{(1)} - a_n^{(0)} (x-coefficient of (iv)),
-      b_n^{(2)} = (a_0^{(1)} b_0^{(2)} - a_n^{(0)} b_{n-1}^{(1)} - (r_n - r_0)) / a_n^{(1)},
-      b_n^{(1)} = -eta_1 - b_n^{(2)} and a_n^{(2)} = b_n^{(1)} b_n^{(2)} - eta_0 (condition (ii)).
+    - b_n^{(0)} = eta_1 (condition (i)), a_n^{(0)} = s_n / (a_{n-1}^{(1)} a_{n-1}^{(2)});
+    - a_n^{(1)} = eta_0 - eta_1^2 - a_n^{(0)} (x-coefficient of (iv)),
+      b_n^{(2)} = (eta_1 eta_0 - r_n - a_n^{(0)} b_{n-1}^{(1)}) / a_n^{(1)};
+    - b_n^{(1)} = -eta_1 - b_n^{(2)} and a_n^{(2)} = b_n^{(1)} b_n^{(2)} - eta_0 (condition (ii)).
 
     The result is a candidate only: ``opseq.certify_recurrence`` proves it
     on u.  None when some a_n^{(1)} or a_n^{(2)} vanishes.
     """
-    b, a = list(block0.b[:3]), list(block0.a[:2])
-    b00, a01 = b[0], a[0]
-    r, s = rec_q.b, rec_q.a
-    for n in range(1, len(r)):
-        an0 = s[n - 1] * (a[-2] * a[-1]).inv()
-        an1 = a01 - an0
+    e1, e0 = eta.coeff(1), eta.coeff(0)
+    b, a, bn1 = [], [ONE, ONE], ZERO  # a_{-1}^{(1)} = a_{-1}^{(2)} = 1 and s_0 = 0 give a_0^{(0)} = 0
+    for rn, sn in zip(rec_q.b, (ZERO,) + rec_q.a):
+        an0 = sn * (a[-2] * a[-1]).inv()
+        an1 = e0 - e1 * e1 - an0
         if not an1:
             return None
-        bn2 = (a01 * b[2] - an0 * b[-2] - (r[n] - r[0])) * an1.inv()
-        bn1 = -eta.coeff(1) - bn2
-        an2 = bn1 * bn2 - eta.coeff(0)
-        if not an2:  # a_n^{(0)} != 0, as s_n is
+        bn2 = (e1 * e0 - rn - an0 * bn1) * an1.inv()
+        bn1 = -e1 - bn2
+        an2 = bn1 * bn2 - e0
+        if not an2:  # a_n^{(0)} != 0 for n >= 1, as s_n is
             return None
-        b += [b00, bn1, bn2]
+        b += [e1, bn1, bn2]
         a += [an0, an1, an2]
-    return Recurrence(b, a)
+    return Recurrence(b, a[3:])

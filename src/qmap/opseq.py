@@ -338,11 +338,10 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
     which u stops being regular.
 
-    ``cubic_cases.build_power_case`` calls it for p's first block at k = 3
-    (N = 3, the seed of ``mapping.ascend_recurrence``), for q's candidate
-    when ``pair_recurrence`` gives none, and for either recurrence whose
-    candidate is not proved.  ``qmap ops`` calls it when the pair's
-    recurrence is not proved on u.
+    ``cubic_cases.build_power_case`` calls it for q's recurrence when
+    ``pair_recurrence`` gives none, and for p's when k != 3 or the ascent
+    is not proved.  ``qmap ops`` calls it when the pair's recurrence is not
+    proved on u.
     """
     if 2 * N - 1 > u.order:
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")

@@ -192,6 +192,9 @@ def test_stage_error_names_the_case(q_half, monkeypatch):
     def irregular(u, N):
         raise RegularityError("not regular at level 0: <u, p_0^2> = 0")
 
+    # a wrong candidate ascends to a recurrence the certificate rejects, so the Chebyshev on u runs
+    real = cubic_cases.pair_recurrence
+    monkeypatch.setattr(cubic_cases, "pair_recurrence", lambda *args: _wrong(real(*args), "b", 0))
     monkeypatch.setattr(cubic_cases, "recurrence_from_moments", irregular)
     with pytest.raises(CaseError) as info:
         cubic_cases.build_case(case_fixture(1, q_half), q_half, 12)
@@ -231,16 +234,16 @@ def test_build_case_is_the_power_builder_at_k3(q_half, monkeypatch):
     pair = family_pair(b.case.family, p["a"], p.get("b"), q_half.pow(3))
     spy = _ChebyshevSpy(monkeypatch)
     bare = build_power_case(pair, b.eta, q_half, 48)
-    # the pair's recurrence seeds the ascent from p's block 0 and is proved by the mapping
-    assert spy.calls == [(b.u.order, 3)]
+    # the pair's recurrence and eta alone give p's by the ascent, and the mapping proves it
+    assert spy.calls == []
     assert bare.mapping.k == b.mapping.k == 3
     assert bare.case is None and bare.expected_pair is None
     assert replace(bare, case=b.case, expected_pair=b.expected_pair) == b
     spy.calls.clear()
     monkeypatch.setattr(cubic_cases, "pair_recurrence", _no_candidate)
-    # with no candidate, the Chebyshev on v gives one, and p's block 0 seeds its ascent
+    # with no candidate, the Chebyshev on v gives q's recurrence, once, for the ascent and the mapping
     assert build_power_case(pair, b.eta, q_half, 48) == bare
-    assert spy.calls == [(b.v.order, b.v.order // 2), (b.u.order, 3)]
+    assert spy.calls == [(b.v.order, b.v.order // 2)]
 
 
 # -- the k-generic builder away from k = 3 -------------------------------------
@@ -393,8 +396,8 @@ def test_a_candidate_never_changes_the_outcome(data):
 def test_certificate_rejects_a_perturbed_ascent_and_the_chebyshev_decides(q_half, monkeypatch, field, where):
     seen = {}
 
-    def perturbed(block0, rec_q, eta):
-        up = ascend_recurrence(block0, rec_q, eta)
+    def perturbed(rec_q, eta):
+        up = ascend_recurrence(rec_q, eta)
         b, a = list(up.b), list(up.a)
         M = len(b)  # the candidate levels 0..M-1; a_1 is the first a
         level = {"first": 0 if field == "b" else 1, "middle": M // 2, "last": M - 1}[where]
@@ -446,8 +449,8 @@ def test_the_ascent_is_certified_on_every_catalog_and_branch_build(workloads, mo
         built.clear()
         for call in workloads.build(workload, 0):
             call.run()
-        # p's block 0 only: q's recurrence is the one its pair fixes, proved by the build
-        assert [N for _, N in spy.calls] == [3] * builds, workload
+        # no Chebyshev: q's recurrence is the one its pair fixes, and p's is ascended from it and eta
+        assert spy.calls == [], workload
         assert len(built) == builds, workload  # one mapping per build
 
 
@@ -466,13 +469,18 @@ def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
 
 @pytest.mark.parametrize("cid", [1, 13])
 @pytest.mark.parametrize("field, level", [("b", 0), ("b", 7), ("a", 1), ("a", 4), ("a", 7)])
-def test_a_wrong_candidate_builds_by_the_fallback(q_half, monkeypatch, cid, field, level):
+def test_a_wrong_candidate_fails_at_stage_mapping(q_half, monkeypatch, cid, field, level):
+    # the certificate rejects its ascent, the Chebyshev on u gives p's recurrence, and
+    # the mapping built from that disagrees with the candidate at q_{level + 1}
     real = cubic_cases.pair_recurrence
     monkeypatch.setattr(cubic_cases, "pair_recurrence", lambda *args: _wrong(real(*args), field, level))
     spy = _ChebyshevSpy(monkeypatch)
-    bundle = cubic_cases.build_case(case_fixture(cid, q_half), q_half, 48)
-    assert (bundle.v.order, bundle.v.order // 2) in spy.calls  # the Chebyshev on v decided
-    assert bundle == cached_case_bundle(cid, q_half)
+    with pytest.raises(CaseError) as info:
+        cubic_cases.build_case(case_fixture(cid, q_half), q_half, 48)
+    n = level + 1
+    assert str(info.value) == f"case {cid} stage mapping: mapped q_{n} disagrees with moment-side q_{n}"
+    u = cached_case_bundle(cid, q_half).u
+    assert spy.calls == [(u.order, u.order // 2)]  # no Chebyshev on v
 
 
 def test_a_zero_denominator_candidate_builds_by_the_fallback(q_half, monkeypatch):
@@ -516,7 +524,7 @@ def _conditions_fail(mapping):
 )
 def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch, candidate, cid, spoil, message):
     # with the pair's recurrence as q's candidate or with none, the one mapping fails
-    # the same way; the Chebyshev on v settles q's recurrence once, then the stage is named
+    # the same way; q's recurrence is settled first, then the stage is named
     real, built = cubic_cases.build_mapping, []
     monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: built.append(args) or spoil(real(*args)))
     if not candidate:
@@ -528,13 +536,14 @@ def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch
         build_power_case(pair, cached_case_bundle(cid, q_half).eta, q_half, 48, f"case {cid}")
     assert str(info.value) == f"case {cid} {message}"
     assert len(built) == 1
-    assert spy.calls.count((16, 8)) == 1  # v's Chebyshev: the fallback, and with no candidate the ascent's seed
+    # v's Chebyshev runs only with no candidate, once, for the ascent and for q's recurrence
+    assert spy.calls.count((16, 8)) == (0 if candidate else 1)
 
 
 def test_the_comparison_covers_every_candidate_level(q_half):
     # build_power_case's orders: v to V = _v_order(N, k), u to k (V + 1) - 1 and
     # Np = u.order // 2; the mapping compares Ncond + 1 levels, the candidate has V // 2
-    for k in range(2, 9):
+    for k in range(2, 17):
         for N in range(1, 300):
             V = cubic_cases._v_order(N, k)
             Np = (k * (V + 1) - 1) // 2
@@ -574,11 +583,16 @@ def test_k2_and_k4_prove_a_candidate_for_q_by_the_comparison(monkeypatch, eta, f
     Nq = bare.v.order // 2
     assert cubic_cases.pair_recurrence(pair, Q, Nq) == family_recurrence(family, a, b, Q, Nq)
     real = cubic_cases.pair_recurrence
-    for spoil in (_no_candidate, lambda *args: _wrong(real(*args), "b", 2)):
-        spy.calls.clear()
-        monkeypatch.setattr(cubic_cases, "pair_recurrence", spoil)
-        assert build_power_case(pair, eta, Q_POWER, 60) == bare
-        assert spy.calls == [(bare.u.order, bare.u.order // 2), (bare.v.order, bare.v.order // 2)]
+    monkeypatch.setattr(cubic_cases, "pair_recurrence", _no_candidate)
+    spy.calls.clear()
+    assert build_power_case(pair, eta, Q_POWER, 60) == bare
+    assert spy.calls == [(bare.u.order, bare.u.order // 2), (bare.v.order, bare.v.order // 2)]
+    monkeypatch.setattr(cubic_cases, "pair_recurrence", lambda *args: _wrong(real(*args), "b", 2))
+    spy.calls.clear()
+    with pytest.raises(CaseError) as info:
+        build_power_case(pair, eta, Q_POWER, 60)
+    assert str(info.value) == "power case stage mapping: mapped q_3 disagrees with moment-side q_3"
+    assert spy.calls == [(bare.u.order, bare.u.order // 2)]
 
 
 def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch):

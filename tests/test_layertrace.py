@@ -39,6 +39,6 @@ def test_tracer_counts_the_layers_and_restores_them(capsys):
     assert cli.build_case is originals[2]
     assert metrics["cubic_cases.build.calls"] == 1
     assert metrics["cli.calls"] == 1
-    # p's block 0 in the build; q's recurrence and the one in ops are their pairs', proved
-    assert metrics["opseq.recurrence.calls"] == 1
+    # no Chebyshev: the build's q and ops' u take their pairs' recurrences, proved, and p's is ascended
+    assert metrics["opseq.recurrence.calls"] == 0
     assert metrics["scalars.mul"] > 0

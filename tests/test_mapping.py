@@ -252,17 +252,13 @@ def test_build_mapping_raises_on_bad_blocks():
 # -- the ascent: the block conditions solved forwards -------------------------
 
 
-def _block0(rec: Recurrence, k: int) -> Recurrence:
-    return Recurrence(rec.b[:k], rec.a[: k - 1])
-
-
 @pytest.mark.parametrize("case_id", [1, 5, 13])
 def test_ascent_matches_the_chebyshev_on_u_at_k3(q_half, case_id):
     b = cached_case_bundle(case_id, q_half)
     Np = b.u.order // 2
     rec_p, _ = recurrence_from_moments(b.u, Np)
     rec_q, _ = recurrence_from_moments(b.v, b.v.order // 2)
-    up = ascend_recurrence(_block0(rec_p, 3), rec_q, b.eta)
+    up = ascend_recurrence(rec_q, b.eta)
     levels = 3 * len(rec_q.b)
     assert levels == Np - 1
     assert (up.b, up.a) == (rec_p.b[:levels], rec_p.a[: levels - 1])
@@ -271,35 +267,36 @@ def test_ascent_matches_the_chebyshev_on_u_at_k3(q_half, case_id):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_ascent_inverts_the_mapping(data):
-    # whatever block 0 and (r_n, s_n) are, the ascended blocks map back to (r_n, s_n)
+    # whatever monic eta of degree 2 and (r_n, s_n) are, the ascended blocks map back to
+    # (r_n, s_n), with Delta_0(2, 2) = eta and pi_3 = x^3
     k = 3
     scalars = st.builds(CycScalar, small_fractions, small_fractions)
     nonzero = scalars.filter(bool)
     Nq = data.draw(st.integers(2, 5))
-    b0 = data.draw(st.lists(scalars, min_size=k, max_size=k))
-    block0 = Recurrence(b0, data.draw(st.lists(nonzero, min_size=k - 1, max_size=k - 1)))
+    eta = Poly(data.draw(st.lists(scalars, min_size=k - 1, max_size=k - 1)) + [1])
     r = data.draw(st.lists(scalars, min_size=Nq, max_size=Nq))
     rec_q = Recurrence(r, data.draw(st.lists(nonzero, min_size=Nq - 1, max_size=Nq - 1)))
-    eta = delta_det(BlockView(block0, k), 0, 2, k - 1)
-    up = ascend_recurrence(block0, rec_q, eta)
+    up = ascend_recurrence(rec_q, eta)
     if up is None:
         return
     assert len(up.b) == k * Nq
     mapping = build_mapping(BlockView(up, k), r[0], Nq - 1)
-    assert mapping.r == rec_q.b
-    assert mapping.s == rec_q.a
+    assert (mapping.r, mapping.s) == (rec_q.b, rec_q.a)
+    assert delta_det(BlockView(up, k), 0, 2, k - 1) == mapping.eta == eta
+    assert mapping.pi_k == Poly.monomial(k)
 
 
 def test_ascent_declines_a_vanishing_coefficient():
-    half = Fraction(1, 2)
-    # s_1 = a_0^(1) a_0^(1) a_0^(2) makes a_1^(0) = a_0^(1), so a_1^(1) = 0
-    block0 = Recurrence([0, 1, 2], [half, 3])
-    eta = delta_det(BlockView(block0, 3), 0, 2, 2)
-    assert ascend_recurrence(block0, Recurrence([0, 5], [half * half * 3]), eta) is None
-    assert ascend_recurrence(block0, Recurrence([0, 5], [1]), eta) is not None
-    # eta = (x - 3/2)^2 and b_1^(2) = 3/2, a root of eta, make a_1^(2) = 0
-    block0 = Recurrence([0, 1, 2], [half, -half * half])
-    eta = delta_det(BlockView(block0, 3), 0, 2, 2)
-    assert eta == Poly([Fraction(9, 4), -3, 1])
-    assert ascend_recurrence(block0, Recurrence([0, Fraction(-15, 4)], [1]), eta) is None
-    assert ascend_recurrence(block0, Recurrence([0, 1], [1]), eta) is not None
+    # block 0: eta_0 = eta_1^2 makes a_0^(1) = eta_0 - eta_1^2 = 0, whatever r_0 is
+    assert ascend_recurrence(Recurrence([5], []), Poly([1, 1, 1])) is None
+    assert ascend_recurrence(Recurrence([5], []), Poly([2, 1, 1])) is not None
+    # eta = x^2 + 1/2 and r_0 = -1 give a_0^(1) = 1/2 and a_0^(2) = -9/2; then
+    # s_1 = a_0^(1) a_0^(1) a_0^(2) = -9/8 makes a_1^(0) = a_0^(1), so a_1^(1) = 0
+    eta = Poly([Fraction(1, 2), 0, 1])
+    assert ascend_recurrence(Recurrence([-1, 5], [Fraction(-9, 8)]), eta) is None
+    assert ascend_recurrence(Recurrence([-1, 5], [1]), eta) is not None
+    # a_n^(2) = -eta(b_n^(2)): eta = (x - 3/2)^2, r_0 = 0 and s_1 = 27/16 give a_1^(0) = 1,
+    # and r_1 = 23/8 then makes b_1^(2) = 3/2, a root of eta, so a_1^(2) = 0
+    eta = Poly([Fraction(9, 4), -3, 1])
+    assert ascend_recurrence(Recurrence([0, Fraction(23, 8)], [Fraction(27, 16)]), eta) is None
+    assert ascend_recurrence(Recurrence([0, 1], [Fraction(27, 16)]), eta) is not None
