@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
 from typing import Optional
 
 from .classifier import ClassReport, classify
@@ -420,16 +419,15 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
         candidate = pair_recurrence(pair_v, qk, Nq)
     except QmapError:
         candidate = None
-    chebyshev_v = cache(lambda: recurrence_from_moments(v, Nq)[0])  # an error is not cached
+    rec_q = candidate or stage("recurrence-q", lambda: recurrence_from_moments(v, Nq)[0])
     found = None
-    if k == 3:  # p's candidate: ascended from q's candidate, else from the Chebyshev on v
+    if k == 3:  # p's candidate, ascended from q's recurrence
         try:
-            ascended = ascend_recurrence(candidate or chebyshev_v(), eta)
+            ascended = ascend_recurrence(rec_q, eta)
             found = ascended and certify_recurrence(u, ascended, Np, (v, eta))
         except QmapError:
             pass
     rec_p, p_ops = found or stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
-    rec_q = candidate or stage("recurrence-q", chebyshev_v)
     mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
     # rec_p is u's own, so the comparison and pi_k = x^k prove rec_q (see README)
     failure = _mapping_failure(mapping, rec_q)

@@ -11,10 +11,14 @@ Rows of correlations sum_i c_i v_{i+l} are read from canonical integer forms
 the rows.  ``_correlate`` reads the moments themselves: phi u, u_poly, the
 mixed-moment table of ``orthogonality_check``, the certificate of a functional
 that is not a lift (``qmap ops``) and the two halves of
-``stieltjes.poly_mul_series``.  ``_correlate_lift`` gives the same row for the
-unit lift u of v from v's moments and eta's coefficients, without forming u's;
-a build's certificate (``cubic_cases.build_power_case``) reads it.  ``_dot``
-is left for single dot products.
+``stieltjes.poly_mul_series``.  Its integer rows (``_rows``) serve
+``stieltjes.stieltjes_residual`` too, which folds the Hahn weights into S's
+form (``_times``), adds the rows over one denominator (``_sum_rows``) and
+makes scalars (``_scalars``) only of a nonzero residual.  ``_correlate_lift``
+gives the same row for the unit lift u of v from v's moments and eta's
+coefficients, without forming u's; a build's certificate
+(``cubic_cases.build_power_case``) reads it.  ``_dot`` is left for single dot
+products.
 """
 
 from __future__ import annotations
@@ -115,17 +119,17 @@ def _scaled(values) -> tuple:
     return R, (None if om is None else [f.numerator * (D // f.denominator) for f in om]), D
 
 
-def _correlate(c: tuple, v: tuple, length: int) -> list[CycScalar]:
-    """[sum_i c_i v_{i+l} for l < length] from the canonical forms (R, O, D) of c and v.
+def _rows(c: tuple, v: tuple, length: int) -> tuple:
+    """The integer row (X, Y, den) of [sum_i c_i v_{i+l} for l < length]: entry l is (X[l] + Y[l] w)/den.
 
-    Each entry is integer dot products of the numerators over D_c D_v, so no
-    gcd is taken inside a sum.  Rational c and v take one dot and one Fraction
-    per entry, with the shared zero w-part, so later arithmetic stays on the
-    rational path; otherwise the component dots recombine as integers with
-    w^2 = -1 - w before the entry's two Fractions are made.
+    c and v are canonical forms (R, O, D), or any (R, O, D) with D != 0, and
+    den = D_c D_v.  Each entry is integer dot products of the numerators, so
+    no gcd is taken inside a sum.  Rational c and v take one dot per entry and
+    give Y = None; otherwise the component dots recombine as integers with
+    w^2 = -1 - w.
     """
     (Rc, Oc, Dc), (Rv, Ov, Dv) = c, v
-    den, n, zero = Dc * Dv, len(Rc), [0] * length
+    n, zero = len(Rc), [0] * length
 
     def dots(ci, vi):
         if ci is None or vi is None:
@@ -134,9 +138,57 @@ def _correlate(c: tuple, v: tuple, length: int) -> list[CycScalar]:
 
     re_re = dots(Rc, Rv)
     if Oc is None and Ov is None:
-        return [_make(Fraction(x, den)) for x in re_re]
+        return re_re, None, Dc * Dv
     re_om, om_re, om_om = dots(Rc, Ov), dots(Oc, Rv), dots(Oc, Ov)
-    return [_make(Fraction(x - z, den), Fraction(y + t - z, den)) for x, y, t, z in zip(re_re, re_om, om_re, om_om)]
+    return [x - z for x, z in zip(re_re, om_om)], [y + t - z for y, t, z in zip(re_om, om_re, om_om)], Dc * Dv
+
+
+def _scalars(X: list, Y, den: int) -> list[CycScalar]:
+    """The values (X[l] + Y[l] w)/den of an integer row.
+
+    A rational row (Y None) makes one Fraction per entry with the shared zero
+    w-part, so later arithmetic stays on the rational path.
+    """
+    if Y is None:
+        return [_make(Fraction(x, den)) for x in X]
+    return [_make(Fraction(x, den), Fraction(y, den)) for x, y in zip(X, Y)]
+
+
+def _correlate(c: tuple, v: tuple, length: int) -> list[CycScalar]:
+    """[sum_i c_i v_{i+l} for l < length] from the canonical forms (R, O, D) of c and v: ``_rows`` made scalars."""
+    return _scalars(*_rows(c, v, length))
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The form (R, O, D_a D_b) of the products a_i b_i of two forms, over the shorter."""
+    (Ra, Oa, Da), (Rb, Ob, Db) = a, b
+    R = list(map(mul, Ra, Rb))
+    if Oa is None and Ob is None:
+        return R, None, Da * Db
+    Oa, Ob = Oa or [0] * len(Ra), Ob or [0] * len(Rb)
+    bd = list(map(mul, Oa, Ob))
+    # (x + y w)(s + t w) = (x s - y t) + (x t + y s - y t) w
+    O = [x * t + y * s - z for x, y, s, t, z in zip(Ra, Oa, Rb, Ob, bd)]
+    return [r - z for r, z in zip(R, bd)], O, Da * Db
+
+
+def _sum_rows(rows, length: int) -> tuple:
+    """The integer row (X, Y, den) of the entrywise sum of rows (X, Y, den), zero-padded to length.
+
+    den is the lcm of the rows' dens, one gcd per row and none per entry; Y is
+    None when every row's is.
+    """
+    den = lcm(*(d for *_, d in rows))
+    X, Y = [0] * length, None
+    for x, y, d in rows:
+        f = den // d
+        for i, a in enumerate(x):
+            X[i] += a * f
+        if y is not None:
+            Y = Y or [0] * length
+            for i, b in enumerate(y):
+                Y[i] += b * f
+    return X, Y, den
 
 
 def _correlate_lift(c: tuple, v: tuple, eta: tuple, length: int) -> list[CycScalar]:

@@ -3,9 +3,11 @@
 A series is a polynomial part plus a principal part in 1/z whose first
 ``depth`` coefficients are known exactly; the depth is threaded through every
 operation so that a zero check is never vacuous.  The module implements the
-q-difference equation A (H_{1/q} S_u) = C S_u + D: residual evaluation, the
-construction of (A, C, D) from a distributional pair, the lifted (A, C, D) of
-a power substitution, and the substitution identity relating S_u and S_v.
+q-difference equation A (H_{1/q} S_u) = C S_u + D: the residual as an integer
+zero test on ``functionals``' rows, the construction of (A, C, D) from a
+distributional pair, the lifted (A, C, D) of a power substitution, and the
+substitution identity relating S_u and S_v, proved by the lift lemma (README)
+and compared as series only when the lift fails.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .functionals import MomentFunctional, PearsonPair, _correlate, _scaled, u_poly
+from .functionals import MomentFunctional, PearsonPair, _correlate, _rows, _scalars, _scaled, _sum_rows, _times, u_poly
 from .mapping import lift_power
 from .polyalg import Poly, compose_xk, dilate_poly, hahn_poly_qinv, theta0
 from .scalars import CycScalar, QParam, ZERO
@@ -162,12 +164,31 @@ def substitute_zk(S: LaurentSeries, k: int) -> LaurentSeries:
 
 
 def stieltjes_residual(t: ACDTriple, S: LaurentSeries, q: QParam) -> LaurentSeries:
-    """A (H_{1/q} S) - C S - D; identically zero certifies the equation."""
-    term1 = poly_mul_series(t.A, hahn_qinv_series(S, q))
-    term2 = poly_mul_series(t.C, S)
-    depth = min(term1.depth, term2.depth)
-    d_series = LaurentSeries.from_poly(t.D, depth)
-    return term1 - term2 - d_series
+    """A (H_{1/q} S) - C S - D; identically zero certifies the equation.
+
+    With h_m = -q [m]_q s_{m-1} the principal part of H_{1/q} S, entry l is
+    sum_j A_j h_{j+l} - sum_j C_j s_{j+l}; the polynomial part is the
+    correlations of h and s against A[1:] and C[1:], plus A H(pp) - C pp - D.
+    Each entry is one sum of integer rows (see README), so a zero residual
+    makes no scalar.
+    """
+    A, C, pp = t.A, t.C, S.poly_part
+    hpp = hahn_poly_qinv(pp, q)
+    w = _scaled([q.q_bracket(n) for n in range(S.depth + 1)])
+    da, dc = A.degree, max(C.degree, 0)
+    for d, deg in ((S.depth + 1, da), (S.depth, dc)):
+        if d < deg:
+            raise ValueError(f"depth {d} exhausted by multiplication with degree {deg}")
+    depth = min(S.depth + 1 - da, S.depth - dc)
+    R, O, D = _scaled(S.principal)
+    ns, h = (R, O, -D), _times(w, ([0] + R, O and [0] + O, -D))  # a form over -D is the negated vector
+    a, a1, c, c1 = (_scaled(x) for x in (A.coeffs, A.coeffs[1:], C.coeffs, C.coeffs[1:]))
+    Rd, Od, Dd = _scaled((t.D if pp.is_zero else t.D - A * hpp + C * pp).coeffs)
+    principal = _sum_rows([_rows(a, h, depth), _rows(c, ns, depth)], depth)
+    poly = _sum_rows([_rows(h, a1, da), _rows(ns, c1, dc), (Rd, Od, -Dd)], max(da, dc, len(Rd)))
+    if any(any(X) or any(Y or ()) for X, Y, _ in (principal, poly)):
+        return LaurentSeries(Poly(_scalars(*poly)), _scalars(*principal))
+    return LaurentSeries.from_poly(Poly.zero(), depth)
 
 
 def acd_from_pearson(pair: PearsonPair, u: MomentFunctional, q: QParam) -> ACDTriple:
@@ -215,9 +236,19 @@ def verify_susvq(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, q: QParam) -> 
     [k]_{1/q} z^(k-1) eta(z/q) (H_{1/q^k} S_v)(z^k)
         = (H_{1/q} S_u)(z) - (H_{1/q} eta)(z) S_v(z^k),
 
-    which is H_{1/q} applied to S_u(z) = eta(z) S_v(z^k).
+    which is H_{1/q} applied to S_u(z) = eta(z) S_v(z^k).  By the lift lemma
+    (see README) it holds when neither series has a polynomial part and Su's
+    principal part is the lift of Sv's on the entries the identity reads;
+    else the two sides are formed as series, which names the first nonzero
+    coefficient.
     """
     k = lift_power(eta)
+    depth = min(k * (Sv.depth - 1) + 2, Su.depth + 1)
+    # outside these ranges the series comparison raises
+    if depth >= 0 and max(k, Su.depth) <= q.max_order + 1 and Sv.depth <= q.pow(k).max_order + 1:
+        e, su, sv = eta.coeffs, Su.principal, Sv.principal
+        if not (Su.poly_part or Sv.poly_part) and all(su[m] == e[k - 1 - m % k] * sv[m // k] for m in range(depth - 1)):
+            return SeriesReport(True, depth, None)
     qk = q.pow(k)
     lhs_mult = (q.bracket_inv(k) * Poly.monomial(k - 1)) * dilate_poly(eta, q.q.inv())
     lhs = poly_mul_series(lhs_mult, substitute_zk(hahn_qinv_series(Sv, qk), k))

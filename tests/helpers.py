@@ -7,12 +7,34 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from qmap import ONE, ZERO, ACDTriple, CycScalar, LaurentSeries, MomentFunctional, OPSequence, Poly, Recurrence, act, compose_xk, divrem, poly_gcd
+import qmap.stieltjes
+from qmap import (
+    ONE,
+    ZERO,
+    ACDTriple,
+    CycScalar,
+    LaurentSeries,
+    MomentFunctional,
+    OPSequence,
+    Poly,
+    Recurrence,
+    act,
+    compose_xk,
+    dilate_poly,
+    divrem,
+    hahn_poly_qinv,
+    hahn_qinv_series,
+    poly_gcd,
+    poly_mul_series,
+    substitute_zk,
+)
 from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.families import FAMILY_LAGUERRE
 from qmap.functionals import _dot
+from qmap.mapping import lift_power
 from qmap.opseq import OrthogonalityReport, delta_det
 from qmap.scalars import parse_scalar
+from qmap.stieltjes import SeriesReport
 
 X = Poly.x()
 
@@ -214,6 +236,28 @@ def poly_mul_series_oracle(A: Poly, S: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(Poly(poly_acc), principal)
 
 
+# -- the table's two Stieltjes checks as series compositions, before the integer
+# residual and the lift lemma ------------------------------------------------
+
+
+def stieltjes_residual_oracle(t: ACDTriple, S: LaurentSeries, q) -> LaurentSeries:
+    """A (H_{1/q} S) - C S - D composed from the series operations."""
+    term1 = poly_mul_series(t.A, hahn_qinv_series(S, q))
+    term2 = poly_mul_series(t.C, S)
+    depth = min(term1.depth, term2.depth)
+    return term1 - term2 - LaurentSeries.from_poly(t.D, depth)
+
+
+def verify_susvq_oracle(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, q) -> SeriesReport:
+    """The substitution identity of ``verify_susvq``, both sides formed as series and subtracted."""
+    k = lift_power(eta)
+    lhs_mult = (q.bracket_inv(k) * Poly.monomial(k - 1)) * dilate_poly(eta, q.q.inv())
+    lhs = poly_mul_series(lhs_mult, substitute_zk(hahn_qinv_series(Sv, q.pow(k)), k))
+    rhs = hahn_qinv_series(Su, q) - poly_mul_series(hahn_poly_qinv(eta, q), substitute_zk(Sv, k))
+    diff = lhs - rhs
+    return SeriesReport(diff.is_zero, diff.depth, diff.first_nonzero())
+
+
 def dense_det(matrix):
     """General Laplace expansion along the first column (oracle only)."""
     size = len(matrix)
@@ -328,6 +372,15 @@ def kernel_scalars(fractions):
         st.builds(lambda om: CycScalar(0, om), fractions),
         st.builds(CycScalar, fractions, fractions),
     )
+
+
+def series_spy(monkeypatch) -> list:
+    """Record each call of the series operations ``hahn_qinv_series`` and ``poly_mul_series`` in ``qmap.stieltjes``."""
+    calls = []
+    for name in ("hahn_qinv_series", "poly_mul_series"):
+        real = getattr(qmap.stieltjes, name)
+        monkeypatch.setattr(qmap.stieltjes, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    return calls
 
 
 def poly_from_strings(items) -> Poly:

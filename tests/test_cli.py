@@ -2,12 +2,15 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from qmap import Recurrence, classifier, cli, cubic_cases, opseq
+from qmap import MomentFunctional, Poly, Recurrence, classifier, cli, cubic_cases, opseq
 from qmap.cli import main
 from qmap.errors import QmapError
+
+from helpers import series_spy, stieltjes_residual_oracle, verify_susvq_oracle
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +225,41 @@ def test_tables_small(capsys):
     assert report["all_ok"] is True
     assert len(report["cases"]) == 13
     assert [row["case"] for row in report["cases"]] == list(range(1, 14))
+
+
+def test_tables_checks_form_no_series(capsys, monkeypatch):
+    # the residual is an integer zero test and the identity is the lift lemma on every catalog build
+    calls = series_spy(monkeypatch)
+    code, report = run_cli(capsys, "tables", "--q", "1/2", "--q", "1/3", "--N", "48")
+    assert code == 0 and len(report["cases"]) == 26
+    assert calls == []
+
+
+def _spoiled(spoil):
+    def build(case, q, N):
+        b = cubic_cases.build_case(case, q, N)
+        if spoil == "u":
+            moments = list(b.u.moments)
+            moments[7] = moments[7] + 1
+            return replace(b, u=MomentFunctional(moments))
+        # C + z^(deg C + 1) also moves the residual's depth; D + 1 leaves it
+        extra = Poly.monomial(b.acd.C.degree + 1) if spoil == "C" else Poly.one()
+        return replace(b, acd=replace(b.acd, **{spoil: getattr(b.acd, spoil) + extra}))
+
+    return build
+
+
+@pytest.mark.parametrize("spoil", ["u", "C", "D"])
+def test_a_spoiled_table_row_is_the_oracle_path_row(capsys, monkeypatch, spoil):
+    monkeypatch.setattr(cli, "build_case", _spoiled(spoil))
+    argv = ("tables", "--q", "1/2", "--N", "24")
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "stieltjes_residual", stieltjes_residual_oracle)
+    monkeypatch.setattr(cli, "verify_susvq", verify_susvq_oracle)
+    assert run_cli(capsys, *argv) == got
+    code, report = got
+    assert code == 1 and not any(row["ok"] or row["stieltjes_residual_zero"] for row in report["cases"])
+    assert all(row["susvq_ok"] == (spoil != "u") for row in report["cases"])
 
 
 def test_deterministic_output(capsys):

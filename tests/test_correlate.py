@@ -2,19 +2,23 @@
 
 ``functionals._correlate`` computes every row sum_i c_i v_{i+l} of the
 package: phi u, u_poly, the mixed moments of ``opseq`` and both halves of
-``poly_mul_series``.  Each caller is compared here with its predecessor loop
-in ``helpers`` on rational and Q(w) inputs whose two sides take their shapes
-independently (so a rational side meets a Q(w) side), including zero
-coefficients, rows of length <= 0, deg phi = order and the errors the callers
-raise.  ``_correlate_lift``, which reads a lift's rows from v and eta, is
-compared with the kernel on the lift's moments.
+``poly_mul_series``; its integer rows make the residual of ``stieltjes``.
+Each caller is compared here with its predecessor loop in ``helpers`` on
+rational and Q(w) inputs whose two sides take their shapes independently (so
+a rational side meets a Q(w) side), including zero coefficients, rows of
+length <= 0, deg phi = order and the errors the callers raise.
+``_correlate_lift``, which reads a lift's rows from v and eta, is compared
+with the kernel on the lift's moments.
 """
+
+from itertools import zip_longest
 
 from hypothesis import assume, given, settings, strategies as st
 
 from qmap import ZERO, CycScalar, LaurentSeries, MomentFunctional, Poly, left_mul, poly_mul_series, u_poly
 from qmap.errors import TruncationError
-from qmap.functionals import _correlate, _correlate_lift, _scaled
+from qmap.functionals import _correlate, _correlate_lift, _rows, _scaled, _sum_rows, _times
+from qmap.functionals import _scalars as _row_values
 from qmap.mapping import lift_functional
 from qmap.scalars import _Q0
 
@@ -66,6 +70,20 @@ def test_kernel_matches_the_dot_loop(data, omega_c, omega_v, length):
     row = _correlate(_scaled(c), _scaled(v), length)
     assert row == [sum((ci * vi for ci, vi in zip(c, v[l:])), ZERO) for l in range(length)]
     assert _rational_path_kept(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans(), st.booleans(), st.integers(0, 12))
+def test_products_and_row_sums_match_scalar_arithmetic(data, omega_a, omega_b, length):
+    # the residual's pieces: elementwise products of forms, a form over -D, rows summed over one denominator
+    a, b = data.draw(_vectors(omega_a)), data.draw(_vectors(omega_b))
+    assert _row_values(*_times(_scaled(a), _scaled(b))) == [x * y for x, y in zip(a, b)]
+    R, O, D = _scaled(b)
+    rows = [_rows(_scaled(a), (R, O, -D), length), _scaled(data.draw(_vectors(omega_b, 0, length)))]
+    got = _row_values(*_sum_rows(rows, length))
+    assert len(got) == length
+    assert got == [x + y for x, y in zip_longest(*(_row_values(*row) for row in rows), fillvalue=ZERO)][:length]
+    assert _rational_path_kept(got)
 
 
 @settings(max_examples=100, deadline=None)

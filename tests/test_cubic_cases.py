@@ -586,7 +586,7 @@ def test_k2_and_k4_prove_a_candidate_for_q_by_the_comparison(monkeypatch, eta, f
     monkeypatch.setattr(cubic_cases, "pair_recurrence", _no_candidate)
     spy.calls.clear()
     assert build_power_case(pair, eta, Q_POWER, 60) == bare
-    assert spy.calls == [(bare.u.order, bare.u.order // 2), (bare.v.order, bare.v.order // 2)]
+    assert spy.calls == [(bare.v.order, bare.v.order // 2), (bare.u.order, bare.u.order // 2)]  # q's first
     monkeypatch.setattr(cubic_cases, "pair_recurrence", lambda *args: _wrong(real(*args), "b", 2))
     spy.calls.clear()
     with pytest.raises(CaseError) as info:
@@ -596,8 +596,8 @@ def test_k2_and_k4_prove_a_candidate_for_q_by_the_comparison(monkeypatch, eta, f
 
 
 def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch):
-    # with no candidate the ascent needs q's recurrence first; its failure must
-    # not change which stage is named
+    # with no candidate q's recurrence is settled first, so its failure is
+    # named before any work is spent on p's side
     monkeypatch.setattr(cubic_cases, "pair_recurrence", _no_candidate)
     spy = _ChebyshevSpy(monkeypatch, fail=lambda u, N: u.order == 16)  # v at N = 48
     case = case_fixture(1, q_half)
@@ -606,7 +606,7 @@ def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch
     with pytest.raises(CaseError) as info:
         build_power_case(pair, eta, q_half, 48, "case 1")
     assert str(info.value) == "case 1 stage recurrence-q: not regular at level 3: <u, p_3^2> = 0"
-    assert (50, 25) in spy.calls  # the Chebyshev on u ran first, as a stage
+    assert spy.calls == [(16, 8)]  # no Chebyshev on u, (50, 25)
 
 
 def test_a_build_reads_no_polynomial_of_its_sequences(q_half, monkeypatch):

@@ -1,16 +1,28 @@
-"""Formal Laurent series, the q-difference equation, and the lifted triples."""
+"""Formal Laurent series, the q-difference equation, and the lifted triples.
+
+The table's two checks are compared with their series compositions in
+``helpers``: ``stieltjes_residual`` (integer rows) on random and on real
+triples, ``verify_susvq`` (the lift lemma) on lifts that are cut, extended,
+perturbed or given polynomial parts, both at rational and Q(w) q, t and S.
+The bracket identity the lemma rests on is checked on ``QParam``'s tables.
+"""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qmap import (
+    ZERO,
     ACDTriple,
+    OMEGA,
     CycScalar,
     LaurentSeries,
     MomentFunctional,
     Poly,
+    QParam,
     acd_from_pearson,
     hahn_qinv_series,
     lift_functional,
@@ -21,6 +33,8 @@ from qmap import (
     substitute_zk,
     verify_susvq,
 )
+from qmap.cubic_cases import build_case, case_fixture
+from qmap.errors import QmapError
 from qmap.families import (
     little_q_jacobi_acd,
     little_q_jacobi_pair,
@@ -29,7 +43,7 @@ from qmap.families import (
 )
 
 from conftest import cached_case_bundle, random_poly, random_scalar
-from helpers import series_evaluate
+from helpers import kernel_scalars, series_evaluate, series_spy, stieltjes_residual_oracle, verify_susvq_oracle
 
 X = Poly.x()
 
@@ -219,15 +233,16 @@ def test_verify_susvq_k2_smoke(q_half):
     assert rep.ok
 
 
-@pytest.mark.parametrize("eta", [Poly([2, 2]), Poly([Fraction(1, 3), 5])])
-def test_verify_susvq_non_monic_eta(q_half, eta):
+@pytest.mark.parametrize("eta", [Poly([2, 2]), Poly([Fraction(1, 3), 5]), Poly([1, Fraction(-1, 2), 3]), Poly([0, 0, 0, 2])])
+def test_verify_susvq_non_monic_eta(q_half, monkeypatch, eta):
     # the unit lift has u_0 = lc(eta) v_0, and the identity holds with no rescale
-    q2 = q_half.pow(2)
-    v = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), q2), 1, 16, q2)
+    qk = q_half.pow(eta.degree + 1)
+    v = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), qk), 1, 16, qk)
     u = lift_functional(v, eta)
     assert u.moment(0) == eta.lc
+    calls = series_spy(monkeypatch)
     rep = verify_susvq(series_from_functional(u), series_from_functional(v), eta, q_half)
-    assert rep.ok
+    assert rep.ok and calls == []
 
 
 def test_verify_susvq_detects_perturbation(q_half):
@@ -238,3 +253,157 @@ def test_verify_susvq_detects_perturbation(q_half):
         series_from_functional(MomentFunctional(bad)), series_from_functional(b.v), b.eta, q_half
     )
     assert not rep.ok
+
+
+# -- the integer residual and the lift lemma against the series oracles --------
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+def _values(omega: bool):
+    """Zero and rational values, and w-only and mixed ones when ``omega`` is set."""
+    return kernel_scalars(small) if omega else st.one_of(st.just(ZERO), st.builds(CycScalar, small))
+
+
+def _polys(values, max_degree: int):
+    return st.lists(values, max_size=max_degree + 1).map(Poly)
+
+
+@st.composite
+def qparams(draw, omega: bool, orders=st.integers(1, 20)):
+    """A rational or Q(w) q, admissible to a drawn order; small orders put brackets out of range."""
+    try:
+        return QParam(CycScalar(draw(small.filter(bool)), draw(small) if omega else 0), draw(orders))
+    except ValueError:  # q^n = 1 within the order
+        assume(False)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (QmapError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans(), st.booleans())
+def test_the_residual_matches_its_oracle(data, omega_q, omega_s):
+    q, values = data.draw(qparams(omega_q)), _values(omega_s)
+    S = LaurentSeries(data.draw(_polys(values, 3)), data.draw(st.lists(values, max_size=12)))
+    t = ACDTriple(data.draw(_polys(values, 4).filter(bool)), data.draw(_polys(values, 4)), data.draw(_polys(values, 5)))
+    assert _outcome(stieltjes_residual, t, S, q) == _outcome(stieltjes_residual_oracle, t, S, q)
+
+
+Q_HALF, Q_OMEGA = QParam(Fraction(1, 2), 160), QParam(CycScalar(Fraction(1, 2), Fraction(1, 3)), 64)
+_REAL = {}
+
+
+def _real(name: str):
+    """A build or a classical triple whose residual and identity vanish, with (t, u, v, eta, q)."""
+    if name not in _REAL:
+        if name == "laguerre at Q(w) q":
+            pair = little_q_laguerre_pair(Fraction(1, 4) + OMEGA, Q_OMEGA)
+            u = pearson_moments(pair, 1, 40, Q_OMEGA)
+            _REAL[name] = acd_from_pearson(pair, u, Q_OMEGA), u, None, None, Q_OMEGA
+        else:
+            cid, tau = {"case 1": (1, None), "case 13": (13, None), "case 1 at tau = -w": (1, -OMEGA)}[name]
+            case = case_fixture(cid, Q_HALF, None if tau is None else {"tau": tau})
+            b = build_case(case, Q_HALF, 48)
+            _REAL[name] = b.acd, b.u, b.v, b.eta, Q_HALF
+    return _REAL[name]
+
+
+def _perturbed(data, u: MomentFunctional, values) -> MomentFunctional:
+    at = data.draw(st.sampled_from((None, 0, 7, 30)))
+    if at is None:
+        return u
+    moments = list(u.moments)
+    moments[at] = moments[at] + data.draw(values.filter(bool))
+    return MomentFunctional(moments)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(("case 1", "case 13", "case 1 at tau = -w", "laguerre at Q(w) q")), st.booleans())
+def test_the_residual_of_a_real_triple_matches_its_oracle(data, name, omega):
+    t, u, _, _, q = _real(name)
+    values = _values(omega)
+    S = series_from_functional(_perturbed(data, u, values))
+    S = LaurentSeries(data.draw(st.one_of(st.just(Poly.zero()), _polys(values, 2))), S.principal)
+    spoil = data.draw(st.sampled_from((None, "A", "C", "D")))
+    if spoil is not None:  # one more term, at a degree that may change the depth
+        j = data.draw(st.integers(0, getattr(t, spoil).degree + 1))
+        t = replace(t, **{spoil: getattr(t, spoil) + data.draw(values.filter(bool)) * Poly.monomial(j)})
+    assert _outcome(stieltjes_residual, t, S, q) == _outcome(stieltjes_residual_oracle, t, S, q)
+
+
+def test_a_real_residual_is_zero_to_the_depth_of_its_oracle():
+    for name in ("case 1", "case 13", "case 1 at tau = -w", "laguerre at Q(w) q"):
+        t, u, _, _, q = _real(name)
+        S = series_from_functional(u)
+        res = stieltjes_residual(t, S, q)
+        assert res.is_zero and res == stieltjes_residual_oracle(t, S, q)
+        assert res.depth == min(S.depth + 1 - t.A.degree, S.depth - t.C.degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(2, 4), st.booleans(), st.booleans())
+def test_the_identity_matches_its_oracle(data, k, omega_q, omega_s):
+    q, values = data.draw(qparams(omega_q)), _values(omega_s)
+    lead = data.draw(st.one_of(st.just(CycScalar(1)), values.filter(bool)))
+    eta = Poly(data.draw(st.lists(values, min_size=k - 1, max_size=k - 1)) + [lead])
+    v = MomentFunctional(data.draw(st.lists(values, min_size=1, max_size=8)))
+    # Su: the lift cut short or run on past it, then perhaps perturbed at one entry
+    su = list(series_from_functional(lift_functional(v, eta)).principal) + data.draw(st.lists(values, max_size=4))
+    su = su[: data.draw(st.integers(0, len(su)))]
+    if su and data.draw(st.booleans()):
+        at = data.draw(st.one_of(st.sampled_from((0, 7, 30)), st.integers(0, len(su) - 1)))
+        if at < len(su):
+            su[at] = su[at] + data.draw(values.filter(bool))
+    parts = st.one_of(st.just(Poly.zero()), _polys(values, 2))
+    Su = LaurentSeries(data.draw(parts), su)
+    sv = series_from_functional(v).principal
+    Sv = LaurentSeries(data.draw(parts), sv[: data.draw(st.sampled_from((0, len(sv) // 2, len(sv))))])
+    assert _outcome(verify_susvq, Su, Sv, eta, q) == _outcome(verify_susvq_oracle, Su, Sv, eta, q)
+
+
+@pytest.mark.parametrize(
+    "order, eta, v_moments, message",
+    [
+        (8, Poly([1, 0, 1]), [], "depth 3 exhausted by multiplication with degree 4"),  # Sv.depth = 0 at k = 3
+        (1, Poly([1, 0, 1]), [1], "bracket index 3 out of validated range"),  # [k]_{1/q} past q's order
+        (4, Poly([2, 1]), [1, 2, 3, 4], "bracket index 4 out of validated range"),  # Sv past q^k's order
+    ],
+)
+def test_a_lift_raises_where_the_series_comparison_does(order, eta, v_moments, message):
+    # the lift holds in each case, so only the range guards send it to the series comparison
+    q = QParam(Fraction(1, 2), order)
+    Sv = LaurentSeries(Poly.zero(), [-CycScalar(m) for m in v_moments])
+    Su = LaurentSeries(Poly.zero(), [e * c for c in Sv.principal for e in reversed(eta.coeffs)])
+    assert _outcome(verify_susvq, Su, Sv, eta, q) == _outcome(verify_susvq_oracle, Su, Sv, eta, q) == ("ValueError", message)
+
+
+@pytest.mark.parametrize("name", ["case 1", "case 13", "case 1 at tau = -w"])
+@pytest.mark.parametrize("at", [None, 0, 7, 30])
+def test_the_identity_of_a_build_names_a_perturbed_moment(monkeypatch, name, at):
+    _, u, v, eta, q = _real(name)
+    calls = series_spy(monkeypatch)
+    moments = list(u.moments)
+    if at is not None:
+        moments[at] = moments[at] + 1
+    Su, Sv = series_from_functional(MomentFunctional(moments)), series_from_functional(v)
+    rep = verify_susvq(Su, Sv, eta, q)
+    assert bool(calls) == (at is not None)  # a lift takes no series operation
+    assert rep == verify_susvq_oracle(Su, Sv, eta, q)
+    assert rep.ok == (at is None)
+    assert rep.first_nonzero == (None if at is None else f"z^-{at + 2}")
+    assert rep.depth == min(3 * (Sv.depth - 1) + 2, Su.depth + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 6), st.booleans())
+def test_the_bracket_lemma_holds_on_the_tables(data, k, omega):
+    # [km]_q = [k]_q [m]_{q^k}, as q [km]_q = [k]_{1/q} q^k [m]_{q^k}: verify_susvq's lift route rests on it
+    q = data.draw(qparams(omega, st.integers(k, 40)))
+    qk = q.pow(k)
+    for m in range((q.max_order + 1) // k + 1):
+        assert q.q_bracket(k * m) == q.bracket_inv(k) * qk.q_bracket(m)
