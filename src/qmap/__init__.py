@@ -28,11 +28,8 @@ from .stieltjes import (
     LaurentSeries,
     acd_from_pearson,
     acd_mapped,
-    hahn_qinv_series,
-    poly_mul_series,
     series_from_functional,
     stieltjes_residual,
-    substitute_zk,
     verify_susvq,
 )
 from .classifier import ClassReport, ascend_pearson, class_bounds_check, class_from_acd, classify, descend_pearson, phi_psi_from_acd, reduce_acd

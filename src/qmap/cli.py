@@ -9,6 +9,7 @@ pass, 1 an assertion failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -288,7 +289,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built when ``main`` first runs and then reused by the process."""
     parser = _Parser(prog="qmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,18 +7,17 @@ assert within the range actually determined by the inputs, never vacuously.
 
 Rows of correlations sum_i c_i v_{i+l} are read from canonical integer forms
 (R, O, D), value i being (R[i] + O[i] w)/D with one D for both components;
-``_scaled`` makes them, and ``opseq`` stores p_n in them.  Two kernels compute
-the rows.  ``_correlate`` reads the moments themselves: phi u, u_poly, the
-mixed-moment table of ``orthogonality_check``, the certificate of a functional
-that is not a lift (``qmap ops``) and the two halves of
-``stieltjes.poly_mul_series``.  Its integer rows (``_rows``) serve
+``_scaled`` makes them, and ``opseq`` stores p_n in them.  ``_correlate``
+reads the moments themselves: phi u, u_poly, the mixed-moment table of
+``orthogonality_check`` and the certificate of a functional that is not a
+lift (``qmap ops``).  Its integer rows (``_rows``) serve
 ``stieltjes.stieltjes_residual`` too, which folds the Hahn weights into S's
 form (``_times``), adds the rows over one denominator (``_sum_rows``) and
 makes scalars (``_scalars``) only of a nonzero residual.  ``_correlate_lift``
 gives the same row for the unit lift u of v from v's moments and eta's
-coefficients, without forming u's; a build's certificate
-(``cubic_cases.build_power_case``) reads it.  ``_dot`` is left for single dot
-products.
+coefficients, without forming u's, from the same three integer kernels; a
+build's certificate (``cubic_cases.build_power_case``) reads it.  ``_dot`` is
+left for single dot products.
 """
 
 from __future__ import annotations
@@ -182,13 +181,17 @@ def _sum_rows(rows, length: int) -> tuple:
     X, Y = [0] * length, None
     for x, y, d in rows:
         f = den // d
-        for i, a in enumerate(x):
-            X[i] += a * f
+        X[: len(x)] = [s + a * f for s, a in zip(X, x)]
         if y is not None:
             Y = Y or [0] * length
-            for i, b in enumerate(y):
-                Y[i] += b * f
+            Y[: len(y)] = [s + b * f for s, b in zip(Y, y)]
     return X, Y, den
+
+
+def _gather(form: tuple, at: list) -> tuple:
+    """The form (R, O, D) of the values at indices ``at`` of a form."""
+    R, O, D = form
+    return [R[i] for i in at], None if O is None else [O[i] for i in at], D
 
 
 def _correlate_lift(c: tuple, v: tuple, eta: tuple, length: int) -> list[CycScalar]:
@@ -200,44 +203,19 @@ def _correlate_lift(c: tuple, v: tuple, eta: tuple, length: int) -> list[CycScal
     S_rho[s] = sum_t c_{kt+rho} v_{t+s}: k tables of about length/k integer
     dots of length about len(c)/k, where ``_correlate`` takes length dots of
     length len(c) over u's moments (Charris and Ismail's blocks; see README).
-    The component dots run only for nonzero component pairs, the e_j
-    recombine as integers with w^2 = -1 - w, and each entry makes one Fraction
-    over D_c D_v D_eta, two when some side has a w-part.
+    Each S_rho is ``_rows`` of c's rho-th k-subsample against v, read at
+    s = (rho + l) // k and multiplied by e_{k-1-r} entrywise (``_times``);
+    the k products share the denominator D_c D_v D_eta, and ``_sum_rows``
+    adds them.
     """
-    (Rc, Oc, Dc), (Rv, Ov, Dv), (Re, Oe, De) = c, v, eta
-    k, den = len(Re), Dc * Dv * De
-
-    def tables(ci, vi):
-        if ci is None or vi is None:
-            return None
-        subs = [ci[rho::k] for rho in range(k)]
-        return [
-            [sum(map(mul, sub, vi[s : s + len(sub)])) for s in range((rho + length - 1) // k + 1)]
-            for rho, sub in enumerate(subs)
-        ]
-
-    A, B = tables(Rc, Rv), None
-    if Oc is not None or Ov is not None:  # S_rho = A + B w, as in _correlate
-        zero = [[0] * len(xs) for xs in A]
-        ro, orr, oo = (tables(ci, vi) or zero for ci, vi in ((Rc, Ov), (Oc, Rv), (Oc, Ov)))
-        B = [[y + t - z for y, t, z in zip(*rows)] for rows in zip(ro, orr, oo)]
-        A = [[x - z for x, z in zip(xs, zs)] for xs, zs in zip(A, oo)]
-    rational = B is None and Oe is None
-    out = []
-    for l in range(length):
-        x = y = 0
-        for rho in range(k):
-            s, r = divmod(rho + l, k)
-            a, er = A[rho][s], Re[k - 1 - r]
-            if rational:
-                x += er * a
-                continue
-            b, eo = (0 if B is None else B[rho][s]), (0 if Oe is None else Oe[k - 1 - r])
-            # (er + eo w)(a + b w) = (er a - eo b) + (er b + eo (a - b)) w
-            x += er * a - eo * b
-            y += er * b + eo * (a - b)
-        out.append(_make(Fraction(x, den)) if rational else _make(Fraction(x, den), Fraction(y, den)))
-    return out
+    (Rc, Oc, Dc), k = c, len(eta[0])
+    rows = []
+    for rho in range(k):
+        sub = (Rc[rho::k], None if Oc is None else Oc[rho::k], Dc)
+        table = _rows(sub, v, (rho + length - 1) // k + 1)
+        at = range(rho, rho + length)
+        rows.append(_times(_gather(eta, [k - 1 - i % k for i in at]), _gather(table, [i // k for i in at])))
+    return _scalars(*_sum_rows(rows, length))
 
 
 def act(u: MomentFunctional, f: Poly) -> CycScalar:

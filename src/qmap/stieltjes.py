@@ -1,13 +1,13 @@
 """Truncated formal Laurent series and the q-difference equation they satisfy.
 
 A series is a polynomial part plus a principal part in 1/z whose first
-``depth`` coefficients are known exactly; the depth is threaded through every
-operation so that a zero check is never vacuous.  The module implements the
+``depth`` coefficients are known exactly; every check states the depth it
+reaches, so that a zero check is never vacuous.  The module implements the
 q-difference equation A (H_{1/q} S_u) = C S_u + D: the residual as an integer
 zero test on ``functionals``' rows, the construction of (A, C, D) from a
 distributional pair, the lifted (A, C, D) of a power substitution, and the
-substitution identity relating S_u and S_v, proved by the lift lemma (README)
-and compared as series only when the lift fails.
+substitution identity relating S_u and S_v in the closed form of the lift
+lemma (README).  Neither check forms a series.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .functionals import MomentFunctional, PearsonPair, _correlate, _rows, _scalars, _scaled, _sum_rows, _times, u_poly
+from .functionals import MomentFunctional, PearsonPair, _rows, _scalars, _scaled, _sum_rows, _times, u_poly
 from .mapping import lift_power
 from .polyalg import Poly, compose_xk, dilate_poly, hahn_poly_qinv, theta0
 from .scalars import CycScalar, QParam, ZERO
@@ -25,9 +25,6 @@ __all__ = [
     "ACDTriple",
     "SeriesReport",
     "series_from_functional",
-    "hahn_qinv_series",
-    "poly_mul_series",
-    "substitute_zk",
     "stieltjes_residual",
     "acd_from_pearson",
     "acd_mapped",
@@ -55,40 +52,9 @@ class LaurentSeries:
     def from_poly(cls, p: Poly, depth: int = 0) -> "LaurentSeries":
         return cls(p, (ZERO,) * depth)
 
-    def truncated(self, depth: int) -> "LaurentSeries":
-        if depth > self.depth:
-            raise ValueError(f"cannot deepen a series ({self.depth} -> {depth})")
-        return LaurentSeries(self.poly_part, self.principal[:depth])
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        pp = tuple(x + y for x, y in zip(self.principal, other.principal))
-        return LaurentSeries(self.poly_part + other.poly_part, pp)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        pp = tuple(x - y for x, y in zip(self.principal, other.principal))
-        return LaurentSeries(self.poly_part - other.poly_part, pp)
-
-    def __neg__(self):
-        return LaurentSeries(-self.poly_part, tuple(-c for c in self.principal))
-
     @property
     def is_zero(self) -> bool:
         return self.poly_part.is_zero and not any(self.principal)
-
-    def first_nonzero(self) -> Optional[str]:
-        """Human-readable locator of the first nonzero coefficient, or None."""
-        if not self.poly_part.is_zero:
-            for i, c in enumerate(self.poly_part.coeffs):
-                if c:
-                    return f"z^{i}"
-        for n, c in enumerate(self.principal):
-            if c:
-                return f"z^-{n + 1}"
-        return None
 
     def __repr__(self):
         return f"LaurentSeries(poly={self.poly_part!s}, depth={self.depth})"
@@ -117,50 +83,6 @@ class SeriesReport:
 def series_from_functional(u: MomentFunctional) -> LaurentSeries:
     """S_u(z) = -sum_n u_n z^(-n-1); depth = order + 1."""
     return LaurentSeries(Poly.zero(), tuple(-m for m in u.moments))
-
-
-def hahn_qinv_series(S: LaurentSeries, q: QParam) -> LaurentSeries:
-    """Apply H at parameter 1/q termwise.
-
-    On the principal side z^(-n-1) maps to -q [n+1]_q z^(-n-2), so the depth
-    grows by one; the polynomial part maps through the 1/q-brackets.  The
-    stored parameter stays q itself.
-    """
-    pp = hahn_poly_qinv(S.poly_part, q)
-    out = [ZERO] * (S.depth + 1)
-    for n, c in enumerate(S.principal):
-        out[n + 1] = -(q.q_bracket(n + 1) * c)
-    return LaurentSeries(pp, out)
-
-
-def poly_mul_series(A: Poly, S: LaurentSeries) -> LaurentSeries:
-    """A(z) * S(z); the surviving principal depth shrinks by deg A.
-
-    With A = sum_j a_j z^j and principal coefficients s_n, both parts are
-    correlations: z^(-l-1) gets sum_j a_j s_{j+l} for l < depth - deg A, and
-    z^e gets sum_n s_n a_{n+1+e} for e < deg A on top of A * poly_part.
-    """
-    if A.is_zero:
-        return LaurentSeries.from_poly(Poly.zero(), S.depth)
-    da = A.degree
-    if S.depth < da:
-        raise ValueError(f"depth {S.depth} exhausted by multiplication with degree {da}")
-    s = _scaled(S.principal)
-    principal = _correlate(_scaled(A.coeffs), s, S.depth - da)
-    poly_part = Poly(_correlate(s, _scaled(A.coeffs[1:]), da)) + A * S.poly_part
-    return LaurentSeries(poly_part, principal)
-
-
-def substitute_zk(S: LaurentSeries, k: int) -> LaurentSeries:
-    """Replace z by z^k in a series with no polynomial part."""
-    if not S.poly_part.is_zero:
-        raise ValueError("substitution requires a vanishing polynomial part")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = [ZERO] * (k * S.depth)
-    for n, c in enumerate(S.principal):
-        out[k * n + k - 1] = c
-    return LaurentSeries(Poly.zero(), out)
 
 
 def stieltjes_residual(t: ACDTriple, S: LaurentSeries, q: QParam) -> LaurentSeries:
@@ -230,6 +152,12 @@ def acd_mapped(vt: ACDTriple, eta: Poly, q: QParam) -> ACDTriple:
     return ACDTriple(A, C, D)
 
 
+def _within(S: LaurentSeries, q: QParam) -> None:
+    """Raise as H_{1/q} of S would: it reads q [n]_q up to n = max(deg S.poly_part, S.depth)."""
+    if max(S.poly_part.degree, S.depth) > q.max_order + 1:
+        raise ValueError(f"bracket index {q.max_order + 2} out of validated range")
+
+
 def verify_susvq(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, q: QParam) -> SeriesReport:
     """Certify the substitution identity between the series of v and of its unit lift u, at k = deg eta + 1:
 
@@ -237,21 +165,30 @@ def verify_susvq(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, q: QParam) -> 
         = (H_{1/q} S_u)(z) - (H_{1/q} eta)(z) S_v(z^k),
 
     which is H_{1/q} applied to S_u(z) = eta(z) S_v(z^k).  By the lift lemma
-    (see README) it holds when neither series has a polynomial part and Su's
-    principal part is the lift of Sv's on the entries the identity reads;
-    else the two sides are formed as series, which names the first nonzero
-    coefficient.
+    (see README) the left side minus the right is -H_{1/q}(S_u - L) with
+    L = eta(z) S_v(z^k), known to depth min(k (Sv.depth - 1) + 2, Su.depth + 1).
+    Its polynomial part is -H_{1/q}(Su.poly_part) and its entry at z^(-m-2) is
+    q [m+1]_q (su_m - e_{k-1-m mod k} sv_{m div k}), so the first nonzero
+    coefficient is read off with one product per entry.  q [m+1]_q != 0 for
+    m < q.max_order, and it is 0 at m = q.max_order when q^(m+1) = 1.
     """
+    # the errors of forming both sides, in their order: H_{1/q^k} S_v, its
+    # substitution z -> z^k and the product on the left, then H_{1/q} S_u and S_v(z^k)
     k = lift_power(eta)
-    depth = min(k * (Sv.depth - 1) + 2, Su.depth + 1)
-    # outside these ranges the series comparison raises
-    if depth >= 0 and max(k, Su.depth) <= q.max_order + 1 and Sv.depth <= q.pow(k).max_order + 1:
-        e, su, sv = eta.coeffs, Su.principal, Sv.principal
-        if not (Su.poly_part or Sv.poly_part) and all(su[m] == e[k - 1 - m % k] * sv[m // k] for m in range(depth - 1)):
-            return SeriesReport(True, depth, None)
+    if k > q.max_order + 1:
+        raise ValueError(f"bracket index {k} out of validated range")
     qk = q.pow(k)
-    lhs_mult = (q.bracket_inv(k) * Poly.monomial(k - 1)) * dilate_poly(eta, q.q.inv())
-    lhs = poly_mul_series(lhs_mult, substitute_zk(hahn_qinv_series(Sv, qk), k))
-    rhs = hahn_qinv_series(Su, q) - poly_mul_series(hahn_poly_qinv(eta, q), substitute_zk(Sv, k))
-    diff = lhs - rhs
-    return SeriesReport(diff.is_zero, diff.depth, diff.first_nonzero())
+    _within(Sv, qk)
+    if hahn_poly_qinv(Sv.poly_part, qk):
+        raise ValueError("substitution requires a vanishing polynomial part")
+    if Sv.depth == 0 and k > 2:
+        raise ValueError(f"depth {k} exhausted by multiplication with degree {2 * k - 2}")
+    _within(Su, q)
+    if Sv.poly_part:
+        raise ValueError("substitution requires a vanishing polynomial part")
+    depth = min(k * (Sv.depth - 1) + 2, Su.depth + 1)
+    e, su, sv = eta.coeffs, Su.principal, Sv.principal
+    at = next((f"z^{i}" for i, c in enumerate(hahn_poly_qinv(Su.poly_part, q).coeffs) if c), None)
+    mismatch = (m for m in range(depth - 1) if su[m] != e[k - 1 - m % k] * sv[m // k] and q.q_bracket(m + 1))
+    at = at or next((f"z^-{m + 2}" for m in mismatch), None)
+    return SeriesReport(at is None, depth, at)

@@ -7,7 +7,6 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-import qmap.stieltjes
 from qmap import (
     ONE,
     ZERO,
@@ -23,10 +22,7 @@ from qmap import (
     dilate_poly,
     divrem,
     hahn_poly_qinv,
-    hahn_qinv_series,
     poly_gcd,
-    poly_mul_series,
-    substitute_zk,
 )
 from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.families import FAMILY_LAGUERRE
@@ -208,8 +204,38 @@ def sigma_row_oracle(p: Poly, u: MomentFunctional, length: int) -> list:
     return [_dot(p.coeffs, u.moments[j:]) for j in range(length)]
 
 
-def poly_mul_series_oracle(A: Poly, S: LaurentSeries) -> LaurentSeries:
-    """A(z) * S(z) by the product of every pair of terms."""
+# -- the series algebra of the table's two Stieltjes checks, before the integer
+# residual and the closed form of the lift lemma --------------------------------
+
+
+def series_sub(S: LaurentSeries, T: LaurentSeries) -> LaurentSeries:
+    """S - T term by term, known to the shallower depth."""
+    pp = tuple(x - y for x, y in zip(S.principal, T.principal))
+    return LaurentSeries(S.poly_part - T.poly_part, pp)
+
+
+def first_nonzero(S: LaurentSeries) -> Optional[str]:
+    """Human-readable locator of the first nonzero coefficient, or None."""
+    for i, c in enumerate(S.poly_part.coeffs):
+        if c:
+            return f"z^{i}"
+    for n, c in enumerate(S.principal):
+        if c:
+            return f"z^-{n + 1}"
+    return None
+
+
+def hahn_qinv_series(S: LaurentSeries, q) -> LaurentSeries:
+    """H at parameter 1/q termwise: z^(-n-1) maps to -q [n+1]_q z^(-n-2), so the depth grows by one."""
+    pp = hahn_poly_qinv(S.poly_part, q)
+    out = [ZERO] * (S.depth + 1)
+    for n, c in enumerate(S.principal):
+        out[n + 1] = -(q.q_bracket(n + 1) * c)
+    return LaurentSeries(pp, out)
+
+
+def poly_mul_series(A: Poly, S: LaurentSeries) -> LaurentSeries:
+    """A(z) * S(z) by the product of every pair of terms; the depth shrinks by deg A."""
     if A.is_zero:
         return LaurentSeries.from_poly(Poly.zero(), S.depth)
     da = A.degree
@@ -236,8 +262,14 @@ def poly_mul_series_oracle(A: Poly, S: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(Poly(poly_acc), principal)
 
 
-# -- the table's two Stieltjes checks as series compositions, before the integer
-# residual and the lift lemma ------------------------------------------------
+def substitute_zk(S: LaurentSeries, k: int) -> LaurentSeries:
+    """Replace z by z^k in a series with no polynomial part."""
+    if not S.poly_part.is_zero:
+        raise ValueError("substitution requires a vanishing polynomial part")
+    out = [ZERO] * (k * S.depth)
+    for n, c in enumerate(S.principal):
+        out[k * n + k - 1] = c
+    return LaurentSeries(Poly.zero(), out)
 
 
 def stieltjes_residual_oracle(t: ACDTriple, S: LaurentSeries, q) -> LaurentSeries:
@@ -245,7 +277,7 @@ def stieltjes_residual_oracle(t: ACDTriple, S: LaurentSeries, q) -> LaurentSerie
     term1 = poly_mul_series(t.A, hahn_qinv_series(S, q))
     term2 = poly_mul_series(t.C, S)
     depth = min(term1.depth, term2.depth)
-    return term1 - term2 - LaurentSeries.from_poly(t.D, depth)
+    return series_sub(series_sub(term1, term2), LaurentSeries.from_poly(t.D, depth))
 
 
 def verify_susvq_oracle(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, q) -> SeriesReport:
@@ -253,9 +285,9 @@ def verify_susvq_oracle(Su: LaurentSeries, Sv: LaurentSeries, eta: Poly, q) -> S
     k = lift_power(eta)
     lhs_mult = (q.bracket_inv(k) * Poly.monomial(k - 1)) * dilate_poly(eta, q.q.inv())
     lhs = poly_mul_series(lhs_mult, substitute_zk(hahn_qinv_series(Sv, q.pow(k)), k))
-    rhs = hahn_qinv_series(Su, q) - poly_mul_series(hahn_poly_qinv(eta, q), substitute_zk(Sv, k))
-    diff = lhs - rhs
-    return SeriesReport(diff.is_zero, diff.depth, diff.first_nonzero())
+    rhs = series_sub(hahn_qinv_series(Su, q), poly_mul_series(hahn_poly_qinv(eta, q), substitute_zk(Sv, k)))
+    diff = series_sub(lhs, rhs)
+    return SeriesReport(diff.is_zero, diff.depth, first_nonzero(diff))
 
 
 def dense_det(matrix):
@@ -374,12 +406,11 @@ def kernel_scalars(fractions):
     )
 
 
-def series_spy(monkeypatch) -> list:
-    """Record each call of the series operations ``hahn_qinv_series`` and ``poly_mul_series`` in ``qmap.stieltjes``."""
+def call_spy(monkeypatch, owner, name: str) -> list:
+    """Record the positional arguments of each call of ``owner.name`` for the rest of the test."""
     calls = []
-    for name in ("hahn_qinv_series", "poly_mul_series"):
-        real = getattr(qmap.stieltjes, name)
-        monkeypatch.setattr(qmap.stieltjes, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     return calls
 
 

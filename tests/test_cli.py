@@ -6,11 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from qmap import MomentFunctional, Poly, Recurrence, classifier, cli, cubic_cases, opseq
+from qmap import MomentFunctional, Poly, Recurrence, classifier, cli, cubic_cases, opseq, stieltjes
 from qmap.cli import main
 from qmap.errors import QmapError
 
-from helpers import series_spy, stieltjes_residual_oracle, verify_susvq_oracle
+from helpers import call_spy, stieltjes_residual_oracle, verify_susvq_oracle
 
 
 def run_cli(capsys, *argv):
@@ -228,8 +228,9 @@ def test_tables_small(capsys):
 
 
 def test_tables_checks_form_no_series(capsys, monkeypatch):
-    # the residual is an integer zero test and the identity is the lift lemma on every catalog build
-    calls = series_spy(monkeypatch)
+    # the residual is an integer zero test and the identity the closed form of the lift lemma:
+    # neither turns a row into scalars when it holds, as on every catalog build
+    calls = call_spy(monkeypatch, stieltjes, "_scalars")
     code, report = run_cli(capsys, "tables", "--q", "1/2", "--q", "1/3", "--N", "48")
     assert code == 0 and len(report["cases"]) == 26
     assert calls == []
@@ -280,6 +281,20 @@ def test_usage_errors(capsys):
     assert main(["classify", "--case", "1", "--q", "0", "--N", "12"]) == 2
     capsys.readouterr()
     assert main(["classify", "--case", "1", "--q", "not-a-scalar", "--N", "12"]) == 2
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # built when main first runs, then reused; a usage error after a run reads as before
+    cli.build_parser.cache_clear()
+    built = call_spy(monkeypatch, cli, "_Parser")
+    code, _ = run_cli(capsys, "ops", "--family", "little-q-laguerre", "--a", "1/4", "--q", "1/2", "--N", "4")
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--q", "1/2", "--N", "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == "error: qmap tables: argument --N: expected a positive integer, got '0'\n"
+    assert len(built) == 1
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """The correlation kernel against the per-entry Q(w) loops it replaced.
 
 ``functionals._correlate`` computes every row sum_i c_i v_{i+l} of the
-package: phi u, u_poly, the mixed moments of ``opseq`` and both halves of
-``poly_mul_series``; its integer rows make the residual of ``stieltjes``.
+package: phi u, u_poly and the mixed moments of ``opseq``; its integer rows
+make the residual of ``stieltjes``.
 Each caller is compared here with its predecessor loop in ``helpers`` on
 rational and Q(w) inputs whose two sides take their shapes independently (so
 a rational side meets a Q(w) side), including zero coefficients, rows of
@@ -15,14 +15,14 @@ from itertools import zip_longest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from qmap import ZERO, CycScalar, LaurentSeries, MomentFunctional, Poly, left_mul, poly_mul_series, u_poly
+from qmap import ZERO, CycScalar, MomentFunctional, Poly, left_mul, u_poly
 from qmap.errors import TruncationError
 from qmap.functionals import _correlate, _correlate_lift, _rows, _scaled, _sum_rows, _times
 from qmap.functionals import _scalars as _row_values
 from qmap.mapping import lift_functional
 from qmap.scalars import _Q0
 
-from helpers import kernel_scalars, left_mul_oracle, poly_mul_series_oracle, sigma_row_oracle, u_poly_oracle
+from helpers import kernel_scalars, left_mul_oracle, sigma_row_oracle, u_poly_oracle
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
@@ -139,14 +139,3 @@ def test_sigma_rows_match_oracle(data, extra):
     length = min(m, u.order - m) + 1 + extra
     assert _correlate(_scaled(p.coeffs), _scaled(u.moments), length) == sigma_row_oracle(p, u, length)
 
-
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.booleans(), st.booleans())
-def test_poly_mul_series_matches_oracle(data, omega_s, omega_a):
-    S = LaurentSeries(Poly(data.draw(_vectors(omega_s, 0, 4))), data.draw(_vectors(omega_s, 0, 9)))
-    # degrees past the depth keep the ValueError
-    A = Poly(data.draw(_vectors(omega_a, 0, S.depth + 3)))
-    out = _outcome(poly_mul_series, A, S)
-    assert out == _outcome(poly_mul_series_oracle, A, S)
-    if not (omega_s or omega_a) and isinstance(out, LaurentSeries):
-        assert all(x.om is _Q0 for x in out.principal + out.poly_part.coeffs)

@@ -2,9 +2,11 @@
 
 The table's two checks are compared with their series compositions in
 ``helpers``: ``stieltjes_residual`` (integer rows) on random and on real
-triples, ``verify_susvq`` (the lift lemma) on lifts that are cut, extended,
-perturbed or given polynomial parts, both at rational and Q(w) q, t and S.
-The bracket identity the lemma rests on is checked on ``QParam``'s tables.
+triples, ``verify_susvq`` (the closed form of the lift lemma) on lifts that
+are cut, extended, perturbed or given polynomial parts, both at rational and
+Q(w) q, t and S.  The series algebra of those compositions is tested here
+too, and the bracket identity the lemma rests on is checked on ``QParam``'s
+tables.
 """
 
 import random
@@ -24,13 +26,10 @@ from qmap import (
     Poly,
     QParam,
     acd_from_pearson,
-    hahn_qinv_series,
     lift_functional,
     pearson_moments,
-    poly_mul_series,
     series_from_functional,
     stieltjes_residual,
-    substitute_zk,
     verify_susvq,
 )
 from qmap.cubic_cases import build_case, case_fixture
@@ -43,7 +42,17 @@ from qmap.families import (
 )
 
 from conftest import cached_case_bundle, random_poly, random_scalar
-from helpers import kernel_scalars, series_evaluate, series_spy, stieltjes_residual_oracle, verify_susvq_oracle
+from helpers import (
+    call_spy,
+    hahn_qinv_series,
+    kernel_scalars,
+    poly_mul_series,
+    series_evaluate,
+    series_sub,
+    stieltjes_residual_oracle,
+    substitute_zk,
+    verify_susvq_oracle,
+)
 
 X = Poly.x()
 
@@ -51,6 +60,10 @@ X = Poly.x()
 def _random_series(rng, depth, poly_deg=-1):
     pp = random_poly(rng, poly_deg) if poly_deg >= 0 else Poly.zero()
     return LaurentSeries(pp, [random_scalar(rng) for _ in range(depth)])
+
+
+def _to_depth(S, depth):
+    return LaurentSeries(S.poly_part, S.principal[:depth])
 
 
 def test_series_from_functional_round_trip():
@@ -68,17 +81,17 @@ def test_series_linearity():
     u = MomentFunctional([random_scalar(rng) for _ in range(6)])
     w = MomentFunctional([random_scalar(rng) for _ in range(6)])
     both = MomentFunctional([a + b for a, b in zip(u.moments, w.moments)])
-    assert series_from_functional(both) == series_from_functional(u) + series_from_functional(w)
+    assert series_sub(series_from_functional(both), series_from_functional(w)) == series_from_functional(u)
     # a difference is known to the shallower depth, either way round
     short = MomentFunctional(w.moments[:4])
     diff = MomentFunctional([a - b for a, b in zip(u.moments, short.moments)])
-    assert series_from_functional(u) - series_from_functional(short) == series_from_functional(diff)
-    assert series_from_functional(short) - series_from_functional(u) == -series_from_functional(diff)
-    # with polynomial parts, term by term equals adding the negation
+    back = MomentFunctional([b - a for a, b in zip(u.moments, short.moments)])
+    assert series_sub(series_from_functional(u), series_from_functional(short)) == series_from_functional(diff)
+    assert series_sub(series_from_functional(short), series_from_functional(u)) == series_from_functional(back)
+    # with polynomial parts, each part subtracts on its own
     for depths in ((7, 3), (2, 6), (5, 5), (0, 4)):
         S, T = (_random_series(rng, d, poly_deg=rng.randint(0, 4)) for d in depths)
-        D = S - T
-        assert D == S + (-T)
+        D = series_sub(S, T)
         assert D.depth == min(depths)
         assert D.poly_part == S.poly_part - T.poly_part
         assert D.principal == tuple(x - y for x, y in zip(S.principal, T.principal))
@@ -134,7 +147,7 @@ def test_poly_mul_series_associativity():
         left = poly_mul_series(A * B, S)
         right = poly_mul_series(A, poly_mul_series(B, S))
         d = min(left.depth, right.depth)
-        assert left.truncated(d) == right.truncated(d)
+        assert _to_depth(left, d) == _to_depth(right, d)
 
 
 def test_poly_mul_depth_exhaustion():
@@ -164,7 +177,7 @@ def test_lift_matches_series_identity(q_half):
         lhs = series_from_functional(u)
         rhs = poly_mul_series(eta, substitute_zk(series_from_functional(v), k))
         d = min(lhs.depth, rhs.depth)
-        assert lhs.truncated(d) == rhs.truncated(d)
+        assert _to_depth(lhs, d) == _to_depth(rhs, d)
 
 
 def test_residual_zero_for_classical_families(q_half):
@@ -240,9 +253,10 @@ def test_verify_susvq_non_monic_eta(q_half, monkeypatch, eta):
     v = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), qk), 1, 16, qk)
     u = lift_functional(v, eta)
     assert u.moment(0) == eta.lc
-    calls = series_spy(monkeypatch)
-    rep = verify_susvq(series_from_functional(u), series_from_functional(v), eta, q_half)
-    assert rep.ok and calls == []
+    Su, Sv = series_from_functional(u), series_from_functional(v)
+    formed = call_spy(monkeypatch, LaurentSeries, "__init__")
+    rep = verify_susvq(Su, Sv, eta, q_half)
+    assert rep.ok and formed == []
 
 
 def test_verify_susvq_detects_perturbation(q_half):
@@ -346,7 +360,7 @@ def test_a_real_residual_is_zero_to_the_depth_of_its_oracle():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(2, 4), st.booleans(), st.booleans())
+@given(st.data(), st.integers(2, 5), st.booleans(), st.booleans())
 def test_the_identity_matches_its_oracle(data, k, omega_q, omega_s):
     q, values = data.draw(qparams(omega_q)), _values(omega_s)
     lead = data.draw(st.one_of(st.just(CycScalar(1)), values.filter(bool)))
@@ -359,7 +373,7 @@ def test_the_identity_matches_its_oracle(data, k, omega_q, omega_s):
         at = data.draw(st.one_of(st.sampled_from((0, 7, 30)), st.integers(0, len(su) - 1)))
         if at < len(su):
             su[at] = su[at] + data.draw(values.filter(bool))
-    parts = st.one_of(st.just(Poly.zero()), _polys(values, 2))
+    parts = st.one_of(st.just(Poly.zero()), _polys(values, 3))
     Su = LaurentSeries(data.draw(parts), su)
     sv = series_from_functional(v).principal
     Sv = LaurentSeries(data.draw(parts), sv[: data.draw(st.sampled_from((0, len(sv) // 2, len(sv))))])
@@ -386,17 +400,49 @@ def test_a_lift_raises_where_the_series_comparison_does(order, eta, v_moments, m
 @pytest.mark.parametrize("at", [None, 0, 7, 30])
 def test_the_identity_of_a_build_names_a_perturbed_moment(monkeypatch, name, at):
     _, u, v, eta, q = _real(name)
-    calls = series_spy(monkeypatch)
     moments = list(u.moments)
     if at is not None:
         moments[at] = moments[at] + 1
     Su, Sv = series_from_functional(MomentFunctional(moments)), series_from_functional(v)
+    formed = call_spy(monkeypatch, LaurentSeries, "__init__")
     rep = verify_susvq(Su, Sv, eta, q)
-    assert bool(calls) == (at is not None)  # a lift takes no series operation
+    assert formed == []  # the closed form names the entry without forming a series
     assert rep == verify_susvq_oracle(Su, Sv, eta, q)
     assert rep.ok == (at is None)
     assert rep.first_nonzero == (None if at is None else f"z^-{at + 2}")
     assert rep.depth == min(3 * (Sv.depth - 1) + 2, Su.depth + 1)
+
+
+SUBSTITUTION = "substitution requires a vanishing polynomial part"
+
+
+@pytest.mark.parametrize(
+    "q, sv_part, su_depth, message",
+    [
+        (QParam(Fraction(1, 2), 8), Poly.one(), 4, SUBSTITUTION),  # S_v(z^k) needs no constant part
+        (QParam(Fraction(1, 2), 8), Poly.one(), 11, "bracket index 10 out of validated range"),  # after H_{1/q} S_u
+        # q = -w: q^2 is admissible to order 2 with [3]_{q^2} = 0, so H_{1/q^2} S_v has no polynomial part
+        (QParam(-OMEGA, 5), Poly.monomial(3), 2, SUBSTITUTION),
+        (QParam(-OMEGA, 5), Poly.monomial(3), 7, "bracket index 7 out of validated range"),
+    ],
+)
+def test_the_errors_come_in_the_order_of_forming_both_sides(q, sv_part, su_depth, message):
+    eta = Poly([0, 1])
+    Sv, Su = LaurentSeries(sv_part, [1, 2]), LaurentSeries(Poly.zero(), [1] * su_depth)
+    assert _outcome(verify_susvq, Su, Sv, eta, q) == _outcome(verify_susvq_oracle, Su, Sv, eta, q) == ("ValueError", message)
+
+
+@pytest.mark.parametrize("poly_part, bump", [(Poly.zero(), 1), (Poly.monomial(3), 0), (Poly.monomial(2), 0)])
+def test_a_vanishing_last_weight_hides_its_entry(poly_part, bump):
+    # q = w^2 is admissible to order 2 but [3]_q = 0: H_{1/q} drops z^3 and the weight of z^-4
+    q = QParam(OMEGA * OMEGA, 2)
+    eta, v = Poly([0, 1]), MomentFunctional([1, 2])
+    su = list(series_from_functional(lift_functional(v, eta)).principal)[:3]
+    su[2] = su[2] + bump
+    Su, Sv = LaurentSeries(poly_part, su), series_from_functional(v)
+    rep = verify_susvq(Su, Sv, eta, q)
+    assert rep == verify_susvq_oracle(Su, Sv, eta, q)
+    assert (rep.ok, rep.depth, rep.first_nonzero) == ((True, 4, None) if poly_part.degree != 2 else (False, 4, "z^1"))
 
 
 @settings(max_examples=60, deadline=None)
