@@ -22,7 +22,7 @@ from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_fa
 from .functionals import PearsonPair, pearson_moments, pearson_residual
 from .mapping import verify_interleave
 from .measures import case13_measure, case1_measure, discrete_lift
-from .opseq import certify_recurrence, orthogonality_check, pair_recurrence, recurrence_from_moments
+from .opseq import orthogonality_check, proved_recurrence
 from .scalars import QParam, embed_complex, format_scalar, parse_scalar
 from .stieltjes import series_from_functional, stieltjes_residual, verify_susvq
 
@@ -60,11 +60,7 @@ def _cmd_ops(args) -> int:
     pair = family_pair(args.family, a, b, q)
     u = pearson_moments(pair, parse_scalar(args.u0), args.N, q)
     residual = pearson_residual(u, pair, q)
-    try:  # the recurrence the pair fixes, proved on u; when it is not proved, the Chebyshev decides
-        proved = certify_recurrence(u, pair_recurrence(pair, q, args.N // 2), args.N // 2)
-    except QmapError:
-        proved = None
-    rec, ops = proved or recurrence_from_moments(u, args.N // 2)
+    rec, ops = proved_recurrence(u, pair, q, args.N // 2)
     orth = orthogonality_check(u, ops)
     report = {
         "command": "ops",

@@ -9,12 +9,12 @@ as a parameter-dependent constructor, so one encoding serves every q sample.
 ``build_case`` is the one place that fixes the power k = 3: it validates a case
 and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
 ``build_power_case``, which runs the pipeline for any k = deg eta + 1 in one
-pass: moments at q^k, the lift, q's recurrence from its pair alone
-(``opseq.pair_recurrence``, else the Chebyshev on v), p's recurrence (at k = 3
-ascended from q's and eta alone and proved on u, else the Chebyshev on u), one
-mapping built from p's, which proves q's by comparison, pi_k = x^k (which
-with the comparison proves p_{kn} = q_n(x^k)), the lifted (A, C, D) and the
-class report.
+pass: moments at q^k, the lift, q's recurrence from its pair alone proved on
+v (``opseq.proved_recurrence``, else the Chebyshev on v), p's recurrence (at
+k = 3 ascended from q's, its next level and eta, and u's by the ascent lemma
+with no check on u; else the Chebyshev on u), one mapping built from p's,
+compared with q's, pi_k = x^k (which with the comparison proves
+p_{kn} = q_n(x^k)), the lifted (A, C, D) and the class report.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
@@ -26,11 +26,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .classifier import ClassReport, classify
-from .errors import CaseError, QmapError, SingularCaseError
+from .errors import CaseError, SingularCaseError
 from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
 from .mapping import MappingData, ascend_recurrence, build_mapping, lift_functional, lift_power
-from .opseq import BlockView, OPSequence, Recurrence, certify_recurrence, ops_from_recurrence, pair_recurrence, recurrence_from_moments
+from .opseq import BlockView, OPSequence, Recurrence, next_level, ops_from_recurrence, proved_recurrence, recurrence_from_moments
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam
 from .stieltjes import ACDTriple, acd_from_pearson, acd_mapped
@@ -392,10 +392,11 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
 
     v has the pair ``pair_v`` at q^k and v_0 = 1; u is its lift, S_u(z) = eta(z) S_v(z^k)
     with eta monic.
-    q's recurrence is ``pair_recurrence(pair_v, q^k, v.order // 2)``, or the
-    Chebyshev on v when that raises.  At k = 3 it and eta give p's by the
-    ascent, proved on u; else p's is the Chebyshev on u.  The one mapping
-    built from rec_p must give back q's (see README), else stage ``mapping`` fails.
+    q's recurrence is ``proved_recurrence(v, pair_v, q^k, v.order // 2)``.  At
+    k = 3 it, its ``next_level`` on v and eta give p's by the ascent, u's by
+    the ascent lemma (see README), so nothing reads u's moments; else, or when
+    the ascent returns None, p's is the Chebyshev on u.  The one mapping built
+    from rec_p must give back q's, else stage ``mapping`` fails.
     A failing stage raises a CaseError whose message starts with ``label``.
     """
     if eta.degree < 1 or eta.lc != ONE:
@@ -415,25 +416,21 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)
     Nq = v.order // 2
-    try:  # q^k is validated to v's order, past the Nq - 1 the candidate reads
-        candidate = pair_recurrence(pair_v, qk, Nq)
-    except QmapError:
-        candidate = None
-    rec_q = candidate or stage("recurrence-q", lambda: recurrence_from_moments(v, Nq)[0])
+    # q^k is validated to v's order, past the Nq - 1 the pair's recurrence reads
+    rec_q, q_ops = stage("recurrence-q", lambda: proved_recurrence(v, pair_v, qk, Nq))
     found = None
-    if k == 3:  # p's candidate, ascended from q's recurrence
-        try:
-            ascended = ascend_recurrence(rec_q, eta)
-            found = ascended and certify_recurrence(u, ascended, Np, (v, eta))
-        except QmapError:
-            pass
+    if k == 3:  # 3 Nq + 1 or 3 Nq + 3 levels, at least Np
+        whole = next_level(v, rec_q, q_ops)
+        ascended = whole and ascend_recurrence(whole, eta)
+        if ascended:
+            rec_p = Recurrence(ascended.b[:Np], ascended.a[: Np - 1])
+            found = rec_p, ops_from_recurrence(rec_p, Np)
     rec_p, p_ops = found or stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
     mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
-    # rec_p is u's own, so the comparison and pi_k = x^k prove rec_q (see README)
+    # rec_p and rec_q are u's and v's own, so the comparison and pi_k = x^k prove p_{kn} = q_n(x^k)
     failure = _mapping_failure(mapping, rec_q)
     if failure:
         raise CaseError(f"{label} stage {failure}")
-    q_ops = ops_from_recurrence(rec_q, Nq)
 
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
     acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, q))

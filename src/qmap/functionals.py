@@ -9,15 +9,12 @@ Rows of correlations sum_i c_i v_{i+l} are read from canonical integer forms
 (R, O, D), value i being (R[i] + O[i] w)/D with one D for both components;
 ``_scaled`` makes them, and ``opseq`` stores p_n in them.  ``_correlate``
 reads the moments themselves: phi u, u_poly, the mixed-moment table of
-``orthogonality_check`` and the certificate of a functional that is not a
-lift (``qmap ops``).  Its integer rows (``_rows``) serve
+``orthogonality_check``, the certificate ``opseq.certify_recurrence`` and the
+next level ``opseq.next_level``.  Its integer rows (``_rows``) serve
 ``stieltjes.stieltjes_residual`` too, which folds the Hahn weights into S's
 form (``_times``), adds the rows over one denominator (``_sum_rows``) and
-makes scalars (``_scalars``) only of a nonzero residual.  ``_correlate_lift``
-gives the same row for the unit lift u of v from v's moments and eta's
-coefficients, without forming u's, from the same three integer kernels; a
-build's certificate (``cubic_cases.build_power_case``) reads it.  ``_dot`` is
-left for single dot products.
+makes scalars (``_scalars``) only of a nonzero residual.  ``_dot`` is left
+for single dot products.
 """
 
 from __future__ import annotations
@@ -186,36 +183,6 @@ def _sum_rows(rows, length: int) -> tuple:
             Y = Y or [0] * length
             Y[: len(y)] = [s + b * f for s, b in zip(Y, y)]
     return X, Y, den
-
-
-def _gather(form: tuple, at: list) -> tuple:
-    """The form (R, O, D) of the values at indices ``at`` of a form."""
-    R, O, D = form
-    return [R[i] for i in at], None if O is None else [O[i] for i in at], D
-
-
-def _correlate_lift(c: tuple, v: tuple, eta: tuple, length: int) -> list[CycScalar]:
-    """``_correlate(c, _scaled(u.moments), length)`` for u = lift_functional(v, eta), read from v and eta.
-
-    c, v and eta are canonical forms; k = len(eta's R).  Since
-    u_{ks + r} = e_{k-1-r} v_s, writing i = kt + rho and rho + l = ks + r
-    splits entry l as sum_{rho < k} e_{k-1-r} S_rho[s] with the tables
-    S_rho[s] = sum_t c_{kt+rho} v_{t+s}: k tables of about length/k integer
-    dots of length about len(c)/k, where ``_correlate`` takes length dots of
-    length len(c) over u's moments (Charris and Ismail's blocks; see README).
-    Each S_rho is ``_rows`` of c's rho-th k-subsample against v, read at
-    s = (rho + l) // k and multiplied by e_{k-1-r} entrywise (``_times``);
-    the k products share the denominator D_c D_v D_eta, and ``_sum_rows``
-    adds them.
-    """
-    (Rc, Oc, Dc), k = c, len(eta[0])
-    rows = []
-    for rho in range(k):
-        sub = (Rc[rho::k], None if Oc is None else Oc[rho::k], Dc)
-        table = _rows(sub, v, (rho + length - 1) // k + 1)
-        at = range(rho, rho + length)
-        rows.append(_times(_gather(eta, [k - 1 - i % k for i in at]), _gather(table, [i // k for i in at])))
-    return _scalars(*_sum_rows(rows, length))
 
 
 def act(u: MomentFunctional, f: Poly) -> CycScalar:

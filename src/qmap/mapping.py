@@ -219,35 +219,41 @@ def lift_functional(v: MomentFunctional, eta: Poly) -> MomentFunctional:
 
 
 def ascend_recurrence(rec_q: Recurrence, eta: Poly) -> Optional[Recurrence]:
-    """p's b_0..b_{3 Nq - 1} and a_1..a_{3 Nq - 1} at k = 3 from q's (r_n, s_n) for n < Nq and eta.
+    """p's recurrence at k = 3 from q's (r_n, s_n) and eta: 3 B levels from r_0..r_{B-1}, s_1..s_{B-1}.
 
-    eta is monic of degree 2.  The block conditions of ``check_conditions``
-    are solved for block n from block n - 1 (Charris and Ismail, "Sieved
-    orthogonal polynomials VII", Trans. AMS 340, 1993), with
-    s_n = a_n^{(0)} a_{n-1}^{(1)} a_{n-1}^{(2)} and the constant r_n - r_0 of
-    condition (iv); block 0 is fixed by p_3 = (x - b_0^{(0)}) eta
-    - a_0^{(1)} (x - b_0^{(2)}) = x^3 - r_0.  With a_0^{(0)} = 0, for every n:
+    eta is monic of degree 2; an s_B in ``rec_q`` (a_1..a_B) adds level 3 B,
+    b_{3B} = eta_1 and a_{3B} = a_B^{(0)}.  The block conditions of ``check_conditions`` are solved for block n from
+    block n - 1 (Charris and Ismail, "Sieved orthogonal polynomials VII",
+    Trans. AMS 340, 1993), with s_n = a_n^{(0)} a_{n-1}^{(1)} a_{n-1}^{(2)} and
+    the constant r_n - r_0 of condition (iv); block 0 is fixed by
+    p_3 = (x - b_0^{(0)}) eta - a_0^{(1)} (x - b_0^{(2)}) = x^3 - r_0.  With
+    a_0^{(0)} = 0, for every n:
 
     - b_n^{(0)} = eta_1 (condition (i)), a_n^{(0)} = s_n / (a_{n-1}^{(1)} a_{n-1}^{(2)});
     - a_n^{(1)} = eta_0 - eta_1^2 - a_n^{(0)} (x-coefficient of (iv)),
       b_n^{(2)} = (eta_1 eta_0 - r_n - a_n^{(0)} b_{n-1}^{(1)}) / a_n^{(1)};
     - b_n^{(1)} = -eta_1 - b_n^{(2)} and a_n^{(2)} = b_n^{(1)} b_n^{(2)} - eta_0 (condition (ii)).
 
-    The result is a candidate only: ``opseq.certify_recurrence`` proves it
-    on u.  None when some a_n^{(1)} or a_n^{(2)} vanishes.
+    When q_0..q_B are v's monic orthogonal polynomials, the result is the
+    recurrence of u = ``lift_functional(v, eta)`` (the ascent lemma in README).
+    None when some a_n^{(1)} or a_n^{(2)} is 0: u is not regular there.
     """
     e1, e0 = eta.coeff(1), eta.coeff(0)
     b, a, bn1 = [], [ONE, ONE], ZERO  # a_{-1}^{(1)} = a_{-1}^{(2)} = 1 and s_0 = 0 give a_0^{(0)} = 0
-    for rn, sn in zip(rec_q.b, (ZERO,) + rec_q.a):
+    for n, sn in enumerate((ZERO,) + rec_q.a):
         an0 = sn * (a[-2] * a[-1]).inv()
+        b.append(e1)
+        a.append(an0)
+        if n == len(rec_q.b):  # s_B with no r_B: level 3 B alone
+            break
         an1 = e0 - e1 * e1 - an0
         if not an1:
             return None
-        bn2 = (e1 * e0 - rn - an0 * bn1) * an1.inv()
+        bn2 = (e1 * e0 - rec_q.b[n] - an0 * bn1) * an1.inv()
         bn1 = -e1 - bn2
         an2 = bn1 * bn2 - e0
         if not an2:  # a_n^{(0)} != 0 for n >= 1, as s_n is
             return None
-        b += [e1, bn1, bn2]
-        a += [an0, an1, an2]
+        b += [bn1, bn2]
+        a += [an1, an2]
     return Recurrence(b, a[3:])

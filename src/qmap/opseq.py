@@ -8,8 +8,9 @@ Delta_n(i, j; x) that drive the polynomial-mapping machinery.
 Every polynomial the three-term recurrence generates is held as the canonical
 integer form (R, O, D) of ``functionals._scaled``, coefficient i being
 (R[i] + O[i] w)/D, and stepped by one integer kernel (``_step``); the row
-kernels ``_correlate`` and ``_correlate_lift`` read the forms as they are, and
-a Poly is built only when it is read.
+kernel ``_correlate`` reads the forms as they are, and a Poly is built only
+when it is read.  ``proved_recurrence`` is the one step from a functional and
+its pair to its recurrence, for ``qmap ops`` and for q's in a case build.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
-from .functionals import MomentFunctional, PearsonPair, _correlate, _correlate_lift, _dot, _scaled
+from .functionals import MomentFunctional, PearsonPair, _correlate, _dot, _scaled
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam, ZERO
 
@@ -194,8 +195,8 @@ class OPSequence:
     held as tuples: coefficient i of p_n is (R[i] + O[i] w)/D with integers
     R[i], O[i] and the least D > 0; O is None when p_n is rational.  The
     generators (``ops_from_recurrence``, ``recurrence_from_moments``,
-    ``certify_recurrence``) produce the forms directly, and the row kernels
-    read them as they are; the Poly p_n, whose Fraction coefficients cost a
+    ``certify_recurrence``) produce the forms directly, and the row kernel
+    reads them as they are; the Poly p_n, whose Fraction coefficients cost a
     gcd each, is built only when ``seq[n]`` or iteration reads it, and anew on
     every read.  ``OPSequence(polys)`` checks that each element is monic of
     its index's degree and takes its form from ``_scaled``.  Equality,
@@ -338,10 +339,9 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
     which u stops being regular.
 
-    ``cubic_cases.build_power_case`` calls it for q's recurrence when
-    ``pair_recurrence`` gives none, and for p's when k != 3 or the ascent
-    is not proved.  ``qmap ops`` calls it when the pair's recurrence is not
-    proved on u.
+    ``proved_recurrence`` calls it when the pair's recurrence is not proved,
+    for ``qmap ops`` and for q's recurrence in ``cubic_cases.build_power_case``;
+    the build calls it for p's when k != 3 or the ascent returns None.
     """
     if 2 * N - 1 > u.order:
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")
@@ -352,9 +352,7 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     return rec, ops_from_recurrence(rec, N)
 
 
-def certify_recurrence(
-    u: MomentFunctional, cand: Recurrence, N: int, lift: Optional[tuple[MomentFunctional, Poly]] = None
-) -> Optional[tuple[Recurrence, OPSequence]]:
+def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optional[tuple[Recurrence, OPSequence]]:
     """Prove that a candidate is u's recurrence and complete it to N levels; None if it is not proved.
 
     The first M = min(len(cand.b), N - 1) levels of ``cand`` generate p_0..p_M.
@@ -371,31 +369,21 @@ def certify_recurrence(
     their tails then run the Chebyshev algorithm on levels M..N-1, and the
     integer kernel continues from the forms of p_{M-1} and p_M to generate
     p_{M+1}..p_N.  None when M < 1, when u lacks u_{2N-1}, or when a condition
-    fails.  The forms of p_{M-1} and p_M and the ``_scaled`` forms of the
-    moments are the one canonical form (R, O, D), read with no rescaling, and
-    the returned sequence holds every level as a form: no Poly is built.
-
-    Without ``lift`` the rows are ``_correlate`` over u's moments: at
-    M = N - 1, 2N + 1 integer dot products of length at most N per nonzero
-    component pair, with no gcd inside a sum.  ``lift`` = (v, eta) says that
-    u = lift_functional(v, eta), as in ``cubic_cases.build_power_case``; the
-    rows are then ``_correlate_lift`` over v's moments and eta's
-    coefficients, the same values from about k times fewer big-integer
-    multiplies at k = deg eta + 1.  The full Chebyshev takes O(N^2) Q(w)
-    operations on fractions as large as the moments.
+    fails.  The forms of p_{M-1} and p_M and the ``_scaled`` form of the
+    moments are the one canonical form (R, O, D), read with no rescaling by
+    ``_correlate``: at M = N - 1, 2N + 1 integer dot products of length at
+    most N per nonzero component pair, with no gcd inside a sum.  The
+    returned sequence holds every level as a form: no Poly is built.  The
+    full Chebyshev takes O(N^2) Q(w) operations on fractions as large as the
+    moments.
     """
     M = min(len(cand.b), N - 1)
     if M < 1 or 2 * N - 1 > u.order:
         return None
     forms = _forms(cand.b_at, cand.a_at, 0, M)
-    if lift is None:
-        kernel, read = _correlate, (_scaled(u.moments[: 2 * N]),)
-    else:  # u_0..u_{2N-1} come from v_0..v_{(2N-1)//k}
-        v, eta = lift
-        v_form = _scaled(v.moments[: (2 * N - 1) // len(eta.coeffs) + 1])
-        kernel, read = _correlate_lift, (v_form, _scaled(eta.coeffs))
-    row = kernel(forms[M], *read, 2 * N - M)
-    prev = kernel(forms[M - 1], *read, max(M + 1, 2 * N - M - 1))
+    moments = _scaled(u.moments[: 2 * N])
+    row = _correlate(forms[M], moments, 2 * N - M)
+    prev = _correlate(forms[M - 1], moments, max(M + 1, 2 * N - M - 1))
     if any(row[:M]) or any(prev[: M - 1]) or not prev[M - 1] or not row[M]:
         return None
     b, a = list(cand.b[:M]), list(cand.a[: M - 1])
@@ -403,6 +391,44 @@ def certify_recurrence(
     rec = Recurrence(b, a)
     forms += _forms(rec.b_at, rec.a_at, M, N, (forms[M - 1], forms[M]))[1:]
     return rec, OPSequence._of_forms(forms)
+
+
+def proved_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> tuple[Recurrence, OPSequence]:
+    """u's recurrence on N levels and p_0..p_N: the pair's, proved on u, else the Chebyshev algorithm.
+
+    The candidate is ``pair_recurrence(pair, q, N)``; when the pair fixes none
+    (a QmapError) or ``certify_recurrence`` does not prove it,
+    ``recurrence_from_moments(u, N)`` decides, and its errors are the caller's.
+    """
+    try:
+        proved = certify_recurrence(u, pair_recurrence(pair, q, N), N)
+    except QmapError:
+        proved = None
+    return proved or recurrence_from_moments(u, N)
+
+
+def next_level(u: MomentFunctional, rec: Recurrence, ops: OPSequence) -> Optional[Recurrence]:
+    """``rec`` with u's a_N, and b_N too when u holds u_{2N+1}; None when u is not regular at level N.
+
+    ``rec`` and ``ops`` are u's proved N = len(rec.b) levels and p_0..p_N.
+    With h_n = <u, x^n p_n>, this is the Chebyshev algorithm's level N:
+
+        a_N = h_N / h_{N-1},    b_N = <u, x^{N+1} p_N> / h_N - <u, x^N p_{N-1}> / h_{N-1},
+
+    two dot products of p_{N-1} and p_N against u's last moments, four with
+    b_N.  Each row is cut to the moments it reads, since ``_correlate`` sums
+    a short slice without complaint.
+    """
+    N = len(rec.b)
+    if u.order < 2 * N:
+        raise TruncationError(f"level {N} needs effective order >= {2 * N}, have {u.order}")
+    width = 2 if u.order > 2 * N else 1  # the second entry of each row is b_N's
+    prev = _correlate(ops.forms[N - 1], _scaled(u.moments[N - 1 : 2 * N - 2 + width]), width)
+    cur = _correlate(ops.forms[N], _scaled(u.moments[N : 2 * N + width]), width)
+    if not cur[0]:
+        return None
+    b = rec.b if width == 1 else rec.b + (cur[1] / cur[0] - prev[1] / prev[0],)
+    return Recurrence(b, rec.a + (cur[0] / prev[0],))
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,25 @@ def ops_from_recurrence_oracle(rec: Recurrence, N: int) -> OPSequence:
     return OPSequence(polys)
 
 
+def jacobi_moments(rec, u0, order):
+    """mu_m = u_0 (J^m)_{00} for the tridiagonal matrix J of the recurrence.
+
+    The vector holds the coordinates of u_0 x^m in the basis p_0, p_1, ...;
+    multiplication by x maps c to c_{k-1} + b_k c_k + a_{k+1} c_{k+1}.  The
+    truncation to len(rec.b) rows is exact for m <= 2 len(rec.b) - 1.
+    """
+    size = len(rec.b)
+    vec = [u0] + [ZERO] * (size - 1)
+    out = []
+    for _ in range(order + 1):
+        out.append(vec[0])
+        vec = [
+            (vec[k - 1] if k else ZERO) + rec.b[k] * vec[k] + (rec.a_at(k + 1) * vec[k + 1] if k + 1 < size else ZERO)
+            for k in range(size)
+        ]
+    return out
+
+
 def recurrence_from_moments_oracle(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:
     """Recover b_0..b_{N-1}, a_1..a_{N-1} and p_0..p_N orthogonal for u.
 

@@ -53,19 +53,20 @@ def _singular(rec):
 
 @pytest.mark.parametrize("argv", OPS_ARGV)
 def test_ops_proves_the_pair_recurrence_and_the_chebyshev_decides_otherwise(capsys, monkeypatch, argv):
-    chebyshev = cli.recurrence_from_moments
+    # ops and a build share one step, opseq.proved_recurrence
+    chebyshev = opseq.recurrence_from_moments
     calls = []
 
     def spy(u, N):
         calls.append(N)
         return chebyshev(u, N)
 
-    monkeypatch.setattr(cli, "recurrence_from_moments", spy)
+    monkeypatch.setattr(opseq, "recurrence_from_moments", spy)
     expected = run_cli(capsys, *argv)
     assert calls == [] and expected[0] == 0
-    candidate = cli.pair_recurrence
+    candidate = opseq.pair_recurrence
     for wrong in (_wrong_first_b, _singular):
-        monkeypatch.setattr(cli, "pair_recurrence", lambda *args: wrong(candidate(*args)))
+        monkeypatch.setattr(opseq, "pair_recurrence", lambda *args: wrong(candidate(*args)))
         assert run_cli(capsys, *argv) == expected
         assert calls.pop() == int(argv[argv.index("--N") + 1]) // 2
 

@@ -7,8 +7,6 @@ Each caller is compared here with its predecessor loop in ``helpers`` on
 rational and Q(w) inputs whose two sides take their shapes independently (so
 a rational side meets a Q(w) side), including zero coefficients, rows of
 length <= 0, deg phi = order and the errors the callers raise.
-``_correlate_lift``, which reads a lift's rows from v and eta, is compared
-with the kernel on the lift's moments.
 """
 
 from itertools import zip_longest
@@ -17,9 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qmap import ZERO, CycScalar, MomentFunctional, Poly, left_mul, u_poly
 from qmap.errors import TruncationError
-from qmap.functionals import _correlate, _correlate_lift, _rows, _scaled, _sum_rows, _times
+from qmap.functionals import _correlate, _rows, _scaled, _sum_rows, _times
 from qmap.functionals import _scalars as _row_values
-from qmap.mapping import lift_functional
 from qmap.scalars import _Q0
 
 from helpers import kernel_scalars, left_mul_oracle, sigma_row_oracle, u_poly_oracle
@@ -93,20 +90,6 @@ def test_kernel_keeps_the_rational_fast_path(data, length):
     row = _correlate(_scaled(c), _scaled(v), length)
     assert len(row) == max(length, 0)
     assert all(x.om is _Q0 for x in row)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.booleans(), st.booleans(), st.booleans(), st.integers(2, 4))
-def test_lift_kernel_matches_the_kernel_on_the_lift(data, omega_c, omega_v, omega_e, k):
-    # every side draws its own shape; c and the row run past u's order
-    v = MomentFunctional(data.draw(_vectors(omega_v, 1, 8)))
-    eta = Poly(data.draw(_vectors(omega_e, k - 1, k - 1)) + [data.draw(_scalars(omega_e).filter(bool))])
-    c = data.draw(_vectors(omega_c, 0, 14))
-    u = lift_functional(v, eta)
-    length = data.draw(st.integers(-3, u.order + 3))
-    row = _correlate_lift(_scaled(c), _scaled(v.moments), _scaled(eta.coeffs), length)
-    assert row == _correlate(_scaled(c), _scaled(u.moments), length)
-    assert _rational_path_kept(row)
 
 
 @settings(max_examples=150, deadline=None)

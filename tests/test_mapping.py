@@ -5,14 +5,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qmap import (
     BlockView,
     CycScalar,
     MomentFunctional,
+    PearsonPair,
     Poly,
+    QParam,
     Recurrence,
+    act,
     build_mapping,
     check_conditions,
     compose_xk,
@@ -20,16 +23,18 @@ from qmap import (
     left_mul,
     lift_functional,
     ops_from_recurrence,
+    pearson_moments,
     recurrence_from_moments,
     sigma_star,
     verify_interleave,
 )
 from qmap import mapping as mapping_module
-from qmap.errors import MappingConditionError, QmapError
+from qmap.errors import MappingConditionError, QmapError, RegularityError
 from qmap.mapping import ascend_recurrence
+from qmap.opseq import certify_recurrence, next_level, proved_recurrence
 
 from conftest import cached_case_bundle, random_scalar
-from helpers import pi_k_oracle, r_shift_poly_oracle
+from helpers import jacobi_moments, pi_k_oracle, r_shift_poly_oracle
 
 X = Poly.x()
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=5)
@@ -300,3 +305,68 @@ def test_ascent_declines_a_vanishing_coefficient():
     eta = Poly([Fraction(9, 4), -3, 1])
     assert ascend_recurrence(Recurrence([0, Fraction(23, 8)], [Fraction(27, 16)]), eta) is None
     assert ascend_recurrence(Recurrence([0, 1], [Fraction(27, 16)]), eta) is not None
+
+
+# -- the ascent lemma: q's recurrence proved on v is p's on u -----------------
+
+LEMMA_Q = QParam(Fraction(1, 2), 64).pow(3)
+
+
+@st.composite
+def proved_q_side(draw):
+    """(v, rec_q, q_ops): v of order V = 2 Nq or 2 Nq + 1 and its recurrence proved on Nq levels.
+
+    v comes from a random q^3-classical pair (deg Phi <= 2, deg Psi = 1) through the build's
+    own step, or from a random recurrence with nonzero a_n through its Jacobi matrix, rational
+    or Q(w); a third of the draws then shift v_{2 Nq} so that h_Nq = <v, x^Nq q_Nq> = 0.
+    """
+    omega = draw(st.booleans())
+    scalars = st.builds(CycScalar, small_fractions, small_fractions if omega else st.just(Fraction(0)))
+    Nq = draw(st.integers(1, 4))
+    V = 2 * Nq + draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        deg = draw(st.integers(0, 2))
+        phi = Poly(draw(st.lists(scalars, min_size=deg, max_size=deg)) + [draw(scalars.filter(bool))])
+        pair = PearsonPair(phi, Poly([draw(scalars), draw(scalars.filter(bool))]))
+        try:
+            v = pearson_moments(pair, 1, V, LEMMA_Q)
+            rec_q, q_ops = proved_recurrence(v, pair, LEMMA_Q, Nq)
+        except RegularityError:
+            assume(False)
+    else:
+        b = draw(st.lists(scalars, min_size=Nq + 1, max_size=Nq + 1))
+        a = draw(st.lists(scalars.filter(bool), min_size=Nq, max_size=Nq))
+        v = MomentFunctional(jacobi_moments(Recurrence(b, a), draw(scalars.filter(bool)), V))
+        rec_q, q_ops = recurrence_from_moments(v, Nq)
+    if draw(st.integers(0, 2)) == 0:
+        moments = list(v.moments)
+        moments[2 * Nq] -= act(v, Poly.monomial(Nq) * q_ops[Nq])
+        v = MomentFunctional(moments)
+    return v, rec_q, q_ops
+
+
+@settings(max_examples=80, deadline=None)
+@given(proved_q_side(), st.data())
+def test_the_ascent_of_a_proved_q_is_u_recurrence(side, data):
+    # the lemma: with q_0..q_Nq v's own, its next level and eta ascend to u's recurrence on
+    # every level u's moments fix, (u.order + 1) // 2 of them, which the build's Np = u.order // 2
+    # never exceeds; the mapping check reaches only blocks 0..Ncond, so this guards the top levels
+    v, rec_q, q_ops = side
+    omega = data.draw(st.booleans())
+    scalars = st.builds(CycScalar, small_fractions, small_fractions if omega else st.just(Fraction(0)))
+    e1 = data.draw(scalars)
+    e0 = e1 * e1 if data.draw(st.integers(0, 4)) == 0 else data.draw(scalars)  # a_0^(1) = e0 - e1^2 = 0
+    eta = Poly([e0, e1, 1])
+    u = lift_functional(v, eta)
+    levels = (u.order + 1) // 2
+    whole = next_level(v, rec_q, q_ops)
+    up = whole and ascend_recurrence(whole, eta)
+    if up is None:  # h_Nq = 0, or some a_n^(1) or a_n^(2) is 0: u is not regular within these levels
+        with pytest.raises(RegularityError):
+            recurrence_from_moments(u, levels)
+        return
+    assert len(up.b) == levels
+    rec_p, p_ops = recurrence_from_moments(u, levels)
+    assert (up.b, up.a) == (rec_p.b, rec_p.a)
+    # the certificate on u, which builds ran before the lemma, is now its oracle
+    assert certify_recurrence(u, up, levels) == (rec_p, p_ops)

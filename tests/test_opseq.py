@@ -13,11 +13,11 @@ from qmap import (
     CycScalar,
     MomentFunctional,
     OPSequence,
+    PearsonPair,
     Poly,
     Recurrence,
     act,
     delta_det,
-    lift_functional,
     ops_from_recurrence,
     orthogonality_check,
     pearson_moments,
@@ -29,7 +29,7 @@ from qmap import opseq
 from qmap.opseq import OrthogonalityReport, certify_recurrence
 
 from conftest import random_nonzero_scalar, random_scalar
-from helpers import kernel_scalars, ops_from_recurrence_oracle, orthogonality_check_oracle, recurrence_from_moments_oracle
+from helpers import jacobi_moments, kernel_scalars, ops_from_recurrence_oracle, orthogonality_check_oracle, recurrence_from_moments_oracle
 
 X = Poly.x()
 
@@ -91,25 +91,6 @@ def regular_recurrences(draw):
     return Recurrence(b, a), draw(scalars.filter(bool))
 
 
-def _jacobi_moments(rec, u0, order):
-    """mu_m = u_0 (J^m)_{00} for the tridiagonal matrix J of the recurrence.
-
-    The vector holds the coordinates of u_0 x^m in the basis p_0, p_1, ...;
-    multiplication by x maps c to c_{k-1} + b_k c_k + a_{k+1} c_{k+1}.  The
-    truncation to len(rec.b) rows is exact for m <= 2 len(rec.b) - 1.
-    """
-    size = len(rec.b)
-    vec = [u0] + [ZERO] * (size - 1)
-    out = []
-    for _ in range(order + 1):
-        out.append(vec[0])
-        vec = [
-            (vec[k - 1] if k else ZERO) + rec.b[k] * vec[k] + (rec.a_at(k + 1) * vec[k + 1] if k + 1 < size else ZERO)
-            for k in range(size)
-        ]
-    return out
-
-
 def _outcome(recover, u, N):
     try:
         return recover(u, N)
@@ -123,7 +104,7 @@ def test_recovery_reads_only_u_up_to_2n_minus_1(data, extra):
     # the Chebyshev algorithm and the oracle both stop at u_{2N-1}
     rec, u0 = data
     N = len(rec.b)
-    longer = _jacobi_moments(rec, u0, 2 * N - 1 + extra)
+    longer = jacobi_moments(rec, u0, 2 * N - 1 + extra)
     exact = MomentFunctional(longer[: 2 * N])
     assert exact.order == 2 * N - 1
     expected = _outcome(recurrence_from_moments, MomentFunctional(longer), N)
@@ -136,7 +117,7 @@ def test_recovery_reads_only_u_up_to_2n_minus_1(data, extra):
 def test_chebyshev_recovers_generating_recurrence(data):
     rec, u0 = data
     N = len(rec.b) - 1
-    u = MomentFunctional(_jacobi_moments(rec, u0, 2 * N))
+    u = MomentFunctional(jacobi_moments(rec, u0, 2 * N))
     got = recurrence_from_moments(u, N)
     assert got == recurrence_from_moments_oracle(u, N)
     assert got[0] == Recurrence(rec.b[:N], rec.a[: N - 1])
@@ -169,7 +150,7 @@ def test_certificate_completes_a_true_candidate_like_the_chebyshev(data, draw):
     if N < 2:
         return
     M = draw.draw(st.integers(1, N - 1))
-    moments = _jacobi_moments(rec, u0, 2 * N)
+    moments = jacobi_moments(rec, u0, 2 * N)
     expected = recurrence_from_moments(MomentFunctional(moments), N)
     assert certify_recurrence(MomentFunctional(moments[:-1]), _truncated(rec, M), N) == expected
 
@@ -183,7 +164,7 @@ def test_certificate_rejects_a_changed_level(data, draw):
         return
     M = draw.draw(st.integers(1, N - 1))
     level = draw.draw(st.integers(0, M - 1))
-    u = MomentFunctional(_jacobi_moments(rec, u0, 2 * N))
+    u = MomentFunctional(jacobi_moments(rec, u0, 2 * N))
     b, a = list(rec.b[:M]), list(rec.a[: M - 1])
     if level and draw.draw(st.booleans()):
         a[level - 1] = a[level - 1] + (1 if a[level - 1] != -1 else 2)
@@ -202,31 +183,44 @@ def test_certificate_needs_every_moment_its_rows_read(q_half):
     assert certify_recurrence(u, _truncated(rec, 1), 1) is None  # M = min(1, N - 1) = 0
 
 
-LIFT_ETAS = [Poly([Fraction(1, 3), 1]), Poly([-1, Fraction(1, 2), 1]), Poly([OMEGA, 0, 1]), Poly([2, 0, -1, 1])]
+def test_proved_recurrence_certifies_the_pair_or_runs_the_chebyshev(q_half, monkeypatch):
+    pair = little_q_laguerre_pair(Fraction(1, 4), q_half)
+    u = pearson_moments(pair, 1, 24, q_half)
+    expected = recurrence_from_moments(u, 12)
+    chebyshev, calls = opseq.recurrence_from_moments, []
+    monkeypatch.setattr(opseq, "recurrence_from_moments", lambda u, N: calls.append(N) or chebyshev(u, N))
+    assert opseq.proved_recurrence(u, pair, q_half, 12) == expected and calls == []
+    # the pair of another functional: its recurrence is not u's, and the certificate says so
+    other = little_q_laguerre_pair(Fraction(1, 3), q_half)
+    assert opseq.proved_recurrence(u, other, q_half, 12) == expected and calls == [12]
+    # a pair that fixes no recurrence (deg Phi = 3)
+    assert opseq.proved_recurrence(u, PearsonPair(Poly.monomial(3), X), q_half, 12) == expected and calls == [12, 12]
 
 
-@pytest.mark.parametrize("eta", LIFT_ETAS)
-def test_certificate_of_a_lift_reads_v_and_eta_to_the_same_verdicts(q_half, eta):
-    k = eta.degree + 1
-    qk = q_half.pow(k)
-    v = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), qk), 1, 9, qk)
-    u = lift_functional(v, eta)
-    N = (u.order + 1) // 2
-    rec, ops = recurrence_from_moments(u, N)
-    lift = (v, eta)
-    for M in (1, N // 2, N - 1):
-        assert certify_recurrence(u, _truncated(rec, M), N, lift) == (rec, ops)
-    cand = _truncated(rec, N - 1)
-    short = MomentFunctional(u.moments[: 2 * N - 1])  # no u_{2N-1}
-    assert certify_recurrence(short, cand, N) is certify_recurrence(short, cand, N, lift) is None
-    b = list(cand.b)
-    b[N // 2] = b[N // 2] + 1
-    wrong = Recurrence(b, cand.a)
-    assert certify_recurrence(u, wrong, N) is certify_recurrence(u, wrong, N, lift) is None
+@settings(max_examples=60, deadline=None)
+@given(regular_recurrences(), st.data())
+def test_next_level_is_the_chebyshev_level(data, draw):
+    # u's levels 0..N-1 proved: u_{2N} gives a_N, u_{2N+1} gives b_N, and each row reads
+    # exactly the moments up to u's order (N = 2 is the V = 4 and V = 5 of a build)
+    rec, u0 = data
+    N = len(rec.b) - 1
+    if N < 1:
+        return
+    moments = jacobi_moments(rec, u0, 2 * N + 1)
+    even, odd = MomentFunctional(moments[:-1]), MomentFunctional(moments)
+    proved, ops = recurrence_from_moments(even, N)
+    assert opseq.next_level(even, proved, ops) == Recurrence(rec.b[:N], rec.a[:N])
+    assert opseq.next_level(odd, proved, ops) == Recurrence(rec.b[: N + 1], rec.a[:N])
+    with pytest.raises(TruncationError):
+        opseq.next_level(MomentFunctional(moments[:-2]), proved, ops)
+    # h_N = <u, x^N p_N> moves one for one with u_{2N}, since p_N is monic
+    h = act(even, Poly.monomial(N) * ops[N])
+    singular = moments[: 2 * N] + [moments[2 * N] - h] + moments[2 * N + 1 :][: draw.draw(st.integers(0, 1))]
+    assert opseq.next_level(MomentFunctional(singular), proved, ops) is None
 
 
 # One candidate per condition of the lemma that only that condition rejects (N = 3, M = 2).
-_EXACT_U = _jacobi_moments(Recurrence([1, 2, 3], [2, 3]), 1, 5)  # b_0, b_1 = 1, 2 and a_1 = 2
+_EXACT_U = jacobi_moments(Recurrence([1, 2, 3], [2, 3]), 1, 5)  # b_0, b_1 = 1, 2 and a_1 = 2
 CERTIFICATE_FAILURES = {
     # p_2 = (x - 1)(x - 2) - 2 is u's own, but p_1 = x - 2 is not: <u, p_1> != 0
     "p_(M-1) orthogonal": (_EXACT_U, Recurrence([2, 1], [2])),
@@ -434,7 +428,7 @@ n_max_values = st.one_of(st.none(), st.integers(-1, 10))
 def test_orthogonality_matches_oracle_on_recurrence_moments(data, n_max):
     rec, u0 = data
     N = len(rec.b) - 1
-    u = MomentFunctional(_jacobi_moments(rec, u0, 2 * N))
+    u = MomentFunctional(jacobi_moments(rec, u0, 2 * N))
     ops = ops_from_recurrence(rec, N)
     report = orthogonality_check(u, ops, n_max)
     assert report == orthogonality_check_oracle(u, ops, n_max)
@@ -450,7 +444,7 @@ def test_orthogonality_matches_oracle_on_perturbed_moments(data, n_max, draw):
     rec, u0 = data
     N = len(rec.b) - 1
     order = draw.draw(st.integers(0, 2 * N))
-    moments = _jacobi_moments(rec, u0, order)
+    moments = jacobi_moments(rec, u0, order)
     index = draw.draw(st.integers(order // 2, order))
     moments[index] = moments[index] + draw.draw(_scalars(draw.draw(st.booleans())).filter(bool))
     u = MomentFunctional(moments)
