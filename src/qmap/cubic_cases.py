@@ -11,8 +11,8 @@ and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
 ``build_power_case``, which runs the pipeline for any k = deg eta + 1 in one
 pass: moments at q^k, the lift, q's recurrence from its pair alone proved on
 v (``opseq.proved_recurrence``, else the Chebyshev on v), p's recurrence (at
-k = 3 ascended from q's, its next level and eta, and u's by the ascent lemma
-with no check on u; else the Chebyshev on u), one mapping built from p's,
+k = 3 ascended from q's, its next level and eta, u's by the ascent lemma with
+no check on u; at any other k the Chebyshev on u), one mapping built from p's,
 compared with q's, pi_k = x^k (which with the comparison proves
 p_{kn} = q_n(x^k)), the lifted (A, C, D) and the class report.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
@@ -392,11 +392,11 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
 
     v has the pair ``pair_v`` at q^k and v_0 = 1; u is its lift, S_u(z) = eta(z) S_v(z^k)
     with eta monic.
-    q's recurrence is ``proved_recurrence(v, pair_v, q^k, v.order // 2)``.  At
-    k = 3 it, its ``next_level`` on v and eta give p's by the ascent, u's by
-    the ascent lemma (see README), so nothing reads u's moments; else, or when
-    the ascent returns None, p's is the Chebyshev on u.  The one mapping built
-    from rec_p must give back q's, else stage ``mapping`` fails.
+    q's recurrence is ``proved_recurrence(v, pair_v, q^k, v.order // 2)``.  p's
+    (stage ``recurrence-p``) has one route per k: at k = 3 q's, its ``next_level``
+    on v and eta give it by the ascent, u's by the ascent lemma (see README), so
+    nothing reads u's moments; at any other k it is the Chebyshev on u.  The one
+    mapping built from rec_p must give back q's, else stage ``mapping`` fails.
     A failing stage raises a CaseError whose message starts with ``label``.
     """
     if eta.degree < 1 or eta.lc != ONE:
@@ -416,16 +416,13 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)
     Nq = v.order // 2
-    # q^k is validated to v's order, past the Nq - 1 the pair's recurrence reads
+    # q^k is validated to v's order, past the Nq - 2 the pair's recurrence reads
     rec_q, q_ops = stage("recurrence-q", lambda: proved_recurrence(v, pair_v, qk, Nq))
-    found = None
-    if k == 3:  # 3 Nq + 1 or 3 Nq + 3 levels, at least Np
-        whole = next_level(v, rec_q, q_ops)
-        ascended = whole and ascend_recurrence(whole, eta)
-        if ascended:
-            rec_p = Recurrence(ascended.b[:Np], ascended.a[: Np - 1])
-            found = rec_p, ops_from_recurrence(rec_p, Np)
-    rec_p, p_ops = found or stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
+    if k == 3:  # u's recurrence by the ascent lemma: no Chebyshev, no row over u's moments
+        rec_p = stage("recurrence-p", lambda: ascend_recurrence(*next_level(v, rec_q, q_ops), eta, Np))
+        p_ops = ops_from_recurrence(rec_p, Np)
+    else:
+        rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
     mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
     # rec_p and rec_q are u's and v's own, so the comparison and pi_k = x^k prove p_{kn} = q_n(x^k)
     failure = _mapping_failure(mapping, rec_q)

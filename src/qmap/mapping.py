@@ -6,16 +6,17 @@ the block conditions, builds (pi_k, eta) and the mapped sequence q_n as its
 recurrence (r_n, s_n), verifies the interleaving identities for the
 in-between degrees, and lifts a functional v to the functional u whose
 Stieltjes series is eta(z) * S_v(z^k).  Run forwards, the same block
-conditions and pi_3 = x^3 give p's whole recurrence from q's recurrence and
-eta (``ascend_recurrence``, k = 3).
+conditions and pi_3 = x^3 give p's recurrence, level by level, from q's
+recurrence and eta (``ascend_recurrence``, k = 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
-from .errors import MappingConditionError, QmapError
+from .errors import MappingConditionError, QmapError, RegularityError
 from .functionals import MomentFunctional
 from .opseq import BlockView, OPSequence, Recurrence, delta_det
 from .polyalg import Poly, compose
@@ -218,11 +219,10 @@ def lift_functional(v: MomentFunctional, eta: Poly) -> MomentFunctional:
     return MomentFunctional(out)
 
 
-def ascend_recurrence(rec_q: Recurrence, eta: Poly) -> Optional[Recurrence]:
-    """p's recurrence at k = 3 from q's (r_n, s_n) and eta: 3 B levels from r_0..r_{B-1}, s_1..s_{B-1}.
+def ascend_recurrence(r, s, eta: Poly, levels: int) -> Recurrence:
+    """p's first ``levels`` levels at k = 3 (fewer if r and s fix fewer), from q's r_0.., s_1.. and eta.
 
-    eta is monic of degree 2; an s_B in ``rec_q`` (a_1..a_B) adds level 3 B,
-    b_{3B} = eta_1 and a_{3B} = a_B^{(0)}.  The block conditions of ``check_conditions`` are solved for block n from
+    eta is monic of degree 2.  The block conditions of ``check_conditions`` are solved for block n from
     block n - 1 (Charris and Ismail, "Sieved orthogonal polynomials VII",
     Trans. AMS 340, 1993), with s_n = a_n^{(0)} a_{n-1}^{(1)} a_{n-1}^{(2)} and
     the constant r_n - r_0 of condition (iv); block 0 is fixed by
@@ -234,26 +234,30 @@ def ascend_recurrence(rec_q: Recurrence, eta: Poly) -> Optional[Recurrence]:
       b_n^{(2)} = (eta_1 eta_0 - r_n - a_n^{(0)} b_{n-1}^{(1)}) / a_n^{(1)};
     - b_n^{(1)} = -eta_1 - b_n^{(2)} and a_n^{(2)} = b_n^{(1)} b_n^{(2)} - eta_0 (condition (ii)).
 
-    When q_0..q_B are v's monic orthogonal polynomials, the result is the
-    recurrence of u = ``lift_functional(v, eta)`` (the ascent lemma in README).
-    None when some a_n^{(1)} or a_n^{(2)} is 0: u is not regular there.
+    When q_0..q_B are v's monic orthogonal polynomials, the result is the recurrence
+    of u = ``lift_functional(v, eta)`` (the ascent lemma in README), and the first zero
+    a_m with 0 < m < ``levels`` raises the Chebyshev's RegularityError: u is not regular there.
     """
     e1, e0 = eta.coeff(1), eta.coeff(0)
-    b, a, bn1 = [], [ONE, ONE], ZERO  # a_{-1}^{(1)} = a_{-1}^{(2)} = 1 and s_0 = 0 give a_0^{(0)} = 0
-    for n, sn in enumerate((ZERO,) + rec_q.a):
-        an0 = sn * (a[-2] * a[-1]).inv()
-        b.append(e1)
-        a.append(an0)
-        if n == len(rec_q.b):  # s_B with no r_B: level 3 B alone
-            break
-        an1 = e0 - e1 * e1 - an0
-        if not an1:
-            return None
-        bn2 = (e1 * e0 - rec_q.b[n] - an0 * bn1) * an1.inv()
-        bn1 = -e1 - bn2
-        an2 = bn1 * bn2 - e0
-        if not an2:  # a_n^{(0)} != 0 for n >= 1, as s_n is
-            return None
-        b += [bn1, bn2]
-        a += [an1, an2]
-    return Recurrence(b, a[3:])
+
+    def ascent():  # (b_m, a_m) for m = 0, 1, ..., each a_m checked before anything divides by it
+        an1 = an2 = ONE  # a_{-1}^{(1)} = a_{-1}^{(2)} = 1 and s_0 = 0 give a_0^{(0)} = 0
+        bn1 = ZERO
+        for n, sn in enumerate((ZERO, *s)):
+            an0 = sn * (an1 * an2).inv()
+            yield e1, _regular(3 * n, an0)
+            an1 = _regular(3 * n + 1, e0 - e1 * e1 - an0)
+            bn2 = (e1 * e0 - r[n] - an0 * bn1) * an1.inv()
+            bn1 = -e1 - bn2
+            yield bn1, an1
+            an2 = _regular(3 * n + 2, bn1 * bn2 - e0)
+            yield bn2, an2
+
+    b, a = zip(*islice(ascent(), min(levels, 3 * len(r) + 1)))  # level 3 n + 1 is the first to read r_n
+    return Recurrence(b, a[1:])
+
+
+def _regular(m: int, am: CycScalar) -> CycScalar:
+    if m and not am:
+        raise RegularityError(f"not regular at level {m}: <u, p_{m}^2> = 0")
+    return am

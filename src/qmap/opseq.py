@@ -341,7 +341,7 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
 
     ``proved_recurrence`` calls it when the pair's recurrence is not proved,
     for ``qmap ops`` and for q's recurrence in ``cubic_cases.build_power_case``;
-    the build calls it for p's when k != 3 or the ascent returns None.
+    the build calls it for p's when k != 3, and at k = 3 never.
     """
     if 2 * N - 1 > u.order:
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")
@@ -396,19 +396,19 @@ def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optiona
 def proved_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> tuple[Recurrence, OPSequence]:
     """u's recurrence on N levels and p_0..p_N: the pair's, proved on u, else the Chebyshev algorithm.
 
-    The candidate is ``pair_recurrence(pair, q, N)``; when the pair fixes none
-    (a QmapError) or ``certify_recurrence`` does not prove it,
-    ``recurrence_from_moments(u, N)`` decides, and its errors are the caller's.
+    The candidate is ``pair_recurrence(pair, q, N - 1)``, as ``certify_recurrence``
+    closes level N - 1 itself; when the pair fixes none (a QmapError) or is not
+    proved, ``recurrence_from_moments(u, N)`` decides, and its errors are the caller's.
     """
     try:
-        proved = certify_recurrence(u, pair_recurrence(pair, q, N), N)
+        proved = certify_recurrence(u, pair_recurrence(pair, q, max(N - 1, 0)), N)
     except QmapError:
         proved = None
     return proved or recurrence_from_moments(u, N)
 
 
-def next_level(u: MomentFunctional, rec: Recurrence, ops: OPSequence) -> Optional[Recurrence]:
-    """``rec`` with u's a_N, and b_N too when u holds u_{2N+1}; None when u is not regular at level N.
+def next_level(u: MomentFunctional, rec: Recurrence, ops: OPSequence) -> tuple[tuple, tuple]:
+    """``rec``'s (b, a) with u's a_N, and b_N too when u holds u_{2N+1} and a_N != 0; a_N = 0 if u is not regular at N.
 
     ``rec`` and ``ops`` are u's proved N = len(rec.b) levels and p_0..p_N.
     With h_n = <u, x^n p_n>, this is the Chebyshev algorithm's level N:
@@ -425,10 +425,8 @@ def next_level(u: MomentFunctional, rec: Recurrence, ops: OPSequence) -> Optiona
     width = 2 if u.order > 2 * N else 1  # the second entry of each row is b_N's
     prev = _correlate(ops.forms[N - 1], _scaled(u.moments[N - 1 : 2 * N - 2 + width]), width)
     cur = _correlate(ops.forms[N], _scaled(u.moments[N : 2 * N + width]), width)
-    if not cur[0]:
-        return None
-    b = rec.b if width == 1 else rec.b + (cur[1] / cur[0] - prev[1] / prev[0],)
-    return Recurrence(b, rec.a + (cur[0] / prev[0],))
+    b = rec.b if width == 1 or not cur[0] else rec.b + (cur[1] / cur[0] - prev[1] / prev[0],)
+    return b, rec.a + (cur[0] / prev[0],)
 
 
 @dataclass(frozen=True)

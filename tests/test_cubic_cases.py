@@ -349,19 +349,27 @@ class _ChebyshevSpy:
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_power_case_recurrence_matches_the_chebyshev_on_u(data):
+    # one route per k: the ascent at k = 3 never runs the Chebyshev on u, whether it builds or
+    # raises, and any other k runs it once; either gives u's recurrence or its exact error
     k, eta, family, a, b, N = _draw_power_input(data, (12, 24, 36))
     qk = Q_POWER.pow(k)
     pair = family_pair(family, a, b, qk)
     u = lift_functional(pearson_moments(pair, 1, cubic_cases._v_order(N, k), qk), eta)
-    try:
-        bundle = build_power_case(pair, eta, Q_POWER, N)
-    except CaseError as exc:
+    with pytest.MonkeyPatch.context() as patch:
+        spy = _ChebyshevSpy(patch)
+        try:
+            outcome = build_power_case(pair, eta, Q_POWER, N)
+        except CaseError as exc:
+            outcome = str(exc)
+    on_u = [call for call in spy.calls if call[0] == u.order]  # q's, if any, is on v
+    assert on_u == ([] if k == 3 else [(u.order, u.order // 2)])
+    if isinstance(outcome, str):
         with pytest.raises(QmapError) as direct:
             recurrence_from_moments(u, u.order // 2)
-        assert str(exc) == f"power case stage recurrence-p: {direct.value}"
+        assert outcome == f"power case stage recurrence-p: {direct.value}"
         return
-    assert bundle.u == u
-    assert (bundle.rec_p, bundle.p_ops) == recurrence_from_moments(u, u.order // 2)
+    assert outcome.u == u
+    assert (outcome.rec_p, outcome.p_ops) == recurrence_from_moments(u, u.order // 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -405,9 +413,9 @@ def test_a_candidate_never_changes_the_outcome(data):
 def test_a_perturbed_ascent_fails_at_stage_mapping(q_half, monkeypatch, field, level, message):
     # no certificate runs on u, so the block conditions catch a spoiled level inside blocks
     # 0..Ncond; the top level 3 Nq = 12 lies past them, and the ascent lemma's test guards it
-    def perturbed(rec_q, eta):
-        up = ascend_recurrence(rec_q, eta)
-        assert len(up.b) == 13
+    def perturbed(r, s, eta, levels):
+        up = ascend_recurrence(r, s, eta, levels)
+        assert len(up.b) == levels == 13
         return _wrong(up, field, level)
 
     monkeypatch.setattr(cubic_cases, "ascend_recurrence", perturbed)
@@ -471,17 +479,17 @@ def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
 
 
 @pytest.mark.parametrize("cid", [1, 13])
-@pytest.mark.parametrize("field, level", [("b", 0), ("b", 7), ("a", 1), ("a", 4), ("a", 7)])
+@pytest.mark.parametrize("field, level", [("b", 0), ("a", 1), ("a", 4)])
 def test_a_wrong_candidate_is_rejected_on_v_and_the_chebyshev_decides(q_half, monkeypatch, cid, field, level):
-    # at N = 48, Nq = 8: the certificate on v proves levels 0..6 of the candidate and closes
-    # level 7 by a Chebyshev step of its own, so a wrong level 7 is never read; a wrong
-    # level below it is rejected, and the Chebyshev on v gives q's recurrence
+    # at N = 48, Nq = 8: the candidate holds levels 0..6, which the certificate on v proves
+    # before it closes level 7 by a Chebyshev step of its own; a wrong level is rejected,
+    # and the Chebyshev on v gives q's recurrence
     real = opseq.pair_recurrence
     monkeypatch.setattr(opseq, "pair_recurrence", lambda *args: _wrong(real(*args), field, level))
     spy = _ChebyshevSpy(monkeypatch)
     bundle = cubic_cases.build_case(case_fixture(cid, q_half), q_half, 48)
     assert bundle == cached_case_bundle(cid, q_half)
-    assert spy.calls == ([] if level == 7 else [(16, 8)])  # never the Chebyshev on u
+    assert spy.calls == [(16, 8)]  # never the Chebyshev on u
 
 
 def test_a_zero_denominator_candidate_builds_by_the_fallback(q_half, monkeypatch):
@@ -557,7 +565,7 @@ def test_the_comparison_covers_every_candidate_level(q_half):
 @pytest.mark.parametrize("cid", [1, 13])
 def test_the_next_level_of_q_gives_p_its_top_levels(q_half, monkeypatch, cid, N, V, Np):
     # Nq = 2 levels of q ascend to 6 of p; a_2 adds level 6, and at odd V b_2 adds level 7
-    # (the ascent gives 9, and the build keeps Np): no Chebyshev, none on u
+    # (the ascent stops at Np): no Chebyshev, none on u
     spy = _ChebyshevSpy(monkeypatch)
     bundle = cubic_cases.build_case(case_fixture(cid, q_half), q_half, N)
     assert (bundle.v.order, bundle.u.order // 2) == (V, Np)
@@ -566,17 +574,19 @@ def test_the_next_level_of_q_gives_p_its_top_levels(q_half, monkeypatch, cid, N,
 
 
 @pytest.mark.parametrize("N", [12, 15, 24, 27])
-def test_v_irregular_at_its_last_level_fails_at_stage_recurrence_p(N):
-    # a = Q^-Nq makes the little q^3-Laguerre norm h_Nq vanish: the next level of q declines,
-    # and the Chebyshev on u names level 3 Nq, as it did when the ascent was certified on u
+def test_v_irregular_at_its_last_level_fails_at_stage_recurrence_p(monkeypatch, N):
+    # a = Q^-Nq makes the little q^3-Laguerre norm h_Nq vanish: the next level of q has
+    # a_Nq = 0, and the ascent names level 3 Nq, as the Chebyshev on u would, without it
     eta = Poly([Fraction(2, 3), 1, 1])
     Q = Q_POWER.pow(3)
     Nq = cubic_cases._v_order(N) // 2
     pair = family_pair(FAMILY_LAGUERRE, Q.q ** -Nq, None, Q)
+    spy = _ChebyshevSpy(monkeypatch)
     with pytest.raises(CaseError) as info:
         build_power_case(pair, eta, Q_POWER, N)
     assert str(info.value) == f"power case stage recurrence-p: not regular at level {3 * Nq}: <u, p_{3 * Nq}^2> = 0"
     assert type(info.value.__cause__) is RegularityError
+    assert spy.calls == []
 
 
 @pytest.mark.parametrize("eta", [POWER_ETAS[0][0], POWER_ETAS[3][0]])

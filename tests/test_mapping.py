@@ -263,8 +263,8 @@ def test_ascent_matches_the_chebyshev_on_u_at_k3(q_half, case_id):
     Np = b.u.order // 2
     rec_p, _ = recurrence_from_moments(b.u, Np)
     rec_q, _ = recurrence_from_moments(b.v, b.v.order // 2)
-    up = ascend_recurrence(rec_q, b.eta)
     levels = 3 * len(rec_q.b)
+    up = ascend_recurrence(rec_q.b, rec_q.a, b.eta, levels)
     assert levels == Np - 1
     assert (up.b, up.a) == (rec_p.b[:levels], rec_p.a[: levels - 1])
 
@@ -281,8 +281,9 @@ def test_ascent_inverts_the_mapping(data):
     eta = Poly(data.draw(st.lists(scalars, min_size=k - 1, max_size=k - 1)) + [1])
     r = data.draw(st.lists(scalars, min_size=Nq, max_size=Nq))
     rec_q = Recurrence(r, data.draw(st.lists(nonzero, min_size=Nq - 1, max_size=Nq - 1)))
-    up = ascend_recurrence(rec_q, eta)
-    if up is None:
+    try:
+        up = ascend_recurrence(r, rec_q.a, eta, k * Nq)
+    except RegularityError:
         return
     assert len(up.b) == k * Nq
     mapping = build_mapping(BlockView(up, k), r[0], Nq - 1)
@@ -291,20 +292,46 @@ def test_ascent_inverts_the_mapping(data):
     assert mapping.pi_k == Poly.monomial(k)
 
 
+def _raises_at(level, r, s, eta):
+    """The ascent stops at ``level`` and no sooner: its ``level`` levels stand, and one more raises."""
+    assert len(ascend_recurrence(r, s, eta, level).b) == level
+    with pytest.raises(RegularityError, match=rf"^not regular at level {level}: <u, p_{level}\^2> = 0$"):
+        ascend_recurrence(r, s, eta, level + 1)
+
+
 def test_ascent_declines_a_vanishing_coefficient():
     # block 0: eta_0 = eta_1^2 makes a_0^(1) = eta_0 - eta_1^2 = 0, whatever r_0 is
-    assert ascend_recurrence(Recurrence([5], []), Poly([1, 1, 1])) is None
-    assert ascend_recurrence(Recurrence([5], []), Poly([2, 1, 1])) is not None
+    _raises_at(1, [5], [], Poly([1, 1, 1]))
+    assert len(ascend_recurrence([5], [], Poly([2, 1, 1]), 3).b) == 3
     # eta = x^2 + 1/2 and r_0 = -1 give a_0^(1) = 1/2 and a_0^(2) = -9/2; then
     # s_1 = a_0^(1) a_0^(1) a_0^(2) = -9/8 makes a_1^(0) = a_0^(1), so a_1^(1) = 0
     eta = Poly([Fraction(1, 2), 0, 1])
-    assert ascend_recurrence(Recurrence([-1, 5], [Fraction(-9, 8)]), eta) is None
-    assert ascend_recurrence(Recurrence([-1, 5], [1]), eta) is not None
+    _raises_at(4, [-1, 5], [Fraction(-9, 8)], eta)
+    assert len(ascend_recurrence([-1, 5], [1], eta, 6).b) == 6
     # a_n^(2) = -eta(b_n^(2)): eta = (x - 3/2)^2, r_0 = 0 and s_1 = 27/16 give a_1^(0) = 1,
     # and r_1 = 23/8 then makes b_1^(2) = 3/2, a root of eta, so a_1^(2) = 0
     eta = Poly([Fraction(9, 4), -3, 1])
-    assert ascend_recurrence(Recurrence([0, Fraction(23, 8)], [Fraction(27, 16)]), eta) is None
-    assert ascend_recurrence(Recurrence([0, 1], [Fraction(27, 16)]), eta) is not None
+    _raises_at(5, [0, Fraction(23, 8)], [Fraction(27, 16)], eta)
+    assert len(ascend_recurrence([0, 1], [Fraction(27, 16)], eta, 6).b) == 6
+    # a zero s_B, as next_level gives when h_B = 0, is the zero a_{3B}
+    _raises_at(3, [0], [0], eta)
+
+
+def test_a_zero_past_the_kept_levels_is_not_read():
+    # odd V = 5 (Nq = 2): u's order 17 fixes 9 levels and a build keeps Np = 8.  With
+    # eta = (x - 3/2)^2, r_2 = -5621/136 makes b_2^(2) = 3/2 a root of eta, so a_2^(2),
+    # at level 3 Nq + 2 = 8, is 0: the ascent to 8 levels is u's, and both routes raise at 9
+    rec = Recurrence([1, 2, Fraction(-5621, 136)], [3, 5])
+    eta = Poly([Fraction(9, 4), -3, 1])
+    v = MomentFunctional(jacobi_moments(rec, 1, 5))
+    rec_q, q_ops = recurrence_from_moments(v, 2)
+    r, s = next_level(v, rec_q, q_ops)
+    assert (r, s) == (rec.b, rec.a)
+    u = lift_functional(v, eta)
+    assert ascend_recurrence(r, s, eta, 8) == recurrence_from_moments(u, 8)[0]
+    for route in (lambda: ascend_recurrence(r, s, eta, 9), lambda: recurrence_from_moments(u, 9)):
+        with pytest.raises(RegularityError, match=r"^not regular at level 8: <u, p_8\^2> = 0$"):
+            route()
 
 
 # -- the ascent lemma: q's recurrence proved on v is p's on u -----------------
@@ -348,9 +375,10 @@ def proved_q_side(draw):
 @settings(max_examples=80, deadline=None)
 @given(proved_q_side(), st.data())
 def test_the_ascent_of_a_proved_q_is_u_recurrence(side, data):
-    # the lemma: with q_0..q_Nq v's own, its next level and eta ascend to u's recurrence on
-    # every level u's moments fix, (u.order + 1) // 2 of them, which the build's Np = u.order // 2
-    # never exceeds; the mapping check reaches only blocks 0..Ncond, so this guards the top levels
+    # the lemma: with q_0..q_Nq v's own, its next level and eta ascend to u's recurrence, and
+    # raise where u is not regular, on every level count u's moments fix: the build's
+    # Np = u.order // 2 and (u.order + 1) // 2.  The mapping check reaches only blocks
+    # 0..Ncond, so this guards the top levels
     v, rec_q, q_ops = side
     omega = data.draw(st.booleans())
     scalars = st.builds(CycScalar, small_fractions, small_fractions if omega else st.just(Fraction(0)))
@@ -358,15 +386,16 @@ def test_the_ascent_of_a_proved_q_is_u_recurrence(side, data):
     e0 = e1 * e1 if data.draw(st.integers(0, 4)) == 0 else data.draw(scalars)  # a_0^(1) = e0 - e1^2 = 0
     eta = Poly([e0, e1, 1])
     u = lift_functional(v, eta)
-    levels = (u.order + 1) // 2
-    whole = next_level(v, rec_q, q_ops)
-    up = whole and ascend_recurrence(whole, eta)
-    if up is None:  # h_Nq = 0, or some a_n^(1) or a_n^(2) is 0: u is not regular within these levels
-        with pytest.raises(RegularityError):
-            recurrence_from_moments(u, levels)
-        return
-    assert len(up.b) == levels
-    rec_p, p_ops = recurrence_from_moments(u, levels)
-    assert (up.b, up.a) == (rec_p.b, rec_p.a)
-    # the certificate on u, which builds ran before the lemma, is now its oracle
-    assert certify_recurrence(u, up, levels) == (rec_p, p_ops)
+    r, s = next_level(v, rec_q, q_ops)
+    for levels in (u.order // 2, (u.order + 1) // 2):
+        try:
+            rec_p, p_ops = recurrence_from_moments(u, levels)
+        except RegularityError as exc:
+            with pytest.raises(RegularityError) as ascent:
+                ascend_recurrence(r, s, eta, levels)
+            assert str(ascent.value) == str(exc)
+            continue
+        up = ascend_recurrence(r, s, eta, levels)
+        assert up == rec_p
+        # the certificate on u, which builds ran before the lemma, is its oracle too
+        assert certify_recurrence(u, up, levels) == (rec_p, p_ops)

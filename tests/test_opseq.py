@@ -209,14 +209,14 @@ def test_next_level_is_the_chebyshev_level(data, draw):
     moments = jacobi_moments(rec, u0, 2 * N + 1)
     even, odd = MomentFunctional(moments[:-1]), MomentFunctional(moments)
     proved, ops = recurrence_from_moments(even, N)
-    assert opseq.next_level(even, proved, ops) == Recurrence(rec.b[:N], rec.a[:N])
-    assert opseq.next_level(odd, proved, ops) == Recurrence(rec.b[: N + 1], rec.a[:N])
+    assert opseq.next_level(even, proved, ops) == (rec.b[:N], rec.a[:N])
+    assert opseq.next_level(odd, proved, ops) == (rec.b[: N + 1], rec.a[:N])
     with pytest.raises(TruncationError):
         opseq.next_level(MomentFunctional(moments[:-2]), proved, ops)
-    # h_N = <u, x^N p_N> moves one for one with u_{2N}, since p_N is monic
+    # h_N = <u, x^N p_N> moves one for one with u_{2N}, since p_N is monic: a_N = 0, and no b_N
     h = act(even, Poly.monomial(N) * ops[N])
     singular = moments[: 2 * N] + [moments[2 * N] - h] + moments[2 * N + 1 :][: draw.draw(st.integers(0, 1))]
-    assert opseq.next_level(MomentFunctional(singular), proved, ops) is None
+    assert opseq.next_level(MomentFunctional(singular), proved, ops) == (proved.b, proved.a + (ZERO,))
 
 
 # One candidate per condition of the lemma that only that condition rejects (N = 3, M = 2).
