@@ -416,7 +416,7 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     r0 = v.moment(1) * v.moment(0).inv()
     Ncond = max((Np - k) // k, 1)
     Nq = v.order // 2
-    # q^k is validated to v's order, past the Nq - 2 the pair's recurrence reads
+    # q^k is validated to v's order, past the Nq - 1 the pair's recurrence reads
     rec_q, q_ops = stage("recurrence-q", lambda: proved_recurrence(v, pair_v, qk, Nq))
     if k == 3:  # u's recurrence by the ascent lemma: no Chebyshev, no row over u's moments
         rec_p = stage("recurrence-p", lambda: ascend_recurrence(*next_level(v, rec_q, q_ops), eta, Np))

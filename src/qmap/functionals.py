@@ -9,7 +9,7 @@ Rows of correlations sum_i c_i v_{i+l} are read from canonical integer forms
 (R, O, D), value i being (R[i] + O[i] w)/D with one D for both components;
 ``_scaled`` makes them, and ``opseq`` stores p_n in them.  ``_correlate``
 reads the moments themselves: phi u, u_poly, the mixed-moment table of
-``orthogonality_check``, the certificate ``opseq.certify_recurrence`` and the
+``orthogonality_check``, the two rows of ``opseq.certify_recurrence`` and the
 next level ``opseq.next_level``.  Its integer rows (``_rows``) serve
 ``stieltjes.stieltjes_residual`` too, which folds the Hahn weights into S's
 form (``_times``), adds the rows over one denominator (``_sum_rows``) and

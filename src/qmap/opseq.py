@@ -10,7 +10,9 @@ integer form (R, O, D) of ``functionals._scaled``, coefficient i being
 (R[i] + O[i] w)/D, and stepped by one integer kernel (``_step``); the row
 kernel ``_correlate`` reads the forms as they are, and a Poly is built only
 when it is read.  ``proved_recurrence`` is the one step from a functional and
-its pair to its recurrence, for ``qmap ops`` and for q's in a case build.
+its pair to its recurrence, for ``qmap ops`` and for q's in a case build: the
+pair's N levels, all proved by two rows of mixed moments, else the Chebyshev
+algorithm (``recurrence_from_moments``), whose one level ``next_level`` reads.
 """
 
 from __future__ import annotations
@@ -171,14 +173,13 @@ def _step(cur, prev, b: CycScalar, a: Optional[CycScalar]) -> tuple:
     return tuple(re), (None if om is None else tuple(om)), L
 
 
-def _forms(b, a, start: int, stop: int, seed=(None, _ONE_FORM)) -> list:
+def _forms(b, a, start: int, stop: int) -> list:
     """Forms of P_0, ..., P_{stop-start} with P_{s+1} = (x - b(t)) P_s - a(t) P_{s-1}, t = start + s.
 
-    The one three-term loop of the package, run on canonical integer forms.
-    ``seed`` holds the forms of (P_{-1}, P_0), by default (zero, 1), in which
-    case a(start) is never read; each step reads b(t) before a(t).
+    The one three-term loop of the package, run on canonical integer forms from
+    P_{-1} = 0 and P_0 = 1, so a(start) is never read; each step reads b(t) before a(t).
     """
-    prev, cur = seed
+    prev, cur = None, _ONE_FORM
     out = [cur]
     for t in range(start, stop):
         bt = b(t)
@@ -194,8 +195,8 @@ class OPSequence:
     ``forms[n]`` is the canonical form (R, O, D) of ``functionals._scaled``,
     held as tuples: coefficient i of p_n is (R[i] + O[i] w)/D with integers
     R[i], O[i] and the least D > 0; O is None when p_n is rational.  The
-    generators (``ops_from_recurrence``, ``recurrence_from_moments``,
-    ``certify_recurrence``) produce the forms directly, and the row kernel
+    generators (``ops_from_recurrence``, which ``recurrence_from_moments``
+    calls, and ``certify_recurrence``) produce the forms, and the row kernel
     reads them as they are; the Poly p_n, whose Fraction coefficients cost a
     gcd each, is built only when ``seq[n]`` or iteration reads it, and anew on
     every read.  ``OPSequence(polys)`` checks that each element is monic of
@@ -261,7 +262,8 @@ def pair_recurrence(pair: PearsonPair, q: QParam, n: int) -> Recurrence:
         d_m = (nu_m + c_m mu_{m-1}) / (lambda_m - lambda_{m-2}),
 
     and b_m = c_m - c_{m+1}, a_m = d_m - d_{m+1} - b_m c_m.  Only
-    lambda_0..lambda_n are read, so q must be validated to order n - 1.  A
+    lambda_0..lambda_n are read, so q must be validated to order n - 1;
+    ``proved_recurrence`` reads all n levels and proves them on u.  A
     one-line QmapError names wrong degrees, a zero gap lambda_m - lambda_j
     (the moments to order 2n - 1 then do not exist either) or a zero a_m (a
     RegularityError from ``Recurrence``).
@@ -288,43 +290,11 @@ def pair_recurrence(pair: PearsonPair, q: QParam, n: int) -> Recurrence:
     return Recurrence(b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)])
 
 
-def _chebyshev(row: list, prev: list, start: int, N: int, b: list, a: list) -> None:
-    """Run the Chebyshev algorithm on levels start..N-1, appending each b_n and a_n to b and a.
-
-    ``row[j]`` is sigma_{start, start+j} for j < 2(N - start) and ``prev[j]`` is
-    sigma_{start-1, start-1+j} for j < max(2, 2(N - start)) (empty at start = 0);
-    b and a hold b_0..b_{start-1} and a_1..a_{start-1} on entry.
-    """
-    if start:
-        h_prev_inv = prev[0].inv()
-        ratio_prev = prev[1] * h_prev_inv
-    else:
-        ratio_prev = ZERO
-    for n in range(start, N):
-        if n > start:
-            bn = b[-1]
-            if n == 1:
-                nxt = [s2 - bn * s1 for s1, s2 in zip(row[1:], row[2:])]
-            else:
-                an = a[-1]
-                nxt = [s2 - bn * s1 - an * t for s1, s2, t in zip(row[1:], row[2:], prev[2:])]
-            prev, row = row, nxt
-        hn = row[0]
-        if not hn:
-            raise RegularityError(f"not regular at level {n}: <u, p_{n}^2> = 0")
-        hn_inv = hn.inv()
-        ratio = row[1] * hn_inv
-        b.append(ratio - ratio_prev)
-        if n:
-            a.append(hn * h_prev_inv)
-        h_prev_inv, ratio_prev = hn_inv, ratio
-
-
 def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:
     """Recover b_0..b_{N-1}, a_1..a_{N-1} and p_0..p_N orthogonal for u.
 
-    Uses the Chebyshev algorithm (Gautschi, "On generating orthogonal
-    polynomials", SIAM J. Sci. Stat. Comput. 3, 1982) on the mixed moments
+    The package's one Chebyshev algorithm (Gautschi, "On generating orthogonal
+    polynomials", SIAM J. Sci. Stat. Comput. 3, 1982), on the mixed moments
     sigma_{n,l} = <u, x^l p_n>, starting from sigma_{0,l} = u_l and
     sigma_{-1,l} = 0:
 
@@ -347,61 +317,68 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")
     b: list[CycScalar] = []
     a: list[CycScalar] = []
-    _chebyshev(list(u.moments[: 2 * N]), [], 0, N, b, a)
+    row, ratio_prev = list(u.moments[: 2 * N]), ZERO
+    for n in range(N):
+        if n:
+            bn = b[-1]
+            if n == 1:
+                nxt = [s2 - bn * s1 for s1, s2 in zip(row[1:], row[2:])]
+            else:
+                an = a[-1]
+                nxt = [s2 - bn * s1 - an * t for s1, s2, t in zip(row[1:], row[2:], prev[2:])]
+            prev, row = row, nxt
+        hn = row[0]
+        if not hn:
+            raise RegularityError(f"not regular at level {n}: <u, p_{n}^2> = 0")
+        hn_inv = hn.inv()
+        ratio = row[1] * hn_inv
+        b.append(ratio - ratio_prev)
+        if n:
+            a.append(hn * h_prev_inv)
+        h_prev_inv, ratio_prev = hn_inv, ratio
     rec = Recurrence(b, a)
     return rec, ops_from_recurrence(rec, N)
 
 
 def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optional[tuple[Recurrence, OPSequence]]:
-    """Prove that a candidate is u's recurrence and complete it to N levels; None if it is not proved.
+    """Prove that the candidate's first N levels are u's and return them with p_0..p_N; None if they are not proved.
 
-    The first M = min(len(cand.b), N - 1) levels of ``cand`` generate p_0..p_M.
-    If <u, x^l p_M> = 0 for l < M, <u, x^l p_{M-1}> = 0 for l < M - 1,
-    <u, x^{M-1} p_{M-1}> != 0 and <u, x^M p_M> != 0, then they are u's monic
-    orthogonal polynomials and the candidate's levels are u's own: running the
-    recurrence downwards (every a_n != 0),
+    The levels generate p_0..p_N.  If <u, x^l p_N> = 0 for l < N,
+    <u, x^l p_{N-1}> = 0 for l < N - 1 and <u, x^{N-1} p_{N-1}> != 0, then
+    p_0..p_N are u's monic orthogonal polynomials, u is regular below level N
+    and the levels are u's own: running the recurrence downwards (every
+    a_n != 0),
 
         a_n <u, x^l p_{n-1}> = <u, x^{l+1} p_n> - b_n <u, x^l p_n> - <u, x^l p_{n+1}>,
 
-    makes each p_n with n < M orthogonal to x^l for l < n with
-    <u, x^n p_n> != 0.  The two rows sigma_{M,l} and sigma_{M-1,l} (2N - M and
-    max(M + 1, 2N - M - 1) entries, reading u_0..u_{2N-1}) hold every condition;
-    their tails then run the Chebyshev algorithm on levels M..N-1, and the
-    integer kernel continues from the forms of p_{M-1} and p_M to generate
-    p_{M+1}..p_N.  None when M < 1, when u lacks u_{2N-1}, or when a condition
-    fails.  The forms of p_{M-1} and p_M and the ``_scaled`` form of the
-    moments are the one canonical form (R, O, D), read with no rescaling by
-    ``_correlate``: at M = N - 1, 2N + 1 integer dot products of length at
-    most N per nonzero component pair, with no gcd inside a sum.  The
-    returned sequence holds every level as a form: no Poly is built.  The
-    full Chebyshev takes O(N^2) Q(w) operations on fractions as large as the
-    moments.
+    makes each p_n with n < N orthogonal to x^l for l < n with
+    <u, x^n p_n> != 0.  So the result is exactly ``recurrence_from_moments(u, N)``.
+    The two rows, N entries each, read u_0..u_{2N-1}: 2N integer dot products
+    of the forms of p_N and p_{N-1} with the ``_scaled`` form of the moments
+    (``_correlate``), with no gcd inside a sum and no Poly built.  None when
+    the candidate has fewer than N levels, when N < 1, when u lacks u_{2N-1},
+    or when a condition fails.
     """
-    M = min(len(cand.b), N - 1)
-    if M < 1 or 2 * N - 1 > u.order:
+    if not 0 < N <= len(cand.b) or 2 * N - 1 > u.order:
         return None
-    forms = _forms(cand.b_at, cand.a_at, 0, M)
+    forms = _forms(cand.b_at, cand.a_at, 0, N)
     moments = _scaled(u.moments[: 2 * N])
-    row = _correlate(forms[M], moments, 2 * N - M)
-    prev = _correlate(forms[M - 1], moments, max(M + 1, 2 * N - M - 1))
-    if any(row[:M]) or any(prev[: M - 1]) or not prev[M - 1] or not row[M]:
+    row = _correlate(forms[N], moments, N)
+    prev = _correlate(forms[N - 1], moments, N)
+    if any(row) or any(prev[: N - 1]) or not prev[N - 1]:
         return None
-    b, a = list(cand.b[:M]), list(cand.a[: M - 1])
-    _chebyshev(row[M:], prev[M - 1 :], M, N, b, a)
-    rec = Recurrence(b, a)
-    forms += _forms(rec.b_at, rec.a_at, M, N, (forms[M - 1], forms[M]))[1:]
-    return rec, OPSequence._of_forms(forms)
+    return Recurrence(cand.b[:N], cand.a[: N - 1]), OPSequence._of_forms(forms)
 
 
 def proved_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> tuple[Recurrence, OPSequence]:
     """u's recurrence on N levels and p_0..p_N: the pair's, proved on u, else the Chebyshev algorithm.
 
-    The candidate is ``pair_recurrence(pair, q, N - 1)``, as ``certify_recurrence``
-    closes level N - 1 itself; when the pair fixes none (a QmapError) or is not
-    proved, ``recurrence_from_moments(u, N)`` decides, and its errors are the caller's.
+    ``certify_recurrence`` proves every level of ``pair_recurrence(pair, q, N)``;
+    when the pair fixes none (a QmapError) or is not proved,
+    ``recurrence_from_moments(u, N)`` decides, and its errors are the caller's.
     """
     try:
-        proved = certify_recurrence(u, pair_recurrence(pair, q, max(N - 1, 0)), N)
+        proved = certify_recurrence(u, pair_recurrence(pair, q, N), N)
     except QmapError:
         proved = None
     return proved or recurrence_from_moments(u, N)

@@ -479,21 +479,21 @@ def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
 
 
 @pytest.mark.parametrize("cid", [1, 13])
-@pytest.mark.parametrize("field, level", [("b", 0), ("a", 1), ("a", 4)])
+@pytest.mark.parametrize("field, level", [("b", 0), ("a", 1), ("a", 4), ("b", 7), ("a", 7)])
 def test_a_wrong_candidate_is_rejected_on_v_and_the_chebyshev_decides(q_half, monkeypatch, cid, field, level):
-    # at N = 48, Nq = 8: the candidate holds levels 0..6, which the certificate on v proves
-    # before it closes level 7 by a Chebyshev step of its own; a wrong level is rejected,
-    # and the Chebyshev on v gives q's recurrence
+    # at N = 48, Nq = 8: the candidate holds levels 0..7, all of which the certificate on v
+    # proves; a wrong level, the top one too, is rejected, and the Chebyshev on v gives q's recurrence
+    good = cached_case_bundle(cid, q_half)  # built before the patches, so the spy sees one build
     real = opseq.pair_recurrence
     monkeypatch.setattr(opseq, "pair_recurrence", lambda *args: _wrong(real(*args), field, level))
     spy = _ChebyshevSpy(monkeypatch)
-    bundle = cubic_cases.build_case(case_fixture(cid, q_half), q_half, 48)
-    assert bundle == cached_case_bundle(cid, q_half)
+    assert cubic_cases.build_case(case_fixture(cid, q_half), q_half, 48) == good
     assert spy.calls == [(16, 8)]  # never the Chebyshev on u
 
 
 def test_a_zero_denominator_candidate_builds_by_the_fallback(q_half, monkeypatch):
     # case 7 is little q^3-Jacobi; at ab = Q^-(2n-1) the gap lambda_n - lambda_{n-2} is zero
+    good = cached_case_bundle(7, q_half)  # built before the patches
     real = opseq.pair_recurrence
     a = case_fixture(7, q_half).params["a"]
 
@@ -505,8 +505,8 @@ def test_a_zero_denominator_candidate_builds_by_the_fallback(q_half, monkeypatch
     bundle = cubic_cases.build_case(case_fixture(7, q_half), q_half, 48)
     with pytest.raises(QmapError, match=r"^pair recurrence: lambda_8 = lambda_6$"):
         singular(None, q_half.pow(3), 8)
-    assert (bundle.v.order, bundle.v.order // 2) in spy.calls
-    assert bundle == cached_case_bundle(7, q_half)
+    assert spy.calls == [(bundle.v.order, bundle.v.order // 2)]
+    assert bundle == good
 
 
 def _shifted_r(mapping):
@@ -534,6 +534,7 @@ def _conditions_fail(mapping):
 def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch, candidate, cid, spoil, message):
     # with the pair's recurrence as q's candidate or with none, the one mapping fails
     # the same way; q's recurrence is settled first, then the stage is named
+    eta = cached_case_bundle(cid, q_half).eta  # built before the patches
     real, built = cubic_cases.build_mapping, []
     monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: built.append(args) or spoil(real(*args)))
     if not candidate:
@@ -542,7 +543,7 @@ def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch
     case = case_fixture(cid, q_half)
     pair = family_pair(case.family, case.params["a"], case.params.get("b"), q_half.pow(3))
     with pytest.raises(CaseError) as info:
-        build_power_case(pair, cached_case_bundle(cid, q_half).eta, q_half, 48, f"case {cid}")
+        build_power_case(pair, eta, q_half, 48, f"case {cid}")
     assert str(info.value) == f"case {cid} {message}"
     assert len(built) == 1
     # v's Chebyshev runs only with no candidate, once, for the ascent and for the comparison
@@ -622,10 +623,10 @@ def test_k2_and_k4_prove_q_on_v_and_keep_the_chebyshev_on_u(monkeypatch, eta, fa
 def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch):
     # with no candidate q's recurrence is settled first, so its failure is
     # named before any work is spent on p's side
+    eta = cached_case_bundle(1, q_half).eta  # built before the patches
     monkeypatch.setattr(opseq, "pair_recurrence", _no_candidate)
     spy = _ChebyshevSpy(monkeypatch, fail=lambda u, N: u.order == 16)  # v at N = 48
     case = case_fixture(1, q_half)
-    eta = cached_case_bundle(1, q_half).eta
     pair = family_pair(case.family, case.params["a"], None, q_half.pow(3))
     with pytest.raises(CaseError) as info:
         build_power_case(pair, eta, q_half, 48, "case 1")

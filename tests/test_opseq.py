@@ -144,28 +144,23 @@ def _truncated(rec: Recurrence, M: int) -> Recurrence:
 @settings(max_examples=50, deadline=None)
 @given(regular_recurrences(), st.data())
 def test_certificate_completes_a_true_candidate_like_the_chebyshev(data, draw):
-    # any M of u's own levels are proved, and the close runs the Chebyshev on the rest
+    # any N of u's own levels, from a candidate of N levels or more, are proved from
+    # u_0..u_{2N-1} and are exactly what the Chebyshev recovers
     rec, u0 = data
-    N = len(rec.b) - 1
-    if N < 2:
-        return
-    M = draw.draw(st.integers(1, N - 1))
-    moments = jacobi_moments(rec, u0, 2 * N)
-    expected = recurrence_from_moments(MomentFunctional(moments), N)
-    assert certify_recurrence(MomentFunctional(moments[:-1]), _truncated(rec, M), N) == expected
+    N = draw.draw(st.integers(1, len(rec.b)))
+    u = MomentFunctional(jacobi_moments(rec, u0, 2 * N - 1))
+    cand = rec if draw.draw(st.booleans()) else _truncated(rec, N)
+    assert certify_recurrence(u, cand, N) == recurrence_from_moments(u, N)
 
 
 @settings(max_examples=50, deadline=None)
 @given(regular_recurrences(), st.data())
 def test_certificate_rejects_a_changed_level(data, draw):
     rec, u0 = data
-    N = len(rec.b) - 1
-    if N < 2:
-        return
-    M = draw.draw(st.integers(1, N - 1))
-    level = draw.draw(st.integers(0, M - 1))
-    u = MomentFunctional(jacobi_moments(rec, u0, 2 * N))
-    b, a = list(rec.b[:M]), list(rec.a[: M - 1])
+    N = draw.draw(st.integers(1, len(rec.b)))
+    level = draw.draw(st.integers(0, N - 1))
+    u = MomentFunctional(jacobi_moments(rec, u0, 2 * N - 1))
+    b, a = list(rec.b[:N]), list(rec.a[: N - 1])
     if level and draw.draw(st.booleans()):
         a[level - 1] = a[level - 1] + (1 if a[level - 1] != -1 else 2)
     else:
@@ -176,25 +171,39 @@ def test_certificate_rejects_a_changed_level(data, draw):
 def test_certificate_needs_every_moment_its_rows_read(q_half):
     u = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), q_half), 1, 24, q_half)
     rec, ops = recurrence_from_moments(u, 12)
-    cand = _truncated(rec, 11)
-    assert certify_recurrence(u, cand, 12) == (rec, ops)
-    assert certify_recurrence(MomentFunctional(u.moments[:24]), cand, 12) == (rec, ops)  # u_0..u_23
-    assert certify_recurrence(MomentFunctional(u.moments[:23]), cand, 12) is None  # no u_23
-    assert certify_recurrence(u, _truncated(rec, 1), 1) is None  # M = min(1, N - 1) = 0
+    assert certify_recurrence(u, rec, 12) == (rec, ops)
+    assert certify_recurrence(MomentFunctional(u.moments[:24]), rec, 12) == (rec, ops)  # u_0..u_23
+    assert certify_recurrence(MomentFunctional(u.moments[:23]), rec, 12) is None  # no u_23
+    assert certify_recurrence(u, _truncated(rec, 11), 12) is None  # 11 levels for N = 12
 
 
 def test_proved_recurrence_certifies_the_pair_or_runs_the_chebyshev(q_half, monkeypatch):
     pair = little_q_laguerre_pair(Fraction(1, 4), q_half)
     u = pearson_moments(pair, 1, 24, q_half)
-    expected = recurrence_from_moments(u, 12)
     chebyshev, calls = opseq.recurrence_from_moments, []
     monkeypatch.setattr(opseq, "recurrence_from_moments", lambda u, N: calls.append(N) or chebyshev(u, N))
-    assert opseq.proved_recurrence(u, pair, q_half, 12) == expected and calls == []
-    # the pair of another functional: its recurrence is not u's, and the certificate says so
-    other = little_q_laguerre_pair(Fraction(1, 3), q_half)
-    assert opseq.proved_recurrence(u, other, q_half, 12) == expected and calls == [12]
-    # a pair that fixes no recurrence (deg Phi = 3)
-    assert opseq.proved_recurrence(u, PearsonPair(Poly.monomial(3), X), q_half, 12) == expected and calls == [12, 12]
+    for N in (1, 12):  # N = 1 too: the certificate proves every level the pair gives
+        expected = chebyshev(u, N)
+        calls.clear()
+        assert opseq.proved_recurrence(u, pair, q_half, N) == expected and calls == []
+        # the pair of another functional: its recurrence is not u's, and the certificate says so
+        other = little_q_laguerre_pair(Fraction(1, 3), q_half)
+        assert opseq.proved_recurrence(u, other, q_half, N) == expected and calls == [N]
+        # a pair that fixes no recurrence (deg Phi = 3)
+        assert opseq.proved_recurrence(u, PearsonPair(Poly.monomial(3), X), q_half, N) == expected and calls == [N, N]
+
+
+def test_proved_recurrence_falls_back_to_the_chebyshev_regularity_error(q_half):
+    # (1, 0, 1, 0, 1, 0, ...) is not regular at level 2, so no 4-level candidate is proved,
+    # and the Chebyshev's own error reaches the caller
+    u = MomentFunctional([1, 0, 1, 0, 1, 0, 0, 0, 0])
+    with pytest.raises(RegularityError) as direct:
+        recurrence_from_moments(u, 4)
+    assert str(direct.value) == "not regular at level 2: <u, p_2^2> = 0"
+    for pair in (little_q_laguerre_pair(Fraction(1, 4), q_half), PearsonPair(Poly.monomial(3), X)):
+        with pytest.raises(RegularityError) as fallback:
+            opseq.proved_recurrence(u, pair, q_half, 4)
+        assert str(fallback.value) == str(direct.value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,33 +228,30 @@ def test_next_level_is_the_chebyshev_level(data, draw):
     assert opseq.next_level(MomentFunctional(singular), proved, ops) == (proved.b, proved.a + (ZERO,))
 
 
-# One candidate per condition of the lemma that only that condition rejects (N = 3, M = 2).
+# One candidate per condition of the lemma (README) that only that condition rejects, at M = N = 2.
 _EXACT_U = jacobi_moments(Recurrence([1, 2, 3], [2, 3]), 1, 5)  # b_0, b_1 = 1, 2 and a_1 = 2
 CERTIFICATE_FAILURES = {
+    # p_1 = x - 1 is u's own, but p_2 = (x - 3)(x - 1) - 2 = u's p_2 - p_1: <u, x p_2> != 0
+    "p_M orthogonal": (_EXACT_U, Recurrence([1, 3], [2])),
     # p_2 = (x - 1)(x - 2) - 2 is u's own, but p_1 = x - 2 is not: <u, p_1> != 0
     "p_(M-1) orthogonal": (_EXACT_U, Recurrence([2, 1], [2])),
     # u = x^4-moment only: every zero condition holds and <u, x p_1> = u_2 = 0
     "<u, x^(M-1) p_(M-1)> != 0": ([0, 0, 0, 0, 1, 0], Recurrence([0, 0], [1])),
-    # u = (1, 0, 1, 0, 1, 0) stops being regular at level 2: <u, x^2 p_2> = 0
-    "<u, x^M p_M> != 0": ([1, 0, 1, 0, 1, 0], Recurrence([0, 0], [1])),
 }
 
 
 @pytest.mark.parametrize("condition", list(CERTIFICATE_FAILURES))
 def test_certificate_rejects_each_failed_condition(condition):
     moments, cand = CERTIFICATE_FAILURES[condition]
-    assert certify_recurrence(MomentFunctional(moments), cand, 3) is None
+    assert certify_recurrence(MomentFunctional(moments), cand, 2) is None
 
 
-def test_certificate_close_reports_the_chebyshev_regularity_error():
-    # (1, 0, 1, 0, 1, 0, ...): p_1 = x is proved, the close finds p_2 = x^2 - 1 with <u, p_2^2> = 0
-    u = MomentFunctional([1, 0, 1, 0, 1, 0, 0, 0, 0])
-    with pytest.raises(RegularityError) as direct:
-        recurrence_from_moments(u, 4)
-    cand = Recurrence([0], [])
-    with pytest.raises(RegularityError) as closed:
-        certify_recurrence(u, cand, 4)
-    assert str(closed.value) == str(direct.value) == "not regular at level 2: <u, p_2^2> = 0"
+def test_certificate_proves_the_levels_below_a_zero_diagonal():
+    # u = (1, 0, 1, 0, 1, 0) stops being regular at level 2, <u, x^2 p_2> = 0, but its
+    # two levels are u's, and the certificate proves them as the Chebyshev recovers them
+    u = MomentFunctional([1, 0, 1, 0, 1, 0])
+    cand = Recurrence([0, 0], [1])
+    assert certify_recurrence(u, cand, 2) == recurrence_from_moments(u, 2) == (cand, ops_from_recurrence(cand, 2))
 
 
 # -- the coefficient-level generator against the Poly-arithmetic oracle --------
@@ -281,21 +287,6 @@ def test_integer_kernel_matches_oracle(rec, draw):
     assert got == expected
     assert hash(got) == hash(expected)
     assert list(got) == list(expected)
-
-
-@settings(max_examples=100, deadline=None)
-@given(kernel_recurrences(), st.data())
-def test_seeded_kernel_continues_like_the_oracle(rec, draw):
-    # the certificate's close: seeded with p_{M-1}, p_M, stepping t = M..N-1
-    N = len(rec.b)
-    if N < 2:
-        return
-    M = draw.draw(st.integers(1, N - 1))
-    expected = ops_from_recurrence_oracle(rec, N)
-    head = opseq._forms(rec.b_at, rec.a_at, 0, M)
-    tail = opseq._forms(rec.b_at, rec.a_at, M, N, (head[M - 1], head[M]))
-    assert tail[0] is head[M]
-    assert [opseq._poly(f) for f in tail] == [expected[n] for n in range(M, N + 1)]
 
 
 @settings(max_examples=100, deadline=None)

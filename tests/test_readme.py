@@ -5,7 +5,7 @@ import io
 import re
 from pathlib import Path
 
-from qmap import Poly, cubic_cases, recurrence_from_moments
+from qmap import cubic_cases, recurrence_from_moments
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,14 +26,11 @@ def test_the_library_example_prints_what_its_comments_state(monkeypatch):
         exec(compile(code, str(README), "exec"), namespace)
     printed = out.getvalue().splitlines()
     stated = re.findall(r"^print\((.*)\)\s*# (.*)$", code, re.M)
-    assert [comment for _, comment in stated] == ["2", "canonical Phi, monic", "x^3", "2 1", "x^2"]
+    assert [comment for _, comment in stated] == ["2", "canonical Phi, monic", "(1/1)*x^3", "2 1", "(1/1)*x^2"]
     assert len(printed) == len(stated)
     for line, (expr, comment) in zip(printed, stated):
-        value = eval(expr, namespace)
-        if power := re.fullmatch(r"x\^(\d+)", comment):
-            assert value == Poly.monomial(int(power.group(1))), expr
-        elif comment.endswith("monic"):
-            assert value.lc == 1, expr
+        if comment.endswith("monic"):
+            assert eval(expr, namespace).lc == 1, expr
         else:
             assert line == comment, expr
     assert calls == [namespace["square"].u]
