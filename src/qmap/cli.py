@@ -17,10 +17,10 @@ import sys
 
 from .classifier import class_bounds_check, descend_pearson
 from .cubic_cases import CASE_IDS, CaseBundle, build_case, case_fixture, inverse_reconstruct_case13
-from .errors import CaseError, QmapError
+from .errors import CaseError, MappingConditionError, QmapError
 from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import PearsonPair, pearson_moments, pearson_residual
-from .mapping import verify_interleave
+from .mapping import build_mapping, verify_interleave
 from .measures import case13_measure, case1_measure, discrete_lift
 from .opseq import orthogonality_check, proved_recurrence
 from .scalars import QParam, embed_complex, format_scalar, parse_scalar
@@ -88,13 +88,18 @@ def _case_bundle(args) -> CaseBundle:
 
 def _cmd_map(args) -> int:
     bundle = _case_bundle(args)
-    il = verify_interleave(bundle.p_ops, bundle.mapping, bundle.q_ops, min(4, len(bundle.q_ops) - 2))
+    mapping = bundle.mapping
+    try:  # the build reads the mapping in closed form; re-derive it from p's blocks
+        derived = build_mapping(mapping.view, mapping.r0, len(mapping.r) - 1)
+    except MappingConditionError:
+        derived = None
+    il = verify_interleave(bundle.p_ops, mapping, bundle.q_ops, min(4, len(bundle.q_ops) - 2))
     report = {
         "command": "map",
         "case": bundle.case.id,
         "q": format_scalar(bundle.q.q),
-        "mapping": bundle.mapping.to_dict(),
-        "conditions_ok": bundle.mapping.conditions.ok,
+        "mapping": mapping.to_dict(),
+        "conditions_ok": derived == mapping,
         "interleave_ok": il.ok,
         "interleave_checked": il.checked,
     }

@@ -12,9 +12,9 @@ and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
 pass: moments at q^k, the lift, q's recurrence from its pair alone proved on
 v (``opseq.proved_recurrence``, else the Chebyshev on v), p's recurrence (at
 k = 3 ascended from q's, its next level and eta, u's by the ascent lemma with
-no check on u; at any other k the Chebyshev on u), one mapping built from p's,
-compared with q's, pi_k = x^k (which with the comparison proves
-p_{kn} = q_n(x^k)), the lifted (A, C, D) and the class report.
+no check on u; at any other k the Chebyshev on u), the mapping in the closed
+form of the power lemma (see README), the lifted (A, C, D) and the class
+report; p's polynomials are formed when ``CaseBundle.p_ops`` is first read.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -29,8 +30,8 @@ from .classifier import ClassReport, classify
 from .errors import CaseError, SingularCaseError
 from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
-from .mapping import MappingData, ascend_recurrence, build_mapping, lift_functional, lift_power
-from .opseq import BlockView, OPSequence, Recurrence, next_level, ops_from_recurrence, proved_recurrence, recurrence_from_moments
+from .mapping import ConditionReport, MappingData, ascend_recurrence, lift_functional, lift_power
+from .opseq import BlockView, OPSequence, Recurrence, chebyshev_recurrence, next_level, ops_from_recurrence, proved_recurrence
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam
 from .stieltjes import ACDTriple, acd_from_pearson, acd_mapped
@@ -101,20 +102,27 @@ class CaseValidation:
 @dataclass(frozen=True)
 class CaseBundle:
     """Everything a build at the power k = ``mapping.k`` produces; ``case`` and
-    ``expected_pair`` are set by ``build_case`` only."""
+    ``expected_pair`` are set by ``build_case`` only.  ``p_ops`` is formed from
+    rec_p when first read and kept; bundles compare, hash and pickle by rec_p."""
 
     q: QParam
     v: MomentFunctional
     eta: Poly
     u: MomentFunctional
     rec_p: Recurrence
-    p_ops: OPSequence
     q_ops: OPSequence
     mapping: MappingData
     acd: ACDTriple
     report: ClassReport
     case: Optional[CubicCase] = None
     expected_pair: Optional[PearsonPair] = field(default=None, repr=False)
+
+    @cached_property
+    def p_ops(self) -> OPSequence:
+        return ops_from_recurrence(self.rec_p, len(self.rec_p.b))
+
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "p_ops"}
 
 
 def _a01(case_id: int, tau: CycScalar, q: QParam, c: Optional[CycScalar]) -> CycScalar:
@@ -244,9 +252,8 @@ def _constraint_failures(case: CubicCase, q: QParam) -> list[str]:
 def _v_order(N: int, k: int = _K) -> int:
     """The order V of v that ``build_power_case`` generates for the target order N of u.
 
-    Its mapping compares Ncond + 1 levels of q, Ncond = max((Np - k) // k, 1) with
-    Np = (k (V + 1) - 1) // 2, so for every k >= 2 it covers all V // 2 levels of q's recurrence:
-    Ncond + 1 >= (Np - k) // k + 1 = Np // k >= V // 2, as Np >= (kV + k - 2) / 2 >= kV / 2.
+    q's Nq = V // 2 levels are the former Ncond + 1 that builds compared, Ncond = max((Np - k) // k, 1),
+    and p's blocks 0..Nq - 1 exist for ``qmap map`` to re-derive: k Nq <= Np = (k (V + 1) - 1) // 2.
     """
     return max(N // k, 4)
 
@@ -373,20 +380,6 @@ def expected_phi_psi(case: CubicCase, q: QParam) -> PearsonPair:
     return PearsonPair(phi, psi)
 
 
-def _mapping_failure(mapping: MappingData, rec_q: Recurrence) -> Optional[str]:
-    """The stage and message of the first check that the mapping fails against q's recurrence; None if it passes."""
-    # monic sequences agree up to q_n iff their (b_j, a_j) agree for j < n; a_0 = s_0 = 1
-    pairs = zip(zip(mapping.r, (ONE,) + mapping.s), zip(rec_q.b, (ONE,) + rec_q.a))
-    for n, (mapped, moment_side) in enumerate(pairs, 1):
-        if mapped != moment_side:
-            return f"mapping: mapped q_{n} disagrees with moment-side q_{n}"
-    # the block conditions, (r, s) = rec_q and pi_k = x^k together give
-    # p_{kn} = q_n(x^k) for every q_n compared above (Charris-Ismail; see README)
-    if mapping.pi_k != Poly.monomial(mapping.k):
-        return f"power-identity: pi_k != x^{mapping.k}"
-    return None
-
-
 def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, label: str = "power case") -> CaseBundle:
     """Run the full pipeline at the power k = deg eta + 1; N is the target order for u.
 
@@ -395,8 +388,8 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     q's recurrence is ``proved_recurrence(v, pair_v, q^k, v.order // 2)``.  p's
     (stage ``recurrence-p``) has one route per k: at k = 3 q's, its ``next_level``
     on v and eta give it by the ascent, u's by the ascent lemma (see README), so
-    nothing reads u's moments; at any other k it is the Chebyshev on u.  The one
-    mapping built from rec_p must give back q's, else stage ``mapping`` fails.
+    nothing reads u's moments; at any other k it is the Chebyshev on u.  Both are
+    the functionals' own, so the mapping is the power lemma's closed form (README).
     A failing stage raises a CaseError whose message starts with ``label``.
     """
     if eta.degree < 1 or eta.lc != ONE:
@@ -413,26 +406,21 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     v = stage("moments-v", lambda: pearson_moments(pair_v, 1, _v_order(N, k), qk))
     u = stage("lift", lambda: lift_functional(v, eta))
     Np = u.order // 2
-    r0 = v.moment(1) * v.moment(0).inv()
-    Ncond = max((Np - k) // k, 1)
-    Nq = v.order // 2
-    # q^k is validated to v's order, past the Nq - 1 the pair's recurrence reads
-    rec_q, q_ops = stage("recurrence-q", lambda: proved_recurrence(v, pair_v, qk, Nq))
+    # q^k is validated to v's order, past the Nq - 1 the pair's recurrence reads, Nq = v.order // 2
+    rec_q, q_ops = stage("recurrence-q", lambda: proved_recurrence(v, pair_v, qk, v.order // 2))
     if k == 3:  # u's recurrence by the ascent lemma: no Chebyshev, no row over u's moments
         rec_p = stage("recurrence-p", lambda: ascend_recurrence(*next_level(v, rec_q, q_ops), eta, Np))
-        p_ops = ops_from_recurrence(rec_p, Np)
     else:
-        rec_p, p_ops = stage("recurrence-p", lambda: recurrence_from_moments(u, Np))
-    mapping = stage("mapping", lambda: build_mapping(BlockView(rec_p, k), r0, Ncond))
-    # rec_p and rec_q are u's and v's own, so the comparison and pi_k = x^k prove p_{kn} = q_n(x^k)
-    failure = _mapping_failure(mapping, rec_q)
-    if failure:
-        raise CaseError(f"{label} stage {failure}")
+        rec_p = stage("recurrence-p", lambda: chebyshev_recurrence(u, Np))
+    # the power lemma: the block conditions hold, pi_k = x^k and (r, s) = rec_q, r_0 = v_1 / v_0
+    r0 = rec_q.b[0]
+    conditions = ConditionReport(True, True, True, True, eta, (), tuple(r - r0 for r in rec_q.b))
+    mapping = MappingData(r0, Poly.monomial(k), eta, rec_q.b, rec_q.a, conditions, BlockView(rec_p, k))
 
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
     acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, q))
     report = stage("classify", lambda: classify(acd, q))
-    return CaseBundle(q, v, eta, u, rec_p, p_ops, q_ops, mapping, acd, report)
+    return CaseBundle(q, v, eta, u, rec_p, q_ops, mapping, acd, report)
 
 
 def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:

@@ -1,19 +1,19 @@
-"""Construction and verification of the polynomial mapping p_{kn}(x) = q_n(pi_k(x)).
+"""The polynomial mapping p_{kn}(x) = q_n(pi_k(x)), the moment lift, and the ascent at k = 3.
 
-This is the block map p_{kn+m} = theta_m q_n(pi_k) at m = 0, where
-theta_0 = p_0 = 1.  Given the block view of a recurrence this module checks
-the block conditions, builds (pi_k, eta) and the mapped sequence q_n as its
-recurrence (r_n, s_n), verifies the interleaving identities for the
-in-between degrees, and lifts a functional v to the functional u whose
-Stieltjes series is eta(z) * S_v(z^k).  Run forwards, the same block
-conditions and pi_3 = x^3 give p's recurrence, level by level, from q's
-recurrence and eta (``ascend_recurrence``, k = 3).
+This is the block map p_{kn+m} = theta_m q_n(pi_k) at m = 0, theta_0 = 1.
+From the block view of a recurrence ``build_mapping`` checks the block
+conditions and derives (pi_k, eta) and the mapped recurrence (r_n, s_n); a
+case build reads them in the closed form of the power lemma (README) instead.
+``verify_interleave`` checks the in-between degrees, ``lift_functional``
+lifts v to u with S_u(z) = eta(z) S_v(z^k), and ``ascend_recurrence`` runs
+the block conditions forwards at k = 3, from q's recurrence and eta to p's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from math import prod
 from typing import Optional
 
 from .errors import MappingConditionError, QmapError, RegularityError
@@ -146,12 +146,13 @@ def check_conditions(view: BlockView, N: int) -> ConditionReport:
 
 
 def build_mapping(view: BlockView, r0, N: int) -> MappingData:
-    """Construct the mapping data, with the mapped sequence q_0..q_{N+1} as its recurrence.
+    """Derive the mapping data from the blocks 0..N, with the mapped q_0..q_{N+1} as its recurrence.
 
-    Requires the block conditions to hold up to N.  The mapped recurrence is
-    q_{n+1} = (x - r_n) q_n - s_n q_{n-1} with r_n = r_0 + r_n(0) for n = 0..N
-    and s_n = a_n^{(0)} a_{n-1}^{(1)} ... a_{n-1}^{(k-1)} for n = 1..N, so
-    q_1(0) = -r_0.  ``ops_from_recurrence(Recurrence(r, s), N + 1)`` expands it.
+    Raises MappingConditionError unless the block conditions hold up to N.
+    The mapped recurrence is q_{n+1} = (x - r_n) q_n - s_n q_{n-1} with
+    r_n = r_0 + r_n(0) for n = 0..N and s_n = a_n^{(0)} a_{n-1}^{(1)} ...
+    a_{n-1}^{(k-1)} for n = 1..N.  Used by ``qmap map`` and as the tests'
+    oracle of the closed form that a case build reads.
     """
     r0 = CycScalar.coerce(r0)
     report = check_conditions(view, N)
@@ -163,15 +164,9 @@ def build_mapping(view: BlockView, r0, N: int) -> MappingData:
     # terms are Delta_0(1, k-1) = p_k expanded along its first row
     pi_k = delta_det(view, 0, 1, k - 1) + r0
 
-    r = [r0 + c for c in report.r_at_zero]
-    s: list[CycScalar] = []
-    for n in range(1, N + 1):
-        sn = view.a(n, 0)
-        for i in range(1, k):
-            sn = sn * view.a(n - 1, i)
-        s.append(sn)
-
-    return MappingData(r0, pi_k, report.eta, tuple(r), tuple(s), report, view)
+    r = tuple(r0 + c for c in report.r_at_zero)
+    s = tuple(prod((view.a(n - 1, i) for i in range(1, k)), start=view.a(n, 0)) for n in range(1, N + 1))
+    return MappingData(r0, pi_k, report.eta, r, s, report, view)
 
 
 def verify_interleave(p_ops: OPSequence, mapping: MappingData, q_ops: OPSequence, N: int) -> InterleaveReport:

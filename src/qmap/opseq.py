@@ -34,6 +34,7 @@ __all__ = [
     "OrthogonalityReport",
     "ops_from_recurrence",
     "pair_recurrence",
+    "chebyshev_recurrence",
     "recurrence_from_moments",
     "orthogonality_check",
     "delta_det",
@@ -192,17 +193,16 @@ def _forms(b, a, start: int, stop: int) -> list:
 class OPSequence:
     """Monic polynomials p_0..p_N with deg p_n = n, held as canonical integer forms.
 
-    ``forms[n]`` is the canonical form (R, O, D) of ``functionals._scaled``,
-    held as tuples: coefficient i of p_n is (R[i] + O[i] w)/D with integers
-    R[i], O[i] and the least D > 0; O is None when p_n is rational.  The
-    generators (``ops_from_recurrence``, which ``recurrence_from_moments``
-    calls, and ``certify_recurrence``) produce the forms, and the row kernel
-    reads them as they are; the Poly p_n, whose Fraction coefficients cost a
-    gcd each, is built only when ``seq[n]`` or iteration reads it, and anew on
-    every read.  ``OPSequence(polys)`` checks that each element is monic of
-    its index's degree and takes its form from ``_scaled``.  Equality,
-    hashing, copy and pickle all work on the forms, which are canonical, so a
-    sequence compares equal however it was made.
+    ``forms[n]`` is the canonical form (R, O, D) of ``_scaled`` as tuples:
+    coefficient i of p_n is (R[i] + O[i] w)/D with the least D > 0, and O is
+    None when p_n is rational.  ``ops_from_recurrence`` and
+    ``certify_recurrence`` make the forms, and the row kernel reads them as
+    they are; the Poly p_n is built anew on each read of ``seq[n]`` or
+    iteration.  A case build reads none of q's and forms none of p's:
+    ``CaseBundle.p_ops`` is formed from rec_p when first read.
+    ``OPSequence(polys)`` checks that each element is monic of its index's
+    degree.  Equality, hashing, copy and pickle work on the canonical forms,
+    so a sequence compares equal however it was made.
     """
 
     forms: tuple
@@ -290,8 +290,8 @@ def pair_recurrence(pair: PearsonPair, q: QParam, n: int) -> Recurrence:
     return Recurrence(b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)])
 
 
-def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:
-    """Recover b_0..b_{N-1}, a_1..a_{N-1} and p_0..p_N orthogonal for u.
+def chebyshev_recurrence(u: MomentFunctional, N: int) -> Recurrence:
+    """Recover b_0..b_{N-1}, a_1..a_{N-1} of u, with no polynomial formed.
 
     The package's one Chebyshev algorithm (Gautschi, "On generating orthogonal
     polynomials", SIAM J. Sci. Stat. Comput. 3, 1982), on the mixed moments
@@ -302,16 +302,9 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
         a_n = sigma_{n,n} / sigma_{n-1,n-1},
         b_n = sigma_{n,n+1} / sigma_{n,n} - sigma_{n-1,n} / sigma_{n-1,n-1}.
 
-    That is O(N^2) scalar operations with two rows of sigma alive at a time;
-    the polynomials are then generated by ops_from_recurrence as integer
-    forms, one content gcd per level, and each Poly p_n is built only when
-    the returned sequence is read.  Since
-    sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
-    which u stops being regular.
-
-    ``proved_recurrence`` calls it when the pair's recurrence is not proved,
-    for ``qmap ops`` and for q's recurrence in ``cubic_cases.build_power_case``;
-    the build calls it for p's when k != 3, and at k = 3 never.
+    That is O(N^2) scalar operations with two rows of sigma alive at a time.
+    Since sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
+    which u stops being regular.  A case build runs it for p's at k != 3 only.
     """
     if 2 * N - 1 > u.order:
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")
@@ -336,7 +329,12 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
         if n:
             a.append(hn * h_prev_inv)
         h_prev_inv, ratio_prev = hn_inv, ratio
-    rec = Recurrence(b, a)
+    return Recurrence(b, a)
+
+
+def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:
+    """``chebyshev_recurrence(u, N)`` and p_0..p_N: ``proved_recurrence``'s fallback, for ``qmap ops`` and q's."""
+    rec = chebyshev_recurrence(u, N)
     return rec, ops_from_recurrence(rec, N)
 
 

@@ -96,7 +96,7 @@ def stieltjes_residual(t: ACDTriple, S: LaurentSeries, q: QParam) -> LaurentSeri
     """
     A, C, pp = t.A, t.C, S.poly_part
     hpp = hahn_poly_qinv(pp, q)
-    w = _scaled([q.q_bracket(n) for n in range(S.depth + 1)])
+    w = q.q_bracket_form(S.depth)  # it may run past the depth, and _times stops at the shorter form
     da, dc = A.degree, max(C.degree, 0)
     for d, deg in ((S.depth + 1, da), (S.depth, dc)):
         if d < deg:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -365,15 +366,46 @@ def pi_k_oracle(view, m, eta, r0):
 def power_identity_oracle(bundle) -> Optional[int]:
     """The dense check p_{kn} = q_n(x^k) over every n both sequences reach.
 
-    Returns the first failing n, or None.  ``build_power_case`` proves the
-    identity from the block conditions, the mapped recurrence (r, s) equal to
-    q's and pi_k = x^k instead.
+    Returns the first failing n, or None.  ``build_power_case`` reads the
+    identity from the power lemma (README) instead.
     """
     k = bundle.mapping.k
     for n in range(min(len(bundle.q_ops), len(bundle.p_ops) // k)):
         if bundle.p_ops[k * n] != compose_xk(bundle.q_ops[n], k):
             return n
     return None
+
+
+def mapping_failure_oracle(mapping, rec_q: Recurrence) -> Optional[str]:
+    """The stage and message of the first check that the mapping fails against q's recurrence; None if it passes.
+
+    The checks a build made on ``build_mapping``'s output before it read the
+    mapping in the closed form of the power lemma.
+    """
+    # monic sequences agree up to q_n iff their (b_j, a_j) agree for j < n; a_0 = s_0 = 1
+    pairs = zip(zip(mapping.r, (ONE,) + mapping.s), zip(rec_q.b, (ONE,) + rec_q.a))
+    for n, (mapped, moment_side) in enumerate(pairs, 1):
+        if mapped != moment_side:
+            return f"mapping: mapped q_{n} disagrees with moment-side q_{n}"
+    if mapping.pi_k != Poly.monomial(mapping.k):
+        return f"power-identity: pi_k != x^{mapping.k}"
+    return None
+
+
+def spy_everywhere(monkeypatch, fn) -> list:
+    """Record the positional arguments of each call of ``fn`` through every ``qmap`` module that holds it."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "qmap" or name.startswith("qmap.")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
 
 
 def family_recurrence(family: str, a, b, Q, n: int) -> Recurrence:

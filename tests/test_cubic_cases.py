@@ -1,6 +1,7 @@
 """The thirteen-case catalog: fixtures, constraints, builds, reconstruction."""
 
 import copy
+import json
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -32,11 +33,18 @@ from qmap import (
 from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_reconstruct_case13, validate_case
 from qmap.errors import CaseError, MappingConditionError, QmapError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
-from qmap.mapping import ascend_recurrence
-from qmap import cli, functionals, opseq, stieltjes
+from qmap.mapping import ascend_recurrence, build_mapping
+from qmap import cli, functionals, mapping as mapping_module, opseq, stieltjes
 
 from conftest import cached_case_bundle
-from helpers import family_recurrence, ops_from_recurrence_oracle, power_identity_oracle
+from helpers import (
+    call_spy,
+    family_recurrence,
+    mapping_failure_oracle,
+    ops_from_recurrence_oracle,
+    power_identity_oracle,
+    spy_everywhere,
+)
 
 
 def test_fixtures_validate_everywhere(q_half, q_third):
@@ -200,9 +208,23 @@ def test_stage_error_names_the_case(q_half, monkeypatch):
     assert str(info.value) == "case 1 stage recurrence-q: not regular at level 0: <u, p_0^2> = 0"
 
 
-# at N = 24 both sides hold r_0..r_3 and s_1..s_3, so q_0..q_4 are compared
+def _run_map(capsys, *argv):
+    """``qmap map``'s exit code and JSON report."""
+    code = cli.main(["map", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _map_of(monkeypatch, capsys, bundle):
+    """``qmap map`` run on a given bundle in place of the one it builds."""
+    monkeypatch.setattr(cli, "_case_bundle", lambda args: bundle)
+    return _run_map(capsys, "--case", str(bundle.case.id), "--q", "1/2")
+
+
+# at N = 24 q's recurrence holds r_0..r_3 and s_1..s_3, so q_0..q_4 are compared
 @pytest.mark.parametrize("field, index", [("r", 0), ("r", 3), ("s", 0), ("s", 2)])
-def test_mapped_recurrence_mismatch_names_the_first_differing_q(q_half, monkeypatch, field, index):
+def test_mapped_recurrence_mismatch_names_the_first_differing_q(q_half, monkeypatch, capsys, field, index):
+    # a build reads the mapping in closed form; a spoiled one is named by the comparison with
+    # q's recurrence that builds made before (the oracle), and `qmap map` rejects it
     good = cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
     assert (len(good.mapping.r), len(good.q_ops)) == (4, 5)
     values = list(getattr(good.mapping, field))
@@ -211,20 +233,20 @@ def test_mapped_recurrence_mismatch_names_the_first_differing_q(q_half, monkeypa
     mapped = ops_from_recurrence_oracle(Recurrence(bad.r, bad.s), len(bad.r))
     n = next(n for n, (ours, theirs) in enumerate(zip(mapped, good.q_ops)) if ours != theirs)
     assert n == index + (1 if field == "r" else 2)
+    rec_q, _ = recurrence_from_moments(good.v, good.v.order // 2)
+    assert mapping_failure_oracle(good.mapping, rec_q) is None
+    assert mapping_failure_oracle(bad, rec_q) == f"mapping: mapped q_{n} disagrees with moment-side q_{n}"
+    code, report = _map_of(monkeypatch, capsys, replace(good, mapping=bad))
+    assert (code, report["conditions_ok"]) == (1, False)
 
-    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: bad)
-    with pytest.raises(CaseError) as info:
-        cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
-    assert str(info.value) == f"case 1 stage mapping: mapped q_{n} disagrees with moment-side q_{n}"
 
-
-def test_pi_k_mismatch_names_the_power_identity_stage(q_half, monkeypatch):
+def test_pi_k_mismatch_names_the_power_identity_stage(q_half, monkeypatch, capsys):
     good = cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
     bad = replace(good.mapping, pi_k=Poly.monomial(3) + Poly.x())
-    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: bad)
-    with pytest.raises(CaseError) as info:
-        cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
-    assert str(info.value) == "case 1 stage power-identity: pi_k != x^3"
+    rec_q, _ = recurrence_from_moments(good.v, good.v.order // 2)
+    assert mapping_failure_oracle(bad, rec_q) == "power-identity: pi_k != x^3"
+    code, report = _map_of(monkeypatch, capsys, replace(good, mapping=bad))
+    assert (code, report["conditions_ok"], report["interleave_ok"]) == (1, False, False)
 
 
 def test_build_case_is_the_power_builder_at_k3(q_half, monkeypatch):
@@ -233,7 +255,7 @@ def test_build_case_is_the_power_builder_at_k3(q_half, monkeypatch):
     pair = family_pair(b.case.family, p["a"], p.get("b"), q_half.pow(3))
     spy = _ChebyshevSpy(monkeypatch)
     bare = build_power_case(pair, b.eta, q_half, 48)
-    # the pair's recurrence and eta alone give p's by the ascent, and the mapping proves it
+    # the pair's recurrence and eta alone give p's by the ascent, and the power lemma the mapping
     assert spy.calls == []
     assert bare.mapping.k == b.mapping.k == 3
     assert bare.case is None and bare.expected_pair is None
@@ -330,14 +352,14 @@ def test_build_power_case_rejects_constant_or_non_monic_eta(eta, monkeypatch):
 
 
 class _ChebyshevSpy:
-    """Wraps recurrence_from_moments where a build reads it (p's in cubic_cases, q's in
-    opseq.proved_recurrence) and records each functional's order and N."""
+    """Wraps the Chebyshev where a build reads it (p's recurrence in cubic_cases, q's with its
+    polynomials in opseq.proved_recurrence) and records each functional's order and N."""
 
     def __init__(self, monkeypatch, fail=None):
         self.calls = []
         self.fail = fail
-        for module in (cubic_cases, opseq):
-            monkeypatch.setattr(module, "recurrence_from_moments", self)
+        monkeypatch.setattr(cubic_cases, "chebyshev_recurrence", lambda u, N: self(u, N)[0])
+        monkeypatch.setattr(opseq, "recurrence_from_moments", self)
 
     def __call__(self, u, N):
         self.calls.append((u.order, N))
@@ -397,7 +419,7 @@ def test_a_candidate_never_changes_the_outcome(data):
     assert outcomes[0] == outcomes[1]
 
 
-# at N = 24 the mapping checks blocks 0..Ncond = 0..3, that is p's levels 0..11 of Np = 13
+# at N = 24 `qmap map` re-derives blocks 0..3 of p's Np = 13 levels, that is levels 0..11
 @pytest.mark.parametrize(
     "field, level, message",
     [
@@ -410,9 +432,10 @@ def test_a_candidate_never_changes_the_outcome(data):
         ("a", 11, "condition (ii): Delta_3(m+2, m+k-1) varies with n"),
     ],
 )
-def test_a_perturbed_ascent_fails_at_stage_mapping(q_half, monkeypatch, field, level, message):
-    # no certificate runs on u, so the block conditions catch a spoiled level inside blocks
-    # 0..Ncond; the top level 3 Nq = 12 lies past them, and the ascent lemma's test guards it
+def test_a_perturbed_ascent_fails_at_stage_mapping(q_half, monkeypatch, capsys, field, level, message):
+    # a build checks nothing on u and reads the mapping in closed form, so a spoiled level builds;
+    # `qmap map` re-derives the block conditions and fails inside blocks 0..3.  The top level
+    # 3 Nq = 12 lies past them, and the ascent lemma's test guards every level
     def perturbed(r, s, eta, levels):
         up = ascend_recurrence(r, s, eta, levels)
         assert len(up.b) == levels == 13
@@ -420,9 +443,12 @@ def test_a_perturbed_ascent_fails_at_stage_mapping(q_half, monkeypatch, field, l
 
     monkeypatch.setattr(cubic_cases, "ascend_recurrence", perturbed)
     spy = _ChebyshevSpy(monkeypatch)
-    with pytest.raises(CaseError) as info:
-        cubic_cases.build_case(case_fixture(1, q_half), q_half, 24)
-    assert str(info.value) == f"case 1 stage mapping: {message}"
+    mapping = cubic_cases.build_case(case_fixture(1, q_half), q_half, 24).mapping
+    with pytest.raises(MappingConditionError) as info:
+        build_mapping(mapping.view, mapping.r0, len(mapping.r) - 1)
+    assert str(info.value) == message
+    code, report = _run_map(capsys, "--case", "1", "--q", "1/2", "--N", "24")
+    assert (code, report["conditions_ok"]) == (1, False)
     assert spy.calls == []
 
 
@@ -446,8 +472,7 @@ def test_a_build_forms_no_row_over_u_moments(q_half, monkeypatch, case_id, overr
 def test_the_ascent_is_certified_on_every_catalog_and_branch_build(workloads, monkeypatch):
     # the benchmark's own builds: 26 catalog cases, 2 deep and 4 Q(w) branch builds
     spy = _ChebyshevSpy(monkeypatch)
-    real, built = cubic_cases.build_mapping, []
-    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: built.append(args) or real(*args))
+    built = spy_everywhere(monkeypatch, mapping_module.build_mapping)
     real_lift, lifted = cubic_cases.lift_functional, []
     monkeypatch.setattr(cubic_cases, "lift_functional", lambda *args: lifted.append(real_lift(*args)) or lifted[-1])
     real_certify, certified = opseq.certify_recurrence, []
@@ -459,7 +484,7 @@ def test_the_ascent_is_certified_on_every_catalog_and_branch_build(workloads, mo
             call.run()
         # no Chebyshev: q's recurrence is the one its pair fixes, and p's is ascended from it and eta
         assert spy.calls == [], workload
-        assert len(built) == builds, workload  # one mapping per build
+        assert built == [], workload  # the mapping in closed form, by the power lemma
         # one certificate per build, on v: none runs on u
         assert len(certified) == len(lifted) == builds, workload
         assert not any(c is u for c in certified for u in lifted), workload
@@ -531,33 +556,44 @@ def _conditions_fail(mapping):
         (_conditions_fail, "stage mapping: condition (i): b_1^(0) != b_0^(0)"),
     ],
 )
-def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch, candidate, cid, spoil, message):
-    # with the pair's recurrence as q's candidate or with none, the one mapping fails
-    # the same way; q's recurrence is settled first, then the stage is named
-    eta = cached_case_bundle(cid, q_half).eta  # built before the patches
-    real, built = cubic_cases.build_mapping, []
-    monkeypatch.setattr(cubic_cases, "build_mapping", lambda *args: built.append(args) or spoil(real(*args)))
+def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch, capsys, candidate, cid, spoil, message):
+    # with the pair's recurrence as q's candidate or with none, `qmap map` builds the same closed
+    # form and re-derives it once; spoiled there, the mapping fails the check that named its stage
+    # when builds derived it (the oracle), and map exits 1
+    good = cached_case_bundle(cid, q_half)  # built before the patches
+    rec_q, _ = recurrence_from_moments(good.v, good.v.order // 2)
+    real, named = cli.build_mapping, []
+
+    def spoiled(*args):
+        try:
+            mapping = spoil(real(*args))
+        except MappingConditionError as exc:
+            named.append(f"stage mapping: {exc}")
+            raise
+        named.append(f"stage {mapping_failure_oracle(mapping, rec_q)}")
+        return mapping
+
+    monkeypatch.setattr(cli, "build_mapping", spoiled)
     if not candidate:
         monkeypatch.setattr(opseq, "pair_recurrence", _no_candidate)
     spy = _ChebyshevSpy(monkeypatch)
-    case = case_fixture(cid, q_half)
-    pair = family_pair(case.family, case.params["a"], case.params.get("b"), q_half.pow(3))
-    with pytest.raises(CaseError) as info:
-        build_power_case(pair, eta, q_half, 48, f"case {cid}")
-    assert str(info.value) == f"case {cid} {message}"
-    assert len(built) == 1
-    # v's Chebyshev runs only with no candidate, once, for the ascent and for the comparison
+    code, report = _run_map(capsys, "--case", str(cid), "--q", "1/2", "--N", "48")
+    assert (code, report["conditions_ok"]) == (1, False)
+    assert report["mapping"] == good.mapping.to_dict()
+    assert named == [message]
+    # v's Chebyshev runs only with no candidate, once, for the ascent and the closed form
     assert spy.calls.count((16, 8)) == (0 if candidate else 1)
 
 
 def test_the_comparison_covers_every_candidate_level(q_half):
     # build_power_case's orders: v to V = _v_order(N, k), u to k (V + 1) - 1 and
-    # Np = u.order // 2; the mapping compares Ncond + 1 levels, the candidate has V // 2
+    # Np = u.order // 2.  The closed form holds q's V // 2 levels, exactly the Ncond + 1 that
+    # builds compared when they derived the mapping, and p's blocks 0..V // 2 - 1 all exist
     for k in range(2, 17):
-        for N in range(1, 300):
+        for N in range(1, 1000):
             V = cubic_cases._v_order(N, k)
             Np = (k * (V + 1) - 1) // 2
-            assert max((Np - k) // k, 1) + 1 >= V // 2, (k, N)
+            assert max((Np - k) // k, 1) + 1 == V // 2 and k * (V // 2) <= Np, (k, N)
     bundle = cached_case_bundle(1, q_half)
     assert len(bundle.mapping.r) == len(bundle.q_ops) - 1 == bundle.v.order // 2
 
@@ -635,23 +671,65 @@ def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch
 
 
 def test_a_build_reads_no_polynomial_of_its_sequences(q_half, monkeypatch):
-    # p_ops and q_ops stay integer forms through the build; a Poly is built when read
-    built = []
-    poly_of = opseq._poly
-
-    def spy(form):
-        built.append(form)
-        return poly_of(form)
-
-    monkeypatch.setattr(opseq, "_poly", spy)
+    # q_ops stays integer forms through the build, p_ops is not formed, and no determinant of
+    # p's blocks is taken: a build forms no Poly of a form at all; one is built when read
+    built = call_spy(monkeypatch, opseq, "_poly")
     bundle = cubic_cases.build_case(case_fixture(13, q_half), q_half, 48)
-    held = {id(f) for seq in (bundle.p_ops, bundle.q_ops) for f in seq.forms}
-    # delta_det builds the mapping's determinants, of degree at most k; reading
-    # the sequences, or building them eagerly, would build p_n of every degree
-    assert built and all(len(f[0]) <= bundle.mapping.k + 1 for f in built)
-    assert not any(id(f) in held for f in built)
+    assert built == []
     expected = ops_from_recurrence_oracle(bundle.rec_p, len(bundle.p_ops) - 1)
     assert [bundle.p_ops[j] for j in range(len(bundle.p_ops))] == list(expected)
+
+
+def test_no_build_derives_the_mapping_or_forms_p(q_half, monkeypatch):
+    # the power lemma's closed form stands for build_mapping and its block conditions, at k = 3
+    # (rational and Q(w)) and on the Chebyshev route at k = 2 and 4; p's polynomials wait for a read
+    built = spy_everywhere(monkeypatch, mapping_module.build_mapping)
+    checked = spy_everywhere(monkeypatch, mapping_module.check_conditions)
+    formed = spy_everywhere(monkeypatch, opseq.ops_from_recurrence)
+    bundles = [
+        cubic_cases.build_case(case_fixture(cid, q_half, overrides), q_half, 48)
+        for cid, overrides in ((1, None), (13, None), (5, {"tau": -OMEGA}))
+    ]
+    bundles += [_power_bundle(eta, *family) for eta in (POWER_ETAS[0][0], POWER_ETAS[3][0]) for family in FAMILIES]
+    assert {b.mapping.k for b in bundles} == {2, 3, 4}
+    assert built == checked == []
+    assert not any(args[0] == b.rec_p for b in bundles for args in formed)
+
+
+def test_p_ops_is_formed_once_when_first_read(q_half, monkeypatch):
+    formed = spy_everywhere(monkeypatch, opseq.ops_from_recurrence)
+    bundle = cubic_cases.build_case(case_fixture(13, q_half), q_half, 48)
+    Np = bundle.u.order // 2
+    assert formed == [] and "p_ops" not in vars(bundle)
+    first = bundle.p_ops
+    assert first == ops_from_recurrence_oracle(bundle.rec_p, Np)
+    assert bundle.p_ops is first and formed == [(bundle.rec_p, Np)]
+    # compared, hashed, replaced and pickled by rec_p: a copy forms its own when read
+    for other in (replace(bundle), pickle.loads(pickle.dumps(bundle)), copy.deepcopy(bundle)):
+        assert other == bundle and hash(other) == hash(bundle) and "p_ops" not in vars(other)
+        assert other.p_ops == first
+    assert len(formed) == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_the_closed_form_mapping_is_the_block_oracle(data):
+    # the power lemma: wherever a build passes, at k = 2..5 with rational or Q(w) eta, the closed
+    # form is what build_mapping derives from p's blocks 0..Ncond, by value and by its JSON bytes
+    k = data.draw(st.integers(2, 5))
+    small = st.fractions(-3, 3, max_denominator=4)
+    scalars = st.builds(CycScalar, small, small if data.draw(st.booleans()) else st.just(Fraction(0)))
+    eta = Poly(data.draw(st.lists(scalars, min_size=k - 1, max_size=k - 1)) + [1])
+    family, a, b = data.draw(st.sampled_from(FAMILIES))
+    N = data.draw(st.sampled_from((12, 24, 36)))
+    try:
+        bundle = build_power_case(family_pair(family, a, b, Q_POWER.pow(k)), eta, Q_POWER, N)
+    except CaseError:
+        return
+    mapping, v, Np = bundle.mapping, bundle.v, bundle.u.order // 2
+    oracle = build_mapping(BlockView(bundle.rec_p, k), v.moment(1) * v.moment(0).inv(), max((Np - k) // k, 1))
+    assert oracle == mapping
+    assert json.dumps(oracle.to_dict()) == json.dumps(mapping.to_dict())
 
 
 def test_case_and_bundle_hash_and_their_params_are_read_only(q_half):

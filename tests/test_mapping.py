@@ -377,8 +377,8 @@ def proved_q_side(draw):
 def test_the_ascent_of_a_proved_q_is_u_recurrence(side, data):
     # the lemma: with q_0..q_Nq v's own, its next level and eta ascend to u's recurrence, and
     # raise where u is not regular, on every level count u's moments fix: the build's
-    # Np = u.order // 2 and (u.order + 1) // 2.  The mapping check reaches only blocks
-    # 0..Ncond, so this guards the top levels
+    # Np = u.order // 2 and (u.order + 1) // 2.  A build checks no level of the ascent,
+    # so this guards them all
     v, rec_q, q_ops = side
     omega = data.draw(st.booleans())
     scalars = st.builds(CycScalar, small_fractions, small_fractions if omega else st.just(Fraction(0)))

@@ -5,7 +5,8 @@ import io
 import re
 from pathlib import Path
 
-from qmap import cubic_cases, recurrence_from_moments
+from qmap import cubic_cases
+from qmap.opseq import chebyshev_recurrence
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,7 +20,7 @@ def _library_example() -> str:
 def test_the_library_example_prints_what_its_comments_state(monkeypatch):
     # case 13 builds by the ascent (k = 3) and eta = x + 1 by the Chebyshev on u (k = 2)
     calls = []
-    monkeypatch.setattr(cubic_cases, "recurrence_from_moments", lambda u, N: calls.append(u) or recurrence_from_moments(u, N))
+    monkeypatch.setattr(cubic_cases, "chebyshev_recurrence", lambda u, N: calls.append(u) or chebyshev_recurrence(u, N))
     code = _library_example()
     namespace, out = {}, io.StringIO()
     with contextlib.redirect_stdout(out):

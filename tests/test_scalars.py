@@ -110,6 +110,25 @@ def test_q_times_bracket_is_formed_once_per_parameter(q):
         q.q_bracket(n_max + 1)
 
 
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), OMEGA / 2])
+def test_q_bracket_form_is_kept_and_grows_on_demand(q):
+    # the form stieltjes_residual reads: a fresh _scaled of the q [m]_q it reaches, made again
+    # only for a deeper n, and the same object for any n it already reaches
+    q = QParam(q, 40)
+    held = None
+    for n in (0, 5, 3, 5, 20, 12, 41):
+        form = q.q_bracket_form(n)
+        R, O, D = form
+        grown = held is None or len(held[0]) <= n
+        assert (form is not held) == grown
+        assert len(R) == (n + 1 if grown else len(held[0]))
+        assert form == scalars_module._scaled([q.q_bracket(m) for m in range(len(R))])
+        held = form
+    assert (O is None) == (not q.q.om)
+    with pytest.raises(ValueError, match="bracket index 42 out of validated range"):
+        q.q_bracket_form(42)
+
+
 def test_q_bracket_inverse_parameter(q_half):
     q_inv = QParam(q_half.q.inv(), q_half.max_order)
     for n in range(12):

@@ -305,6 +305,8 @@ def test_the_residual_matches_its_oracle(data, omega_q, omega_s):
     q, values = data.draw(qparams(omega_q)), _values(omega_s)
     S = LaurentSeries(data.draw(_polys(values, 3)), data.draw(st.lists(values, max_size=12)))
     t = ACDTriple(data.draw(_polys(values, 4).filter(bool)), data.draw(_polys(values, 4)), data.draw(_polys(values, 5)))
+    if data.draw(st.booleans()):  # q keeps the weights' form of a deeper call, past S's depth
+        q.q_bracket_form(q.max_order + 1)
     assert _outcome(stieltjes_residual, t, S, q) == _outcome(stieltjes_residual_oracle, t, S, q)
 
 
