@@ -22,7 +22,7 @@ from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_fa
 from .functionals import PearsonPair, pearson_moments, pearson_residual
 from .mapping import build_mapping, verify_interleave
 from .measures import case13_measure, case1_measure, discrete_lift
-from .opseq import orthogonality_check, proved_recurrence
+from .opseq import next_level, ops_from_recurrence, orthogonality_check, proved_pair_recurrence, recurrence_from_moments
 from .scalars import QParam, embed_complex, format_scalar, parse_scalar
 from .stieltjes import series_from_functional, stieltjes_residual, verify_susvq
 
@@ -60,8 +60,15 @@ def _cmd_ops(args) -> int:
     pair = family_pair(args.family, a, b, q)
     u = pearson_moments(pair, parse_scalar(args.u0), args.N, q)
     residual = pearson_residual(u, pair, q)
-    rec, ops = proved_recurrence(u, pair, q, args.N // 2)
-    orth = orthogonality_check(u, ops)
+    M = args.N // 2
+    proved = proved_pair_recurrence(u, pair, q, M)
+    if proved:
+        rec, ops = proved
+        # the proof gives every pair the scan reads but <u, p_M^2>, nonzero with a_M (h_0 = u_0 at M = 0)
+        orth_ok = M == 0 or bool(next_level(u, rec, ops)[1][-1])
+    else:
+        rec, ops = recurrence_from_moments(u, M)
+        orth_ok = orthogonality_check(u, ops).ok
     report = {
         "command": "ops",
         "family": args.family,
@@ -74,10 +81,10 @@ def _cmd_ops(args) -> int:
         "polynomials": [p.to_strings() for p in ops],
         "pearson_residual_zero": not any(residual),
         "residual_entries": len(residual),
-        "orthogonality_ok": orth.ok,
+        "orthogonality_ok": orth_ok,
     }
     _emit(report, args.output)
-    return 0 if report["pearson_residual_zero"] and orth.ok else ASSERTION_ERROR
+    return 0 if report["pearson_residual_zero"] and orth_ok else ASSERTION_ERROR
 
 
 def _case_bundle(args) -> CaseBundle:
@@ -93,7 +100,8 @@ def _cmd_map(args) -> int:
         derived = build_mapping(mapping.view, mapping.r0, len(mapping.r) - 1)
     except MappingConditionError:
         derived = None
-    il = verify_interleave(bundle.p_ops, mapping, bundle.q_ops, min(4, len(bundle.q_ops) - 2))
+    n = min(4, len(bundle.q_ops) - 2)  # the identities to n read p_0..p_{k(n+1)}
+    il = verify_interleave(ops_from_recurrence(bundle.rec_p, mapping.k * (n + 1)), mapping, bundle.q_ops, n)
     report = {
         "command": "map",
         "case": bundle.case.id,
@@ -230,7 +238,7 @@ def _cmd_measure(args) -> int:
 def _cmd_descend(args) -> int:
     bundle = _case_bundle(args)
     case, q, k = bundle.case, bundle.q, bundle.mapping.k
-    basis = [bundle.p_ops[j] for j in range(k)]
+    basis = list(ops_from_recurrence(bundle.rec_p, k - 1))
     pair_u = PearsonPair(bundle.report.phi, bundle.report.psi)
     pair_v = descend_pearson(pair_u, bundle.report.s, basis, q, bundle.v)
     report = {

@@ -9,12 +9,13 @@ Rows of correlations sum_i c_i v_{i+l} are read from canonical integer forms
 (R, O, D), value i being (R[i] + O[i] w)/D with one D for both components;
 ``_scaled`` makes them, and ``opseq`` stores p_n in them.  ``_correlate``
 reads the moments themselves: phi u, u_poly, the mixed-moment table of
-``orthogonality_check``, the two rows of ``opseq.certify_recurrence`` and the
-next level ``opseq.next_level``.  Its integer rows (``_rows``) serve
-``stieltjes.stieltjes_residual`` too, which folds the Hahn weights into S's
-form (``_times``), adds the rows over one denominator (``_sum_rows``) and
-makes scalars (``_scalars``) only of a nonzero residual.  ``_dot`` is left
-for single dot products.
+``orthogonality_check`` and the next level ``opseq.next_level``.  Its integer
+rows (``_rows``) serve ``stieltjes.stieltjes_residual`` too, which folds the
+Hahn weights into S's form (``_times``), adds the rows over one denominator
+(``_sum_rows``) and makes scalars (``_scalars``) only of a nonzero residual;
+``_pearson_holds`` tests u's Pearson equation the same way, and
+``_eigen_holds`` the eigen-equation L p_n = lambda_n p_n on p_n's form, for
+``opseq.proved_pair_recurrence``.  ``_dot`` is left for single dot products.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import RegularityError, TruncationError
 from .polyalg import Poly
@@ -283,6 +284,51 @@ def pearson_moments(pair: PearsonPair, u0, N: int, q: QParam) -> MomentFunctiona
         moments.append(-(known * lead.inv()))
         n += 1
     return MomentFunctional(moments)
+
+
+def _pearson_holds(u: MomentFunctional, pair: PearsonPair, q: QParam, n: int) -> bool:
+    """Whether <H_q(Phi u) - Psi u, x^m> = 0 for m < n: an integer zero test on u_0..u_n.
+
+    For deg Phi <= 2 and deg Psi <= 1.  Times -q, entry m is q [m]_q (Phi u)_{m-1} + (q Psi u)_m: the rows of Phi
+    and of q Psi over the moments' form, the first weighted by
+    ``QParam.q_bracket_form``, summed over one denominator.
+    """
+    if n < 1:
+        return True
+    moments = _scaled(u.moments[: n + 1])
+    X, Y, den = _rows(_scaled(pair.phi.coeffs), moments, n - 1)
+    hahn = _times(q.q_bracket_form(n - 1), ([0] + X, Y and [0] + Y, den))
+    X, Y, _ = _sum_rows([hahn, _rows(_scaled([q.q * c for c in pair.psi.coeffs]), moments, n)], n)
+    return not (any(X) or any(Y or ()))
+
+
+def _eigen_holds(forms, eigen) -> bool:
+    """Whether L p_n = lambda_n p_n for every form p_n, L being the operator of ``opseq.pair_recurrence``.
+
+    ``eigen`` is the ``_scaled`` form of lambda_0..lambda_N, mu_0..mu_N and
+    nu_0..nu_N.  On p_n's numerators c_j, coefficient j < n of (L - lambda_n) p_n is
+    (lambda_j - lambda_n) c_j + mu_{j+1} c_{j+1} + nu_{j+2} c_{j+2}, up to the
+    two denominators: three products of a small integer with a large one.
+    """
+    R, O, _ = eigen
+    K = len(R) // 3
+    parts = [(E[:K], E[K + 1 : 2 * K], E[2 * K + 2 :] + [0]) for E in (R, O) if E is not None]
+
+    def row(part, C, n):  # the coefficients j < n for one integer part of the values and of p_n
+        lam, mu, nu = parts[part]
+        terms = zip(lam[:n], mu, nu, C, C[1:], [*C[2:], 0])
+        return [(l - lam[n]) * c + m * c1 + v * c2 for l, m, v, c, c1, c2 in terms]
+
+    for n, (C, Co, _) in enumerate(forms):
+        if O is None:
+            rows = (row(0, C, n), row(0, Co or (), n))
+        else:  # (e + f w)(c + d w) = (e c - f d) + (e d + f (c - d)) w
+            Co = Co or [0] * len(C)
+            diff = list(map(sub, C, Co))
+            rows = (map(sub, row(0, C, n), row(1, Co, n)), map(add, row(0, Co, n), row(1, diff, n)))
+        if any(map(any, rows)):
+            return False
+    return True
 
 
 def pearson_residual(u: MomentFunctional, pair: PearsonPair, q: QParam):

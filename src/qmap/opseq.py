@@ -11,8 +11,9 @@ integer form (R, O, D) of ``functionals._scaled``, coefficient i being
 kernel ``_correlate`` reads the forms as they are, and a Poly is built only
 when it is read.  ``proved_recurrence`` is the one step from a functional and
 its pair to its recurrence, for ``qmap ops`` and for q's in a case build: the
-pair's N levels, all proved by two rows of mixed moments, else the Chebyshev
-algorithm (``recurrence_from_moments``), whose one level ``next_level`` reads.
+pair's N levels, proved by the eigen-equation L p_n = lambda_n p_n and u's
+Pearson equation (``proved_pair_recurrence``), else the Chebyshev algorithm
+(``recurrence_from_moments``), whose one level ``next_level`` reads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
-from .functionals import MomentFunctional, PearsonPair, _correlate, _dot, _scaled
+from .functionals import MomentFunctional, PearsonPair, _correlate, _dot, _eigen_holds, _pearson_holds, _scaled
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam, ZERO
 
@@ -34,6 +35,7 @@ __all__ = [
     "OrthogonalityReport",
     "ops_from_recurrence",
     "pair_recurrence",
+    "proved_pair_recurrence",
     "chebyshev_recurrence",
     "recurrence_from_moments",
     "orthogonality_check",
@@ -195,11 +197,10 @@ class OPSequence:
 
     ``forms[n]`` is the canonical form (R, O, D) of ``_scaled`` as tuples:
     coefficient i of p_n is (R[i] + O[i] w)/D with the least D > 0, and O is
-    None when p_n is rational.  ``ops_from_recurrence`` and
-    ``certify_recurrence`` make the forms, and the row kernel reads them as
-    they are; the Poly p_n is built anew on each read of ``seq[n]`` or
-    iteration.  A case build reads none of q's and forms none of p's:
-    ``CaseBundle.p_ops`` is formed from rec_p when first read.
+    None when p_n is rational.  The kernels read the forms as they are; the
+    Poly p_n is built anew on each read of ``seq[n]`` or iteration.  A case
+    build reads none of q's and forms none of p's: ``CaseBundle.p_ops`` is
+    formed from rec_p when first read.
     ``OPSequence(polys)`` checks that each element is monic of its index's
     degree.  Equality, hashing, copy and pickle work on the canonical forms,
     so a sequence compares equal however it was made.
@@ -261,17 +262,20 @@ def pair_recurrence(pair: PearsonPair, q: QParam, n: int) -> Recurrence:
         c_m = mu_m / (lambda_m - lambda_{m-1}),
         d_m = (nu_m + c_m mu_{m-1}) / (lambda_m - lambda_{m-2}),
 
-    and b_m = c_m - c_{m+1}, a_m = d_m - d_{m+1} - b_m c_m.  Only
-    lambda_0..lambda_n are read, so q must be validated to order n - 1;
-    ``proved_recurrence`` reads all n levels and proves them on u.  A
-    one-line QmapError names wrong degrees, a zero gap lambda_m - lambda_j
-    (the moments to order 2n - 1 then do not exist either) or a zero a_m (a
-    RegularityError from ``Recurrence``).
+    and b_m = c_m - c_{m+1}, a_m = d_m - d_{m+1} - b_m c_m, reading
+    lambda_0..lambda_n, so q must be validated to order n - 1.  A one-line
+    QmapError names wrong degrees, a zero gap lambda_m - lambda_j or a zero
+    a_m (a RegularityError from ``Recurrence``).
     """
+    return _pair_candidate(pair, q, n)[0]
+
+
+def _pair_candidate(pair: PearsonPair, q: QParam, n: int) -> tuple[Recurrence, list]:
+    """``pair_recurrence`` and the lambda_m, mu_m and nu_m (m <= n) it read, as one list, for the proof."""
     phi, psi = pair.phi, pair.psi
     if phi.degree > 2 or psi.degree != 1:
         raise QmapError(f"pair recurrence: need deg Phi <= 2 and deg Psi = 1, have {phi.degree} and {psi.degree}")
-    lam, mu, c, d = [], [], [], []
+    lam, mu, nu, c, d = [], [], [], [], []
 
     def over_gap(x, m, j):
         gap = lam[m] - lam[m - j]
@@ -284,10 +288,11 @@ def pair_recurrence(pair: PearsonPair, q: QParam, n: int) -> Recurrence:
         t = inv * q.bracket(m - 1) if m else ZERO
         lam.append(phi.coeff(2) * t + psi.coeff(1) * inv)
         mu.append(phi.coeff(1) * t + psi.coeff(0) * inv)
+        nu.append(phi.coeff(0) * t)
         c.append(over_gap(mu[m], m, 1) if m else ZERO)
-        d.append(over_gap(phi.coeff(0) * t + c[m] * mu[m - 1], m, 2) if m > 1 else ZERO)
+        d.append(over_gap(nu[m] + c[m] * mu[m - 1], m, 2) if m > 1 else ZERO)
     b = [c[m] - c[m + 1] for m in range(n)]
-    return Recurrence(b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)])
+    return Recurrence(b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)]), lam + mu + nu
 
 
 def chebyshev_recurrence(u: MomentFunctional, N: int) -> Recurrence:
@@ -338,48 +343,32 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     return rec, ops_from_recurrence(rec, N)
 
 
-def certify_recurrence(u: MomentFunctional, cand: Recurrence, N: int) -> Optional[tuple[Recurrence, OPSequence]]:
-    """Prove that the candidate's first N levels are u's and return them with p_0..p_N; None if they are not proved.
+def proved_pair_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> Optional[tuple[Recurrence, OPSequence]]:
+    """``pair_recurrence(pair, q, N)`` and p_0..p_N if the symmetry lemma (README) proves them u's, else None.
 
-    The levels generate p_0..p_N.  If <u, x^l p_N> = 0 for l < N,
-    <u, x^l p_{N-1}> = 0 for l < N - 1 and <u, x^{N-1} p_{N-1}> != 0, then
-    p_0..p_N are u's monic orthogonal polynomials, u is regular below level N
-    and the levels are u's own: running the recurrence downwards (every
-    a_n != 0),
-
-        a_n <u, x^l p_{n-1}> = <u, x^{l+1} p_n> - b_n <u, x^l p_n> - <u, x^l p_{n+1}>,
-
-    makes each p_n with n < N orthogonal to x^l for l < n with
-    <u, x^n p_n> != 0.  So the result is exactly ``recurrence_from_moments(u, N)``.
-    The two rows, N entries each, read u_0..u_{2N-1}: 2N integer dot products
-    of the forms of p_N and p_{N-1} with the ``_scaled`` form of the moments
-    (``_correlate``), with no gcd inside a sum and no Poly built.  None when
-    the candidate has fewer than N levels, when N < 1, when u lacks u_{2N-1},
-    or when a condition fails.
+    Proved when u_0 != 0, u holds u_{2N-1} and the pair's Pearson equation to
+    that order, lambda_0..lambda_N are distinct and L p_n = lambda_n p_n for
+    n <= N: then <u, p_n p_m> = 0 for n != m and h_n = u_0 a_1...a_n != 0,
+    so this is ``recurrence_from_moments(u, N)``.
     """
-    if not 0 < N <= len(cand.b) or 2 * N - 1 > u.order:
+    if 2 * N - 1 > u.order or not u.moments[0]:
+        return None
+    try:
+        cand, eigen = _pair_candidate(pair, q, N)
+    except QmapError:
+        return None
+    R, O, _ = eigen = _scaled(eigen)
+    lam = R[: N + 1] if O is None else zip(R[: N + 1], O)
+    if len(set(lam)) <= N or not _pearson_holds(u, pair, q, 2 * N - 1):
         return None
     forms = _forms(cand.b_at, cand.a_at, 0, N)
-    moments = _scaled(u.moments[: 2 * N])
-    row = _correlate(forms[N], moments, N)
-    prev = _correlate(forms[N - 1], moments, N)
-    if any(row) or any(prev[: N - 1]) or not prev[N - 1]:
-        return None
-    return Recurrence(cand.b[:N], cand.a[: N - 1]), OPSequence._of_forms(forms)
+    return (cand, OPSequence._of_forms(forms)) if _eigen_holds(forms, eigen) else None
 
 
 def proved_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> tuple[Recurrence, OPSequence]:
-    """u's recurrence on N levels and p_0..p_N: the pair's, proved on u, else the Chebyshev algorithm.
-
-    ``certify_recurrence`` proves every level of ``pair_recurrence(pair, q, N)``;
-    when the pair fixes none (a QmapError) or is not proved,
-    ``recurrence_from_moments(u, N)`` decides, and its errors are the caller's.
-    """
-    try:
-        proved = certify_recurrence(u, pair_recurrence(pair, q, N), N)
-    except QmapError:
-        proved = None
-    return proved or recurrence_from_moments(u, N)
+    """u's N levels and p_0..p_N: ``proved_pair_recurrence``, else
+    ``recurrence_from_moments(u, N)``, whose errors are the caller's."""
+    return proved_pair_recurrence(u, pair, q, N) or recurrence_from_moments(u, N)
 
 
 def next_level(u: MomentFunctional, rec: Recurrence, ops: OPSequence) -> tuple[tuple, tuple]:
@@ -415,22 +404,13 @@ class OrthogonalityReport:
 def orthogonality_check(u: MomentFunctional, ops: OPSequence, n_max: Optional[int] = None) -> OrthogonalityReport:
     """Certify <u, p_n p_m> = 0 for n != m and != 0 on the diagonal.
 
-    Checks every pair n <= m <= n_max whose product degree n + m stays
-    inside the effective order of u, in the order n, then m, and reports the
-    first pair that fails.  No product p_n p_m is formed: by bilinearity
-
-        <u, p_n p_m> = sum_{j <= n} c_{n,j} sigma_{m,j},
-        sigma_{m,j} = <u, x^j p_m> = sum_i c_{m,i} u_{i+j},
-
-    with c_{n,j} the coefficients of p_n.  A pair needs sigma_{m,j} only for
-    j <= n <= min(m, order - m), so row m of the table is min(m, order - m) + 1
-    integer dot products of length m + 1 per nonzero component pair, from
-    ``_correlate`` on the canonical forms of the moments and of p_m (the
-    latter as the sequence holds it), with no gcd inside a sum.  Each pair is
-    one Q(w) dot product of length n + 1 with the integer numerators R + O w
-    of p_n's form: that is D_n <u, p_n p_m>, which vanishes with it, so no
-    Poly is built.  O(N^3) operations in all, against O(N^4) scalar
-    operations for the N^2/2 dense products.
+    Checks every pair n <= m <= n_max with n + m inside u's effective order,
+    in the order n, then m, and reports the first that fails.  By bilinearity
+    <u, p_n p_m> = sum_{j <= n} c_{n,j} sigma_{m,j} with
+    sigma_{m,j} = <u, x^j p_m>: row m of sigma is min(m, order - m) + 1 entries
+    of ``_correlate``, and each pair one dot product with p_n's numerators
+    (D_n <u, p_n p_m>), so no Poly is built; O(N^3) operations in all.
+    ``qmap ops`` runs it only where the pair's proof fails.
     """
     limit = len(ops) - 1 if n_max is None else min(n_max, len(ops) - 1)
     moments = _scaled(u.moments)

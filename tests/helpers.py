@@ -27,9 +27,10 @@ from qmap import (
 )
 from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.families import FAMILY_LAGUERRE
-from qmap.functionals import _dot
+from qmap.functionals import _correlate, _dot, _scaled
+from qmap import opseq
 from qmap.mapping import lift_power
-from qmap.opseq import OrthogonalityReport, delta_det
+from qmap.opseq import OrthogonalityReport, _forms, delta_det
 from qmap.scalars import parse_scalar
 from qmap.stieltjes import SeriesReport
 
@@ -174,6 +175,34 @@ def recurrence_from_moments_oracle(u: MomentFunctional, N: int) -> tuple[Recurre
         h_prev = hn
         polys.append(nxt)
     return Recurrence(b, a), OPSequence(polys)
+
+
+def certify_recurrence_oracle(u: MomentFunctional, cand: Recurrence, N: int) -> Optional[tuple[Recurrence, OPSequence]]:
+    """The candidate's first N levels and p_0..p_N if two rows of mixed moments prove them u's; None otherwise.
+
+    The certificate builds ran before the eigen proof, and still the proof of a
+    semiclassical u, where the symmetry lemma does not apply.  If
+    <u, x^l p_N> = 0 for l < N, <u, x^l p_{N-1}> = 0 for l < N - 1 and
+    <u, x^{N-1} p_{N-1}> != 0, then running the recurrence downwards (every
+    a_n != 0),
+
+        a_n <u, x^l p_{n-1}> = <u, x^{l+1} p_n> - b_n <u, x^l p_n> - <u, x^l p_{n+1}>,
+
+    makes each p_n with n < N orthogonal to x^l for l < n with
+    <u, x^n p_n> != 0, so the result is exactly ``recurrence_from_moments(u, N)``.
+    The rows, N entries each, read u_0..u_{2N-1}.  None when the candidate has
+    fewer than N levels, when N < 1, when u lacks u_{2N-1}, or when a
+    condition fails.
+    """
+    if not 0 < N <= len(cand.b) or 2 * N - 1 > u.order:
+        return None
+    forms = _forms(cand.b_at, cand.a_at, 0, N)
+    moments = _scaled(u.moments[: 2 * N])
+    row = _correlate(forms[N], moments, N)
+    prev = _correlate(forms[N - 1], moments, N)
+    if any(row) or any(prev[: N - 1]) or not prev[N - 1]:
+        return None
+    return Recurrence(cand.b[:N], cand.a[: N - 1]), OPSequence._of_forms(forms)
 
 
 def orthogonality_check_oracle(u: MomentFunctional, ops: OPSequence, n_max: Optional[int] = None) -> OrthogonalityReport:
@@ -406,6 +435,21 @@ def spy_everywhere(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(module, attr, spy)
     return calls
+
+
+def no_candidate(*args):
+    raise QmapError("no candidate")
+
+
+def patch_candidate(monkeypatch, spoil) -> None:
+    """Make every pair proof read spoil(c) for the pair's candidate c, against the lambda, mu, nu c was read from."""
+    real = opseq._pair_candidate
+
+    def spoiled(*args):
+        rec, eigen = real(*args)
+        return spoil(rec), eigen
+
+    monkeypatch.setattr(opseq, "_pair_candidate", spoiled)
 
 
 def family_recurrence(family: str, a, b, Q, n: int) -> Recurrence:

@@ -1,16 +1,22 @@
 """CLI behavior: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from qmap import MomentFunctional, Poly, Recurrence, classifier, cli, cubic_cases, opseq, stieltjes
+from hypothesis import given, settings, strategies as st
+
+from qmap import CycScalar, MomentFunctional, Poly, Recurrence, classifier, cli, cubic_cases, opseq, stieltjes
 from qmap.cli import main
 from qmap.errors import QmapError
+from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE
+from qmap.scalars import format_scalar
 
-from helpers import call_spy, stieltjes_residual_oracle, verify_susvq_oracle
+from helpers import call_spy, patch_candidate, spy_everywhere, stieltjes_residual_oracle, verify_susvq_oracle
 
 
 def run_cli(capsys, *argv):
@@ -53,22 +59,51 @@ def _singular(rec):
 
 @pytest.mark.parametrize("argv", OPS_ARGV)
 def test_ops_proves_the_pair_recurrence_and_the_chebyshev_decides_otherwise(capsys, monkeypatch, argv):
-    # ops and a build share one step, opseq.proved_recurrence
-    chebyshev = opseq.recurrence_from_moments
-    calls = []
-
-    def spy(u, N):
-        calls.append(N)
-        return chebyshev(u, N)
-
-    monkeypatch.setattr(opseq, "recurrence_from_moments", spy)
+    # ops and a build share one proof, opseq.proved_pair_recurrence; the Chebyshev and the
+    # orthogonality scan run only where it fails
+    chebyshev = spy_everywhere(monkeypatch, opseq.recurrence_from_moments)
+    scanned = spy_everywhere(monkeypatch, opseq.orthogonality_check)
     expected = run_cli(capsys, *argv)
-    assert calls == [] and expected[0] == 0
-    candidate = opseq.pair_recurrence
+    assert chebyshev == scanned == [] and expected[0] == 0
+    M = int(argv[argv.index("--N") + 1]) // 2
     for wrong in (_wrong_first_b, _singular):
-        monkeypatch.setattr(opseq, "pair_recurrence", lambda *args: wrong(candidate(*args)))
-        assert run_cli(capsys, *argv) == expected
-        assert calls.pop() == int(argv[argv.index("--N") + 1]) // 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch_candidate(patch, wrong)
+            assert run_cli(capsys, *argv) == expected
+        assert [args[1] for args in chebyshev] == [M] and len(scanned) == 1
+        chebyshev.clear()
+        scanned.clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ops_reads_orthogonality_from_the_proof_as_the_scan_does(data):
+    # a proved pair covers every pair n != m <= M the scan reads, and <u, p_M^2> != 0 is
+    # next_level's a_M != 0: exit code, report and error line are the fallback's, byte for byte
+    omega = data.draw(st.booleans())
+    small = st.fractions(-3, 3, max_denominator=4)
+    scalar = st.builds(lambda re, om: format_scalar(CycScalar(re, om if omega else 0)), small, small)
+    family = data.draw(st.sampled_from([FAMILY_LAGUERRE, FAMILY_JACOBI]))
+    argv = ["ops", "--family", family, "--a", data.draw(scalar), "--q", data.draw(st.sampled_from(["1/2", "1/3", "-1/2*w"]))]
+    argv += ["--b", data.draw(scalar)] if family == FAMILY_JACOBI else []
+    argv += ["--N", str(data.draw(st.integers(1, 16))), "--u0", data.draw(st.sampled_from(["1", "3", "-1/2*w"]))]
+    outcomes = []
+    for proof in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not proof:  # the Chebyshev and the scan decide
+                patch.setattr(cli, "proved_pair_recurrence", lambda *args: None)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            outcomes.append((code, out.getvalue(), err.getvalue()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_ops_with_a_zero_u0_names_level_0(capsys):
+    # u_0 = 0 fails the proof, and the Chebyshev's own error is the one line
+    code = main(["ops", "--family", "little-q-laguerre", "--a", "1/4", "--q", "1/2", "--N", "24", "--u0", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: not regular at level 0: <u, p_0^2> = 0\n"
 
 
 def test_ops_builds_each_polynomial_once(capsys, monkeypatch):
@@ -180,6 +215,19 @@ def test_descend_computes_the_v_residual_once(capsys, monkeypatch):
         "reconstruction": {"r0": "55/29", "b01": "-25/87", "b02": "47/29", "a02": "-672/841"},
     }
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+# verify_interleave to n reads p_0..p_{3(n+1)}, descend the simple set p_0..p_2
+@pytest.mark.parametrize("argv, levels", [(["map", "--N", "48"], 15), (["map", "--N", "12"], 6), (["descend", "--N", "48"], 2)])
+def test_map_and_descend_form_only_the_p_they_read(capsys, monkeypatch, argv, levels):
+    formed = spy_everywhere(monkeypatch, opseq.ops_from_recurrence)
+    real, bundles = cli._case_bundle, []
+    monkeypatch.setattr(cli, "_case_bundle", lambda args: bundles.append(real(args)) or bundles[-1])
+    assert main([*argv, "--case", "13", "--q", "1/2"]) == 0
+    capsys.readouterr()
+    (bundle,) = bundles
+    assert [args[1] for args in formed if args[0] == bundle.rec_p] == [levels]
+    assert "p_ops" not in vars(bundle)  # not all Np + 1 of them
 
 
 def test_map_report_is_pinned(capsys):

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -41,7 +42,9 @@ from helpers import (
     call_spy,
     family_recurrence,
     mapping_failure_oracle,
+    no_candidate,
     ops_from_recurrence_oracle,
+    patch_candidate,
     power_identity_oracle,
     spy_everywhere,
 )
@@ -199,9 +202,8 @@ def test_stage_error_names_the_case(q_half, monkeypatch):
     def irregular(u, N):
         raise RegularityError("not regular at level 0: <u, p_0^2> = 0")
 
-    # the certificate on v rejects a wrong candidate, so the Chebyshev on v runs
-    real = opseq.pair_recurrence
-    monkeypatch.setattr(opseq, "pair_recurrence", lambda *args: _wrong(real(*args), "b", 0))
+    # the proof on v rejects a wrong candidate, so the Chebyshev on v runs
+    patch_candidate(monkeypatch, lambda rec: _wrong(rec, "b", 0))
     monkeypatch.setattr(opseq, "recurrence_from_moments", irregular)
     with pytest.raises(CaseError) as info:
         cubic_cases.build_case(case_fixture(1, q_half), q_half, 12)
@@ -261,7 +263,7 @@ def test_build_case_is_the_power_builder_at_k3(q_half, monkeypatch):
     assert bare.case is None and bare.expected_pair is None
     assert replace(bare, case=b.case, expected_pair=b.expected_pair) == b
     spy.calls.clear()
-    monkeypatch.setattr(opseq, "pair_recurrence", _no_candidate)
+    patch_candidate(monkeypatch, no_candidate)
     # with no candidate, the Chebyshev on v gives q's recurrence, once, for the ascent and the mapping
     assert build_power_case(pair, b.eta, q_half, 48) == bare
     assert spy.calls == [(b.v.order, b.v.order // 2)]
@@ -411,7 +413,7 @@ def test_a_candidate_never_changes_the_outcome(data):
     for candidate in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             if not candidate:
-                patch.setattr(opseq, "pair_recurrence", _no_candidate)
+                patch_candidate(patch, no_candidate)
             try:
                 outcomes.append(build_power_case(pair, eta, Q_POWER, N))
             except CaseError as exc:
@@ -454,17 +456,17 @@ def test_a_perturbed_ascent_fails_at_stage_mapping(q_half, monkeypatch, capsys, 
 
 @pytest.mark.parametrize("case_id, overrides", [(13, ()), (1, (("tau", -OMEGA),))])
 def test_a_build_forms_no_row_over_u_moments(q_half, monkeypatch, case_id, overrides):
-    # a rational catalog build and a Q(w) branch build certify q's recurrence on v and read
+    # a rational catalog build and a Q(w) branch build prove q's recurrence on v and read
     # v's last moments for its next level; the ascent gives p's, and nothing reads u's moments
-    certified, scaled = [], []
-    real_certify = opseq.certify_recurrence
-    monkeypatch.setattr(opseq, "certify_recurrence", lambda u, *args: certified.append(u) or real_certify(u, *args))
+    proved, scaled = [], []
+    real_proof = opseq.proved_pair_recurrence
+    monkeypatch.setattr(opseq, "proved_pair_recurrence", lambda u, *args: proved.append(u) or real_proof(u, *args))
     for module in (functionals, opseq, stieltjes):
         real = module._scaled
         monkeypatch.setattr(module, "_scaled", lambda values, real=real: scaled.append(tuple(values)) or real(values))
     bundle = cubic_cases.build_case(case_fixture(case_id, q_half, dict(overrides)), q_half, 24)
     Np = bundle.u.order // 2
-    assert certified == [bundle.v]
+    assert proved == [bundle.v]
     assert not any(len(x) > 3 and x == bundle.u.moments[: len(x)] for x in scaled)
     assert (bundle.rec_p, bundle.p_ops) == recurrence_from_moments(bundle.u, Np)
 
@@ -475,23 +477,50 @@ def test_the_ascent_is_certified_on_every_catalog_and_branch_build(workloads, mo
     built = spy_everywhere(monkeypatch, mapping_module.build_mapping)
     real_lift, lifted = cubic_cases.lift_functional, []
     monkeypatch.setattr(cubic_cases, "lift_functional", lambda *args: lifted.append(real_lift(*args)) or lifted[-1])
-    real_certify, certified = opseq.certify_recurrence, []
-    monkeypatch.setattr(opseq, "certify_recurrence", lambda u, *args: certified.append(u) or real_certify(u, *args))
+    real_proof, proved = opseq.proved_pair_recurrence, []
+
+    def proof(u, *args):
+        proved.append((u, real_proof(u, *args)))
+        return proved[-1][1]
+
+    monkeypatch.setattr(opseq, "proved_pair_recurrence", proof)
     for workload, builds in (("catalog", 26), ("deep", 2), ("branch", 4)):
-        for calls in (spy.calls, built, lifted, certified):
+        for calls in (spy.calls, built, lifted, proved):
             calls.clear()
         for call in workloads.build(workload, 0):
             call.run()
         # no Chebyshev: q's recurrence is the one its pair fixes, and p's is ascended from it and eta
         assert spy.calls == [], workload
         assert built == [], workload  # the mapping in closed form, by the power lemma
-        # one certificate per build, on v: none runs on u
-        assert len(certified) == len(lifted) == builds, workload
-        assert not any(c is u for c in certified for u in lifted), workload
+        # one eigen proof per build, on v, and each proves the pair's recurrence: none runs on u
+        assert len(proved) == len(lifted) == builds, workload
+        assert all(result is not None for _, result in proved), workload
+        assert not any(v is u for v, _ in proved for u in lifted), workload
 
 
-def _no_candidate(*args):
-    raise QmapError("no candidate")
+def test_no_benchmark_call_reads_a_row_of_moments_but_the_next_level(workloads, monkeypatch):
+    # the eigen proof forms no row of v's moments: in a build, the row kernel runs for next_level's
+    # two rows and for u_poly (the D of v's triple) only; `qmap ops` at the certify sizes proves
+    # its pair, so it runs no orthogonality scan either
+    callers = []
+    real = functionals._correlate
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    for module in (functionals, opseq):
+        monkeypatch.setattr(module, "_correlate", spy)
+    scanned = spy_everywhere(monkeypatch, opseq.orthogonality_check)
+    for workload, builds in (("catalog", 26), ("deep", 2), ("branch", 4)):
+        callers.clear()
+        for call in workloads.build(workload, 0):
+            call.run()
+        assert set(callers) == {"next_level", "u_poly"}, workload
+        assert callers.count("next_level") == 2 * builds, workload
+    for call in workloads.build("certify", 0):
+        assert call.output(call.run())[1]
+    assert scanned == []
 
 
 def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
@@ -506,11 +535,10 @@ def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
 @pytest.mark.parametrize("cid", [1, 13])
 @pytest.mark.parametrize("field, level", [("b", 0), ("a", 1), ("a", 4), ("b", 7), ("a", 7)])
 def test_a_wrong_candidate_is_rejected_on_v_and_the_chebyshev_decides(q_half, monkeypatch, cid, field, level):
-    # at N = 48, Nq = 8: the candidate holds levels 0..7, all of which the certificate on v
-    # proves; a wrong level, the top one too, is rejected, and the Chebyshev on v gives q's recurrence
+    # at N = 48, Nq = 8: the candidate holds levels 0..7, all of which the proof on v covers;
+    # a wrong level, the top one too, is rejected, and the Chebyshev on v gives q's recurrence
     good = cached_case_bundle(cid, q_half)  # built before the patches, so the spy sees one build
-    real = opseq.pair_recurrence
-    monkeypatch.setattr(opseq, "pair_recurrence", lambda *args: _wrong(real(*args), field, level))
+    patch_candidate(monkeypatch, lambda rec: _wrong(rec, field, level))
     spy = _ChebyshevSpy(monkeypatch)
     assert cubic_cases.build_case(case_fixture(cid, q_half), q_half, 48) == good
     assert spy.calls == [(16, 8)]  # never the Chebyshev on u
@@ -519,13 +547,13 @@ def test_a_wrong_candidate_is_rejected_on_v_and_the_chebyshev_decides(q_half, mo
 def test_a_zero_denominator_candidate_builds_by_the_fallback(q_half, monkeypatch):
     # case 7 is little q^3-Jacobi; at ab = Q^-(2n-1) the gap lambda_n - lambda_{n-2} is zero
     good = cached_case_bundle(7, q_half)  # built before the patches
-    real = opseq.pair_recurrence
+    real = opseq._pair_candidate
     a = case_fixture(7, q_half).params["a"]
 
     def singular(pair, Q, n):
         return real(family_pair(FAMILY_JACOBI, a, Q.q ** -(2 * n - 1) * a.inv(), Q), Q, n)
 
-    monkeypatch.setattr(opseq, "pair_recurrence", singular)
+    monkeypatch.setattr(opseq, "_pair_candidate", singular)
     spy = _ChebyshevSpy(monkeypatch)
     bundle = cubic_cases.build_case(case_fixture(7, q_half), q_half, 48)
     with pytest.raises(QmapError, match=r"^pair recurrence: lambda_8 = lambda_6$"):
@@ -575,7 +603,7 @@ def test_with_no_candidate_a_spoiled_mapping_names_its_stage(q_half, monkeypatch
 
     monkeypatch.setattr(cli, "build_mapping", spoiled)
     if not candidate:
-        monkeypatch.setattr(opseq, "pair_recurrence", _no_candidate)
+        patch_candidate(monkeypatch, no_candidate)
     spy = _ChebyshevSpy(monkeypatch)
     code, report = _run_map(capsys, "--case", str(cid), "--q", "1/2", "--N", "48")
     assert (code, report["conditions_ok"]) == (1, False)
@@ -647,12 +675,12 @@ def test_k2_and_k4_prove_q_on_v_and_keep_the_chebyshev_on_u(monkeypatch, eta, fa
     assert spy.calls == [(bare.u.order, bare.u.order // 2)]  # no call on v
     Nq = bare.v.order // 2
     assert opseq.pair_recurrence(pair, Q, Nq) == family_recurrence(family, a, b, Q, Nq)
-    real = opseq.pair_recurrence
-    # with no candidate, or a wrong one that the certificate on v rejects, the Chebyshev on v decides
-    for candidate in (_no_candidate, lambda *args: _wrong(real(*args), "b", 2)):
-        monkeypatch.setattr(opseq, "pair_recurrence", candidate)
+    # with no candidate, or a wrong one that the proof on v rejects, the Chebyshev on v decides
+    for spoil in (no_candidate, lambda rec: _wrong(rec, "b", 2)):
         spy.calls.clear()
-        assert build_power_case(pair, eta, Q_POWER, 60) == bare
+        with pytest.MonkeyPatch.context() as patch:
+            patch_candidate(patch, spoil)
+            assert build_power_case(pair, eta, Q_POWER, 60) == bare
         assert spy.calls == [(bare.v.order, bare.v.order // 2), (bare.u.order, bare.u.order // 2)]  # q's first
 
 
@@ -660,7 +688,7 @@ def test_a_failing_v_side_still_names_the_recurrence_q_stage(q_half, monkeypatch
     # with no candidate q's recurrence is settled first, so its failure is
     # named before any work is spent on p's side
     eta = cached_case_bundle(1, q_half).eta  # built before the patches
-    monkeypatch.setattr(opseq, "pair_recurrence", _no_candidate)
+    patch_candidate(monkeypatch, no_candidate)
     spy = _ChebyshevSpy(monkeypatch, fail=lambda u, N: u.order == 16)  # v at N = 48
     case = case_fixture(1, q_half)
     pair = family_pair(case.family, case.params["a"], None, q_half.pow(3))

@@ -31,10 +31,10 @@ from qmap import (
 from qmap import mapping as mapping_module
 from qmap.errors import MappingConditionError, QmapError, RegularityError
 from qmap.mapping import ascend_recurrence
-from qmap.opseq import certify_recurrence, next_level, proved_recurrence
+from qmap.opseq import next_level, proved_recurrence
 
 from conftest import cached_case_bundle, random_scalar
-from helpers import jacobi_moments, pi_k_oracle, r_shift_poly_oracle
+from helpers import certify_recurrence_oracle, jacobi_moments, pi_k_oracle, r_shift_poly_oracle
 
 X = Poly.x()
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=5)
@@ -397,5 +397,6 @@ def test_the_ascent_of_a_proved_q_is_u_recurrence(side, data):
             continue
         up = ascend_recurrence(r, s, eta, levels)
         assert up == rec_p
-        # the certificate on u, which builds ran before the lemma, is its oracle too
-        assert certify_recurrence(u, up, levels) == (rec_p, p_ops)
+        # the certificate on u, which builds ran before the lemma, is its oracle too: u is
+        # semiclassical here, so the eigen proof of a classical pair does not apply
+        assert certify_recurrence_oracle(u, up, levels) == (rec_p, p_ops)

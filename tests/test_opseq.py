@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qmap import (
     OMEGA,
@@ -15,9 +15,12 @@ from qmap import (
     OPSequence,
     PearsonPair,
     Poly,
+    QParam,
     Recurrence,
     act,
     delta_det,
+    hahn_poly,
+    hahn_poly_qinv,
     ops_from_recurrence,
     orthogonality_check,
     pearson_moments,
@@ -26,10 +29,19 @@ from qmap import (
 from qmap.errors import QmapError, RegularityError, TruncationError
 from qmap.families import little_q_laguerre_pair
 from qmap import opseq
-from qmap.opseq import OrthogonalityReport, certify_recurrence
+from qmap.opseq import OrthogonalityReport
 
 from conftest import random_nonzero_scalar, random_scalar
-from helpers import jacobi_moments, kernel_scalars, ops_from_recurrence_oracle, orthogonality_check_oracle, recurrence_from_moments_oracle
+from helpers import (
+    call_spy,
+    certify_recurrence_oracle,
+    jacobi_moments,
+    kernel_scalars,
+    ops_from_recurrence_oracle,
+    orthogonality_check_oracle,
+    patch_candidate,
+    recurrence_from_moments_oracle,
+)
 
 X = Poly.x()
 
@@ -134,7 +146,7 @@ def test_chebyshev_matches_oracle_on_raw_moments(data):
     assert _outcome(recurrence_from_moments, u, N) == _outcome(recurrence_from_moments_oracle, u, N)
 
 
-# -- the two-polynomial certificate --------------------------------------------
+# -- the two-polynomial certificate, now the oracle of the eigen proof -----------
 
 
 def _truncated(rec: Recurrence, M: int) -> Recurrence:
@@ -150,7 +162,7 @@ def test_certificate_completes_a_true_candidate_like_the_chebyshev(data, draw):
     N = draw.draw(st.integers(1, len(rec.b)))
     u = MomentFunctional(jacobi_moments(rec, u0, 2 * N - 1))
     cand = rec if draw.draw(st.booleans()) else _truncated(rec, N)
-    assert certify_recurrence(u, cand, N) == recurrence_from_moments(u, N)
+    assert certify_recurrence_oracle(u, cand, N) == recurrence_from_moments(u, N)
 
 
 @settings(max_examples=50, deadline=None)
@@ -165,16 +177,16 @@ def test_certificate_rejects_a_changed_level(data, draw):
         a[level - 1] = a[level - 1] + (1 if a[level - 1] != -1 else 2)
     else:
         b[level] = b[level] + 1
-    assert certify_recurrence(u, Recurrence(b, a), N) is None
+    assert certify_recurrence_oracle(u, Recurrence(b, a), N) is None
 
 
 def test_certificate_needs_every_moment_its_rows_read(q_half):
     u = pearson_moments(little_q_laguerre_pair(Fraction(1, 4), q_half), 1, 24, q_half)
     rec, ops = recurrence_from_moments(u, 12)
-    assert certify_recurrence(u, rec, 12) == (rec, ops)
-    assert certify_recurrence(MomentFunctional(u.moments[:24]), rec, 12) == (rec, ops)  # u_0..u_23
-    assert certify_recurrence(MomentFunctional(u.moments[:23]), rec, 12) is None  # no u_23
-    assert certify_recurrence(u, _truncated(rec, 11), 12) is None  # 11 levels for N = 12
+    assert certify_recurrence_oracle(u, rec, 12) == (rec, ops)
+    assert certify_recurrence_oracle(MomentFunctional(u.moments[:24]), rec, 12) == (rec, ops)  # u_0..u_23
+    assert certify_recurrence_oracle(MomentFunctional(u.moments[:23]), rec, 12) is None  # no u_23
+    assert certify_recurrence_oracle(u, _truncated(rec, 11), 12) is None  # 11 levels for N = 12
 
 
 def test_proved_recurrence_certifies_the_pair_or_runs_the_chebyshev(q_half, monkeypatch):
@@ -243,7 +255,7 @@ CERTIFICATE_FAILURES = {
 @pytest.mark.parametrize("condition", list(CERTIFICATE_FAILURES))
 def test_certificate_rejects_each_failed_condition(condition):
     moments, cand = CERTIFICATE_FAILURES[condition]
-    assert certify_recurrence(MomentFunctional(moments), cand, 2) is None
+    assert certify_recurrence_oracle(MomentFunctional(moments), cand, 2) is None
 
 
 def test_certificate_proves_the_levels_below_a_zero_diagonal():
@@ -251,7 +263,124 @@ def test_certificate_proves_the_levels_below_a_zero_diagonal():
     # two levels are u's, and the certificate proves them as the Chebyshev recovers them
     u = MomentFunctional([1, 0, 1, 0, 1, 0])
     cand = Recurrence([0, 0], [1])
-    assert certify_recurrence(u, cand, 2) == recurrence_from_moments(u, 2) == (cand, ops_from_recurrence(cand, 2))
+    assert certify_recurrence_oracle(u, cand, 2) == recurrence_from_moments(u, 2) == (cand, ops_from_recurrence(cand, 2))
+
+
+# -- the eigen proof of a classical pair's recurrence --------------------------
+
+PROOF_QS = (QParam(Fraction(1, 2), 64), QParam(Fraction(-3, 2), 64), QParam(CycScalar(Fraction(1, 3), Fraction(1, 2)), 64))
+
+
+@st.composite
+def classical_functionals(draw, order):
+    """(pair, q, u): deg Phi <= 2, deg Psi = 1, rational or Q(w), and u = pearson_moments(pair, u_0, order, q)."""
+    scalars = _scalars(draw(st.booleans()))
+    deg = draw(st.integers(0, 2))
+    phi = Poly(draw(st.lists(scalars, min_size=deg, max_size=deg)) + [draw(scalars.filter(bool))])
+    pair = PearsonPair(phi, Poly([draw(scalars), draw(scalars.filter(bool))]))
+    q = draw(st.sampled_from(PROOF_QS))
+    try:
+        u = pearson_moments(pair, draw(scalars.filter(bool)), order, q)
+    except RegularityError:
+        assume(False)
+    return pair, q, u
+
+
+def _L(pair: PearsonPair, q: QParam, f: Poly) -> Poly:
+    """L f = Phi H_q H_{1/q} f + Psi H_{1/q} f, by Poly arithmetic."""
+    g = hahn_poly_qinv(f, q)
+    return pair.phi * hahn_poly(g, q) + pair.psi * g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(classical_functionals))
+def test_L_is_u_symmetric_on_the_moments_that_exist(functional):
+    # the lemma: <u, (L f) g> = -<u, Phi (H_q f)(H_q g)> by u's Pearson equation, for i + j <= order
+    pair, q, u = functional
+    for i in range(u.order + 1):
+        for j in range(u.order + 1 - i):
+            f, g = Poly.monomial(i), Poly.monomial(j)
+            lhs = act(u, _L(pair, q, f) * g)
+            assert lhs == act(u, f * _L(pair, q, g)) == -act(u, pair.phi * hahn_poly(f, q) * hahn_poly(g, q))
+    # and L x^m = lambda_m x^m + mu_m x^(m-1) + nu_m x^(m-2), the values the proof reads
+    N = u.order // 2
+    try:
+        _, eigen = opseq._pair_candidate(pair, q, N)
+    except QmapError:
+        return
+    for m in range(N + 1):
+        values = (eigen[m], eigen[N + 1 + m], eigen[2 * N + 2 + m])
+        assert _L(pair, q, Poly.monomial(m)) == sum((c * Poly.monomial(m - i) for i, c in enumerate(values) if i <= m), Poly.zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_eigen_proof_is_the_certificate_and_the_chebyshev(data):
+    # proved, the pair's levels are the certificate's and the Chebyshev's; the certificate proves
+    # a candidate exactly when the eigen proof does, and proved_recurrence is the Chebyshev's
+    # value or exact error either way
+    N = data.draw(st.integers(0, 6))
+    pair, q, u = data.draw(classical_functionals(max(2 * N - 1, 0) + data.draw(st.integers(0, 2))))
+    if data.draw(st.integers(0, 4)) == 0:
+        u = MomentFunctional([ZERO] * len(u.moments))  # u_0 = 0
+    proved = opseq.proved_pair_recurrence(u, pair, q, N)
+    chebyshev = _outcome(recurrence_from_moments, u, N)
+    assert _outcome(lambda u, N: opseq.proved_recurrence(u, pair, q, N), u, N) == chebyshev
+    if proved is not None:
+        assert proved == chebyshev
+    try:
+        cand = opseq.pair_recurrence(pair, q, N)
+    except QmapError:
+        assert proved is None
+        return
+    if N:
+        assert proved == certify_recurrence_oracle(u, cand, N)
+
+
+def _spoiled_lambda(monkeypatch):
+    real = opseq._pair_candidate
+
+    def spoiled(*args):
+        rec, eigen = real(*args)
+        return rec, [eigen[0], eigen[1], eigen[2], eigen[0], *eigen[4:]]  # lambda_3 = lambda_0
+
+    monkeypatch.setattr(opseq, "_pair_candidate", spoiled)
+
+
+def _spoiled_level(monkeypatch):
+    patch_candidate(monkeypatch, lambda rec: Recurrence(rec.b, (rec.a[0] + 1,) + rec.a[1:]))
+
+
+# One spoiled input per condition of the proof at N = 6, each rejected; the Chebyshev then
+# decides, with its own value or message
+SPOILED_PROOFS = {
+    "lambda distinct": (_spoiled_lambda, lambda m: m, None),
+    "L p_n = lambda_n p_n": (_spoiled_level, lambda m: m, None),
+    "u_0 != 0": (None, lambda m: [ZERO] * len(m), "not regular at level 0: <u, p_0^2> = 0"),
+    "u_{2N-1} exists": (None, lambda m: m[:11], "need effective order >= 11, have 10"),
+    "Pearson equation to u_{2N-1}": (None, lambda m: m[:11] + [m[11] + 1], None),
+}
+
+
+@pytest.mark.parametrize("condition", list(SPOILED_PROOFS))
+def test_each_spoiled_condition_falls_back_to_the_chebyshev(q_half, monkeypatch, condition):
+    patch, moments, message = SPOILED_PROOFS[condition]
+    pair = little_q_laguerre_pair(Fraction(1, 4), q_half)
+    good = list(pearson_moments(pair, 1, 11, q_half).moments)
+    assert opseq.proved_pair_recurrence(MomentFunctional(good), pair, q_half, 6) is not None
+    u = MomentFunctional(moments(good))
+    if patch is not None:
+        patch(monkeypatch)
+    formed = call_spy(monkeypatch, opseq, "_eigen_holds")
+    assert opseq.proved_pair_recurrence(u, pair, q_half, 6) is None
+    if message is None:
+        assert opseq.proved_recurrence(u, pair, q_half, 6) == recurrence_from_moments(u, 6)
+    else:
+        with pytest.raises(QmapError) as info:
+            opseq.proved_recurrence(u, pair, q_half, 6)
+        assert str(info.value) == message
+    # the checks before forming p reject all but a changed level
+    assert (len(formed) > 0) == (condition == "L p_n = lambda_n p_n")
 
 
 # -- the coefficient-level generator against the Poly-arithmetic oracle --------
