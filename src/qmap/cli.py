@@ -58,6 +58,10 @@ def _cmd_ops(args) -> int:
         print(f"error: {args.family} is not regular up to level {args.N}: {'; '.join(failures)}", file=sys.stderr)
         return USAGE_ERROR
     pair = family_pair(args.family, a, b, q)
+    least = pair.phi.degree  # the Pearson residual reads (Phi u)_0, so u needs u_{deg Phi}
+    if args.N < least:
+        print(f"error: --N {args.N} is below deg Phi of {args.family}; the least N is {least}", file=sys.stderr)
+        return USAGE_ERROR
     u = pearson_moments(pair, parse_scalar(args.u0), args.N, q)
     residual = pearson_residual(u, pair, q)
     M = args.N // 2

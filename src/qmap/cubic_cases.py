@@ -414,7 +414,7 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
         rec_p = stage("recurrence-p", lambda: chebyshev_recurrence(u, Np))
     # the power lemma: the block conditions hold, pi_k = x^k and (r, s) = rec_q, r_0 = v_1 / v_0
     r0 = rec_q.b[0]
-    conditions = ConditionReport(True, True, True, True, eta, (), tuple(r - r0 for r in rec_q.b))
+    conditions = ConditionReport(True, True, True, True, eta, (), tuple([r - r0 for r in rec_q.b]))
     mapping = MappingData(r0, Poly.monomial(k), eta, rec_q.b, rec_q.a, conditions, BlockView(rec_p, k))
 
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))

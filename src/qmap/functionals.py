@@ -21,13 +21,12 @@ Hahn weights into S's form (``_times``), adds the rows over one denominator
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
 
 from .errors import RegularityError, TruncationError
 from .polyalg import Poly
-from .scalars import CycScalar, QParam, ZERO, _make, _scaled, format_scalar
+from .scalars import CycScalar, QParam, ZERO, _reduced, _scaled, format_scalar
 
 __all__ = [
     "MomentFunctional",
@@ -50,7 +49,7 @@ class MomentFunctional:
     moments: tuple[CycScalar, ...]
 
     def __init__(self, moments):
-        ms = tuple(m if isinstance(m, CycScalar) else CycScalar.coerce(m) for m in moments)
+        ms = tuple([m if isinstance(m, CycScalar) else CycScalar.coerce(m) for m in moments])
         if not ms:
             raise ValueError("a functional needs at least the moment u_0")
         object.__setattr__(self, "moments", ms)
@@ -124,14 +123,15 @@ def _rows(c: tuple, v: tuple, length: int) -> tuple:
 
 
 def _scalars(X: list, Y, den: int) -> list[CycScalar]:
-    """The values (X[l] + Y[l] w)/den of an integer row.
+    """The values (X[l] + Y[l] w)/den of an integer row, den of either sign.
 
-    A rational row (Y None) makes one Fraction per entry with the shared zero
-    w-part, so later arithmetic stays on the rational path.
+    Each entry is made canonical by one gcd of its integers and den, with no
+    Fraction; a rational row (Y None) keeps a zero w-part, so later arithmetic
+    stays on the rational path.
     """
     if Y is None:
-        return [_make(Fraction(x, den)) for x in X]
-    return [_make(Fraction(x, den), Fraction(y, den)) for x, y in zip(X, Y)]
+        return [_reduced(x, 0, den) for x in X]
+    return [_reduced(x, y, den) for x, y in zip(X, Y)]
 
 
 def _correlate(c: tuple, v: tuple, length: int) -> list[CycScalar]:
@@ -158,7 +158,7 @@ def _sum_rows(rows, length: int) -> tuple:
     den is the lcm of the rows' dens, one gcd per row and none per entry; Y is
     None when every row's is.
     """
-    den = lcm(*(d for *_, d in rows))
+    den = lcm(*[d for *_, d in rows])
     X, Y = [0] * length, None
     for x, y, d in rows:
         f = den // d
@@ -336,4 +336,4 @@ def pearson_residual(u: MomentFunctional, pair: PearsonPair, q: QParam):
     w1 = hahn_functional(left_mul(pair.phi, u), q)
     w2 = left_mul(pair.psi, u)
     n_max = min(w1.order, w2.order)
-    return tuple(w1.moments[n] - w2.moments[n] for n in range(n_max + 1))
+    return tuple([w1.moments[n] - w2.moments[n] for n in range(n_max + 1)])

@@ -164,8 +164,8 @@ def build_mapping(view: BlockView, r0, N: int) -> MappingData:
     # terms are Delta_0(1, k-1) = p_k expanded along its first row
     pi_k = delta_det(view, 0, 1, k - 1) + r0
 
-    r = tuple(r0 + c for c in report.r_at_zero)
-    s = tuple(prod((view.a(n - 1, i) for i in range(1, k)), start=view.a(n, 0)) for n in range(1, N + 1))
+    r = tuple([r0 + c for c in report.r_at_zero])
+    s = tuple([prod([view.a(n - 1, i) for i in range(1, k)], start=view.a(n, 0)) for n in range(1, N + 1)])
     return MappingData(r0, pi_k, report.eta, r, s, report, view)
 
 

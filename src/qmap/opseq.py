@@ -19,14 +19,13 @@ Pearson equation (``proved_pair_recurrence``), else the Chebyshev algorithm
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
 from .functionals import MomentFunctional, PearsonPair, _correlate, _dot, _eigen_holds, _pearson_holds, _scaled
 from .polyalg import Poly
-from .scalars import CycScalar, ONE, QParam, ZERO
+from .scalars import CycScalar, ONE, QParam, ZERO, _reduced
 
 __all__ = [
     "Recurrence",
@@ -55,8 +54,8 @@ class Recurrence:
     a: tuple[CycScalar, ...]
 
     def __init__(self, b, a):
-        b = tuple(CycScalar.coerce(x) for x in b)
-        a = tuple(CycScalar.coerce(x) for x in a)
+        b = tuple([CycScalar.coerce(x) for x in b])
+        a = tuple([CycScalar.coerce(x) for x in a])
         for i, an in enumerate(a):
             if not an:
                 raise RegularityError(f"recurrence coefficient a_{i + 1} is zero")
@@ -101,46 +100,29 @@ class BlockView:
         return self.rec.a_at(n * self.k + j)
 
 
-def _parts(x: CycScalar) -> tuple[int, int, int]:
-    """x as (r, o, d) with x = (r + o w)/d and d the lcm of its two denominators.
-
-    Not ``functionals._scaled((x,))``: its lists, made twice a step, raised the
-    tracemalloc peak of a ``catalog`` bench pass from 373 to 456 KB (CPython 3.11).
-    """
-    re, om = x.re, x.om
-    if not om:
-        return re.numerator, 0, re.denominator
-    d = lcm(re.denominator, om.denominator)
-    return re.numerator * (d // re.denominator), om.numerator * (d // om.denominator), d
-
-
 def _poly(form) -> Poly:
-    """The Poly of a canonical form."""
+    """The Poly of a canonical form, each coefficient made canonical by one gcd."""
     R, O, D = form
-    if O is None:
-        return Poly([Fraction(r, D) for r in R])
-    return Poly([CycScalar(Fraction(r, D), Fraction(o, D)) for r, o in zip(R, O)])
-
-
-_ONE_FORM = ((1,), None, 1)
+    return Poly([_reduced(r, o, D) for r, o in zip(R, O or [0] * len(R))])
 
 
 def _step(cur, prev, b: CycScalar, a: Optional[CycScalar]) -> tuple:
     """The form of (x - b) P - a P_prev from the forms of P and P_prev (None for P_prev = 0).
 
-    With L = lcm(D·den(b), D_prev·den(a)) every coefficient of L times the
-    result is an integer; one running gcd of L and those numerators, stopped as
-    soon as it reaches 1, makes the form canonical.  The leading numerator is
-    L itself, since P is monic.
+    b and a are read as the triples (r, o, d) they hold.  With
+    L = lcm(D·b.d, D_prev·a.d) every coefficient of L times the result is an
+    integer; one running gcd of L and those numerators, stopped as soon as it
+    reaches 1, makes the form canonical.  The leading numerator is L itself,
+    since P is monic.
     """
     R, O, D = cur
-    br, bo, bd = _parts(b)
+    br, bo, bd = b.r, b.o, b.d
     L = D * bd
     if prev is None:
         ar = ao = 0
         Rp, Op = (), None
     else:
-        ar, ao, ad = _parts(a)
+        ar, ao, ad = a.r, a.o, a.d
         Rp, Op, Dp = prev
         L = lcm(L, Dp * ad)
         sa = L // (Dp * ad)
@@ -164,7 +146,7 @@ def _step(cur, prev, b: CycScalar, a: Optional[CycScalar]) -> tuple:
         if not any(om):
             om = None
     g = L
-    for x in re if om is None else (*re, *om):
+    for x in re if om is None else [*re, *om]:
         if x:
             g = gcd(g, x)
             if g == 1:
@@ -173,7 +155,7 @@ def _step(cur, prev, b: CycScalar, a: Optional[CycScalar]) -> tuple:
         re = [x // g for x in re]
         om = None if om is None else [x // g for x in om]
         L //= g
-    return tuple(re), (None if om is None else tuple(om)), L
+    return re, om, L
 
 
 def _forms(b, a, start: int, stop: int) -> list:
@@ -182,7 +164,7 @@ def _forms(b, a, start: int, stop: int) -> list:
     The one three-term loop of the package, run on canonical integer forms from
     P_{-1} = 0 and P_0 = 1, so a(start) is never read; each step reads b(t) before a(t).
     """
-    prev, cur = None, _ONE_FORM
+    prev, cur = None, ([1], None, 1)
     out = [cur]
     for t in range(start, stop):
         bt = b(t)
@@ -195,15 +177,17 @@ def _forms(b, a, start: int, stop: int) -> list:
 class OPSequence:
     """Monic polynomials p_0..p_N with deg p_n = n, held as canonical integer forms.
 
-    ``forms[n]`` is the canonical form (R, O, D) of ``_scaled`` as tuples:
-    coefficient i of p_n is (R[i] + O[i] w)/D with the least D > 0, and O is
-    None when p_n is rational.  The kernels read the forms as they are; the
+    ``forms[n]`` is the canonical form (R, O, D) of ``_scaled``, R and O
+    lists: coefficient i of p_n is (R[i] + O[i] w)/D with the least D > 0,
+    and O is None when p_n is rational.  Lists, not tuples: CPython 3.11 keeps
+    each freed 20-element tuple on a free list that it never takes from, and
+    only a full collection empties it.  The kernels read the forms as they are; the
     Poly p_n is built anew on each read of ``seq[n]`` or iteration.  A case
     build reads none of q's and forms none of p's: ``CaseBundle.p_ops`` is
     formed from rec_p when first read.
     ``OPSequence(polys)`` checks that each element is monic of its index's
     degree.  Equality, hashing, copy and pickle work on the canonical forms,
-    so a sequence compares equal however it was made.
+    so a sequence compares equal however it was made; nothing changes a form.
     """
 
     forms: tuple
@@ -213,9 +197,7 @@ class OPSequence:
         for n, p in enumerate(polys):
             if p.degree != n or p.lc != ONE:
                 raise ValueError(f"element {n} is not monic of degree {n}")
-            R, O, D = _scaled(p.coeffs)
-            # tuples, as _step makes them: the forms are compared and hashed
-            forms.append((tuple(R), None if O is None else tuple(O), D))
+            forms.append(_scaled(p.coeffs))
         object.__setattr__(self, "forms", tuple(forms))
 
     @classmethod
@@ -223,6 +205,9 @@ class OPSequence:
         seq = object.__new__(cls)
         object.__setattr__(seq, "forms", tuple(forms))
         return seq
+
+    def __hash__(self):
+        return hash(tuple([(tuple(R), O and tuple(O), D) for R, O, D in self.forms]))
 
     def __getitem__(self, n: int) -> Poly:
         return _poly(self.forms[n])

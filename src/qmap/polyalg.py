@@ -128,7 +128,7 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -147,7 +147,7 @@ class Poly:
             s = _coeff(other)
             if not s:
                 return Poly.zero()
-            return Poly(tuple(c * s for c in self.coeffs))
+            return Poly([c * s for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -267,12 +267,12 @@ def compose_xk(a: Poly, k: int) -> Poly:
 
 def hahn_poly(f: Poly, q: QParam) -> Poly:
     """(H_q f)(x) = (f(qx) - f(x)) / ((q-1)x); sends x^n to [n]_q x^(n-1)."""
-    return Poly(tuple(q.bracket(n) * f.coeffs[n] for n in range(1, len(f.coeffs))))
+    return Poly([q.bracket(n) * f.coeffs[n] for n in range(1, len(f.coeffs))])
 
 
 def hahn_poly_qinv(f: Poly, q: QParam) -> Poly:
     """H at parameter 1/q, computed from q itself via [n]_{1/q} = q^(1-n)[n]_q."""
-    return Poly(tuple(q.bracket_inv(n) * f.coeffs[n] for n in range(1, len(f.coeffs))))
+    return Poly([q.bracket_inv(n) * f.coeffs[n] for n in range(1, len(f.coeffs))])
 
 
 def theta0(f: Poly) -> Poly:

@@ -1,10 +1,15 @@
 """Exact scalar arithmetic in Q(w), where w is a primitive cube root of unity.
 
-Every exact quantity in this package is a :class:`CycScalar` ``a + b*w`` with
-rational ``a``, ``b`` and the reduction rule ``w**2 = -1 - w``.  Purely
-rational values (``b = 0``) stay rational under all field operations, so a
-pipeline fed rational data never leaves Q; the w-component only activates for
-genuinely complex inputs such as cube-root-of-unity branch choices.
+Every exact quantity in this package is a :class:`CycScalar`, held as its
+canonical integer triple (r, o, d): the value (r + o*w)/d with d > 0,
+gcd(r, o, d) = 1 and the reduction rule ``w**2 = -1 - w``.  Purely rational
+values (o = 0, so r/d in lowest terms) stay rational under all field
+operations, so a pipeline fed rational data never leaves Q; the w-part only
+activates for genuinely complex inputs such as cube-root-of-unity branch
+choices.  The arithmetic is written on the integers, with no Fraction made: a
+rational product takes Fraction's two cross gcds and a rational sum its gcd of
+the two denominators, a Q(w) result is reduced by one three-way gcd, and the
+inverse is the conjugate over the integer norm r^2 - r*o + o^2.
 
 The module also provides :class:`QParam`, the q-difference parameter together
 with its admissibility guarantee (``q**n != 1`` up to a declared order) and
@@ -16,8 +21,10 @@ from __future__ import annotations
 
 import math
 import re as _regex
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "CycScalar",
@@ -31,134 +38,137 @@ __all__ = [
 ]
 
 _OMEGA_COMPLEX = complex(-0.5, math.sqrt(3.0) / 2.0)
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
-
-# The one w-part zero: every CycScalar with om == 0 holds this object, so the
-# rational fast paths test ``om is _Q0``.  The identity test only picks the
-# path; the general Q(w) formulas give the same value for any zero w-part.
+# The one zero w-part ``CycScalar.om`` returns, so ``x.om is _Q0`` for every rational x.
 _Q0 = Fraction(0)
-
-
-def _fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 @dataclass(frozen=True, slots=True)
 class CycScalar:
-    """Element ``re + om*w`` of Q(w), with ``w**2 + w + 1 = 0``.
+    """Element (r + o*w)/d of Q(w), with ``w**2 + w + 1 = 0``, held as its canonical triple.
 
-    Instances are immutable and hashable.  Arithmetic accepts plain ``int``
+    d > 0 and gcd(r, o, d) = 1, so equal values have equal triples; a rational
+    value has o = 0 and r/d in lowest terms.  ``CycScalar(re, om)`` takes the
+    components of re + om*w as int or Fraction, and the properties ``re`` and
+    ``om`` read them back as Fractions.  Instances are immutable and hashable,
+    a rational hashing like its Fraction.  Arithmetic accepts plain ``int``
     and ``Fraction`` operands and coerces them.
     """
 
-    re: Fraction
-    om: Fraction
+    r: int
+    o: int
+    d: int
 
     def __init__(self, re=0, om=0):
-        object.__setattr__(self, "re", _fraction(re))
-        om = _fraction(om)
-        object.__setattr__(self, "om", om if om else _Q0)
+        for x in (re, om):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        (a, b), (c, e) = re.as_integer_ratio(), om.as_integer_ratio()
+        d = lcm(b, e)
+        object.__setattr__(self, "r", a * (d // b))
+        object.__setattr__(self, "o", c * (d // e))
+        object.__setattr__(self, "d", d)
 
-    def __reduce__(self):
-        # through the constructor, so a copy's zero w-part is the shared _Q0
-        return CycScalar, (self.re, self.om)
+    @property
+    def re(self) -> Fraction:
+        """The rational part r/d."""
+        return Fraction(self.r, self.d)
+
+    @property
+    def om(self) -> Fraction:
+        """The w-part o/d; the shared ``_Q0`` when it is zero."""
+        return Fraction(self.o, self.d) if self.o else _Q0
 
     # -- coercion ---------------------------------------------------------
 
     @staticmethod
     def coerce(x) -> "CycScalar":
-        if isinstance(x, CycScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycScalar(x)
+        s = _co(x)
+        if s is not None:
+            return s
         if isinstance(x, str):
             return parse_scalar(x)
         raise TypeError(f"cannot interpret {x!r} as a Q(w) scalar")
 
-    @staticmethod
-    def _co(x):
-        if type(x) is CycScalar or isinstance(x, CycScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycScalar(x)
-        return None
-
     # -- predicates -------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.om)
+        return self.r != 0 or self.o != 0
 
     def norm(self) -> Fraction:
         """Field norm re^2 - re*om + om^2; zero exactly for the zero element."""
-        return self.re * self.re - self.re * self.om + self.om * self.om
+        r, o = self.r, self.o
+        return Fraction(r * r - r * o + o * o, self.d * self.d)
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        if self.om is _Q0 and o.om is _Q0:
-            return _make(self.re + o.re)
-        return _make(self.re + o.re, self.om + o.om)
+        if type(other) is not CycScalar:
+            other = _co(other)
+            if other is None:
+                return NotImplemented
+        return _sum(self.r, self.o, self.d, other.r, other.o, other.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        if self.om is _Q0 and o.om is _Q0:
-            return _make(self.re - o.re)
-        return _make(self.re - o.re, self.om - o.om)
+        if type(other) is not CycScalar:
+            other = _co(other)
+            if other is None:
+                return NotImplemented
+        return _sum(self.r, self.o, self.d, -other.r, -other.o, other.d)
 
     def __rsub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        if self.om is _Q0 and o.om is _Q0:
-            return _make(o.re - self.re)
-        return _make(o.re - self.re, o.om - self.om)
+        if type(other) is not CycScalar:
+            other = _co(other)
+            if other is None:
+                return NotImplemented
+        return _sum(other.r, other.o, other.d, -self.r, -self.o, self.d)
 
     def __neg__(self):
-        if self.om is _Q0:
-            return _make(-self.re)
-        return _make(-self.re, -self.om)
+        return _triple(-self.r, -self.o, self.d)
 
     def __mul__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self.re, self.om, o.re, o.om
-        if b is _Q0 and d is _Q0:
-            return _make(a * c)
-        # (a + b*w)(c + d*w) with w^2 = -1 - w
-        bd = b * d
-        return _make(a * c - bd, a * d + b * c - bd)
+        if type(other) is not CycScalar:
+            other = _co(other)
+            if other is None:
+                return NotImplemented
+        r1, o1, d1, r2, o2, d2 = self.r, self.o, self.d, other.r, other.o, other.d
+        if o1 or o2:
+            # (r1 + o1 w)(r2 + o2 w) with w^2 = -1 - w
+            oo = o1 * o2
+            return _reduced(r1 * r2 - oo, r1 * o2 + o1 * r2 - oo, d1 * d2)
+        # Fraction's product: cancel across, and the result is in lowest terms
+        g = gcd(r1, d2)
+        if g != 1:
+            r1, d2 = r1 // g, d2 // g
+        g = gcd(r2, d1)
+        if g != 1:
+            r2, d1 = r2 // g, d1 // g
+        return _triple(r1 * r2, 0, d1 * d2)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
-        if self.om is _Q0:
-            if not self.re:
-                raise ZeroDivisionError("division by zero in Q(w)")
-            return _make(1 / self.re)
-        n = self.norm()
-        # conjugate is (re - om) - om*w
-        return _make((self.re - self.om) / n, -self.om / n)
+        r, o, d = self.r, self.o, self.d
+        if o:
+            # the conjugate (r - o) - o*w over the norm r^2 - r*o + o^2 > 0
+            return _reduced(d * (r - o), -d * o, r * r - r * o + o * o)
+        if r > 0:
+            return _triple(d, 0, r)
+        if r:
+            return _triple(-d, 0, -r)
+        raise ZeroDivisionError("division by zero in Q(w)")
 
     def __truediv__(self, other):
-        o = self._co(other)
+        o = _co(other)
         if o is None:
             return NotImplemented
         return self * o.inv()
 
     def __rtruediv__(self, other):
-        o = self._co(other)
+        o = _co(other)
         if o is None:
             return NotImplemented
         return o * self.inv()
@@ -180,16 +190,24 @@ class CycScalar:
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other):
-        o = self._co(other)
+        o = _co(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.om == o.om
+        return self.r == o.r and self.o == o.o and self.d == o.d
 
     def __hash__(self):
-        # a rational value equals its re, so it must hash like it
-        if not self.om:
-            return hash(self.re)
-        return hash((self.re, self.om))
+        if self.o:
+            return hash((self.r, self.o, self.d))
+        # a rational value equals its Fraction, so it hashes as Fraction.__hash__ does
+        r, d = self.r, self.d
+        if d == 1:
+            return hash(r)
+        try:
+            h = hash(hash(abs(r)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:  # d has no inverse modulo the hash modulus
+            h = _HASH_INF
+        h = h if r >= 0 else -h
+        return -2 if h == -1 else h
 
     # -- rendering ----------------------------------------------------------
 
@@ -201,20 +219,55 @@ class CycScalar:
 
 
 _new = object.__new__
-_set_re = CycScalar.re.__set__
-_set_om = CycScalar.om.__set__
+_set_r, _set_o, _set_d = CycScalar.r.__set__, CycScalar.o.__set__, CycScalar.d.__set__
 
 
-def _make(re: Fraction, om: Fraction = _Q0) -> CycScalar:
-    """Trusted constructor for results built from Fractions the class holds.
-
-    Skips the type checks of ``CycScalar(re, om)`` and keeps every zero
-    w-part as the shared ``_Q0``.
-    """
+def _triple(r: int, o: int, d: int) -> CycScalar:
+    """Trusted constructor of the CycScalar whose canonical triple is (r, o, d)."""
     s = _new(CycScalar)
-    _set_re(s, re)
-    _set_om(s, om if om is _Q0 or om else _Q0)
+    _set_r(s, r)
+    _set_o(s, o)
+    _set_d(s, d)
     return s
+
+
+def _reduced(r: int, o: int, d: int) -> CycScalar:
+    """The CycScalar (r + o*w)/d for any integers with d != 0: one three-way gcd, which takes d's sign."""
+    g = gcd(r, o, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        r, o, d = r // g, o // g, d // g
+    return _triple(r, o, d)
+
+
+def _sum(r1: int, o1: int, d1: int, r2: int, o2: int, d2: int) -> CycScalar:
+    """(r1 + o1*w)/d1 + (r2 + o2*w)/d2 for canonical triples, by Fraction's addition.
+
+    With g = gcd(d1, d2), a prime that divides both numerators and d1/g (or
+    d2/g) would divide a whole operand's triple, so the result's content is
+    gcd(r, o, g): 1 at once when g = 1.
+    """
+    g = gcd(d1, d2)
+    if g == 1:
+        return _triple(r1 * d2 + r2 * d1, o1 * d2 + o2 * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    r, o = r1 * t + r2 * s, o1 * t + o2 * s
+    g2 = gcd(r, o, g)
+    if g2 == 1:
+        return _triple(r, o, s * d2)
+    return _triple(r // g2, o // g2, s * (d2 // g2))
+
+
+def _co(x):
+    """x as a CycScalar if it is one, an int or a Fraction, else None."""
+    if isinstance(x, CycScalar):
+        return x
+    if isinstance(x, int):
+        return _triple(int(x), 0, 1)  # a bool is held as the int it equals
+    if isinstance(x, Fraction):
+        return _triple(x.numerator, 0, x.denominator)
+    return None
 
 
 ZERO = CycScalar(0)
@@ -223,13 +276,14 @@ OMEGA = CycScalar(0, 1)
 
 
 def format_scalar(s: CycScalar) -> str:
-    """Canonical string form: ``p/q`` when om = 0, else ``p/q+r/s*w``."""
-    re_part = f"{s.re.numerator}/{s.re.denominator}"
-    if not s.om:
+    """Canonical string form: ``p/q`` when om = 0, else ``p/q+r/s*w``, each part in lowest terms."""
+    r, o, d = s.r, s.o, s.d
+    g = gcd(r, d)
+    re_part = f"{r // g}/{d // g}"
+    if not o:
         return re_part
-    sign = "+" if s.om > 0 else "-"
-    om = abs(s.om)
-    return f"{re_part}{sign}{om.numerator}/{om.denominator}*w"
+    g = gcd(o, d)
+    return f"{re_part}{'+' if o > 0 else '-'}{abs(o) // g}/{d // g}*w"
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -265,24 +319,24 @@ def parse_scalar(text: str) -> CycScalar:
 
 def embed_complex(s: CycScalar) -> complex:
     """Double-precision image of s under w -> exp(2*pi*i/3)."""
-    return complex(s.re) + complex(s.om) * _OMEGA_COMPLEX
+    # int true division rounds correctly, as float(Fraction) does
+    return complex(s.r / s.d) + complex(s.o / s.d) * _OMEGA_COMPLEX
 
 
 def _scaled(values) -> tuple:
     """The canonical integer form (R, O, D) of ``values``: value i is (R[i] + O[i] w)/D.
 
-    D > 0 is the lcm of every denominator of both components, hence the least
-    common one; O is None when every w-part is zero.  R and O are lists, since
-    the row kernel reads a form once (tuples raised a ``catalog`` bench pass's
-    tracemalloc peak from 373 to 395 KB, CPython 3.11); ``opseq.OPSequence``,
-    which compares and hashes its forms, makes tuples.
+    D > 0 is the lcm of the values' own denominators d, hence the least common
+    one, and each value's triple is scaled by D/d; O is None when every w-part
+    is zero.  R and O are lists, since the row kernel reads a form once (tuples
+    raised a ``catalog`` bench pass's tracemalloc peak from 373 to 395 KB,
+    CPython 3.11); ``opseq.OPSequence`` keeps them as they are.
     """
-    re, om = [x.re for x in values], [x.om for x in values]
-    if not any(om):
-        om = None
-    D = math.lcm(*(f.denominator for f in (re if om is None else re + om)))
-    R = [f.numerator * (D // f.denominator) for f in re]
-    return R, (None if om is None else [f.numerator * (D // f.denominator) for f in om]), D
+    D = lcm(*[x.d for x in values])
+    R = [x.r * (D // x.d) for x in values]
+    if not any(x.o for x in values):
+        return R, None, D
+    return R, [x.o * (D // x.d) for x in values], D
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,7 +40,7 @@ class LaurentSeries:
     principal: tuple[CycScalar, ...]
 
     def __init__(self, poly_part: Poly, principal=()):
-        principal = tuple(c if isinstance(c, CycScalar) else CycScalar.coerce(c) for c in principal)
+        principal = tuple([c if isinstance(c, CycScalar) else CycScalar.coerce(c) for c in principal])
         object.__setattr__(self, "poly_part", poly_part)
         object.__setattr__(self, "principal", principal)
 
@@ -82,7 +82,7 @@ class SeriesReport:
 
 def series_from_functional(u: MomentFunctional) -> LaurentSeries:
     """S_u(z) = -sum_n u_n z^(-n-1); depth = order + 1."""
-    return LaurentSeries(Poly.zero(), tuple(-m for m in u.moments))
+    return LaurentSeries(Poly.zero(), [-m for m in u.moments])
 
 
 def stieltjes_residual(t: ACDTriple, S: LaurentSeries, q: QParam) -> LaurentSeries:

@@ -37,7 +37,7 @@ from qmap.stieltjes import SeriesReport
 X = Poly.x()
 
 
-# -- Q(w) arithmetic as CycScalar did it before its rational fast path --------
+# -- Q(w) arithmetic on two Fractions, as CycScalar did it before its integer triple --
 # Every result goes through the public, validating constructor; ``radd`` and
 # ``rmul`` are ``add`` and ``mul`` with the operands' roles unchanged.
 

@@ -125,6 +125,38 @@ def test_ops_jacobi_requires_b(capsys):
     assert code == 2
 
 
+def test_ops_below_deg_phi_is_one_usage_error(capsys):
+    # the Jacobi Phi has degree 2, so u_0..u_1 hold no entry of the Pearson residual
+    code = main(["ops", "--family", "little-q-jacobi", "--a", "1/4", "--b", "1/5", "--q", "1/2", "--N", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --N 1 is below deg Phi of little-q-jacobi; the least N is 2\n"
+    assert main(["ops", "--family", "little-q-jacobi", "--a", "1/4", "--b", "1/5", "--q", "1/2", "--N", "2"]) == 0
+
+
+def test_ops_laguerre_at_n_1_keeps_its_report(capsys):
+    # deg Phi = 1 for little q-Laguerre: N = 1 is its least N, and the check on --N leaves its report as it was
+    expected = {
+        "command": "ops",
+        "family": "little-q-laguerre",
+        "params": {"a": "1/4"},
+        "q": "1/2",
+        "N": 1,
+        "moments": ["1/1", "7/8"],
+        "order": 1,
+        "recurrence": {"b": [], "a": []},
+        "polynomials": [["1/1"]],
+        "pearson_residual_zero": True,
+        "residual_entries": 1,
+        "orthogonality_ok": True,
+    }
+    assert main(["ops", "--family", "little-q-laguerre", "--a", "1/4", "--q", "1/2", "--N", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(expected, indent=2) + "\n"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "argv, failure",
     [

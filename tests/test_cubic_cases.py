@@ -816,3 +816,24 @@ def test_published_a02_closed_form_is_inconsistent(q_half):
     corrected = -(c ** 3) * qs ** 3 * a * (1 - c ** 3) ** 2 * (denom * denom).inv()
     assert rec.a02 == corrected == Fraction(-672, 841)
     assert rec.a02 != stated
+
+
+@pytest.mark.parametrize("cid, tau", [(1, None), (13, None), (1, -OMEGA)], ids=["case1", "case13", "case1-tau=-w"])
+def test_a_build_makes_as_many_fractions_at_every_order(monkeypatch, cid, tau):
+    # every exact stage runs on CycScalar's integer triples: no Fraction per level or coefficient
+    real = Fraction.__new__
+    made = []
+    for N in (48, 144):
+        q = QParam(Fraction(1, 2), max(64, 3 * N + 16))
+        case = case_fixture(cid, q, None if tau is None else {"tau": tau})
+        count = [0]
+
+        def counting(cls, *args, **kwargs):
+            count[0] += 1
+            return real(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counting)
+            cubic_cases.build_case(case, q, N)
+        made.append(count[0])
+    assert made[0] == made[1]

@@ -1,8 +1,10 @@
 """Field arithmetic in Q(w), the q-parameter, and serialization."""
 
+import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,9 @@ from qmap import (
     format_scalar,
     parse_scalar,
 )
+from qmap import opseq
 from qmap import scalars as scalars_module
+from qmap.functionals import _scalars as row_values
 
 from helpers import (
     add_oracle,
@@ -216,12 +220,19 @@ _BINARY_ORACLES = {
 }
 
 
+def _assert_canonical(x):
+    assert type(x) is CycScalar
+    assert type(x.r) is type(x.o) is type(x.d) is int
+    assert x.d > 0 and math.gcd(x.r, x.o, x.d) == 1
+
+
 def _assert_kernel_result(r, expected):
-    assert type(r) is CycScalar
+    _assert_canonical(r)
     assert type(r.re) is type(r.om) is Fraction
     assert (r.re, r.om) == (expected.re, expected.om)
     if not r.om:
         assert r.om is scalars_module._Q0
+    assert ([r.r], [r.o] if r.o else None, r.d) == scalars_module._scaled([expected])
 
 
 def _oracle_or_error(fn, *args):
@@ -256,6 +267,90 @@ def test_kernel_unary_ops_match_oracle(x):
     else:
         with pytest.raises(ZeroDivisionError, match="division by zero in Q"):
             x.inv()
+
+
+@given(kernel_operand_st, st.integers(-6, 6))
+def test_power_matches_repeated_products(x, n):
+    if n < 0 and not x:
+        with pytest.raises(ZeroDivisionError):
+            x ** n
+        return
+    expected = CycScalar(1)
+    for _ in range(abs(n)):
+        expected = mul_oracle(expected, x)
+    _assert_kernel_result(x ** n, inv_oracle(expected) if n < 0 else expected)
+
+
+@given(st.data(), kernel_operand_st)
+def test_equality_with_int_and_fraction(data, x):
+    rational = not x.om
+    plain = data.draw(st.one_of(plain_st, st.just(x.re), st.just(x.re.numerator)))
+    same = rational and x.re == plain
+    assert (x == plain) is same and (plain == x) is same and (x != plain) is (not same)
+    if rational and x.re.denominator == 1:
+        assert x == x.re.numerator and x.re.numerator == x
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+@given(st.one_of(rationals_st, cancelled_st, st.builds(CycScalar, st.fractions())))
+def test_a_rational_hashes_as_its_fraction(x):
+    if not x.om:
+        assert hash(x) == hash(x.re)
+        assert hash(x * 3 / 3) == hash(x.re)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, _MODULUS), Fraction(-3, 2 * _MODULUS), Fraction(_MODULUS, 7), Fraction(-1), Fraction(-1, 1 + _MODULUS)]
+)
+def test_hash_edge_cases_match_fraction(value):
+    # a denominator the hash modulus divides hashes as infinity; -1 is never a hash
+    assert hash(CycScalar(value)) == hash(value)
+    assert hash(CycScalar(value) * 1) == hash(value)
+
+
+@given(fractions_st, fractions_st)
+def test_constructor_makes_the_canonical_triple(re_part, om_part):
+    x = CycScalar(re_part, om_part)
+    _assert_canonical(x)
+    assert (x.re, x.om) == (re_part, om_part)
+    assert x == re_part + om_part * OMEGA
+
+
+ints = st.integers(-(10**6), 10**6)
+
+
+@given(st.data(), st.integers(0, 8), st.booleans(), ints.filter(bool))
+def test_row_values_are_canonical(data, length, omega, den):
+    # functionals._scalars: (X[l] + Y[l] w)/den for a den of either sign
+    X = data.draw(st.lists(ints, min_size=length, max_size=length))
+    Y = data.draw(st.lists(ints, min_size=length, max_size=length)) if omega else None
+    out = row_values(X, Y, den)
+    assert len(out) == length
+    for x, y, v in zip(X, Y or [0] * length, out):
+        _assert_canonical(v)
+        assert v == CycScalar(Fraction(x, den), Fraction(y, den))
+        if Y is None:
+            assert v.om is scalars_module._Q0
+
+
+def test_a_row_over_a_negative_denominator_is_canonical():
+    assert [(v.r, v.o, v.d) for v in row_values([2, -3, 0], [4, 6, 0], -6)] == [(-1, -2, 3), (1, -2, 2), (0, 0, 1)]
+    assert [(v.r, v.o, v.d) for v in row_values([4, -9, 0], None, -6)] == [(-2, 0, 3), (3, 0, 2), (0, 0, 1)]
+
+
+@given(st.lists(kernel_operand_st, min_size=1, max_size=8).filter(lambda cs: bool(cs[-1])), st.booleans())
+def test_poly_of_a_form_is_canonical(coeffs, as_tuples):
+    # opseq._poly: each coefficient of a form (R, O, D) made canonical, from lists or from tuples
+    R, O, D = scalars_module._scaled(coeffs)
+    form = (tuple(R), None if O is None else tuple(O), D) if as_tuples else (R, O, D)
+    p = opseq._poly(form)
+    assert p.coeffs == tuple(coeffs)
+    for c in p.coeffs:
+        _assert_canonical(c)
+        if not c.om:
+            assert c.om is scalars_module._Q0
 
 
 @pytest.mark.parametrize("args", [(1.5,), ("1",), (1, 0.5)])

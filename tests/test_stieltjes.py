@@ -348,7 +348,9 @@ def test_the_residual_of_a_real_triple_matches_its_oracle(data, name, omega):
     spoil = data.draw(st.sampled_from((None, "A", "C", "D")))
     if spoil is not None:  # one more term, at a degree that may change the depth
         j = data.draw(st.integers(0, getattr(t, spoil).degree + 1))
-        t = replace(t, **{spoil: getattr(t, spoil) + data.draw(values.filter(bool)) * Poly.monomial(j)})
+        spoiled = getattr(t, spoil) + data.draw(values.filter(bool)) * Poly.monomial(j)
+        assume(spoil != "A" or not spoiled.is_zero)  # the term cancelled a constant A: no triple to test
+        t = replace(t, **{spoil: spoiled})
     assert _outcome(stieltjes_residual, t, S, q) == _outcome(stieltjes_residual_oracle, t, S, q)
 
 
