@@ -22,9 +22,10 @@ from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_fa
 from .functionals import PearsonPair, pearson_moments, pearson_residual
 from .mapping import build_mapping, verify_interleave
 from .measures import case13_measure, case1_measure, discrete_lift
-from .opseq import next_level, ops_from_recurrence, orthogonality_check, proved_pair_recurrence, recurrence_from_moments
+from .opseq import ops_from_recurrence, orthogonality_check, proved_pair_recurrence, recurrence_from_moments
+from .polyalg import Poly
 from .scalars import QParam, embed_complex, format_scalar, parse_scalar
-from .stieltjes import series_from_functional, stieltjes_residual, verify_susvq
+from .stieltjes import ACDTriple, LaurentSeries, stieltjes_residual, verify_susvq
 
 USAGE_ERROR = 2
 ASSERTION_ERROR = 1
@@ -67,9 +68,10 @@ def _cmd_ops(args) -> int:
     M = args.N // 2
     proved = proved_pair_recurrence(u, pair, q, M)
     if proved:
-        rec, ops = proved
-        # the proof gives every pair the scan reads but <u, p_M^2>, nonzero with a_M (h_0 = u_0 at M = 0)
-        orth_ok = M == 0 or bool(next_level(u, rec, ops)[1][-1])
+        rec, (_, a) = proved
+        # the lemma gives every pair the scan reads but <u, p_M^2> = a_M h_{M-1}, nonzero with the pair's a_M
+        orth_ok = bool(a[-1])
+        ops = ops_from_recurrence(rec, M)
     else:
         rec, ops = recurrence_from_moments(u, M)
         orth_ok = orthogonality_check(u, ops).ok
@@ -82,7 +84,7 @@ def _cmd_ops(args) -> int:
         "moments": u.to_strings(),
         "order": u.order,
         "recurrence": {"b": [format_scalar(v) for v in rec.b], "a": [format_scalar(v) for v in rec.a]},
-        "polynomials": [p.to_strings() for p in ops],
+        "polynomials": ops.to_strings(),
         "pearson_residual_zero": not any(residual),
         "residual_entries": len(residual),
         "orthogonality_ok": orth_ok,
@@ -154,10 +156,12 @@ def _run_table_entry(cid: int, qtext: str, q: QParam, N: int) -> dict:
         return {"case": cid, "q": qtext, "ok": False, "error": "; ".join(exc.failures) or str(exc)}
     except QmapError as exc:
         return {"case": cid, "q": qtext, "ok": False, "error": str(exc)}
-    expected, k = bundle.expected_pair, bundle.mapping.k
-    Su = series_from_functional(bundle.u)
-    residual = stieltjes_residual(bundle.acd, Su, q)
-    susvq = verify_susvq(Su, series_from_functional(bundle.v), bundle.eta, q)
+    expected, k, acd = bundle.expected_pair, bundle.mapping.k, bundle.acd
+    # Both checks are linear in the series, so each reads -S_u = sum_n u_n z^(-n-1), u's moments as
+    # they are, and the residual of (A, C, -D) is minus that of (A, C, D) on S_u
+    neg_Su = LaurentSeries(Poly.zero(), bundle.u.moments)
+    residual = stieltjes_residual(ACDTriple(acd.A, acd.C, -acd.D), neg_Su, q)
+    susvq = verify_susvq(neg_Su, LaurentSeries(Poly.zero(), bundle.v.moments), bundle.eta, q)
     bounds = class_bounds_check(bundle.report.s, 0, k)
     row = {
         "case": cid,

@@ -9,12 +9,14 @@ as a parameter-dependent constructor, so one encoding serves every q sample.
 ``build_case`` is the one place that fixes the power k = 3: it validates a case
 and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
 ``build_power_case``, which runs the pipeline for any k = deg eta + 1 in one
-pass: moments at q^k, the lift, q's recurrence from its pair alone proved on
-v (``opseq.proved_recurrence``, else the Chebyshev on v), p's recurrence (at
-k = 3 ascended from q's, its next level and eta, u's by the ascent lemma with
-no check on u; at any other k the Chebyshev on u), the mapping in the closed
-form of the power lemma (see README), the lifted (A, C, D) and the class
-report; p's polynomials are formed when ``CaseBundle.p_ops`` is first read.
+pass: moments at q^k, the lift, q's recurrence and its next level from its
+pair alone, proved on v by the eigen-recurrence lemma (``opseq.proved_recurrence``,
+else the Chebyshev on v), p's recurrence (at k = 3 ascended from q's, its next
+level and eta, u's by the ascent lemma with no check on u; at any other k the
+Chebyshev on u), the mapping in the closed form of the power lemma (see
+README), the lifted (A, C, D) and the class report.  A build forms no
+polynomial: p's and q's are formed when ``CaseBundle.p_ops`` and
+``CaseBundle.q_ops`` are first read.
 ``inverse_reconstruct_case13`` solves the inverse problem for case 13.
 """
 
@@ -31,7 +33,7 @@ from .errors import CaseError, SingularCaseError
 from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_failures
 from .functionals import MomentFunctional, PearsonPair, pearson_moments
 from .mapping import ConditionReport, MappingData, ascend_recurrence, lift_functional, lift_power
-from .opseq import BlockView, OPSequence, Recurrence, chebyshev_recurrence, next_level, ops_from_recurrence, proved_recurrence
+from .opseq import BlockView, OPSequence, Recurrence, chebyshev_recurrence, ops_from_recurrence, proved_recurrence
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam
 from .stieltjes import ACDTriple, acd_from_pearson, acd_mapped
@@ -102,15 +104,16 @@ class CaseValidation:
 @dataclass(frozen=True)
 class CaseBundle:
     """Everything a build at the power k = ``mapping.k`` produces; ``case`` and
-    ``expected_pair`` are set by ``build_case`` only.  ``p_ops`` is formed from
-    rec_p when first read and kept; bundles compare, hash and pickle by rec_p."""
+    ``expected_pair`` are set by ``build_case`` only.  A build forms no polynomial:
+    ``p_ops`` is formed from rec_p and ``q_ops`` (q_0..q_Nq) from the mapping's r
+    and s, each when first read, and kept; bundles compare, hash and pickle by
+    their recurrences."""
 
     q: QParam
     v: MomentFunctional
     eta: Poly
     u: MomentFunctional
     rec_p: Recurrence
-    q_ops: OPSequence
     mapping: MappingData
     acd: ACDTriple
     report: ClassReport
@@ -121,8 +124,12 @@ class CaseBundle:
     def p_ops(self) -> OPSequence:
         return ops_from_recurrence(self.rec_p, len(self.rec_p.b))
 
+    @cached_property
+    def q_ops(self) -> OPSequence:
+        return ops_from_recurrence(Recurrence(self.mapping.r, self.mapping.s), len(self.mapping.r))
+
     def __getstate__(self):
-        return {name: value for name, value in vars(self).items() if name != "p_ops"}
+        return {name: value for name, value in vars(self).items() if name not in ("p_ops", "q_ops")}
 
 
 def _a01(case_id: int, tau: CycScalar, q: QParam, c: Optional[CycScalar]) -> CycScalar:
@@ -385,9 +392,11 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
 
     v has the pair ``pair_v`` at q^k and v_0 = 1; u is its lift, S_u(z) = eta(z) S_v(z^k)
     with eta monic.
-    q's recurrence is ``proved_recurrence(v, pair_v, q^k, v.order // 2)``.  p's
-    (stage ``recurrence-p``) has one route per k: at k = 3 q's, its ``next_level``
-    on v and eta give it by the ascent, u's by the ascent lemma (see README), so
+    q's recurrence and its level Nq are ``proved_recurrence(v, pair_v, q^k, Nq)``,
+    Nq = v.order // 2: the pair's, by the eigen-recurrence lemma (README), with no
+    polynomial formed and no row of v's moments read, else the Chebyshev on v and
+    ``next_level``.  p's (stage ``recurrence-p``) has one route per k: at k = 3 q's
+    levels and eta give it by the ascent, u's by the ascent lemma (see README), so
     nothing reads u's moments; at any other k it is the Chebyshev on u.  Both are
     the functionals' own, so the mapping is the power lemma's closed form (README).
     A failing stage raises a CaseError whose message starts with ``label``.
@@ -406,10 +415,10 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     v = stage("moments-v", lambda: pearson_moments(pair_v, 1, _v_order(N, k), qk))
     u = stage("lift", lambda: lift_functional(v, eta))
     Np = u.order // 2
-    # q^k is validated to v's order, past the Nq - 1 the pair's recurrence reads, Nq = v.order // 2
-    rec_q, q_ops = stage("recurrence-q", lambda: proved_recurrence(v, pair_v, qk, v.order // 2))
+    # q^k is validated to v's order V >= 2 Nq, past the Nq that lambda_0..lambda_{Nq+1} read, Nq = V // 2
+    rec_q, level = stage("recurrence-q", lambda: proved_recurrence(v, pair_v, qk, v.order // 2))
     if k == 3:  # u's recurrence by the ascent lemma: no Chebyshev, no row over u's moments
-        rec_p = stage("recurrence-p", lambda: ascend_recurrence(*next_level(v, rec_q, q_ops), eta, Np))
+        rec_p = stage("recurrence-p", lambda: ascend_recurrence(*level, eta, Np))
     else:
         rec_p = stage("recurrence-p", lambda: chebyshev_recurrence(u, Np))
     # the power lemma: the block conditions hold, pi_k = x^k and (r, s) = rec_q, r_0 = v_1 / v_0
@@ -420,7 +429,7 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     vt = stage("acd-v", lambda: acd_from_pearson(pair_v, v, qk))
     acd = stage("acd-mapped", lambda: acd_mapped(vt, eta, q))
     report = stage("classify", lambda: classify(acd, q))
-    return CaseBundle(q, v, eta, u, rec_p, q_ops, mapping, acd, report)
+    return CaseBundle(q, v, eta, u, rec_p, mapping, acd, report)
 
 
 def build_case(case: CubicCase, q: QParam, N: int = 48) -> CaseBundle:

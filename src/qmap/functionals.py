@@ -13,8 +13,7 @@ reads the moments themselves: phi u, u_poly, the mixed-moment table of
 rows (``_rows``) serve ``stieltjes.stieltjes_residual`` too, which folds the
 Hahn weights into S's form (``_times``), adds the rows over one denominator
 (``_sum_rows``) and makes scalars (``_scalars``) only of a nonzero residual;
-``_pearson_holds`` tests u's Pearson equation the same way, and
-``_eigen_holds`` the eigen-equation L p_n = lambda_n p_n on p_n's form, for
+``_pearson_holds`` tests u's Pearson equation the same way, for
 ``opseq.proved_pair_recurrence``.  ``_dot`` is left for single dot products.
 """
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import add, mul, sub
+from operator import mul
 
 from .errors import RegularityError, TruncationError
 from .polyalg import Poly
@@ -300,35 +299,6 @@ def _pearson_holds(u: MomentFunctional, pair: PearsonPair, q: QParam, n: int) ->
     hahn = _times(q.q_bracket_form(n - 1), ([0] + X, Y and [0] + Y, den))
     X, Y, _ = _sum_rows([hahn, _rows(_scaled([q.q * c for c in pair.psi.coeffs]), moments, n)], n)
     return not (any(X) or any(Y or ()))
-
-
-def _eigen_holds(forms, eigen) -> bool:
-    """Whether L p_n = lambda_n p_n for every form p_n, L being the operator of ``opseq.pair_recurrence``.
-
-    ``eigen`` is the ``_scaled`` form of lambda_0..lambda_N, mu_0..mu_N and
-    nu_0..nu_N.  On p_n's numerators c_j, coefficient j < n of (L - lambda_n) p_n is
-    (lambda_j - lambda_n) c_j + mu_{j+1} c_{j+1} + nu_{j+2} c_{j+2}, up to the
-    two denominators: three products of a small integer with a large one.
-    """
-    R, O, _ = eigen
-    K = len(R) // 3
-    parts = [(E[:K], E[K + 1 : 2 * K], E[2 * K + 2 :] + [0]) for E in (R, O) if E is not None]
-
-    def row(part, C, n):  # the coefficients j < n for one integer part of the values and of p_n
-        lam, mu, nu = parts[part]
-        terms = zip(lam[:n], mu, nu, C, C[1:], [*C[2:], 0])
-        return [(l - lam[n]) * c + m * c1 + v * c2 for l, m, v, c, c1, c2 in terms]
-
-    for n, (C, Co, _) in enumerate(forms):
-        if O is None:
-            rows = (row(0, C, n), row(0, Co or (), n))
-        else:  # (e + f w)(c + d w) = (e c - f d) + (e d + f (c - d)) w
-            Co = Co or [0] * len(C)
-            diff = list(map(sub, C, Co))
-            rows = (map(sub, row(0, C, n), row(1, Co, n)), map(add, row(0, Co, n), row(1, diff, n)))
-        if any(map(any, rows)):
-            return False
-    return True
 
 
 def pearson_residual(u: MomentFunctional, pair: PearsonPair, q: QParam):

@@ -10,22 +10,25 @@ integer form (R, O, D) of ``functionals._scaled``, coefficient i being
 (R[i] + O[i] w)/D, and stepped by one integer kernel (``_step``); the row
 kernel ``_correlate`` reads the forms as they are, and a Poly is built only
 when it is read.  ``proved_recurrence`` is the one step from a functional and
-its pair to its recurrence, for ``qmap ops`` and for q's in a case build: the
-pair's N levels, proved by the eigen-equation L p_n = lambda_n p_n and u's
-Pearson equation (``proved_pair_recurrence``), else the Chebyshev algorithm
-(``recurrence_from_moments``), whose one level ``next_level`` reads.
+its pair to its N levels and its level N, for ``qmap ops`` and for q's in a
+case build: the pair's, read on integers from the eigenvalues of
+L = Phi H_q H_{1/q} + Psi H_{1/q} (``_pair_candidate``) and proved by the
+eigen-recurrence lemma (``proved_pair_recurrence``), with no polynomial
+formed and no row of moments read; else the Chebyshev algorithm
+(``recurrence_from_moments``) and its next level (``next_level``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
-from .functionals import MomentFunctional, PearsonPair, _correlate, _dot, _eigen_holds, _pearson_holds, _scaled
+from .functionals import MomentFunctional, PearsonPair, _correlate, _dot, _pearson_holds, _scaled
 from .polyalg import Poly
-from .scalars import CycScalar, ONE, QParam, ZERO, _reduced
+from .scalars import CycScalar, ONE, QParam, ZERO, _format, _reduced
 
 __all__ = [
     "Recurrence",
@@ -181,10 +184,10 @@ class OPSequence:
     lists: coefficient i of p_n is (R[i] + O[i] w)/D with the least D > 0,
     and O is None when p_n is rational.  Lists, not tuples: CPython 3.11 keeps
     each freed 20-element tuple on a free list that it never takes from, and
-    only a full collection empties it.  The kernels read the forms as they are; the
-    Poly p_n is built anew on each read of ``seq[n]`` or iteration.  A case
-    build reads none of q's and forms none of p's: ``CaseBundle.p_ops`` is
-    formed from rec_p when first read.
+    only a full collection empties it.  The kernels read the forms as they are,
+    and ``to_strings`` formats them; the Poly p_n is built anew on each read of
+    ``seq[n]`` or iteration.  A case build forms no sequence:
+    ``CaseBundle.q_ops`` and ``CaseBundle.p_ops`` are formed when first read.
     ``OPSequence(polys)`` checks that each element is monic of its index's
     degree.  Equality, hashing, copy and pickle work on the canonical forms,
     so a sequence compares equal however it was made; nothing changes a form.
@@ -221,6 +224,10 @@ class OPSequence:
     def __repr__(self):
         return f"OPSequence(p_0..p_{len(self.forms) - 1})"
 
+    def to_strings(self) -> list[list[str]]:
+        """Each p_n's ``Poly.to_strings``, each coefficient formatted from the form with no Poly built."""
+        return [[_format(r, o, D) for r, o in zip(R, O or [0] * len(R))] for R, O, D in self.forms]
+
 
 def ops_from_recurrence(rec: Recurrence, N: int) -> OPSequence:
     """p_0..p_N from the three-term recurrence, p_{-1} = 0, p_0 = 1, as integer forms.
@@ -252,32 +259,107 @@ def pair_recurrence(pair: PearsonPair, q: QParam, n: int) -> Recurrence:
     QmapError names wrong degrees, a zero gap lambda_m - lambda_j or a zero
     a_m (a RegularityError from ``Recurrence``).
     """
-    return _pair_candidate(pair, q, n)[0]
+    return Recurrence(*_pair_candidate(pair, q, n)[:2])
 
 
-def _pair_candidate(pair: PearsonPair, q: QParam, n: int) -> tuple[Recurrence, list]:
-    """``pair_recurrence`` and the lambda_m, mu_m and nu_m (m <= n) it read, as one list, for the proof."""
+def _eis_mul(x: tuple, y: tuple) -> tuple:
+    """(a + b w)(c + e w) on integer pairs, with w^2 = -1 - w."""
+    (a, b), (c, e) = x, y
+    be = b * e
+    return a * c - be, a * e + b * c - be
+
+
+def _eis_over(x: tuple, y: tuple) -> CycScalar:
+    """x / y for integer pairs, y != 0: x times the conjugate (c - e) - e w of y = c + e w, over its norm."""
+    c, e = y
+    if not e:
+        return _reduced(*x, c)
+    return _reduced(*_eis_mul(x, (c - e, -e)), c * c - c * e + e * e)
+
+
+def _int_over(x: int, y: int) -> CycScalar:
+    return _reduced(x, 0, y)
+
+
+def _eis_add(x: tuple, y: tuple) -> tuple:
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _eis_sub(x: tuple, y: tuple) -> tuple:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _eis_lift(i: int) -> tuple:
+    return i, 0
+
+
+# The two rings of _pair_candidate's integers, as (add, sub, mul, over, lift): Z itself, and
+# Z[w] with a + b w held as the pair (a, b)
+_RATIONAL = (add, sub, mul, _int_over, int)
+_EISENSTEIN = (_eis_add, _eis_sub, _eis_mul, _eis_over, _eis_lift)
+
+
+def _pair_candidate(pair: PearsonPair, q: QParam, n: int) -> tuple[list, list, list]:
+    """``pair_recurrence``'s b_0..b_{n-1} and a_1..a_{n-1}, a zero a_m kept, and lambda_0..lambda_n.
+
+    On integers: write q = rho / sigma with rho = r + o w and sigma = d from q's triple, and
+    1/rho = kappa / nu with nu an integer (kappa = 1, nu = r for a rational q; else kappa is rho's
+    conjugate and nu its norm).  Then B_m = sigma^{m-1} [m]_q = sigma B_{m-1} + rho^{m-1} and
+    [m]_{1/q} = B_m kappa^{m-1} / nu^{m-1}, so the scale W_m = (nu sigma)^{m-1} makes
+    Lambda_m = W_m lambda_m, M_m = W_m mu_m and N_m = W_m nu_m integers of Z[w] (times the pair's
+    common denominator, which every quotient below cancels):
+
+        Lambda_m = K_m (phi_2 sigma B_{m-1} + psi_1 sigma^{m-1}),  K_m = B_m kappa^{m-1},
+
+    and likewise M_m with phi_1, psi_0 and N_m = K_m phi_0 sigma B_{m-1}.  With W_m = y W_{m-1},
+    y = nu sigma, the gaps are G1_m = Lambda_m - y Lambda_{m-1} and
+    G2_m = Lambda_m - y^2 Lambda_{m-2} over W_m, so c_m = M_m / G1_m and
+    d_m = (N_m G1_m + y M_m M_{m-1}) / (G1_m G2_m): one quotient, one gcd, each.  A rational q
+    and pair run on int, any other on pairs.
+    """
     phi, psi = pair.phi, pair.psi
     if phi.degree > 2 or psi.degree != 1:
         raise QmapError(f"pair recurrence: need deg Phi <= 2 and deg Psi = 1, have {phi.degree} and {psi.degree}")
-    lam, mu, nu, c, d = [], [], [], [], []
-
-    def over_gap(x, m, j):
-        gap = lam[m] - lam[m - j]
-        if not gap:
-            raise QmapError(f"pair recurrence: lambda_{m} = lambda_{m - j}")
-        return x * gap.inv()
-
-    for m in range(n + 1):
-        inv = q.bracket_inv(m)
-        t = inv * q.bracket(m - 1) if m else ZERO
-        lam.append(phi.coeff(2) * t + psi.coeff(1) * inv)
-        mu.append(phi.coeff(1) * t + psi.coeff(0) * inv)
-        nu.append(phi.coeff(0) * t)
-        c.append(over_gap(mu[m], m, 1) if m else ZERO)
-        d.append(over_gap(nu[m] + c[m] * mu[m - 1], m, 2) if m > 1 else ZERO)
+    R, O, E = _scaled([phi.coeff(0), phi.coeff(1), phi.coeff(2), psi.coeff(0), psi.coeff(1)])
+    r, o, sigma = q.q.r, q.q.o, q.q.d
+    if O is None and not o:
+        plus, minus, times, over, lift = _RATIONAL
+        f0, f1, f2, g0, g1 = R
+        rho, kappa, nu = r, 1, r
+    else:
+        plus, minus, times, over, lift = _EISENSTEIN
+        f0, f1, f2, g0, g1 = zip(R, O or [0] * 5)
+        rho, kappa, nu = (r, o), (r - o, -o), r * r - r * o + o * o
+    s, y = lift(sigma), nu * sigma
+    y1, y2 = lift(y), lift(y * y)
+    one, zero = lift(1), lift(0)
+    B_prev, B, rho_pow, kappa_pow, sigma_pow, W = zero, one, one, one, one, E
+    Lam, M_prev, lam, c, d = [zero], zero, [ZERO], [ZERO], [ZERO]
+    for m in range(1, n + 1):
+        q.bracket(m)  # [m]_q exists: q is validated to order m - 1
+        if m > 1:
+            rho_pow, kappa_pow, sigma_pow, W = times(rho_pow, rho), times(kappa_pow, kappa), times(sigma_pow, s), W * y
+            B_prev, B = B, plus(times(s, B), rho_pow)
+        K, sB = times(B, kappa_pow), times(s, B_prev)
+        L = times(K, plus(times(f2, sB), times(g1, sigma_pow)))
+        M = times(K, plus(times(f1, sB), times(g0, sigma_pow)))
+        gap1 = minus(L, times(y1, Lam[m - 1]))
+        if gap1 == zero:
+            raise QmapError(f"pair recurrence: lambda_{m} = lambda_{m - 1}")
+        c.append(over(M, gap1))
+        if m > 1:
+            gap2 = minus(L, times(y2, Lam[m - 2]))
+            if gap2 == zero:
+                raise QmapError(f"pair recurrence: lambda_{m} = lambda_{m - 2}")
+            top = plus(times(times(K, times(f0, sB)), gap1), times(y1, times(M, M_prev)))
+            d.append(over(top, times(gap1, gap2)))
+        else:
+            d.append(ZERO)
+        Lam.append(L)
+        M_prev = M
+        lam.append(over(L, lift(W)))
     b = [c[m] - c[m + 1] for m in range(n)]
-    return Recurrence(b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)]), lam + mu + nu
+    return b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)], lam
 
 
 def chebyshev_recurrence(u: MomentFunctional, N: int) -> Recurrence:
@@ -328,39 +410,47 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OP
     return rec, ops_from_recurrence(rec, N)
 
 
-def proved_pair_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> Optional[tuple[Recurrence, OPSequence]]:
-    """``pair_recurrence(pair, q, N)`` and p_0..p_N if the symmetry lemma (README) proves them u's, else None.
+def proved_pair_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> Optional[tuple[Recurrence, tuple]]:
+    """u's N levels and its level N from the pair alone, if the eigen-recurrence lemma (README) proves them, else None.
 
-    Proved when u_0 != 0, u holds u_{2N-1} and the pair's Pearson equation to
-    that order, lambda_0..lambda_N are distinct and L p_n = lambda_n p_n for
-    n <= N: then <u, p_n p_m> = 0 for n != m and h_n = u_0 a_1...a_n != 0,
-    so this is ``recurrence_from_moments(u, N)``.
+    Proved when N >= 1, u_0 != 0, u holds u_{2N} and satisfies the pair's Pearson
+    equation on u_0..u_V, V = min(u.order, 2N + 1), lambda_0..lambda_{N+1} are
+    distinct and the pair's a_1..a_{N-1} are nonzero.  Then the pair's N levels are
+    ``recurrence_from_moments(u, N)``'s, and its level N is ``next_level``'s (b, a):
+    a_N = h_N / h_{N-1}, read raw, so a zero a_N is "not regular at N", and b_N
+    when V = 2N + 1 and a_N != 0.  No polynomial is formed and no row of moments
+    read: the cost is the pair's levels and the Pearson rows, small times large.
     """
-    if 2 * N - 1 > u.order or not u.moments[0]:
+    V = min(u.order, 2 * N + 1)
+    if N < 1 or V < 2 * N or not u.moments[0]:
         return None
     try:
-        cand, eigen = _pair_candidate(pair, q, N)
+        b, a, lam = _pair_candidate(pair, q, N + 1)
+        rec = Recurrence(b[:N], a[: N - 1])
     except QmapError:
         return None
-    R, O, _ = eigen = _scaled(eigen)
-    lam = R[: N + 1] if O is None else zip(R[: N + 1], O)
-    if len(set(lam)) <= N or not _pearson_holds(u, pair, q, 2 * N - 1):
+    if len(set(lam)) <= N + 1 or not _pearson_holds(u, pair, q, V):
         return None
-    forms = _forms(cand.b_at, cand.a_at, 0, N)
-    return (cand, OPSequence._of_forms(forms)) if _eigen_holds(forms, eigen) else None
+    return rec, (tuple(b) if V > 2 * N and a[-1] else rec.b, rec.a + (a[-1],))
 
 
-def proved_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> tuple[Recurrence, OPSequence]:
-    """u's N levels and p_0..p_N: ``proved_pair_recurrence``, else
-    ``recurrence_from_moments(u, N)``, whose errors are the caller's."""
-    return proved_pair_recurrence(u, pair, q, N) or recurrence_from_moments(u, N)
+def proved_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> tuple[Recurrence, tuple]:
+    """u's N >= 1 levels and its level N (``next_level``'s (b, a)): ``proved_pair_recurrence``, else
+    ``recurrence_from_moments(u, N)`` and ``next_level``, whose errors are the caller's."""
+    proved = proved_pair_recurrence(u, pair, q, N)
+    if proved is not None:
+        return proved
+    rec, ops = recurrence_from_moments(u, N)
+    return rec, next_level(u, rec, ops)
 
 
 def next_level(u: MomentFunctional, rec: Recurrence, ops: OPSequence) -> tuple[tuple, tuple]:
     """``rec``'s (b, a) with u's a_N, and b_N too when u holds u_{2N+1} and a_N != 0; a_N = 0 if u is not regular at N.
 
-    ``rec`` and ``ops`` are u's proved N = len(rec.b) levels and p_0..p_N.
-    With h_n = <u, x^n p_n>, this is the Chebyshev algorithm's level N:
+    ``rec`` and ``ops`` are u's N = len(rec.b) levels and p_0..p_N, as the
+    Chebyshev algorithm gives them where the pair's proof does not apply (the
+    proof gives level N from the pair).  With h_n = <u, x^n p_n>, this is the
+    Chebyshev algorithm's level N:
 
         a_N = h_N / h_{N-1},    b_N = <u, x^{N+1} p_N> / h_N - <u, x^N p_{N-1}> / h_{N-1},
 
@@ -369,6 +459,8 @@ def next_level(u: MomentFunctional, rec: Recurrence, ops: OPSequence) -> tuple[t
     a short slice without complaint.
     """
     N = len(rec.b)
+    if N < 1:
+        raise QmapError("next_level needs at least one proved level, have 0")
     if u.order < 2 * N:
         raise TruncationError(f"level {N} needs effective order >= {2 * N}, have {u.order}")
     width = 2 if u.order > 2 * N else 1  # the second entry of each row is b_N's

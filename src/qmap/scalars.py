@@ -277,7 +277,11 @@ OMEGA = CycScalar(0, 1)
 
 def format_scalar(s: CycScalar) -> str:
     """Canonical string form: ``p/q`` when om = 0, else ``p/q+r/s*w``, each part in lowest terms."""
-    r, o, d = s.r, s.o, s.d
+    return _format(s.r, s.o, s.d)
+
+
+def _format(r: int, o: int, d: int) -> str:
+    """``format_scalar`` of (r + o*w)/d for any integers with d > 0: each part is reduced by its own gcd."""
     g = gcd(r, d)
     re_part = f"{r // g}/{d // g}"
     if not o:

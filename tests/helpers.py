@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from operator import add, sub
 from typing import Optional
 
 from hypothesis import strategies as st
@@ -442,14 +443,89 @@ def no_candidate(*args):
 
 
 def patch_candidate(monkeypatch, spoil) -> None:
-    """Make every pair proof read spoil(c) for the pair's candidate c, against the lambda, mu, nu c was read from."""
+    """Make every pair proof read spoil(b, a, lam) for the pair's levels b, a and eigenvalues lam."""
     real = opseq._pair_candidate
+    monkeypatch.setattr(opseq, "_pair_candidate", lambda *args: spoil(*real(*args)))
 
-    def spoiled(*args):
-        rec, eigen = real(*args)
-        return spoil(rec), eigen
 
-    monkeypatch.setattr(opseq, "_pair_candidate", spoiled)
+def repeated_lambda(m: int, j: int = 0):
+    """A spoil for ``patch_candidate`` that sets lambda_m = lambda_j and keeps the levels."""
+
+    def spoil(b, a, lam):
+        return b, a, [*lam[:m], lam[j], *lam[m + 1 :]]
+
+    return spoil
+
+
+def zero_a(m: int):
+    """A spoil for ``patch_candidate`` that sets a_m = 0 and keeps b and lambda."""
+
+    def spoil(b, a, lam):
+        return b, [*a[: m - 1], ZERO, *a[m:]], lam
+
+    return spoil
+
+
+def pair_candidate_oracle(pair, q, n: int) -> tuple[list, list, list]:
+    """``opseq._pair_candidate`` on CycScalar arithmetic, as it was before its integer form.
+
+    Returns b_0..b_{n-1}, a_1..a_{n-1} (a zero kept) and lambda_0..lambda_n, mu_0..mu_n and
+    nu_0..nu_n as one list: with t_m = [m]_{1/q} [m-1]_q, lambda_m = phi_2 t_m + psi_1 [m]_{1/q},
+    mu_m = phi_1 t_m + psi_0 [m]_{1/q} and nu_m = phi_0 t_m, then
+    c_m = mu_m / (lambda_m - lambda_{m-1}), d_m = (nu_m + c_m mu_{m-1}) / (lambda_m - lambda_{m-2}),
+    b_m = c_m - c_{m+1} and a_m = d_m - d_{m+1} - b_m c_m.
+    """
+    phi, psi = pair.phi, pair.psi
+    if phi.degree > 2 or psi.degree != 1:
+        raise QmapError(f"pair recurrence: need deg Phi <= 2 and deg Psi = 1, have {phi.degree} and {psi.degree}")
+    lam, mu, nu, c, d = [], [], [], [], []
+
+    def over_gap(x, m, j):
+        gap = lam[m] - lam[m - j]
+        if not gap:
+            raise QmapError(f"pair recurrence: lambda_{m} = lambda_{m - j}")
+        return x * gap.inv()
+
+    for m in range(n + 1):
+        inv = q.bracket_inv(m)
+        t = inv * q.bracket(m - 1) if m else ZERO
+        lam.append(phi.coeff(2) * t + psi.coeff(1) * inv)
+        mu.append(phi.coeff(1) * t + psi.coeff(0) * inv)
+        nu.append(phi.coeff(0) * t)
+        c.append(over_gap(mu[m], m, 1) if m else ZERO)
+        d.append(over_gap(nu[m] + c[m] * mu[m - 1], m, 2) if m > 1 else ZERO)
+    b = [c[m] - c[m + 1] for m in range(n)]
+    return b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)], lam + mu + nu
+
+
+def eigen_holds_oracle(forms, eigen) -> bool:
+    """Whether L p_n = lambda_n p_n for every form p_n, L being the operator of ``opseq.pair_recurrence``.
+
+    ``eigen`` is the ``_scaled`` form of lambda_0..lambda_N, mu_0..mu_N and
+    nu_0..nu_N (``pair_candidate_oracle``'s list).  On p_n's numerators c_j, coefficient
+    j < n of (L - lambda_n) p_n is (lambda_j - lambda_n) c_j + mu_{j+1} c_{j+1} +
+    nu_{j+2} c_{j+2}, up to the two denominators.  The check a build's proof made on
+    p_0..p_N before the eigen-recurrence lemma (README) made it a consequence.
+    """
+    R, O, _ = eigen
+    K = len(R) // 3
+    parts = [(E[:K], E[K + 1 : 2 * K], E[2 * K + 2 :] + [0]) for E in (R, O) if E is not None]
+
+    def row(part, C, n):  # the coefficients j < n for one integer part of the values and of p_n
+        lam, mu, nu = parts[part]
+        terms = zip(lam[:n], mu, nu, C, C[1:], [*C[2:], 0])
+        return [(l - lam[n]) * c + m * c1 + v * c2 for l, m, v, c, c1, c2 in terms]
+
+    for n, (C, Co, _) in enumerate(forms):
+        if O is None:
+            rows = (row(0, C, n), row(0, Co or (), n))
+        else:  # (e + f w)(c + d w) = (e c - f d) + (e d + f (c - d)) w
+            Co = Co or [0] * len(C)
+            diff = list(map(sub, C, Co))
+            rows = (map(sub, row(0, C, n), row(1, Co, n)), map(add, row(0, Co, n), row(1, diff, n)))
+        if any(map(any, rows)):
+            return False
+    return True
 
 
 def family_recurrence(family: str, a, b, Q, n: int) -> Recurrence:

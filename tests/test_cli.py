@@ -10,13 +10,21 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from qmap import CycScalar, MomentFunctional, Poly, Recurrence, classifier, cli, cubic_cases, opseq, stieltjes
+from qmap import CycScalar, MomentFunctional, Poly, classifier, cli, cubic_cases, opseq, stieltjes
 from qmap.cli import main
 from qmap.errors import QmapError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE
 from qmap.scalars import format_scalar
 
-from helpers import call_spy, patch_candidate, spy_everywhere, stieltjes_residual_oracle, verify_susvq_oracle
+from helpers import (
+    call_spy,
+    patch_candidate,
+    repeated_lambda,
+    spy_everywhere,
+    stieltjes_residual_oracle,
+    verify_susvq_oracle,
+    zero_a,
+)
 
 
 def run_cli(capsys, *argv):
@@ -49,11 +57,7 @@ OPS_ARGV = [
 ]
 
 
-def _wrong_first_b(rec):
-    return Recurrence((rec.b[0] + 1,) + rec.b[1:], rec.a)
-
-
-def _singular(rec):
+def _singular(*candidate):
     raise QmapError("zero denominator")
 
 
@@ -66,7 +70,7 @@ def test_ops_proves_the_pair_recurrence_and_the_chebyshev_decides_otherwise(caps
     expected = run_cli(capsys, *argv)
     assert chebyshev == scanned == [] and expected[0] == 0
     M = int(argv[argv.index("--N") + 1]) // 2
-    for wrong in (_wrong_first_b, _singular):
+    for wrong in (repeated_lambda(1), zero_a(1), _singular):
         with pytest.MonkeyPatch.context() as patch:
             patch_candidate(patch, wrong)
             assert run_cli(capsys, *argv) == expected
@@ -106,18 +110,15 @@ def test_ops_with_a_zero_u0_names_level_0(capsys):
     assert capsys.readouterr().err == "error: not regular at level 0: <u, p_0^2> = 0\n"
 
 
-def test_ops_builds_each_polynomial_once(capsys, monkeypatch):
-    built = []
-    poly_of = opseq._poly
-
-    def spy(form):
-        built.append(form)
-        return poly_of(form)
-
-    monkeypatch.setattr(opseq, "_poly", spy)
+def test_ops_formats_each_form_once_and_builds_no_poly(capsys, monkeypatch):
+    # the report's strings come straight from p_0..p_M's integer forms, one format per coefficient
+    built = call_spy(monkeypatch, opseq, "_poly")
+    formatted = call_spy(monkeypatch, opseq, "_format")
     code, report = run_cli(capsys, "ops", "--family", "little-q-laguerre", "--a", "1/4", "--q", "1/2", "--N", "48")
     assert code == 0 and report["orthogonality_ok"] is True
-    assert len(built) == len(report["polynomials"]) == 25
+    assert built == []
+    assert len(report["polynomials"]) == 25
+    assert len(formatted) == sum(map(len, report["polynomials"])) == sum(range(1, 26))
 
 
 def test_ops_jacobi_requires_b(capsys):

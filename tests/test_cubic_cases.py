@@ -46,7 +46,9 @@ from helpers import (
     ops_from_recurrence_oracle,
     patch_candidate,
     power_identity_oracle,
+    repeated_lambda,
     spy_everywhere,
+    zero_a,
 )
 
 
@@ -202,8 +204,8 @@ def test_stage_error_names_the_case(q_half, monkeypatch):
     def irregular(u, N):
         raise RegularityError("not regular at level 0: <u, p_0^2> = 0")
 
-    # the proof on v rejects a wrong candidate, so the Chebyshev on v runs
-    patch_candidate(monkeypatch, lambda rec: _wrong(rec, "b", 0))
+    # with no candidate the proof on v fails, so the Chebyshev on v runs
+    patch_candidate(monkeypatch, no_candidate)
     monkeypatch.setattr(opseq, "recurrence_from_moments", irregular)
     with pytest.raises(CaseError) as info:
         cubic_cases.build_case(case_fixture(1, q_half), q_half, 12)
@@ -498,10 +500,10 @@ def test_the_ascent_is_certified_on_every_catalog_and_branch_build(workloads, mo
         assert not any(v is u for v, _ in proved for u in lifted), workload
 
 
-def test_no_benchmark_call_reads_a_row_of_moments_but_the_next_level(workloads, monkeypatch):
-    # the eigen proof forms no row of v's moments: in a build, the row kernel runs for next_level's
-    # two rows and for u_poly (the D of v's triple) only; `qmap ops` at the certify sizes proves
-    # its pair, so it runs no orthogonality scan either
+def test_no_benchmark_call_reads_a_row_of_moments_but_u_poly(workloads, monkeypatch):
+    # the eigen-recurrence proof forms no row of v's moments and takes q's next level from the
+    # pair: in a build, the row kernel runs for u_poly (the D of v's triple) only; `qmap ops` at
+    # the certify sizes proves its pair, so it runs no orthogonality scan either
     callers = []
     real = functionals._correlate
 
@@ -512,15 +514,28 @@ def test_no_benchmark_call_reads_a_row_of_moments_but_the_next_level(workloads, 
     for module in (functionals, opseq):
         monkeypatch.setattr(module, "_correlate", spy)
     scanned = spy_everywhere(monkeypatch, opseq.orthogonality_check)
-    for workload, builds in (("catalog", 26), ("deep", 2), ("branch", 4)):
+    for workload in ("catalog", "deep", "branch"):
         callers.clear()
         for call in workloads.build(workload, 0):
             call.run()
-        assert set(callers) == {"next_level", "u_poly"}, workload
-        assert callers.count("next_level") == 2 * builds, workload
+        assert set(callers) == {"u_poly"}, workload
     for call in workloads.build("certify", 0):
         assert call.output(call.run())[1]
     assert scanned == []
+
+
+@pytest.mark.parametrize("case_id, overrides", [(13, ()), (1, (("tau", -OMEGA),))])
+def test_a_k3_build_forms_no_polynomial_and_no_next_level_row(q_half, monkeypatch, case_id, overrides):
+    # the proof gives q's N levels and level N from the pair: no three-term step, no next_level
+    # and no row kernel in opseq; q_ops is formed when read, and it is the Chebyshev's q_0..q_Nq
+    stepped = spy_everywhere(monkeypatch, opseq._step)
+    leveled = spy_everywhere(monkeypatch, opseq.next_level)
+    correlated = call_spy(monkeypatch, opseq, "_correlate")
+    bundle = cubic_cases.build_case(case_fixture(case_id, q_half, dict(overrides)), q_half, 48)
+    assert stepped == leveled == correlated == []
+    q_ops = bundle.q_ops
+    assert len(stepped) == len(q_ops) - 1 == bundle.v.order // 2
+    assert q_ops == recurrence_from_moments(bundle.v, bundle.v.order // 2)[1]
 
 
 def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
@@ -535,10 +550,12 @@ def _wrong(rec: Recurrence, field: str, level: int) -> Recurrence:
 @pytest.mark.parametrize("cid", [1, 13])
 @pytest.mark.parametrize("field, level", [("b", 0), ("a", 1), ("a", 4), ("b", 7), ("a", 7)])
 def test_a_wrong_candidate_is_rejected_on_v_and_the_chebyshev_decides(q_half, monkeypatch, cid, field, level):
-    # at N = 48, Nq = 8: the candidate holds levels 0..7, all of which the proof on v covers;
-    # a wrong level, the top one too, is rejected, and the Chebyshev on v gives q's recurrence
+    # at N = 48, Nq = 8: the proof derives levels 0..7 and level 8 from lambda, mu, nu, so a wrong
+    # candidate is one that fails a hypothesis of the lemma.  For a_level that is a_level = 0; for
+    # b_level, lambda_{level+1} = lambda_level, the gap that c_{level+1} in b_level divides by.  The
+    # top level 7 too is rejected, and the Chebyshev on v gives q's recurrence
     good = cached_case_bundle(cid, q_half)  # built before the patches, so the spy sees one build
-    patch_candidate(monkeypatch, lambda rec: _wrong(rec, field, level))
+    patch_candidate(monkeypatch, zero_a(level) if field == "a" else repeated_lambda(level + 1, level))
     spy = _ChebyshevSpy(monkeypatch)
     assert cubic_cases.build_case(case_fixture(cid, q_half), q_half, 48) == good
     assert spy.calls == [(16, 8)]  # never the Chebyshev on u
@@ -675,8 +692,8 @@ def test_k2_and_k4_prove_q_on_v_and_keep_the_chebyshev_on_u(monkeypatch, eta, fa
     assert spy.calls == [(bare.u.order, bare.u.order // 2)]  # no call on v
     Nq = bare.v.order // 2
     assert opseq.pair_recurrence(pair, Q, Nq) == family_recurrence(family, a, b, Q, Nq)
-    # with no candidate, or a wrong one that the proof on v rejects, the Chebyshev on v decides
-    for spoil in (no_candidate, lambda rec: _wrong(rec, "b", 2)):
+    # with no candidate, or one whose lambda repeat that the proof on v rejects, the Chebyshev on v decides
+    for spoil in (no_candidate, repeated_lambda(3, 2)):
         spy.calls.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch_candidate(patch, spoil)

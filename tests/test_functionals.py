@@ -36,10 +36,11 @@ from qmap.families import (
     little_q_laguerre_pair,
     regularity_failures,
 )
+from qmap import opseq
 from qmap.opseq import pair_recurrence
 
 from conftest import random_nonzero_scalar, random_poly, random_scalar
-from helpers import family_recurrence
+from helpers import family_recurrence, pair_candidate_oracle
 
 X = Poly.x()
 
@@ -235,6 +236,45 @@ def test_pair_recurrence_is_the_chebyshev_on_the_pair_moments(data):
             pair_recurrence(pair, Q, n)
         return
     assert pair_recurrence(pair, Q, n) == expected
+
+
+def _candidate_outcome(candidate, pair, Q, n):
+    try:
+        return candidate(pair, Q, n)
+    except (QmapError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_levels_on_integers_are_the_scalar_formula(data):
+    # opseq._pair_candidate works on integers of Z[w]; the CycScalar formula it replaced
+    # (helpers.pair_candidate_oracle) gives the same b, a (a zero a kept) and lambda, or the same
+    # error: wrong degrees, a zero gap (drawn on purpose through ab = Q^-(2j-1)), or a q validated
+    # to too low an order
+    omega = data.draw(st.booleans())
+    coeffs = st.builds(CycScalar, _small, _small if omega else st.just(Fraction(0)))
+    scalars = coeffs.filter(bool)
+    try:
+        Q = QParam(data.draw(scalars), data.draw(st.integers(4, 16)))
+    except ValueError:  # a root of unity of low order
+        assume(False)
+    n = data.draw(st.integers(0, 12))
+    shape = data.draw(st.sampled_from(("family", "gap", "random")))
+    if shape == "random":
+        deg = data.draw(st.integers(0, 3))
+        phi = Poly(data.draw(st.lists(coeffs, min_size=deg, max_size=deg)) + [data.draw(scalars)])
+        pair = PearsonPair(phi, Poly([data.draw(coeffs), data.draw(scalars)]))
+    else:
+        a = data.draw(scalars)
+        b = Q.q ** -(2 * data.draw(st.integers(1, 6)) - 1) * a.inv() if shape == "gap" else data.draw(scalars)
+        pair = little_q_jacobi_pair(a, b, Q) if shape == "gap" or data.draw(st.booleans()) else little_q_laguerre_pair(a, Q)
+    got = _candidate_outcome(opseq._pair_candidate, pair, Q, n)
+    expected = _candidate_outcome(pair_candidate_oracle, pair, Q, n)
+    if isinstance(expected[0], list):
+        b, a, eigen = expected
+        expected = b, a, eigen[: n + 1]
+    assert got == expected
 
 
 def test_pair_recurrence_rejects_a_zero_gap_and_the_wrong_degrees(q_half):

@@ -357,7 +357,8 @@ def proved_q_side(draw):
         pair = PearsonPair(phi, Poly([draw(scalars), draw(scalars.filter(bool))]))
         try:
             v = pearson_moments(pair, 1, V, LEMMA_Q)
-            rec_q, q_ops = proved_recurrence(v, pair, LEMMA_Q, Nq)
+            rec_q = proved_recurrence(v, pair, LEMMA_Q, Nq)[0]
+            q_ops = ops_from_recurrence(rec_q, Nq)
         except RegularityError:
             assume(False)
     else:

@@ -27,7 +27,8 @@ from qmap import (
     recurrence_from_moments,
 )
 from qmap.errors import QmapError, RegularityError, TruncationError
-from qmap.families import little_q_laguerre_pair
+from qmap.families import little_q_jacobi_pair, little_q_laguerre_pair
+from qmap.functionals import _scaled
 from qmap import opseq
 from qmap.opseq import OrthogonalityReport
 
@@ -35,12 +36,16 @@ from conftest import random_nonzero_scalar, random_scalar
 from helpers import (
     call_spy,
     certify_recurrence_oracle,
+    eigen_holds_oracle,
     jacobi_moments,
     kernel_scalars,
     ops_from_recurrence_oracle,
     orthogonality_check_oracle,
+    pair_candidate_oracle,
     patch_candidate,
     recurrence_from_moments_oracle,
+    repeated_lambda,
+    zero_a,
 )
 
 X = Poly.x()
@@ -194,11 +199,12 @@ def test_proved_recurrence_certifies_the_pair_or_runs_the_chebyshev(q_half, monk
     u = pearson_moments(pair, 1, 24, q_half)
     chebyshev, calls = opseq.recurrence_from_moments, []
     monkeypatch.setattr(opseq, "recurrence_from_moments", lambda u, N: calls.append(N) or chebyshev(u, N))
-    for N in (1, 12):  # N = 1 too: the certificate proves every level the pair gives
-        expected = chebyshev(u, N)
+    for N in (1, 12):  # N = 1 too: the proof gives every level the pair gives, and level N
+        rec, ops = chebyshev(u, N)
+        expected = rec, opseq.next_level(u, rec, ops)
         calls.clear()
         assert opseq.proved_recurrence(u, pair, q_half, N) == expected and calls == []
-        # the pair of another functional: its recurrence is not u's, and the certificate says so
+        # the pair of another functional: its recurrence is not u's, and its Pearson equation says so
         other = little_q_laguerre_pair(Fraction(1, 3), q_half)
         assert opseq.proved_recurrence(u, other, q_half, N) == expected and calls == [N]
         # a pair that fixes no recurrence (deg Phi = 3)
@@ -302,85 +308,129 @@ def test_L_is_u_symmetric_on_the_moments_that_exist(functional):
             f, g = Poly.monomial(i), Poly.monomial(j)
             lhs = act(u, _L(pair, q, f) * g)
             assert lhs == act(u, f * _L(pair, q, g)) == -act(u, pair.phi * hahn_poly(f, q) * hahn_poly(g, q))
-    # and L x^m = lambda_m x^m + mu_m x^(m-1) + nu_m x^(m-2), the values the proof reads
+    # and L x^m = lambda_m x^m + mu_m x^(m-1) + nu_m x^(m-2), the values the pair's levels are read from
     N = u.order // 2
     try:
-        _, eigen = opseq._pair_candidate(pair, q, N)
+        *_, eigen = pair_candidate_oracle(pair, q, N)
     except QmapError:
         return
+    assert opseq._pair_candidate(pair, q, N)[2] == eigen[: N + 1]
     for m in range(N + 1):
         values = (eigen[m], eigen[N + 1 + m], eigen[2 * N + 2 + m])
         assert _L(pair, q, Poly.monomial(m)) == sum((c * Poly.monomial(m - i) for i, c in enumerate(values) if i <= m), Poly.zero())
 
 
-@settings(max_examples=100, deadline=None)
+def _levels(u: MomentFunctional, N: int):
+    """The Chebyshev algorithm's N levels and next_level's (b, a), or its exact error."""
+    try:
+        rec, ops = recurrence_from_moments(u, N)
+    except RegularityError as exc:
+        return "RegularityError", str(exc)
+    return rec, opseq.next_level(u, rec, ops)
+
+
+@st.composite
+def lemma_functionals(draw, N: int, V: int):
+    """(pair, q, u) of ``classical_functionals`` to order V, or, in a sixth of the draws, little
+    q-Laguerre or q-Jacobi at a = q^-N, whose pair's a_N is 0: u is not regular at level N."""
+    if draw(st.integers(0, 5)):
+        return draw(classical_functionals(V))
+    q = draw(st.sampled_from(PROOF_QS))
+    a = q.q ** -N
+    if draw(st.booleans()):
+        pair = little_q_laguerre_pair(a, q)
+    else:
+        pair = little_q_jacobi_pair(a, draw(_scalars(draw(st.booleans())).filter(bool)), q)
+    try:
+        return pair, q, pearson_moments(pair, 1, V, q)
+    except RegularityError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_the_eigen_proof_is_the_certificate_and_the_chebyshev(data):
-    # proved, the pair's levels are the certificate's and the Chebyshev's; the certificate proves
-    # a candidate exactly when the eigen proof does, and proved_recurrence is the Chebyshev's
-    # value or exact error either way
-    N = data.draw(st.integers(0, 6))
-    pair, q, u = data.draw(classical_functionals(max(2 * N - 1, 0) + data.draw(st.integers(0, 2))))
+    # the eigen-recurrence lemma, at V = 2N and 2N + 1: whenever the proof returns, the pair's
+    # p_0..p_{N+1} are eigenpolynomials of L (the oracle a build checked before), its N levels are
+    # the Chebyshev's and the certificate's, and its level N is next_level's, a_N = 0 included.
+    # proved_recurrence is that value, or the Chebyshev's exact error, either way
+    N = data.draw(st.integers(1, 6))
+    V = 2 * N + data.draw(st.integers(0, 1))
+    pair, q, u = data.draw(lemma_functionals(N, V))
     if data.draw(st.integers(0, 4)) == 0:
         u = MomentFunctional([ZERO] * len(u.moments))  # u_0 = 0
     proved = opseq.proved_pair_recurrence(u, pair, q, N)
-    chebyshev = _outcome(recurrence_from_moments, u, N)
+    chebyshev = _levels(u, N)
     assert _outcome(lambda u, N: opseq.proved_recurrence(u, pair, q, N), u, N) == chebyshev
-    if proved is not None:
-        assert proved == chebyshev
-    try:
-        cand = opseq.pair_recurrence(pair, q, N)
-    except QmapError:
-        assert proved is None
+    if proved is None:
         return
-    if N:
-        assert proved == certify_recurrence_oracle(u, cand, N)
+    assert proved == chebyshev
+    rec, (b_next, a_next) = proved
+    b, a, eigen = pair_candidate_oracle(pair, q, N + 1)
+    assert (rec.b, rec.a, a_next) == (tuple(b[:N]), tuple(a[: N - 1]), tuple(a))
+    assert b_next == (tuple(b) if V > 2 * N and a[-1] else rec.b)
+    forms = opseq._forms(lambda t: b[t], lambda t: a[t - 1], 0, N + 1)
+    assert eigen_holds_oracle(forms, _scaled(eigen))
+    assert certify_recurrence_oracle(u, rec, N) == recurrence_from_moments(u, N)
+    if not a[-1]:  # not regular at N: an (N + 1)-level recurrence refuses the zero
+        with pytest.raises(RegularityError):
+            Recurrence(b, a)
 
 
-def _spoiled_lambda(monkeypatch):
-    real = opseq._pair_candidate
-
-    def spoiled(*args):
-        rec, eigen = real(*args)
-        return rec, [eigen[0], eigen[1], eigen[2], eigen[0], *eigen[4:]]  # lambda_3 = lambda_0
-
-    monkeypatch.setattr(opseq, "_pair_candidate", spoiled)
-
-
-def _spoiled_level(monkeypatch):
-    patch_candidate(monkeypatch, lambda rec: Recurrence(rec.b, (rec.a[0] + 1,) + rec.a[1:]))
-
-
-# One spoiled input per condition of the proof at N = 6, each rejected; the Chebyshev then
-# decides, with its own value or message
+# One spoiled input per hypothesis of the lemma at N = 6, u to u_13, each rejected; the
+# Chebyshev and next_level then decide, with their own value or message
 SPOILED_PROOFS = {
-    "lambda distinct": (_spoiled_lambda, lambda m: m, None),
-    "L p_n = lambda_n p_n": (_spoiled_level, lambda m: m, None),
+    "lambda distinct": (repeated_lambda(3), lambda m: m, None),
+    "lambda_{N+1} distinct": (repeated_lambda(7, 6), lambda m: m, None),
+    "a_1..a_{N-1} nonzero": (zero_a(2), lambda m: m, None),
     "u_0 != 0": (None, lambda m: [ZERO] * len(m), "not regular at level 0: <u, p_0^2> = 0"),
     "u_{2N-1} exists": (None, lambda m: m[:11], "need effective order >= 11, have 10"),
-    "Pearson equation to u_{2N-1}": (None, lambda m: m[:11] + [m[11] + 1], None),
+    "u_{2N} exists": (None, lambda m: m[:12], "level 6 needs effective order >= 12, have 11"),
+    "Pearson equation to u_{2N-1}": (None, lambda m: m[:11] + [m[11] + 1] + m[12:], None),
+    "Pearson equation to u_{2N}": (None, lambda m: m[:12] + [m[12] + 1] + m[13:], None),
+    "Pearson equation to u_{2N+1}": (None, lambda m: m[:13] + [m[13] + 1], None),
 }
 
 
 @pytest.mark.parametrize("condition", list(SPOILED_PROOFS))
 def test_each_spoiled_condition_falls_back_to_the_chebyshev(q_half, monkeypatch, condition):
-    patch, moments, message = SPOILED_PROOFS[condition]
+    spoil, moments, message = SPOILED_PROOFS[condition]
     pair = little_q_laguerre_pair(Fraction(1, 4), q_half)
-    good = list(pearson_moments(pair, 1, 11, q_half).moments)
+    good = list(pearson_moments(pair, 1, 13, q_half).moments)
     assert opseq.proved_pair_recurrence(MomentFunctional(good), pair, q_half, 6) is not None
     u = MomentFunctional(moments(good))
-    if patch is not None:
-        patch(monkeypatch)
-    formed = call_spy(monkeypatch, opseq, "_eigen_holds")
+    if spoil is not None:
+        patch_candidate(monkeypatch, spoil)
+    stepped = call_spy(monkeypatch, opseq, "_step")
     assert opseq.proved_pair_recurrence(u, pair, q_half, 6) is None
+    assert stepped == []  # the proof forms no polynomial, spoiled or not
     if message is None:
-        assert opseq.proved_recurrence(u, pair, q_half, 6) == recurrence_from_moments(u, 6)
+        assert opseq.proved_recurrence(u, pair, q_half, 6) == _levels(u, 6)
     else:
         with pytest.raises(QmapError) as info:
             opseq.proved_recurrence(u, pair, q_half, 6)
         assert str(info.value) == message
-    # the checks before forming p reject all but a changed level
-    assert (len(formed) > 0) == (condition == "L p_n = lambda_n p_n")
+
+
+def test_level_n_needs_a_proved_level(q_half):
+    # N = 0 has no level to read past: the proof does not apply and next_level says so in one line
+    pair = little_q_laguerre_pair(Fraction(1, 4), q_half)
+    u = pearson_moments(pair, 1, 4, q_half)
+    assert opseq.proved_pair_recurrence(u, pair, q_half, 0) is None
+    with pytest.raises(QmapError, match=r"^next_level needs at least one proved level, have 0$"):
+        opseq.proved_recurrence(u, pair, q_half, 0)
+
+
+def test_a_zero_a_at_level_n_is_read_raw(q_half):
+    # little q-Laguerre at a = 2^6 = q^-6 is regular below level 6 and not at it: the proof
+    # gives the 6 levels and a_6 = 0 with no b_6, as next_level does
+    pair = little_q_laguerre_pair(q_half.q ** -6, q_half)
+    u = pearson_moments(pair, 1, 13, q_half)
+    rec, (b, a) = opseq.proved_pair_recurrence(u, pair, q_half, 6)
+    assert (b, a[-1]) == (rec.b, ZERO)
+    assert (rec, (b, a)) == _levels(u, 6)
+    with pytest.raises(RegularityError, match=r"^not regular at level 6: <u, p_6\^2> = 0$"):
+        recurrence_from_moments(u, 7)
 
 
 # -- the coefficient-level generator against the Poly-arithmetic oracle --------
