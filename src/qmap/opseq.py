@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add, mul, sub
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
@@ -277,26 +276,12 @@ def _eis_over(x: tuple, y: tuple) -> CycScalar:
     return _reduced(*_eis_mul(x, (c - e, -e)), c * c - c * e + e * e)
 
 
-def _int_over(x: int, y: int) -> CycScalar:
-    return _reduced(x, 0, y)
-
-
 def _eis_add(x: tuple, y: tuple) -> tuple:
     return x[0] + y[0], x[1] + y[1]
 
 
 def _eis_sub(x: tuple, y: tuple) -> tuple:
     return x[0] - y[0], x[1] - y[1]
-
-
-def _eis_lift(i: int) -> tuple:
-    return i, 0
-
-
-# The two rings of _pair_candidate's integers, as (add, sub, mul, over, lift): Z itself, and
-# Z[w] with a + b w held as the pair (a, b)
-_RATIONAL = (add, sub, mul, _int_over, int)
-_EISENSTEIN = (_eis_add, _eis_sub, _eis_mul, _eis_over, _eis_lift)
 
 
 def _pair_candidate(pair: PearsonPair, q: QParam, n: int) -> tuple[list, list, list]:
@@ -314,50 +299,48 @@ def _pair_candidate(pair: PearsonPair, q: QParam, n: int) -> tuple[list, list, l
     and likewise M_m with phi_1, psi_0 and N_m = K_m phi_0 sigma B_{m-1}.  With W_m = y W_{m-1},
     y = nu sigma, the gaps are G1_m = Lambda_m - y Lambda_{m-1} and
     G2_m = Lambda_m - y^2 Lambda_{m-2} over W_m, so c_m = M_m / G1_m and
-    d_m = (N_m G1_m + y M_m M_{m-1}) / (G1_m G2_m): one quotient, one gcd, each.  A rational q
-    and pair run on int, any other on pairs.
+    d_m = (N_m G1_m + y M_m M_{m-1}) / (G1_m G2_m): one quotient, one gcd, each.  Every integer
+    is held as the pair (a, b) for a + b w, b = 0 on rational input.
     """
     phi, psi = pair.phi, pair.psi
     if phi.degree > 2 or psi.degree != 1:
         raise QmapError(f"pair recurrence: need deg Phi <= 2 and deg Psi = 1, have {phi.degree} and {psi.degree}")
     R, O, E = _scaled([phi.coeff(0), phi.coeff(1), phi.coeff(2), psi.coeff(0), psi.coeff(1)])
+    f0, f1, f2, g0, g1 = zip(R, O or [0] * 5)
     r, o, sigma = q.q.r, q.q.o, q.q.d
-    if O is None and not o:
-        plus, minus, times, over, lift = _RATIONAL
-        f0, f1, f2, g0, g1 = R
-        rho, kappa, nu = r, 1, r
-    else:
-        plus, minus, times, over, lift = _EISENSTEIN
-        f0, f1, f2, g0, g1 = zip(R, O or [0] * 5)
+    if o:
         rho, kappa, nu = (r, o), (r - o, -o), r * r - r * o + o * o
-    s, y = lift(sigma), nu * sigma
-    y1, y2 = lift(y), lift(y * y)
-    one, zero = lift(1), lift(0)
+    else:
+        rho, kappa, nu = (r, 0), (1, 0), r
+    y = nu * sigma
+    s, y1, y2 = (sigma, 0), (y, 0), (y * y, 0)
+    one, zero = (1, 0), (0, 0)
     B_prev, B, rho_pow, kappa_pow, sigma_pow, W = zero, one, one, one, one, E
     Lam, M_prev, lam, c, d = [zero], zero, [ZERO], [ZERO], [ZERO]
     for m in range(1, n + 1):
         q.bracket(m)  # [m]_q exists: q is validated to order m - 1
         if m > 1:
-            rho_pow, kappa_pow, sigma_pow, W = times(rho_pow, rho), times(kappa_pow, kappa), times(sigma_pow, s), W * y
-            B_prev, B = B, plus(times(s, B), rho_pow)
-        K, sB = times(B, kappa_pow), times(s, B_prev)
-        L = times(K, plus(times(f2, sB), times(g1, sigma_pow)))
-        M = times(K, plus(times(f1, sB), times(g0, sigma_pow)))
-        gap1 = minus(L, times(y1, Lam[m - 1]))
+            rho_pow, kappa_pow, W = _eis_mul(rho_pow, rho), _eis_mul(kappa_pow, kappa), W * y
+            sigma_pow = _eis_mul(sigma_pow, s)
+            B_prev, B = B, _eis_add(_eis_mul(s, B), rho_pow)
+        K, sB = _eis_mul(B, kappa_pow), _eis_mul(s, B_prev)
+        L = _eis_mul(K, _eis_add(_eis_mul(f2, sB), _eis_mul(g1, sigma_pow)))
+        M = _eis_mul(K, _eis_add(_eis_mul(f1, sB), _eis_mul(g0, sigma_pow)))
+        gap1 = _eis_sub(L, _eis_mul(y1, Lam[m - 1]))
         if gap1 == zero:
             raise QmapError(f"pair recurrence: lambda_{m} = lambda_{m - 1}")
-        c.append(over(M, gap1))
+        c.append(_eis_over(M, gap1))
         if m > 1:
-            gap2 = minus(L, times(y2, Lam[m - 2]))
+            gap2 = _eis_sub(L, _eis_mul(y2, Lam[m - 2]))
             if gap2 == zero:
                 raise QmapError(f"pair recurrence: lambda_{m} = lambda_{m - 2}")
-            top = plus(times(times(K, times(f0, sB)), gap1), times(y1, times(M, M_prev)))
-            d.append(over(top, times(gap1, gap2)))
+            top = _eis_add(_eis_mul(_eis_mul(K, _eis_mul(f0, sB)), gap1), _eis_mul(y1, _eis_mul(M, M_prev)))
+            d.append(_eis_over(top, _eis_mul(gap1, gap2)))
         else:
             d.append(ZERO)
         Lam.append(L)
         M_prev = M
-        lam.append(over(L, lift(W)))
+        lam.append(_eis_over(L, (W, 0)))
     b = [c[m] - c[m + 1] for m in range(n)]
     return b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)], lam
 
@@ -435,8 +418,11 @@ def proved_pair_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N:
 
 
 def proved_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> tuple[Recurrence, tuple]:
-    """u's N >= 1 levels and its level N (``next_level``'s (b, a)): ``proved_pair_recurrence``, else
-    ``recurrence_from_moments(u, N)`` and ``next_level``, whose errors are the caller's."""
+    """u's N levels and its level N (``next_level``'s (b, a)): ``proved_pair_recurrence``, else
+    ``recurrence_from_moments(u, N)`` and ``next_level``, whose errors are the caller's.
+
+    Needs N >= 1 and u holding u_{2N} (u.order >= 2N): the fallback reads level N, so
+    N = 0 raises QmapError and u.order = 2N - 1 raises TruncationError."""
     proved = proved_pair_recurrence(u, pair, q, N)
     if proved is not None:
         return proved
