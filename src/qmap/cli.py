@@ -22,7 +22,7 @@ from .families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair, regularity_fa
 from .functionals import PearsonPair, pearson_moments, pearson_residual
 from .mapping import build_mapping, verify_interleave
 from .measures import case13_measure, case1_measure, discrete_lift
-from .opseq import ops_from_recurrence, orthogonality_check, proved_pair_recurrence, recurrence_from_moments
+from .opseq import ops_from_recurrence, proved_recurrence
 from .polyalg import Poly
 from .scalars import QParam, embed_complex, format_scalar, parse_scalar
 from .stieltjes import ACDTriple, LaurentSeries, stieltjes_residual, verify_susvq
@@ -66,15 +66,10 @@ def _cmd_ops(args) -> int:
     u = pearson_moments(pair, parse_scalar(args.u0), args.N, q)
     residual = pearson_residual(u, pair, q)
     M = args.N // 2
-    proved = proved_pair_recurrence(u, pair, q, M)
-    if proved:
-        rec, (_, a) = proved
-        # the lemma gives every pair the scan reads but <u, p_M^2> = a_M h_{M-1}, nonzero with the pair's a_M
-        orth_ok = bool(a[-1])
-        ops = ops_from_recurrence(rec, M)
-    else:
-        rec, ops = recurrence_from_moments(u, M)
-        orth_ok = orthogonality_check(u, ops).ok
+    rec, (_, a) = proved_recurrence(u, pair, q, M)
+    # below M the pairs are the lemma's or the Chebyshev's, and <u, p_M^2> = a_M h_{M-1} (h_{-1} = 1)
+    orth_ok = bool(a[-1])
+    ops = ops_from_recurrence(rec, M)
     report = {
         "command": "ops",
         "family": args.family,

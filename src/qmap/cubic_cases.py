@@ -11,7 +11,7 @@ and hands eta_2 = x^2 + tau x + k_tau and the family pair at q^3 to
 ``build_power_case``, which runs the pipeline for any k = deg eta + 1 in one
 pass: moments at q^k, the lift, q's recurrence and its next level from its
 pair alone, proved on v by the eigen-recurrence lemma (``opseq.proved_recurrence``,
-else the Chebyshev on v), p's recurrence (at k = 3 ascended from q's, its next
+else the Chebyshev on v, one row further for the next level), p's recurrence (at k = 3 ascended from q's, its next
 level and eta, u's by the ascent lemma with no check on u; at any other k the
 Chebyshev on u), the mapping in the closed form of the power lemma (see
 README), the lifted (A, C, D) and the class report.  A build forms no
@@ -394,8 +394,8 @@ def build_power_case(pair_v: PearsonPair, eta: Poly, q: QParam, N: int = 48, lab
     with eta monic.
     q's recurrence and its level Nq are ``proved_recurrence(v, pair_v, q^k, Nq)``,
     Nq = v.order // 2: the pair's, by the eigen-recurrence lemma (README), with no
-    polynomial formed and no row of v's moments read, else the Chebyshev on v and
-    ``next_level``.  p's (stage ``recurrence-p``) has one route per k: at k = 3 q's
+    polynomial formed and no row of v's moments read, else the Chebyshev on v, run
+    one row further for level Nq.  p's (stage ``recurrence-p``) has one route per k: at k = 3 q's
     levels and eta give it by the ascent, u's by the ascent lemma (see README), so
     nothing reads u's moments; at any other k it is the Chebyshev on u.  Both are
     the functionals' own, so the mapping is the power lemma's closed form (README).

@@ -8,13 +8,15 @@ assert within the range actually determined by the inputs, never vacuously.
 Rows of correlations sum_i c_i v_{i+l} are read from canonical integer forms
 (R, O, D), value i being (R[i] + O[i] w)/D with one D for both components;
 ``_scaled`` makes them, and ``opseq`` stores p_n in them.  ``_correlate``
-reads the moments themselves: phi u, u_poly, the mixed-moment table of
-``orthogonality_check`` and the next level ``opseq.next_level``.  Its integer
-rows (``_rows``) serve ``stieltjes.stieltjes_residual`` too, which folds the
-Hahn weights into S's form (``_times``), adds the rows over one denominator
-(``_sum_rows``) and makes scalars (``_scalars``) only of a nonzero residual;
-``_pearson_holds`` tests u's Pearson equation the same way, for
-``opseq.proved_pair_recurrence``.  ``_dot`` is left for single dot products.
+reads the moments themselves: phi u, u_poly and the mixed-moment table of
+``orthogonality_check``.  Its integer rows (``_rows``) serve the two residuals
+too.  ``stieltjes.stieltjes_residual`` folds the Hahn weights into S's form
+(``_times``), adds the rows over one denominator (``_sum_rows``) and makes
+scalars (``_scalars``) only of a nonzero residual; ``pearson_residual``, the
+one check of u's Pearson equation (``qmap ops``, ``classifier`` and
+``opseq.proved_pair_recurrence``), does the same on u's moments.
+``pearson_moments`` solves the same rows for u, one moment per row.  ``_dot``
+is left for single dot products.
 """
 
 from __future__ import annotations
@@ -224,22 +226,6 @@ def u_poly(u: MomentFunctional, f: Poly) -> Poly:
     return Poly(_correlate(_scaled(u.moments[: f.degree + 1]), _scaled(f.coeffs), f.degree + 1))
 
 
-def _residual_row(phi: Poly, psi: Poly, q: QParam, n: int):
-    """Index/weight pairs of <H_q(Phi u) - Psi u, x^n> as a linear form in moments."""
-    terms = {}
-    bn = q.bracket(n)
-    if bn:
-        for i, c in enumerate(phi.coeffs):
-            if c:
-                idx = n - 1 + i
-                w = -(bn * c)
-                terms[idx] = terms.get(idx, ZERO) + w
-    for i, c in enumerate(psi.coeffs):
-        if c:
-            terms[n + i] = terms.get(n + i, ZERO) - c
-    return {i: w for i, w in terms.items() if w}
-
-
 def pearson_moments(pair: PearsonPair, u0, N: int, q: QParam) -> MomentFunctional:
     """Generate (u_0, ..., u_N) satisfying <H_q(Phi u) - Psi u, x^n> = 0.
 
@@ -252,6 +238,9 @@ def pearson_moments(pair: PearsonPair, u0, N: int, q: QParam) -> MomentFunctiona
     u0 = CycScalar.coerce(u0)
     phi, psi = pair.phi, pair.psi
     t, d = phi.degree, psi.degree
+    # row n, times -1, is <Psi u - H_q(Phi u), x^n> = sum_i ([n]_q phi_i + psi_{i-1}) u_{n-1+i}
+    width = max(t + 1, d + 2)
+    phis, psis = [phi.coeff(i) for i in range(width)], [psi.coeff(i - 1) for i in range(width)]
     moments = [u0]
     n = 0
     limit = N + t + d + 3
@@ -259,7 +248,8 @@ def pearson_moments(pair: PearsonPair, u0, N: int, q: QParam) -> MomentFunctiona
         if n > limit:
             raise RegularityError("Pearson rows stopped producing new moments; pair is degenerate")
         m = len(moments)
-        row = _residual_row(phi, psi, q, n)
+        bn = q.bracket(n)
+        row = {n - 1 + i: w for i, (f, g) in enumerate(zip(phis, psis)) if (w := bn * f + g if f else g)}
         top = max(row) if row else -1
         structural_top = n + d if n == 0 else max(n - 1 + t, n + d)
         if top > m:
@@ -285,25 +275,23 @@ def pearson_moments(pair: PearsonPair, u0, N: int, q: QParam) -> MomentFunctiona
     return MomentFunctional(moments)
 
 
-def _pearson_holds(u: MomentFunctional, pair: PearsonPair, q: QParam, n: int) -> bool:
-    """Whether <H_q(Phi u) - Psi u, x^m> = 0 for m < n: an integer zero test on u_0..u_n.
+def pearson_residual(u: MomentFunctional, pair: PearsonPair, q: QParam) -> tuple[CycScalar, ...]:
+    """Entries <H_q(Phi u) - Psi u, x^n> for every n the truncation supports: n <= N - deg Phi + 1 and n <= N - deg Psi.
 
-    For deg Phi <= 2 and deg Psi <= 1.  Times -q, entry m is q [m]_q (Phi u)_{m-1} + (q Psi u)_m: the rows of Phi
-    and of q Psi over the moments' form, the first weighted by
-    ``QParam.q_bracket_form``, summed over one denominator.
+    Read on integers: times -q, entry n is q [n]_q (Phi u)_{n-1} + (q Psi u)_n, the rows of Phi
+    and of q Psi over the form of u's moments, the first weighted by ``QParam.q_bracket_form``,
+    summed over one denominator.  An entry becomes a scalar only when it is nonzero, and is then
+    scaled by -1/q, so a zero residual costs O(N) products of a small integer with a large one.
+    q [n]_q is read for those n only.
     """
-    if n < 1:
-        return True
-    moments = _scaled(u.moments[: n + 1])
-    X, Y, den = _rows(_scaled(pair.phi.coeffs), moments, n - 1)
-    hahn = _times(q.q_bracket_form(n - 1), ([0] + X, Y and [0] + Y, den))
-    X, Y, _ = _sum_rows([hahn, _rows(_scaled([q.q * c for c in pair.psi.coeffs]), moments, n)], n)
-    return not (any(X) or any(Y or ()))
-
-
-def pearson_residual(u: MomentFunctional, pair: PearsonPair, q: QParam):
-    """Entries <H_q(Phi u) - Psi u, x^n> for every n the truncation supports."""
-    w1 = hahn_functional(left_mul(pair.phi, u), q)
-    w2 = left_mul(pair.psi, u)
-    n_max = min(w1.order, w2.order)
-    return tuple([w1.moments[n] - w2.moments[n] for n in range(n_max + 1)])
+    N = u.order
+    for name, f in (("phi", pair.phi), ("psi", pair.psi)):
+        if f.degree > N:
+            raise TruncationError(f"deg {name} = {f.degree} exceeds effective order {N}")
+    length = min(N - pair.phi.degree + 2, N - pair.psi.degree + 1)
+    moments = _scaled(u.moments)
+    X, Y, den = _rows(_scaled(pair.phi.coeffs), moments, length - 1)
+    hahn = _times(q.q_bracket_form(length - 1), ([0] + X, Y and [0] + Y, den))
+    X, Y, den = _sum_rows([hahn, _rows(_scaled([q.q * c for c in pair.psi.coeffs]), moments, length)], length)
+    scale = -q.q.inv()
+    return tuple([scale * _reduced(x, y, den) if x or y else ZERO for x, y in zip(X, Y or [0] * length)])

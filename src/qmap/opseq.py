@@ -13,9 +13,10 @@ when it is read.  ``proved_recurrence`` is the one step from a functional and
 its pair to its N levels and its level N, for ``qmap ops`` and for q's in a
 case build: the pair's, read on integers from the eigenvalues of
 L = Phi H_q H_{1/q} + Psi H_{1/q} (``_pair_candidate``) and proved by the
-eigen-recurrence lemma (``proved_pair_recurrence``), with no polynomial
-formed and no row of moments read; else the Chebyshev algorithm
-(``recurrence_from_moments``) and its next level (``next_level``).
+eigen-recurrence lemma (``proved_pair_recurrence``, whose Pearson check is
+``functionals.pearson_residual``); else the package's one Chebyshev loop
+(``_chebyshev``) run one row further (``_chebyshev_levels``).  Neither route
+forms a polynomial.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import QmapError, RegularityError, TruncationError
-from .functionals import MomentFunctional, PearsonPair, _correlate, _dot, _pearson_holds, _scaled
+from .functionals import MomentFunctional, PearsonPair, _correlate, _dot, _scaled, pearson_residual
 from .polyalg import Poly
 from .scalars import CycScalar, ONE, QParam, ZERO, _format, _reduced
 
@@ -345,28 +346,27 @@ def _pair_candidate(pair: PearsonPair, q: QParam, n: int) -> tuple[list, list, l
     return b, [d[m] - d[m + 1] - b[m] * c[m] for m in range(1, n)], lam
 
 
-def chebyshev_recurrence(u: MomentFunctional, N: int) -> Recurrence:
-    """Recover b_0..b_{N-1}, a_1..a_{N-1} of u, with no polynomial formed.
+def _chebyshev(u: MomentFunctional, N: int, stop: int) -> tuple[list, list]:
+    """The package's one Chebyshev algorithm, on u_0..u_{stop-1}: b_n and a_n for n < N, then level N's as far as they reach.
 
-    The package's one Chebyshev algorithm (Gautschi, "On generating orthogonal
-    polynomials", SIAM J. Sci. Stat. Comput. 3, 1982), on the mixed moments
-    sigma_{n,l} = <u, x^l p_n>, starting from sigma_{0,l} = u_l and
-    sigma_{-1,l} = 0:
+    Gautschi, "On generating orthogonal polynomials", SIAM J. Sci. Stat.
+    Comput. 3, 1982: on the mixed moments sigma_{n,l} = <u, x^l p_n>, from
+    sigma_{0,l} = u_l and sigma_{-1,l} = 0,
 
         sigma_{n,l} = sigma_{n-1,l+1} - b_{n-1} sigma_{n-1,l} - a_{n-1} sigma_{n-2,l},
-        a_n = sigma_{n,n} / sigma_{n-1,n-1},
-        b_n = sigma_{n,n+1} / sigma_{n,n} - sigma_{n-1,n} / sigma_{n-1,n-1}.
+        a_n = h_n / h_{n-1},    b_n = sigma_{n,n+1} / h_n - sigma_{n-1,n} / h_{n-1},
 
-    That is O(N^2) scalar operations with two rows of sigma alive at a time.
-    Since sigma_{n,n} = <u, p_n^2>, a vanishing sigma_{n,n} names the level at
-    which u stops being regular.  A case build runs it for p's at k != 3 only.
+    with h_n = sigma_{n,n} = <u, p_n^2> and h_{-1} = 1, so a_0 = u_0.  That is
+    O(N^2) scalar operations with two rows of sigma alive at a time.  A zero
+    h_n names the level n < N at which u stops being regular; level N's a_N
+    is read raw, and b_N only when u_{2N+1} is read and a_N != 0.
     """
     if 2 * N - 1 > u.order:
         raise TruncationError(f"need effective order >= {2 * N - 1}, have {u.order}")
     b: list[CycScalar] = []
     a: list[CycScalar] = []
-    row, ratio_prev = list(u.moments[: 2 * N]), ZERO
-    for n in range(N):
+    row, ratio_prev, h_prev_inv = list(u.moments[:stop]), ZERO, ONE
+    for n in range(N + 1):
         if n:
             bn = b[-1]
             if n == 1:
@@ -375,20 +375,32 @@ def chebyshev_recurrence(u: MomentFunctional, N: int) -> Recurrence:
                 an = a[-1]
                 nxt = [s2 - bn * s1 - an * t for s1, s2, t in zip(row[1:], row[2:], prev[2:])]
             prev, row = row, nxt
+        if not row:
+            break
         hn = row[0]
-        if not hn:
+        if not hn and n < N:
             raise RegularityError(f"not regular at level {n}: <u, p_{n}^2> = 0")
-        hn_inv = hn.inv()
-        ratio = row[1] * hn_inv
+        a.append(hn * h_prev_inv)
+        if not hn or len(row) < 2:
+            break
+        h_prev_inv = hn.inv()
+        ratio = row[1] * h_prev_inv
         b.append(ratio - ratio_prev)
-        if n:
-            a.append(hn * h_prev_inv)
-        h_prev_inv, ratio_prev = hn_inv, ratio
-    return Recurrence(b, a)
+        ratio_prev = ratio
+    return b, a
+
+
+def chebyshev_recurrence(u: MomentFunctional, N: int) -> Recurrence:
+    """Recover b_0..b_{N-1}, a_1..a_{N-1} of u from u_0..u_{2N-1} by the Chebyshev algorithm, with no polynomial formed.
+
+    A case build runs it for p's at k != 3 only.
+    """
+    b, a = _chebyshev(u, N, 2 * N)
+    return Recurrence(b, a[1:])
 
 
 def recurrence_from_moments(u: MomentFunctional, N: int) -> tuple[Recurrence, OPSequence]:
-    """``chebyshev_recurrence(u, N)`` and p_0..p_N: ``proved_recurrence``'s fallback, for ``qmap ops`` and q's."""
+    """``chebyshev_recurrence(u, N)`` and p_0..p_N."""
     rec = chebyshev_recurrence(u, N)
     return rec, ops_from_recurrence(rec, N)
 
@@ -397,12 +409,13 @@ def proved_pair_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N:
     """u's N levels and its level N from the pair alone, if the eigen-recurrence lemma (README) proves them, else None.
 
     Proved when N >= 1, u_0 != 0, u holds u_{2N} and satisfies the pair's Pearson
-    equation on u_0..u_V, V = min(u.order, 2N + 1), lambda_0..lambda_{N+1} are
-    distinct and the pair's a_1..a_{N-1} are nonzero.  Then the pair's N levels are
-    ``recurrence_from_moments(u, N)``'s, and its level N is ``next_level``'s (b, a):
-    a_N = h_N / h_{N-1}, read raw, so a zero a_N is "not regular at N", and b_N
-    when V = 2N + 1 and a_N != 0.  No polynomial is formed and no row of moments
-    read: the cost is the pair's levels and the Pearson rows, small times large.
+    equation on u_0..u_V (``pearson_residual``), V = min(u.order, 2N + 1),
+    lambda_0..lambda_{N+1} are distinct and the pair's a_1..a_{N-1} are nonzero.
+    Then the pair's N levels and its level N are the Chebyshev algorithm's
+    (``_chebyshev_levels``): a_N = h_N / h_{N-1}, read raw, so a zero a_N is "not
+    regular at N", and b_N when V = 2N + 1 and a_N != 0.  No polynomial is formed
+    and no row of moments read: the cost is the pair's levels and the Pearson rows,
+    small times large.
     """
     V = min(u.order, 2 * N + 1)
     if N < 1 or V < 2 * N or not u.moments[0]:
@@ -412,48 +425,32 @@ def proved_pair_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N:
         rec = Recurrence(b[:N], a[: N - 1])
     except QmapError:
         return None
-    if len(set(lam)) <= N + 1 or not _pearson_holds(u, pair, q, V):
+    if len(set(lam)) <= N + 1 or any(pearson_residual(MomentFunctional(u.moments[: V + 1]), pair, q)):
         return None
     return rec, (tuple(b) if V > 2 * N and a[-1] else rec.b, rec.a + (a[-1],))
 
 
-def proved_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> tuple[Recurrence, tuple]:
-    """u's N levels and its level N (``next_level``'s (b, a)): ``proved_pair_recurrence``, else
-    ``recurrence_from_moments(u, N)`` and ``next_level``, whose errors are the caller's.
-
-    Needs N >= 1 and u holding u_{2N} (u.order >= 2N): the fallback reads level N, so
-    N = 0 raises QmapError and u.order = 2N - 1 raises TruncationError."""
-    proved = proved_pair_recurrence(u, pair, q, N)
-    if proved is not None:
-        return proved
-    rec, ops = recurrence_from_moments(u, N)
-    return rec, next_level(u, rec, ops)
-
-
-def next_level(u: MomentFunctional, rec: Recurrence, ops: OPSequence) -> tuple[tuple, tuple]:
-    """``rec``'s (b, a) with u's a_N, and b_N too when u holds u_{2N+1} and a_N != 0; a_N = 0 if u is not regular at N.
-
-    ``rec`` and ``ops`` are u's N = len(rec.b) levels and p_0..p_N, as the
-    Chebyshev algorithm gives them where the pair's proof does not apply (the
-    proof gives level N from the pair).  With h_n = <u, x^n p_n>, this is the
-    Chebyshev algorithm's level N:
-
-        a_N = h_N / h_{N-1},    b_N = <u, x^{N+1} p_N> / h_N - <u, x^N p_{N-1}> / h_{N-1},
-
-    two dot products of p_{N-1} and p_N against u's last moments, four with
-    b_N.  Each row is cut to the moments it reads, since ``_correlate`` sums
-    a short slice without complaint.
-    """
-    N = len(rec.b)
-    if N < 1:
-        raise QmapError("next_level needs at least one proved level, have 0")
-    if u.order < 2 * N:
+def _chebyshev_levels(u: MomentFunctional, N: int) -> tuple[Recurrence, tuple]:
+    """``proved_recurrence``'s fallback: the Chebyshev algorithm's N levels, and one row more of its loop for level N."""
+    b, a = _chebyshev(u, N, 2 * N + 2)
+    if len(a) == N:
         raise TruncationError(f"level {N} needs effective order >= {2 * N}, have {u.order}")
-    width = 2 if u.order > 2 * N else 1  # the second entry of each row is b_N's
-    prev = _correlate(ops.forms[N - 1], _scaled(u.moments[N - 1 : 2 * N - 2 + width]), width)
-    cur = _correlate(ops.forms[N], _scaled(u.moments[N : 2 * N + width]), width)
-    b = rec.b if width == 1 or not cur[0] else rec.b + (cur[1] / cur[0] - prev[1] / prev[0],)
-    return b, rec.a + (cur[0] / prev[0],)
+    return Recurrence(b[:N], a[1:N]), (tuple(b), tuple(a[1:] if N else a))
+
+
+def proved_recurrence(u: MomentFunctional, pair: PearsonPair, q: QParam, N: int) -> tuple[Recurrence, tuple]:
+    """u's N levels and its level N: ``proved_pair_recurrence``, else the Chebyshev algorithm's (``_chebyshev_levels``).
+
+    The one step from a functional and its pair to its recurrence, for ``qmap ops``
+    and for q's in a case build.  Level N is (b_0..b_N, a_1..a_N): a_N = h_N / h_{N-1}
+    read raw, so a_N = 0 where u is not regular at N, and b_N only when u holds
+    u_{2N+1} and a_N != 0.  With h_{-1} = 1, level 0 is (b_0, a_0 = u_0): N = 0
+    gives ((b_0,), (u_0,)), or ((), (u_0,)) with no u_1 or with u_0 = 0.  The
+    fallback's errors are the caller's, in this order: a TruncationError when
+    u.order < 2N - 1, a RegularityError at the first level n < N where u is not
+    regular, and a TruncationError when u.order = 2N - 1.
+    """
+    return proved_pair_recurrence(u, pair, q, N) or _chebyshev_levels(u, N)
 
 
 @dataclass(frozen=True)
@@ -473,7 +470,7 @@ def orthogonality_check(u: MomentFunctional, ops: OPSequence, n_max: Optional[in
     sigma_{m,j} = <u, x^j p_m>: row m of sigma is min(m, order - m) + 1 entries
     of ``_correlate``, and each pair one dot product with p_n's numerators
     (D_n <u, p_n p_m>), so no Poly is built; O(N^3) operations in all.
-    ``qmap ops`` runs it only where the pair's proof fails.
+    ``qmap ops`` runs no scan: its levels give orthogonality (``proved_recurrence``).
     """
     limit = len(ops) - 1 if n_max is None else min(n_max, len(ops) - 1)
     moments = _scaled(u.moments)

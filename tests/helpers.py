@@ -23,7 +23,9 @@ from qmap import (
     compose_xk,
     dilate_poly,
     divrem,
+    hahn_functional,
     hahn_poly_qinv,
+    left_mul,
     poly_gcd,
 )
 from qmap.errors import QmapError, RegularityError, TruncationError
@@ -225,6 +227,91 @@ def orthogonality_check_oracle(u: MomentFunctional, ops: OPSequence, n_max: Opti
             if n != m and val:
                 return OrthogonalityReport(False, pairs, (n, m), f"<u, p_{n} p_{m}> != 0")
     return OrthogonalityReport(True, pairs)
+
+
+def next_level_oracle(u: MomentFunctional, rec: Recurrence, ops: OPSequence) -> tuple[tuple, tuple]:
+    """``rec``'s (b, a) with u's a_N, and b_N too when u holds u_{2N+1} and a_N != 0, from two rows over p_{N-1} and p_N.
+
+    ``rec`` and ``ops`` are u's N = len(rec.b) >= 1 levels and p_0..p_N; with
+    h_n = <u, x^n p_n>, a_N = h_N / h_{N-1} and
+    b_N = <u, x^{N+1} p_N> / h_N - <u, x^N p_{N-1}> / h_{N-1}.  This was the
+    Chebyshev route's level N before the Chebyshev loop ran one row further.
+    """
+    N = len(rec.b)
+    if N < 1:
+        raise QmapError("next_level needs at least one proved level, have 0")
+    if u.order < 2 * N:
+        raise TruncationError(f"level {N} needs effective order >= {2 * N}, have {u.order}")
+    width = 2 if u.order > 2 * N else 1  # the second entry of each row is b_N's
+    prev = _correlate(ops.forms[N - 1], _scaled(u.moments[N - 1 : 2 * N - 2 + width]), width)
+    cur = _correlate(ops.forms[N], _scaled(u.moments[N : 2 * N + width]), width)
+    b = rec.b if width == 1 or not cur[0] else rec.b + (cur[1] / cur[0] - prev[1] / prev[0],)
+    return b, rec.a + (cur[0] / prev[0],)
+
+
+# -- the Pearson equation, before its integer rows --------------------------------
+
+
+def pearson_residual_oracle(u: MomentFunctional, pair, q) -> tuple:
+    """Entries <H_q(Phi u) - Psi u, x^n> composed from the functional operators, as far as both sides reach."""
+    w1 = hahn_functional(left_mul(pair.phi, u), q)
+    w2 = left_mul(pair.psi, u)
+    n_max = min(w1.order, w2.order)
+    return tuple([w1.moments[n] - w2.moments[n] for n in range(n_max + 1)])
+
+
+def _residual_row(phi: Poly, psi: Poly, q, n: int) -> dict:
+    """Index/weight pairs of <H_q(Phi u) - Psi u, x^n> as a linear form in moments."""
+    terms = {}
+    bn = q.bracket(n)
+    if bn:
+        for i, c in enumerate(phi.coeffs):
+            if c:
+                idx = n - 1 + i
+                w = -(bn * c)
+                terms[idx] = terms.get(idx, ZERO) + w
+    for i, c in enumerate(psi.coeffs):
+        if c:
+            terms[n + i] = terms.get(n + i, ZERO) - c
+    return {i: w for i, w in terms.items() if w}
+
+
+def pearson_moments_oracle(pair, u0, N: int, q) -> MomentFunctional:
+    """``pearson_moments`` as it read each row from ``_residual_row``, a dict summed term by term."""
+    u0 = CycScalar.coerce(u0)
+    phi, psi = pair.phi, pair.psi
+    t, d = phi.degree, psi.degree
+    moments = [u0]
+    n = 0
+    limit = N + t + d + 3
+    while len(moments) <= N:
+        if n > limit:
+            raise RegularityError("Pearson rows stopped producing new moments; pair is degenerate")
+        m = len(moments)
+        row = _residual_row(phi, psi, q, n)
+        top = max(row) if row else -1
+        structural_top = n + d if n == 0 else max(n - 1 + t, n + d)
+        if top > m:
+            raise RegularityError(
+                f"Pearson row n={n} involves moment u_{top} before u_{m} is known; "
+                f"generation from this pair is underdetermined"
+            )
+        if top < m:
+            if structural_top >= m:
+                raise RegularityError(
+                    f"leading coefficient for moment u_{m} vanishes at Pearson row n={n}; "
+                    f"a regularity condition of the family is violated at this index"
+                )
+            value = sum((w * moments[i] for i, w in row.items()), ZERO)
+            if value:
+                raise RegularityError(f"Pearson row n={n} is inconsistent with the generated moments")
+            n += 1
+            continue
+        lead = row.pop(m)
+        known = sum((w * moments[i] for i, w in row.items()), ZERO)
+        moments.append(-(known * lead.inv()))
+        n += 1
+    return MomentFunctional(moments)
 
 
 # -- correlation rows one Q(w) product at a time, as before the integer kernel --

@@ -10,15 +10,16 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from qmap import CycScalar, MomentFunctional, Poly, classifier, cli, cubic_cases, opseq, stieltjes
+from qmap import CycScalar, MomentFunctional, OPSequence, Poly, classifier, cli, cubic_cases, opseq, stieltjes
 from qmap.cli import main
 from qmap.errors import QmapError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE
-from qmap.scalars import format_scalar
+from qmap.scalars import format_scalar, parse_scalar
 
 from helpers import (
     call_spy,
     patch_candidate,
+    poly_from_strings,
     repeated_lambda,
     spy_everywhere,
     stieltjes_residual_oracle,
@@ -63,9 +64,9 @@ def _singular(*candidate):
 
 @pytest.mark.parametrize("argv", OPS_ARGV)
 def test_ops_proves_the_pair_recurrence_and_the_chebyshev_decides_otherwise(capsys, monkeypatch, argv):
-    # ops and a build share one proof, opseq.proved_pair_recurrence; the Chebyshev and the
-    # orthogonality scan run only where it fails
-    chebyshev = spy_everywhere(monkeypatch, opseq.recurrence_from_moments)
+    # ops and a build share one step, opseq.proved_recurrence: the Chebyshev runs only where the
+    # proof fails, and orthogonality is read from the level on both routes, with no scan
+    chebyshev = spy_everywhere(monkeypatch, opseq._chebyshev_levels)
     scanned = spy_everywhere(monkeypatch, opseq.orthogonality_check)
     expected = run_cli(capsys, *argv)
     assert chebyshev == scanned == [] and expected[0] == 0
@@ -74,16 +75,16 @@ def test_ops_proves_the_pair_recurrence_and_the_chebyshev_decides_otherwise(caps
         with pytest.MonkeyPatch.context() as patch:
             patch_candidate(patch, wrong)
             assert run_cli(capsys, *argv) == expected
-        assert [args[1] for args in chebyshev] == [M] and len(scanned) == 1
+        assert [args[1] for args in chebyshev] == [M] and scanned == []
         chebyshev.clear()
-        scanned.clear()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_ops_reads_orthogonality_from_the_proof_as_the_scan_does(data):
-    # a proved pair covers every pair n != m <= M the scan reads, and <u, p_M^2> != 0 is
-    # next_level's a_M != 0: exit code, report and error line are the fallback's, byte for byte
+    # a proved pair covers every pair n != m <= M the scan reads, and <u, p_M^2> != 0 is the
+    # Chebyshev's a_M != 0: exit code, report and error line are the fallback's, byte for byte,
+    # and the report's orthogonality_ok is the scan's on its own moments and polynomials
     omega = data.draw(st.booleans())
     small = st.fractions(-3, 3, max_denominator=4)
     scalar = st.builds(lambda re, om: format_scalar(CycScalar(re, om if omega else 0)), small, small)
@@ -94,13 +95,27 @@ def test_ops_reads_orthogonality_from_the_proof_as_the_scan_does(data):
     outcomes = []
     for proof in (True, False):
         with pytest.MonkeyPatch.context() as patch:
-            if not proof:  # the Chebyshev and the scan decide
-                patch.setattr(cli, "proved_pair_recurrence", lambda *args: None)
+            if not proof:  # the Chebyshev decides
+                patch.setattr(opseq, "proved_pair_recurrence", lambda *args: None)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             outcomes.append((code, out.getvalue(), err.getvalue()))
     assert outcomes[0] == outcomes[1]
+    if outcomes[0][1]:
+        report = json.loads(outcomes[0][1])
+        u = MomentFunctional([parse_scalar(m) for m in report["moments"]])
+        ops = OPSequence([poly_from_strings(p) for p in report["polynomials"]])
+        assert report["orthogonality_ok"] == opseq.orthogonality_check(u, ops).ok
+
+
+@pytest.mark.parametrize("u0, ok", [("0", False), ("3", True)])
+def test_ops_at_level_0_reads_orthogonality_from_u0(capsys, u0, ok):
+    # --N 1 gives M = 0: the proof does not apply, and the Chebyshev's level 0 has
+    # a_0 = h_0 / h_{-1} = u_0, the one diagonal <u, p_0^2> the scan reads
+    code, report = run_cli(capsys, "ops", "--family", "little-q-laguerre", "--a", "1/4", "--q", "1/2", "--N", "1", "--u0", u0)
+    assert (code, report["orthogonality_ok"], report["polynomials"]) == (0 if ok else 1, ok, [["1/1"]])
+    assert opseq.orthogonality_check(MomentFunctional([parse_scalar(m) for m in report["moments"]]), OPSequence([Poly.one()])).ok is ok
 
 
 def test_ops_with_a_zero_u0_names_level_0(capsys):

@@ -35,6 +35,7 @@ from qmap.cubic_cases import CASE_IDS, build_power_case, case_fixture, inverse_r
 from qmap.errors import CaseError, MappingConditionError, QmapError, RegularityError, SingularCaseError
 from qmap.families import FAMILY_JACOBI, FAMILY_LAGUERRE, family_pair
 from qmap.mapping import ascend_recurrence, build_mapping
+from qmap.opseq import chebyshev_recurrence
 from qmap import cli, functionals, mapping as mapping_module, opseq, stieltjes
 
 from conftest import cached_case_bundle
@@ -206,7 +207,7 @@ def test_stage_error_names_the_case(q_half, monkeypatch):
 
     # with no candidate the proof on v fails, so the Chebyshev on v runs
     patch_candidate(monkeypatch, no_candidate)
-    monkeypatch.setattr(opseq, "recurrence_from_moments", irregular)
+    monkeypatch.setattr(opseq, "_chebyshev_levels", irregular)
     with pytest.raises(CaseError) as info:
         cubic_cases.build_case(case_fixture(1, q_half), q_half, 12)
     assert str(info.value) == "case 1 stage recurrence-q: not regular at level 0: <u, p_0^2> = 0"
@@ -357,19 +358,20 @@ def test_build_power_case_rejects_constant_or_non_monic_eta(eta, monkeypatch):
 
 class _ChebyshevSpy:
     """Wraps the Chebyshev where a build reads it (p's recurrence in cubic_cases, q's with its
-    polynomials in opseq.proved_recurrence) and records each functional's order and N."""
+    level N in opseq.proved_recurrence's fallback) and records each functional's order and N."""
 
     def __init__(self, monkeypatch, fail=None):
         self.calls = []
         self.fail = fail
-        monkeypatch.setattr(cubic_cases, "chebyshev_recurrence", lambda u, N: self(u, N)[0])
-        monkeypatch.setattr(opseq, "recurrence_from_moments", self)
+        levels = opseq._chebyshev_levels
+        monkeypatch.setattr(cubic_cases, "chebyshev_recurrence", lambda u, N: self(chebyshev_recurrence, u, N))
+        monkeypatch.setattr(opseq, "_chebyshev_levels", lambda u, N: self(levels, u, N))
 
-    def __call__(self, u, N):
+    def __call__(self, real, u, N):
         self.calls.append((u.order, N))
         if self.fail is not None and self.fail(u, N):
             raise RegularityError("not regular at level 3: <u, p_3^2> = 0")
-        return recurrence_from_moments(u, N)
+        return real(u, N)
 
 
 @settings(max_examples=25, deadline=None)
@@ -526,10 +528,11 @@ def test_no_benchmark_call_reads_a_row_of_moments_but_u_poly(workloads, monkeypa
 
 @pytest.mark.parametrize("case_id, overrides", [(13, ()), (1, (("tau", -OMEGA),))])
 def test_a_k3_build_forms_no_polynomial_and_no_next_level_row(q_half, monkeypatch, case_id, overrides):
-    # the proof gives q's N levels and level N from the pair: no three-term step, no next_level
-    # and no row kernel in opseq; q_ops is formed when read, and it is the Chebyshev's q_0..q_Nq
+    # the proof gives q's N levels and level N from the pair: no three-term step, no Chebyshev
+    # row for level N and no row kernel in opseq; q_ops is formed when read, and it is the
+    # Chebyshev's q_0..q_Nq
     stepped = spy_everywhere(monkeypatch, opseq._step)
-    leveled = spy_everywhere(monkeypatch, opseq.next_level)
+    leveled = spy_everywhere(monkeypatch, opseq._chebyshev_levels)
     correlated = call_spy(monkeypatch, opseq, "_correlate")
     bundle = cubic_cases.build_case(case_fixture(case_id, q_half, dict(overrides)), q_half, 48)
     assert stepped == leveled == correlated == []

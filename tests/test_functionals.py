@@ -40,7 +40,13 @@ from qmap import opseq
 from qmap.opseq import pair_recurrence
 
 from conftest import random_nonzero_scalar, random_poly, random_scalar
-from helpers import family_recurrence, pair_candidate_oracle
+from helpers import (
+    family_recurrence,
+    kernel_scalars,
+    pair_candidate_oracle,
+    pearson_moments_oracle,
+    pearson_residual_oracle,
+)
 
 X = Poly.x()
 
@@ -322,6 +328,64 @@ def test_pearson_residual_detects_perturbation(q_half):
     bumped[3] = bumped[3] + 1
     res = pearson_residual(MomentFunctional(bumped), pair, q_half)
     assert any(res)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (QmapError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+RESIDUAL_QS = (Fraction(1, 2), Fraction(-3, 2), CycScalar(Fraction(1, 3), Fraction(1, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pearson_residual_is_the_composed_form(data):
+    # the integer rows against H_q(Phi u) - Psi u composed from the operators: deg Phi and deg Psi
+    # 0..4, rational or Q(w), u of any order, q validated just to the brackets the composed form
+    # reads (max_order + 1 = N - deg Phi + 1).  Equal by value, or by the one message, where the
+    # composed form's deg psi error named phi
+    omega = data.draw(st.booleans())
+    scalars = kernel_scalars(st.fractions(-4, 4, max_denominator=6)) if omega else st.fractions(-4, 4, max_denominator=6)
+    phi = Poly(data.draw(st.lists(scalars, min_size=0, max_size=4)) + [data.draw(scalars.filter(bool))])
+    psi = Poly(data.draw(st.lists(scalars, min_size=0, max_size=4)) + [data.draw(scalars.filter(bool))])
+    pair = PearsonPair(phi, psi)
+    u = MomentFunctional(data.draw(st.lists(scalars, min_size=1, max_size=10)))
+    q = QParam(data.draw(st.sampled_from(RESIDUAL_QS)), max(1, u.order - phi.degree))
+    if data.draw(st.booleans()):  # a functional the pair annihilates, as far as the rows reach
+        try:
+            u = pearson_moments(pair, data.draw(scalars.filter(bool)), u.order, QParam(q.q, 64))
+        except RegularityError:
+            pass
+    got = _outcome(pearson_residual, u, pair, q)
+    expected = _outcome(pearson_residual_oracle, u, pair, q)
+    if psi.degree > u.order >= phi.degree:
+        expected = expected[0], expected[1].replace("deg phi", "deg psi")
+    assert got == expected
+
+
+def test_pearson_residual_names_a_long_psi():
+    pair = PearsonPair(X, Poly([1, 0, 0, 1]))
+    with pytest.raises(TruncationError, match=r"^deg psi = 3 exceeds effective order 2$"):
+        pearson_residual(MomentFunctional([1, 2, 3]), pair, QParam(Fraction(1, 2), 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pearson_moments_reads_each_row_as_the_dict_did(data):
+    # the one-comprehension row against the dict of the old generator: the same moments or the
+    # same RegularityError, for deg Phi and deg Psi 0..3, rational or Q(w)
+    omega = data.draw(st.booleans())
+    scalars = kernel_scalars(st.fractions(-3, 3, max_denominator=4)) if omega else st.fractions(-3, 3, max_denominator=4)
+    deg_phi, deg_psi = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    phi = Poly(data.draw(st.lists(scalars, min_size=deg_phi, max_size=deg_phi)) + [data.draw(scalars.filter(bool))])
+    psi = Poly(data.draw(st.lists(scalars, min_size=deg_psi, max_size=deg_psi)) + [data.draw(scalars.filter(bool))])
+    pair = PearsonPair(phi, psi)
+    q = QParam(data.draw(st.sampled_from(RESIDUAL_QS)), 32)
+    args = pair, data.draw(scalars), data.draw(st.integers(0, 12)), q
+    assert _outcome(pearson_moments, *args) == _outcome(pearson_moments_oracle, *args)
 
 
 def test_pearson_regularity_error(q_half):

@@ -31,7 +31,7 @@ from qmap import (
 from qmap import mapping as mapping_module
 from qmap.errors import MappingConditionError, QmapError, RegularityError
 from qmap.mapping import ascend_recurrence
-from qmap.opseq import next_level, proved_recurrence
+from qmap.opseq import _chebyshev_levels, proved_recurrence
 
 from conftest import cached_case_bundle, random_scalar
 from helpers import certify_recurrence_oracle, jacobi_moments, pi_k_oracle, r_shift_poly_oracle
@@ -313,7 +313,7 @@ def test_ascent_declines_a_vanishing_coefficient():
     eta = Poly([Fraction(9, 4), -3, 1])
     _raises_at(5, [0, Fraction(23, 8)], [Fraction(27, 16)], eta)
     assert len(ascend_recurrence([0, 1], [Fraction(27, 16)], eta, 6).b) == 6
-    # a zero s_B, as next_level gives when h_B = 0, is the zero a_{3B}
+    # a zero s_B, as q's level B reads when h_B = 0, is the zero a_{3B}
     _raises_at(3, [0], [0], eta)
 
 
@@ -324,8 +324,7 @@ def test_a_zero_past_the_kept_levels_is_not_read():
     rec = Recurrence([1, 2, Fraction(-5621, 136)], [3, 5])
     eta = Poly([Fraction(9, 4), -3, 1])
     v = MomentFunctional(jacobi_moments(rec, 1, 5))
-    rec_q, q_ops = recurrence_from_moments(v, 2)
-    r, s = next_level(v, rec_q, q_ops)
+    rec_q, (r, s) = _chebyshev_levels(v, 2)
     assert (r, s) == (rec.b, rec.a)
     u = lift_functional(v, eta)
     assert ascend_recurrence(r, s, eta, 8) == recurrence_from_moments(u, 8)[0]
@@ -380,14 +379,15 @@ def test_the_ascent_of_a_proved_q_is_u_recurrence(side, data):
     # raise where u is not regular, on every level count u's moments fix: the build's
     # Np = u.order // 2 and (u.order + 1) // 2.  A build checks no level of the ascent,
     # so this guards them all
-    v, rec_q, q_ops = side
+    v, rec_q, _ = side
     omega = data.draw(st.booleans())
     scalars = st.builds(CycScalar, small_fractions, small_fractions if omega else st.just(Fraction(0)))
     e1 = data.draw(scalars)
     e0 = e1 * e1 if data.draw(st.integers(0, 4)) == 0 else data.draw(scalars)  # a_0^(1) = e0 - e1^2 = 0
     eta = Poly([e0, e1, 1])
     u = lift_functional(v, eta)
-    r, s = next_level(v, rec_q, q_ops)
+    assert _chebyshev_levels(v, len(rec_q.b))[0] == rec_q
+    r, s = _chebyshev_levels(v, len(rec_q.b))[1]
     for levels in (u.order // 2, (u.order + 1) // 2):
         try:
             rec_p, p_ops = recurrence_from_moments(u, levels)

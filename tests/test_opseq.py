@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qmap import (
     OMEGA,
+    ONE,
     ZERO,
     BlockView,
     CycScalar,
@@ -39,6 +40,7 @@ from helpers import (
     eigen_holds_oracle,
     jacobi_moments,
     kernel_scalars,
+    next_level_oracle,
     ops_from_recurrence_oracle,
     orthogonality_check_oracle,
     pair_candidate_oracle,
@@ -197,11 +199,11 @@ def test_certificate_needs_every_moment_its_rows_read(q_half):
 def test_proved_recurrence_certifies_the_pair_or_runs_the_chebyshev(q_half, monkeypatch):
     pair = little_q_laguerre_pair(Fraction(1, 4), q_half)
     u = pearson_moments(pair, 1, 24, q_half)
-    chebyshev, calls = opseq.recurrence_from_moments, []
-    monkeypatch.setattr(opseq, "recurrence_from_moments", lambda u, N: calls.append(N) or chebyshev(u, N))
+    chebyshev, calls = opseq._chebyshev_levels, []
+    monkeypatch.setattr(opseq, "_chebyshev_levels", lambda u, N: calls.append(N) or chebyshev(u, N))
     for N in (1, 12):  # N = 1 too: the proof gives every level the pair gives, and level N
-        rec, ops = chebyshev(u, N)
-        expected = rec, opseq.next_level(u, rec, ops)
+        rec, ops = recurrence_from_moments(u, N)
+        expected = rec, next_level_oracle(u, rec, ops)
         calls.clear()
         assert opseq.proved_recurrence(u, pair, q_half, N) == expected and calls == []
         # the pair of another functional: its recurrence is not u's, and its Pearson equation says so
@@ -227,8 +229,8 @@ def test_proved_recurrence_falls_back_to_the_chebyshev_regularity_error(q_half):
 @settings(max_examples=60, deadline=None)
 @given(regular_recurrences(), st.data())
 def test_next_level_is_the_chebyshev_level(data, draw):
-    # u's levels 0..N-1 proved: u_{2N} gives a_N, u_{2N+1} gives b_N, and each row reads
-    # exactly the moments up to u's order (N = 2 is the V = 4 and V = 5 of a build)
+    # the fallback's one row past u's N levels: u_{2N} gives a_N, u_{2N+1} gives b_N, and no
+    # more moments are read (N = 2 is the V = 4 and V = 5 of a build)
     rec, u0 = data
     N = len(rec.b) - 1
     if N < 1:
@@ -236,14 +238,32 @@ def test_next_level_is_the_chebyshev_level(data, draw):
     moments = jacobi_moments(rec, u0, 2 * N + 1)
     even, odd = MomentFunctional(moments[:-1]), MomentFunctional(moments)
     proved, ops = recurrence_from_moments(even, N)
-    assert opseq.next_level(even, proved, ops) == (rec.b[:N], rec.a[:N])
-    assert opseq.next_level(odd, proved, ops) == (rec.b[: N + 1], rec.a[:N])
-    with pytest.raises(TruncationError):
-        opseq.next_level(MomentFunctional(moments[:-2]), proved, ops)
+    assert opseq._chebyshev_levels(even, N) == (proved, (rec.b[:N], rec.a[:N]))
+    assert opseq._chebyshev_levels(odd, N) == (proved, (rec.b[: N + 1], rec.a[:N]))
+    longer = MomentFunctional(moments + [draw.draw(_scalars(True))])
+    assert opseq._chebyshev_levels(longer, N) == opseq._chebyshev_levels(odd, N)
+    with pytest.raises(TruncationError, match=rf"^level {N} needs effective order >= {2 * N}, have {2 * N - 1}$"):
+        opseq._chebyshev_levels(MomentFunctional(moments[:-2]), N)
     # h_N = <u, x^N p_N> moves one for one with u_{2N}, since p_N is monic: a_N = 0, and no b_N
     h = act(even, Poly.monomial(N) * ops[N])
     singular = moments[: 2 * N] + [moments[2 * N] - h] + moments[2 * N + 1 :][: draw.draw(st.integers(0, 1))]
-    assert opseq.next_level(MomentFunctional(singular), proved, ops) == (proved.b, proved.a + (ZERO,))
+    assert opseq._chebyshev_levels(MomentFunctional(singular), N) == (proved, (proved.b, proved.a + (ZERO,)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_fallback_level_is_the_next_level_oracle(data):
+    # any moments, regular or not, of order 2N - 2 to 2N + 2: the Chebyshev run one row further
+    # gives the N levels and level N of the Chebyshev and the two rows over p_{N-1} and p_N, or
+    # the same error, in the same order (effective order, then regularity, then level N's moment)
+    N = data.draw(st.integers(1, 6))
+    entries = st.one_of(st.sampled_from([ZERO, ONE, -ONE]), _scalars(data.draw(st.booleans())))
+    u = MomentFunctional(data.draw(st.lists(entries, min_size=2 * N - 1, max_size=2 * N + 3)))
+    try:
+        got = opseq._chebyshev_levels(u, N)
+    except QmapError as exc:
+        got = type(exc).__name__, str(exc)
+    assert got == _levels(u, N)
 
 
 # One candidate per condition of the lemma (README) that only that condition rejects, at M = N = 2.
@@ -321,12 +341,13 @@ def test_L_is_u_symmetric_on_the_moments_that_exist(functional):
 
 
 def _levels(u: MomentFunctional, N: int):
-    """The Chebyshev algorithm's N levels and next_level's (b, a), or its exact error."""
+    """The Chebyshev algorithm's N levels and the oracle's next level (b, a), as the fallback gave
+    them before its one more row, or the exact error."""
     try:
         rec, ops = recurrence_from_moments(u, N)
-    except RegularityError as exc:
-        return "RegularityError", str(exc)
-    return rec, opseq.next_level(u, rec, ops)
+        return rec, next_level_oracle(u, rec, ops)
+    except QmapError as exc:
+        return type(exc).__name__, str(exc)
 
 
 @st.composite
@@ -337,13 +358,11 @@ def lemma_functionals(draw, N: int, V: int):
         return draw(classical_functionals(V))
     q = draw(st.sampled_from(PROOF_QS))
     a = q.q ** -N
-    if draw(st.booleans()):
-        pair = little_q_laguerre_pair(a, q)
-    else:
-        pair = little_q_jacobi_pair(a, draw(_scalars(draw(st.booleans())).filter(bool)), q)
-    try:
+    laguerre, b = draw(st.booleans()), draw(_scalars(draw(st.booleans())).filter(bool))
+    try:  # a Jacobi b = 1/q at a = 1/q makes Psi = 0, which PearsonPair refuses
+        pair = little_q_laguerre_pair(a, q) if laguerre else little_q_jacobi_pair(a, b, q)
         return pair, q, pearson_moments(pair, 1, V, q)
-    except RegularityError:
+    except (RegularityError, ValueError):
         assume(False)
 
 
@@ -378,7 +397,7 @@ def test_the_eigen_proof_is_the_certificate_and_the_chebyshev(data):
 
 
 # One spoiled input per hypothesis of the lemma at N = 6, u to u_13, each rejected; the
-# Chebyshev and next_level then decide, with their own value or message
+# Chebyshev, one row further for level N, then decides, with its own value or message
 SPOILED_PROOFS = {
     "lambda distinct": (repeated_lambda(3), lambda m: m, None),
     "lambda_{N+1} distinct": (repeated_lambda(7, 6), lambda m: m, None),
@@ -413,17 +432,47 @@ def test_each_spoiled_condition_falls_back_to_the_chebyshev(q_half, monkeypatch,
 
 
 def test_level_n_needs_a_proved_level(q_half):
-    # N = 0 has no level to read past: the proof does not apply and next_level says so in one line
+    # N = 0 proves nothing, so the Chebyshev gives level 0 with h_{-1} = 1: a_0 = u_0, and
+    # b_0 = u_1 / u_0 when u holds u_1 and u_0 != 0
     pair = little_q_laguerre_pair(Fraction(1, 4), q_half)
     u = pearson_moments(pair, 1, 4, q_half)
     assert opseq.proved_pair_recurrence(u, pair, q_half, 0) is None
-    with pytest.raises(QmapError, match=r"^next_level needs at least one proved level, have 0$"):
-        opseq.proved_recurrence(u, pair, q_half, 0)
+    level0 = Recurrence([], []), ((u.moments[1],), (u.moments[0],))
+    assert opseq.proved_recurrence(u, pair, q_half, 0) == level0
+    assert opseq.proved_recurrence(MomentFunctional(u.moments[:1]), pair, q_half, 0) == (Recurrence([], []), ((), (ONE,)))
+    assert opseq.proved_recurrence(MomentFunctional([0, 1]), pair, q_half, 0) == (Recurrence([], []), ((), (ZERO,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_proof_reads_no_bracket_past_its_pearson_rows(data):
+    # the proof's Pearson rows 0..V - 1 read q [m]_q for m <= V - 1, as the integer test before
+    # pearson_residual did, at every deg Phi, so a q validated just that far proves what a
+    # wide one does: deg Phi = 0 reads no further (the composed residual read to V + 1)
+    N = data.draw(st.integers(1, 5))
+    V = 2 * N + data.draw(st.integers(0, 1))
+    scalars = _scalars(data.draw(st.booleans()))
+    deg = data.draw(st.sampled_from([0, 0, 1, 2]))
+    phi = Poly(data.draw(st.lists(scalars, min_size=deg, max_size=deg)) + [data.draw(scalars.filter(bool))])
+    pair = PearsonPair(phi, Poly([data.draw(scalars), data.draw(scalars.filter(bool))]))
+    wide = data.draw(st.sampled_from(PROOF_QS))
+    try:
+        u = pearson_moments(pair, data.draw(scalars.filter(bool)), V, wide)
+    except RegularityError:
+        assume(False)
+    if data.draw(st.booleans()):  # a spoiled moment, which the Pearson rows reject
+        moments = list(u.moments)
+        moments[data.draw(st.integers(1, V))] += 1
+        u = MomentFunctional(moments)
+    expected = opseq.proved_pair_recurrence(u, pair, wide, N)
+    # the least max_order with [m]_q for m <= max(N + 1, V - 1), the candidate's and the rows'
+    tight = QParam(wide.q, max(N, V - 2))
+    assert opseq.proved_pair_recurrence(u, pair, tight, N) == expected
 
 
 def test_a_zero_a_at_level_n_is_read_raw(q_half):
     # little q-Laguerre at a = 2^6 = q^-6 is regular below level 6 and not at it: the proof
-    # gives the 6 levels and a_6 = 0 with no b_6, as next_level does
+    # gives the 6 levels and a_6 = 0 with no b_6, as the Chebyshev's level 6 does
     pair = little_q_laguerre_pair(q_half.q ** -6, q_half)
     u = pearson_moments(pair, 1, 13, q_half)
     rec, (b, a) = opseq.proved_pair_recurrence(u, pair, q_half, 6)

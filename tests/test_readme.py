@@ -1,11 +1,15 @@
-"""README's library example runs as written and prints what its comments state."""
+"""README's library example runs as written and prints what its comments state, and every
+command of its CLI block exits 0."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
-from qmap import cubic_cases
+import pytest
+
+from qmap import cli, cubic_cases
 from qmap.opseq import chebyshev_recurrence
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,3 +39,22 @@ def test_the_library_example_prints_what_its_comments_state(monkeypatch):
         else:
             assert line == comment, expr
     assert calls == [namespace["square"].u]
+
+
+def _cli_commands() -> list[list[str]]:
+    text = README.read_text()
+    section = text[text.index("## CLI") :]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qmap ")]
+
+
+def test_the_cli_block_lists_every_command():
+    assert [argv[0] for argv in _cli_commands()] == ["ops", "map", "classify", "tables", "measure", "descend"]
+
+
+@pytest.mark.parametrize("argv", _cli_commands(), ids=lambda argv: argv[0])
+def test_each_cli_example_exits_0(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    assert out.getvalue().startswith("{")
